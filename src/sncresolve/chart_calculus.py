@@ -14,7 +14,7 @@ is what terminates the whole rewriting process.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .poly_oracle import Polynomial, ScaleError, generic_det
@@ -38,20 +38,35 @@ class MultiDegree(NamedTuple):
 
 @dataclass(frozen=True)
 class ChartState:
-    """One local normal form, up to permutation of coordinates within a group."""
+    """One local normal form, up to permutation of coordinates within a group.
+
+    ``deg`` is the invariant ``mdeg`` and ``_hash`` the hash, both computed
+    once when the chart is built: charts carrying hundreds of divisors sit
+    in many sets and dicts.
+    """
 
     x_indices: frozenset
     det_size: int
     exponents: tuple  # sorted tuple of (divisor id, exponent >= 1)
+    deg: MultiDegree = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.x_indices:
             raise ValueError("a chart needs at least one x-factor")
         if self.det_size < 0:
             raise ValueError("determinant size must be >= 0")
+        dz = 0
         for div, a in self.exponents:
             if a < 1:
                 raise ValueError(f"divisor {div!r} carries exponent {a} < 1")
+            dz += a
+        object.__setattr__(self, "deg", MultiDegree(len(self.x_indices), self.det_size, dz))
+        object.__setattr__(self, "_hash", hash((self.x_indices, self.det_size,
+                                                self.exponents)))
+
+    def __hash__(self):
+        return self._hash
 
     @staticmethod
     def of(x_indices, det_size, exponents=None) -> "ChartState":
@@ -103,18 +118,27 @@ def chart_to_obj(chart: ChartState) -> dict:
 
 
 def chart_from_obj(obj: dict) -> ChartState:
-    return ChartState.of(obj["x"], obj["m"], obj.get("a", {}))
+    """Parse a chart document; an ill-typed field raises ValueError."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"a chart must be an object, got {obj!r}")
+    xs, m, exps = obj.get("x"), obj.get("m"), obj.get("a", {})
+    if not isinstance(xs, list) or not all(isinstance(i, str) for i in xs):
+        raise ValueError(f"chart 'x' must be a list of ids, got {xs!r}")
+    if type(m) is not int:
+        raise ValueError(f"chart 'm' must be an integer, got {m!r}")
+    if not isinstance(exps, dict) or any(type(a) is not int for a in exps.values()):
+        raise ValueError(f"chart 'a' must map divisor ids to integers, got {exps!r}")
+    return ChartState.of(xs, m, exps)
 
 
 def mdeg(chart: ChartState) -> MultiDegree:
     """The termination invariant (|I|, m, sum of divisor exponents)."""
-    return MultiDegree(len(chart.x_indices), chart.det_size,
-                       sum(a for _, a in chart.exponents))
+    return chart.deg
 
 
 def is_resolved(chart: ChartState) -> bool:
     """Smooth iff only one x-factor, or no factor at all on the right."""
-    d = mdeg(chart)
+    d = chart.deg
     return d.dx == 1 or (d.dy == 0 and d.dz == 0)
 
 

@@ -36,11 +36,26 @@ def _env_default(flag: str, fallback=None):
     return os.environ.get(ENV_PREFIX + flag.replace("-", "_").upper(), fallback)
 
 
+def _env_int(flag: str, fallback: int) -> int:
+    """An integer flag default from the environment; ValueError names the variable."""
+    value = _env_default(flag)
+    if value is None:
+        return fallback
+    try:
+        return int(value)
+    except ValueError:
+        name = ENV_PREFIX + flag.replace("-", "_").upper()
+        raise ValueError(f"{name}={value!r} is not an integer") from None
+
+
 def _parse_range(text: str) -> list:
-    """'2..4' -> [2, 3, 4]; '3' -> [3]."""
+    """'2..4' -> [2, 3, 4]; '3' -> [3]; an empty range raises ValueError."""
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
+        values = list(range(int(lo), int(hi) + 1))
+        if not values:
+            raise ValueError(f"{text!r} is an empty range")
+        return values
     return [int(text)]
 
 
@@ -318,8 +333,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_res.add_argument("--exponent-policy",
                        default=_env_default("exponent-policy", "oracle"),
                        choices=("oracle", "paper"))
-    p_res.add_argument("--ceiling", type=int,
-                       default=int(_env_default("ceiling", "10000")))
+    p_res.add_argument("--ceiling", type=int, default=_env_int("ceiling", 10_000))
 
     p_ver = sub.add_parser("verify", help="re-derive rule grids exactly")
     p_ver.add_argument("--rule", default=_env_default("rule"), required=False)
@@ -334,15 +348,19 @@ def _build_parser() -> argparse.ArgumentParser:
                        choices=("oracle", "paper"))
 
     p_gen = sub.add_parser("gen", help="generate a random seed state")
-    p_gen.add_argument("--seed", type=int,
-                       default=int(_env_default("seed", "0")))
+    p_gen.add_argument("--seed", type=int, default=_env_int("seed", 0))
     p_gen.add_argument("--out", default=_env_default("out"))
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        parser = _build_parser()
+    except ValueError as err:
+        _print_err(f"bad environment value: {err}")
+        return EXIT_INPUT
+    args = parser.parse_args(argv)
     try:
         if args.command == "dualcomplex":
             if not args.input:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from types import MappingProxyType
 
 
 class InvalidComplexError(ValueError):
@@ -44,7 +45,14 @@ class Violation:
 
 
 class DualComplex:
-    """A finite unordered Delta-complex, indexed by cell id."""
+    """A finite unordered Delta-complex, indexed by cell id.
+
+    Immutable: ``cells`` is a read-only mapping and no attribute can be
+    set after construction, so a complex shared by many states cannot
+    drift.
+    """
+
+    __slots__ = ("_cells",)
 
     def __init__(self, cells=()):
         by_id = {}
@@ -52,11 +60,17 @@ class DualComplex:
             if cell.id in by_id:
                 raise ValueError(f"duplicate cell id {cell.id!r}")
             by_id[cell.id] = cell
-        self._cells = by_id
+        object.__setattr__(self, "_cells", MappingProxyType(by_id))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"DualComplex is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"DualComplex is immutable; cannot delete {name!r}")
 
     @property
-    def cells(self) -> dict:
-        return dict(self._cells)
+    def cells(self) -> MappingProxyType:
+        return self._cells
 
     def __contains__(self, cell_id) -> bool:
         return cell_id in self._cells
@@ -319,12 +333,19 @@ def to_json_obj(complex: DualComplex) -> dict:
 
 
 def from_json_obj(obj: dict) -> DualComplex:
-    if not isinstance(obj, dict) or "cells" not in obj:
+    """Parse a complex document; an ill-shaped one raises ValueError."""
+    if not isinstance(obj, dict) or not isinstance(obj.get("cells"), list):
         raise ValueError("complex document needs a 'cells' array")
     cells = []
     for entry in obj["cells"]:
-        cells.append(Cell.of(entry["id"], entry["dim"], entry.get("facets", ()),
-                             entry.get("label")))
+        if not isinstance(entry, dict) or "id" not in entry or "dim" not in entry:
+            raise ValueError(f"a cell must be an object with 'id' and 'dim', got {entry!r}")
+        facets, label = entry.get("facets", ()), entry.get("label")
+        if not isinstance(facets, (list, tuple)) or not isinstance(label, (list, type(None))):
+            raise ValueError(f"cell {entry['id']!r}: 'facets' and 'label' must be arrays")
+        if type(entry["dim"]) is not int:
+            raise ValueError(f"cell {entry['id']!r}: 'dim' must be an integer")
+        cells.append(Cell.of(entry["id"], entry["dim"], facets, label))
     return DualComplex(cells)
 
 

@@ -11,8 +11,17 @@ order at every event, which forces termination; an explicit event ceiling
 guards the implementation rather than the mathematics.
 
 Phases: A-det shrinks determinants, B1/B2/B3 shrink the divisor monomial,
-C-bin splits the final degree-one factor.  The dual complex is carried
-through untouched and re-checked byte-for-byte at every event.
+C-bin splits the final degree-one factor.  The dual complex is immutable
+and shared by every state of a run; ``run`` compares its bytes at the
+start and at the end.
+
+The engine is incremental.  Resolved charts sit in an inert sink that no
+rule matches; each unresolved chart is filed under the one rule that
+would rewrite it, ranked by phase and tie-break.  An event takes the
+least-ranked rule and the charts filed under it as its parents, checks
+only the children it produces, and updates the newest state in place,
+so its cost follows the charts it touches rather than the whole state
+(apart from one minimum over the distinct proposed rules).
 """
 
 from __future__ import annotations
@@ -125,12 +134,82 @@ class BlowupEvent:
                     certificate=(parent_deg, child_deg))
 
 
-@dataclass(frozen=True)
+_set = object.__setattr__
+
+
 class ResolutionState:
-    dual: dc.DualComplex
-    registry: tuple  # DivisorRecord, in birth order
-    charts: tuple    # ((ChartState, count), ...), canonically sorted
-    trace: tuple = ()
+    """A configuration state: dual complex, divisor registry, chart multiset.
+
+    Immutable.  ``registry`` is the tuple of DivisorRecords in birth order,
+    ``charts`` the canonically sorted tuple of (ChartState, count) pairs
+    and ``trace`` the events that led here; each is built on first access.
+    A state built by hand keeps the ``charts`` it was given, and its
+    validity is unknown until ``step`` or ``select_center`` checks it.
+
+    The states that ``step`` produces from one another share one
+    ``_Book`` and differ only in how many of its events they see.  A
+    state built by hand gets its book when first stepped, and lets go of
+    it once stepped, so a kept seed does not hold on to its run.
+    """
+
+    __slots__ = ("dual", "_book", "_n", "_valid", "_registry", "_charts", "_trace")
+
+    def __init__(self, dual: dc.DualComplex, registry, charts, trace=()):
+        trace = tuple(trace)
+        self._fill(dual, None, len(trace), False, tuple(registry), tuple(charts), trace)
+
+    @classmethod
+    def _at(cls, book: "_Book", n: int) -> "ResolutionState":
+        """The state that has seen the first ``n`` events of ``book``."""
+        state = object.__new__(cls)
+        state._fill(book.dual, book, n, True, None, None, None)
+        return state
+
+    def _fill(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            _set(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"ResolutionState is immutable; cannot set {name!r}")
+
+    @property
+    def registry(self) -> tuple:
+        if self._registry is None:
+            book = self._book
+            _set(self, "_registry", book.registry + tuple(
+                DivisorRecord(e.new_divisor[0], e.new_divisor[1], e.index)
+                for e in book.events[book.start:self._n] if e.new_divisor))
+        return self._registry
+
+    @property
+    def charts(self) -> tuple:
+        if self._charts is None:
+            book = self._book
+            if self._n == len(book.events):
+                items = {**book.active, **book.resolved}
+            else:
+                items = _multiset(book.charts)
+                for event in book.events[book.start:self._n]:
+                    for chart, _ in event.parents:
+                        del items[chart]
+                    for chart, count in event.children:
+                        items[chart] = items.get(chart, 0) + count
+            _set(self, "_charts", _sorted_chart_items(items))
+        return self._charts
+
+    @property
+    def trace(self) -> tuple:
+        if self._trace is None:
+            _set(self, "_trace", tuple(self._book.events[:self._n]))
+        return self._trace
+
+    def _own(self) -> "_Book":
+        """A book whose newest state is this one; an older state starts a new one."""
+        book = self._book
+        if book is None or self._n != len(book.events):
+            book = _Book(self.dual, self.registry, self.charts, self.trace)
+            _set(self, "_book", book)
+        return book
 
     def chart_multiset(self) -> dict:
         return dict(self.charts)
@@ -142,7 +221,7 @@ class ResolutionState:
         return [(chart, n) for chart, n in self.charts if not cc.is_resolved(chart)]
 
     def is_finished(self) -> bool:
-        return not self.unresolved()
+        return not self._own().active
 
     def dual_bytes(self) -> str:
         return dc.canonical_json(self.dual)
@@ -163,34 +242,180 @@ class ResolutionState:
         return out
 
 
+class _Book:
+    """What a line of states produced by ``step`` from one another shares.
+
+    ``events`` only grows, and each state of the line sees a prefix of it.
+    The first state of the line sits at position ``start`` with the given
+    ``registry`` and ``charts``.  The live views describe only the newest
+    state, which ``step`` advances in place: ``active`` and ``resolved``
+    split its chart multiset (no rule matches a resolved chart, so that
+    part is an inert sink), ``coeff`` maps its registered divisors to
+    their coefficients, and ``index`` groups the active charts for one
+    id ordering.
+    """
+
+    def __init__(self, dual, registry, charts, trace):
+        self.dual = dual
+        self.start = len(trace)
+        self.events = list(trace)
+        self.registry = registry
+        self.charts = charts
+        self.coeff = {r.id: r.coeff for r in registry}
+        self.active, self.resolved = {}, {}
+        for chart, count in _multiset(charts).items():
+            (self.resolved if cc.is_resolved(chart) else self.active)[chart] = count
+        self.index = None
+        self.labels = None
+
+    def index_for(self, config: RunConfig) -> "_Index":
+        if self.index is None or self.index.ordering != config.ordering:
+            self.index = _Index(config, self.active)
+        return self.index
+
+    def vertex_labels(self) -> set:
+        if self.labels is None:
+            self.labels = _vertex_labels(self.dual)
+        return self.labels
+
+
+def _proposal(chart: ChartState, key) -> tuple:
+    """The rank of the rule application that rewrites an unresolved chart.
+
+    Ranks sort as ``select_center`` prefers: by phase, then by the phase's
+    tie-break under the id ordering ``key``; each ends with the rule's
+    (kind, pair, divisors, det_size).  The pair is the chart's first two
+    x-indices in key order, since the least pair of a union of charts is
+    the least of theirs; in B1 the divisor is the chart's best one and in
+    B2 the divisors are its first two, for the same reason.
+    """
+    xs = sorted(chart.x_indices, key=key)
+    pair = (xs[0], xs[1])
+    pk = (key(xs[0]), key(xs[1]))
+    _, dy, dz = chart.deg
+    if dy >= 2:
+        return (0, -dy, pk, "DET", pair, (), dy)
+    high = [(-a, key(d), d) for d, a in chart.exponents if a >= 2]
+    if high:
+        neg_a, kd, d = min(high)
+        return (1, neg_a, kd, pk, "MON1", pair, (d,), None)
+    if dz >= 2:  # every exponent is 1 from here on
+        j1, j2 = sorted((d for d, _ in chart.exponents), key=key)[:2]
+        return (2, key(j1), key(j2), pk, "MON2", pair, (j1, j2), None)
+    if dy + dz == 2:
+        ((j, _),) = chart.exponents
+        return (3, key(j), pk, "MON3", pair, (j,), None)
+    return (4, key(xs[0]), "BIN", (xs[0],), (), None)
+
+
+class _Index:
+    """The head's unresolved charts, filed under the rule each proposes.
+
+    ``groups`` maps each rank from ``_proposal`` to the charts proposing
+    it.  The least rank is the center ``select_center`` picks, and its
+    charts are exactly those the rule matches.  A chart that contains the
+    selected pair (and divisors) cannot propose anything smaller, so it
+    proposes that very rule; in B1 this holds because a divisor carries
+    its registry coefficient in every chart of a valid state.
+    """
+
+    def __init__(self, config: RunConfig, charts):
+        self.ordering = config.ordering
+        self.key = config.key
+        self.rank = {}    # chart -> its proposal
+        self.groups = {}  # rank -> charts proposing it
+        for chart in charts:
+            self.add(chart)
+
+    def add(self, chart: ChartState):
+        rank = self.rank[chart] = _proposal(chart, self.key)
+        group = self.groups.get(rank)
+        if group is None:
+            group = self.groups[rank] = set()
+        group.add(chart)
+
+    def remove(self, chart: ChartState):
+        rank = self.rank.pop(chart)
+        group = self.groups[rank]
+        group.remove(chart)
+        if not group:
+            del self.groups[rank]
+
+    def least(self):
+        return min(self.groups, default=None)
+
+
+def _multiset(items) -> dict:
+    out = {}
+    for chart, count in items:
+        out[chart] = out.get(chart, 0) + count
+    return out
+
+
 def _sorted_chart_items(multiset: dict) -> tuple:
     return tuple(sorted(((c, n) for c, n in multiset.items() if n),
                         key=lambda item: item[0].sort_key()))
 
 
+def _vertex_labels(dual: dc.DualComplex) -> set:
+    labels = set()
+    for cell in dual.cells_of_dim(0):
+        if cell.label:
+            labels.update(cell.label)
+    return labels
+
+
+def _chart_problems(chart: ChartState, count, vertex_labels: set, coeff) -> list:
+    """What is wrong with one (chart, count) item.
+
+    ``coeff(div)`` is the registry coefficient of a divisor id, None if
+    it is unregistered.
+    """
+    out = []
+    if count < 1:
+        out.append(f"chart {chart!r} has count {count}")
+    missing = chart.x_indices - vertex_labels
+    if missing:
+        out.append(f"chart {chart!r} uses x-indices {sorted(missing)} "
+                   f"absent from the dual complex vertices")
+    for div, a in chart.exponents:
+        c = coeff(div)
+        if c is None:
+            out.append(f"chart {chart!r} references unregistered divisor {div!r}")
+        elif c != a:
+            out.append(f"chart {chart!r} carries {div!r}^{a} but the "
+                       f"registry coefficient is {c}")
+    return out
+
+
 def validate_state(state: ResolutionState) -> list:
     """Internal consistency: registry-backed exponents, known vertex labels."""
-    out = []
-    vertex_labels = set()
-    for cell in state.dual.cells_of_dim(0):
-        if cell.label:
-            vertex_labels.update(cell.label)
-    registry = state.registry_map()
-    for chart, count in state.charts:
-        if count < 1:
-            out.append(f"chart {chart!r} has count {count}")
-        missing = chart.x_indices - vertex_labels
-        if missing:
-            out.append(f"chart {chart!r} uses x-indices {sorted(missing)} "
-                       f"absent from the dual complex vertices")
-        for div, a in chart.exponents:
-            rec = registry.get(div)
-            if rec is None:
-                out.append(f"chart {chart!r} references unregistered divisor {div!r}")
-            elif rec.coeff != a:
-                out.append(f"chart {chart!r} carries {div!r}^{a} but the "
-                           f"registry coefficient is {rec.coeff}")
-    return out
+    labels = _vertex_labels(state.dual)
+    coeff = {r.id: r.coeff for r in state.registry}.get
+    return [problem for chart, count in state.charts
+            for problem in _chart_problems(chart, count, labels, coeff)]
+
+
+def _validated(state: ResolutionState) -> ResolutionState:
+    """Check a state in full; ValueError if it is inconsistent."""
+    problems = validate_state(state)
+    if problems:
+        raise ValueError("; ".join(problems))
+    _set(state, "_valid", True)
+    return state
+
+
+def _checked_book(state: ResolutionState) -> _Book:
+    """The state's own book, after a full check if its validity is unknown.
+
+    States that ``step`` produces are valid by construction.
+    """
+    if not state._valid:
+        problems = validate_state(state)
+        if problems:
+            raise InvariantBreach("state invariants broken: " + "; ".join(problems))
+        _set(state, "_valid", True)
+    return state._own()
 
 
 def seed_from_snc(snc: sm.SncVariety, coranks: dict) -> ResolutionState:
@@ -218,11 +443,7 @@ def seed_from_snc(snc: sm.SncVariety, coranks: dict) -> ResolutionState:
             raise ValueError(f"missing corank for stratum {s.id!r}")
         chart = ChartState.of(s.indices, coranks[s.id], {})
         charts[chart] = charts.get(chart, 0) + 1
-    state = ResolutionState(dual, (), _sorted_chart_items(charts))
-    problems = validate_state(state)
-    if problems:
-        raise ValueError("; ".join(problems))
-    return state
+    return _validated(ResolutionState(dual, (), _sorted_chart_items(charts)))
 
 
 def with_initial_divisors(state: ResolutionState, divisors, placements) -> ResolutionState:
@@ -243,22 +464,13 @@ def with_initial_divisors(state: ResolutionState, divisors, placements) -> Resol
         new_chart = ChartState.of(chart.x_indices, chart.det_size,
                                   {**chart.exponent_map(), **extra})
         charts[new_chart] = charts.get(new_chart, 0) + n
-    new_state = ResolutionState(state.dual, tuple(registry),
-                                _sorted_chart_items(charts), state.trace)
-    problems = validate_state(new_state)
-    if problems:
-        raise ValueError("; ".join(problems))
-    return new_state
+    return _validated(ResolutionState(state.dual, tuple(registry),
+                                      _sorted_chart_items(charts), state.trace))
 
 
 # --------------------------------------------------------------------------
 # Center selection
 # --------------------------------------------------------------------------
-
-def _pairs_of(chart: ChartState, config: RunConfig):
-    ordered = sorted(chart.x_indices, key=config.key)
-    return [(a, b) for i, a in enumerate(ordered) for b in ordered[i + 1:]]
-
 
 def select_center(state: ResolutionState,
                   config: RunConfig = RunConfig()) -> RuleApplication | None:
@@ -268,82 +480,21 @@ def select_center(state: ResolutionState,
     determinant size present at an unresolved point; the monomial phases
     pick the smallest eligible divisor (largest exponent first in B1);
     phase C picks the smallest component index carrying a degree-one
-    factor.
+    factor.  Pairs are compared by ``config.pair_key``.
+
+    The answer is the least rank the unresolved charts propose (see
+    ``_proposal``), read from the index.  B1 ranks a divisor by the
+    exponent its charts carry, which is the registry coefficient only in
+    a valid state, so a state of unknown validity is checked in full
+    first (InvariantBreach if it fails).
     """
-    unresolved = state.unresolved()
-    if not unresolved:
-        return None
-
-    # Phase A: largest determinant first.
-    m_star = max((c.det_size for c, _ in unresolved), default=0)
-    if m_star >= 2:
-        pairs = set()
-        for chart, _ in unresolved:
-            if chart.det_size == m_star:
-                pairs.update(_pairs_of(chart, config))
-        pair = min(pairs, key=config.pair_key)
-        return RuleApplication("DET", pair, det_size=m_star)
-
-    # Phase B1: some divisor exponent >= 2; largest exponent first.
-    eligible = {}  # divisor -> [exponent, candidate pairs]
-    for chart, _ in unresolved:
-        if len(chart.x_indices) < 2:
-            continue
-        for div, a in chart.exponents:
-            if a >= 2:
-                entry = eligible.setdefault(div, [a, set()])
-                entry[1].update(_pairs_of(chart, config))
-    if eligible:
-        div = min(eligible, key=lambda j: (-eligible[j][0], config.key(j)))
-        pair = min(eligible[div][1], key=config.pair_key)
-        return RuleApplication("MON1", pair, divisors=(div,))
-
-    # Phase B2: two divisors of exponent 1 in one chart.
-    best = None
-    for chart, _ in unresolved:
-        if len(chart.x_indices) < 2:
-            continue
-        ones = sorted((d for d, a in chart.exponents if a == 1), key=config.key)
-        for i, j1 in enumerate(ones):
-            for j2 in ones[i + 1:]:
-                for pair in _pairs_of(chart, config):
-                    cand = ((config.key(j1), config.key(j2)), config.pair_key(pair),
-                            (j1, j2), pair)
-                    if best is None or cand[:2] < best[:2]:
-                        best = cand
-    if best:
-        return RuleApplication("MON2", best[3], divisors=best[2])
-
-    # Phase B3: a single y-factor and a single exponent-1 divisor.
-    best = None
-    for chart, _ in unresolved:
-        deg = cc.mdeg(chart)
-        if deg.dx >= 2 and deg.dy == 1 and deg.dz == 1:
-            (j,) = [d for d, _ in chart.exponents]
-            for pair in _pairs_of(chart, config):
-                cand = (config.key(j), config.pair_key(pair), j, pair)
-                if best is None or cand[:2] < best[:2]:
-                    best = cand
-    if best:
-        return RuleApplication("MON3", best[3], divisors=(best[2],))
-
-    # Phase C: one degree-one factor left (y, or a single exponent-1 divisor).
-    components = set()
-    for chart, _ in unresolved:
-        deg = cc.mdeg(chart)
-        if deg.dx >= 2 and deg.dy + deg.dz == 1:
-            components.update(chart.x_indices)
-    if components:
-        return RuleApplication("BIN", (min(components, key=config.key),))
-
-    raise InvariantBreach(
-        "unresolved charts remain but no phase applies: "
-        + ", ".join(repr(c) for c, _ in unresolved))
+    rank = _checked_book(state).index_for(config).least()
+    return None if rank is None else RuleApplication(*rank[-4:])
 
 
 def _matches(chart: ChartState, app: RuleApplication) -> bool:
     exps = chart.exponent_map()
-    deg = cc.mdeg(chart)
+    deg = chart.deg
     if app.kind == "DET":
         return (set(app.pair) <= chart.x_indices
                 and chart.det_size == app.det_size)
@@ -368,22 +519,29 @@ def step(state: ResolutionState,
     Returns (new state, event).  At most one divisor is registered per
     event and is shared by all children; certificates of strict
     lexicographic decrease are recorded and enforced.
+
+    Only the produced children and the new divisor are checked: the
+    surviving charts were valid, registry records never change, and the
+    dual complex is immutable.  Every check runs before the shared book
+    is updated, so a failing event leaves ``state`` intact.
     """
     app = select_center(state, config)
     if app is None:
         raise NoApplicableRule("every chart is resolved")
+    book = _checked_book(state)
+    idx = book.index_for(config)
 
-    matched = [(c, n) for c, n in state.charts if _matches(c, app)]
+    matched = sorted(((c, book.active[c]) for c in idx.groups[idx.least()]
+                      if _matches(c, app)), key=lambda item: item[0].sort_key())
     if not matched:
         raise InvariantBreach(f"selected rule {app!r} matches no chart")
 
-    index = len(state.trace)
+    index = len(book.events)
     exc_name = None
     new_divisor = None
     if app.kind in ("DET", "MON1", "MON2", "MON3"):
-        taken = {r.id for r in state.registry}
         serial = index + 1
-        while f"w{serial}" in taken:
+        while f"w{serial}" in book.coeff:
             serial += 1
         exc_name = f"w{serial}"
         if app.kind == "DET":
@@ -399,14 +557,12 @@ def step(state: ResolutionState,
             new_divisor = (exc_name, e)
     app = replace(app, new_divisor=new_divisor)
 
-    survivors = {c: n for c, n in state.charts if not _matches(c, app)}
-    child_items = dict(survivors)
     certificates = set()
     produced = {}
     for chart, count in matched:
-        parent_deg = cc.mdeg(chart)
+        parent_deg = chart.deg
         for child in cc.children(chart, app, policy=config.exponent_policy):
-            child_deg = cc.mdeg(child.state)
+            child_deg = child.state.deg
             if not tuple(child_deg) < tuple(parent_deg):
                 raise InvariantBreach(
                     f"rule {app.kind} failed to decrease mdeg: "
@@ -414,33 +570,44 @@ def step(state: ResolutionState,
                     certificate=(parent_deg, child_deg))
             certificates.add((parent_deg, child_deg))
             total = count * child.multiplicity
-            child_items[child.state] = child_items.get(child.state, 0) + total
             produced[child.state] = produced.get(child.state, 0) + total
-
-    registry = state.registry
-    if new_divisor:
-        registry = registry + (DivisorRecord(new_divisor[0], new_divisor[1], index),)
 
     event = BlowupEvent(
         index=index,
         phase=PHASE_OF_KIND[app.kind],
         rule=app,
-        parents=tuple(sorted(matched, key=lambda it: it[0].sort_key())),
+        parents=tuple(matched),
         children=_sorted_chart_items(produced),
         new_divisor=new_divisor,
         exceptional=exc_name,
         lex=tuple(sorted(certificates)),
     )
-    new_state = ResolutionState(state.dual, registry,
-                                _sorted_chart_items(child_items),
-                                state.trace + (event,))
 
-    if new_state.dual_bytes() != state.dual_bytes():
-        raise InvariantBreach("dual complex changed across an event")
-    problems = validate_state(new_state)
+    if new_divisor:
+        book.coeff[exc_name] = new_divisor[1]
+    labels = book.vertex_labels()
+    problems = [problem for chart, count in produced.items()
+                for problem in _chart_problems(chart, count, labels, book.coeff.get)]
     if problems:
+        if new_divisor:
+            del book.coeff[exc_name]
         raise InvariantBreach("state invariants broken: " + "; ".join(problems))
-    return new_state, event
+
+    for chart, _ in matched:
+        del book.active[chart]
+        idx.remove(chart)
+    for chart, count in produced.items():
+        if cc.is_resolved(chart):
+            book.resolved[chart] = book.resolved.get(chart, 0) + count
+        elif chart in book.active:
+            book.active[chart] += count
+        else:
+            book.active[chart] = count
+            idx.add(chart)
+    book.events.append(event)
+    if state._n == book.start:  # the first state of a line has its fields built
+        _set(state, "_book", None)
+    return ResolutionState._at(book, index + 1), event
 
 
 def run(state: ResolutionState,
@@ -451,15 +618,15 @@ def run(state: ResolutionState,
     byte-identical to the seed's; the event ceiling aborts runaway loops.
     """
     seed_bytes = state.dual_bytes()
-    start = len(state.trace)
+    start = state._n
     while not state.is_finished():
-        if len(state.trace) - start >= config.event_ceiling:
+        if state._n - start >= config.event_ceiling:
             raise CeilingExceeded(
                 f"{config.event_ceiling} events without reaching a fixed point")
         state, _ = step(state, config)
     if state.dual_bytes() != seed_bytes:
         raise InvariantBreach("final dual complex differs from the seed")
-    return state, list(state.trace[start:])
+    return state, state._book.events[start:state._n]
 
 
 # --------------------------------------------------------------------------
@@ -494,7 +661,23 @@ def _chart_items_obj(items) -> list:
 
 
 def _chart_items_from_obj(entries) -> tuple:
-    return tuple((cc.chart_from_obj(e["chart"]), e["count"]) for e in entries)
+    if not isinstance(entries, list):
+        raise ValueError(f"chart items must be an array, got {entries!r}")
+    items = []
+    for e in entries:
+        if not isinstance(e, dict) or type(e.get("count")) is not int:
+            raise ValueError(f"a chart item needs an integer 'count', got {e!r}")
+        items.append((cc.chart_from_obj(e.get("chart")), e["count"]))
+    return tuple(items)
+
+
+def _record_from_obj(obj) -> DivisorRecord:
+    if not (isinstance(obj, dict) and isinstance(obj.get("id"), str)
+            and type(obj.get("coeff")) is int
+            and (obj.get("birth") is None or type(obj["birth"]) is int)):
+        raise ValueError("a registry entry needs a string 'id', an integer "
+                         f"'coeff' and an integer or null 'birth', got {obj!r}")
+    return DivisorRecord(obj["id"], obj["coeff"], obj.get("birth"))
 
 
 def event_to_obj(event: BlowupEvent) -> dict:
@@ -534,14 +717,12 @@ def state_to_obj(state: ResolutionState) -> dict:
 def state_from_obj(obj: dict) -> ResolutionState:
     if not isinstance(obj, dict) or "dual" not in obj or "charts" not in obj:
         raise ValueError("state document needs 'dual' and 'charts'")
-    registry = tuple(DivisorRecord(r["id"], r["coeff"], r.get("birth"))
-                     for r in obj.get("registry", ()))
-    state = ResolutionState(dc.from_json_obj(obj["dual"]), registry,
-                            _sorted_chart_items(dict(_chart_items_from_obj(obj["charts"]))))
-    problems = validate_state(state)
-    if problems:
-        raise ValueError("; ".join(problems))
-    return state
+    registry = obj.get("registry", [])
+    if not isinstance(registry, list):
+        raise ValueError(f"state 'registry' must be an array, got {registry!r}")
+    return _validated(ResolutionState(
+        dc.from_json_obj(obj["dual"]), tuple(_record_from_obj(r) for r in registry),
+        _sorted_chart_items(dict(_chart_items_from_obj(obj["charts"])))))
 
 
 def trace_to_obj(seed: ResolutionState, events, final: ResolutionState,

@@ -10,6 +10,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from sncresolve import chart_calculus as cc
+from sncresolve.chart_calculus import RuleApplication
 from sncresolve.dual_complex import Cell, DualComplex
 
 
@@ -148,3 +150,88 @@ def random_delta_complex(rng, max_cells: int = 200) -> DualComplex:
         facets = [cid(tuple(v for v in subset if v != d)) for d in subset]
         cells.append(Cell.of(cid(subset, copy=1), len(subset) - 1, facets))
     return DualComplex(cells[:max_cells] if len(cells) > max_cells else cells)
+
+
+# --------------------------------------------------------------------------
+# Whole-state center selection
+# --------------------------------------------------------------------------
+
+def _pairs_of(chart, config):
+    ordered = sorted(chart.x_indices, key=config.key)
+    return [(a, b) for i, a in enumerate(ordered) for b in ordered[i + 1:]]
+
+
+def whole_state_select_center(state, config):
+    """The engine's center selection as a scan of every chart and pair.
+
+    Reference for ``resolution_engine.select_center``, which reads an
+    index of the unresolved charts instead; both must agree on every
+    valid state.
+    """
+    unresolved = state.unresolved()
+    if not unresolved:
+        return None
+
+    # Phase A: largest determinant first.
+    m_star = max((c.det_size for c, _ in unresolved), default=0)
+    if m_star >= 2:
+        pairs = set()
+        for chart, _ in unresolved:
+            if chart.det_size == m_star:
+                pairs.update(_pairs_of(chart, config))
+        pair = min(pairs, key=config.pair_key)
+        return RuleApplication("DET", pair, det_size=m_star)
+
+    # Phase B1: some divisor exponent >= 2; largest exponent first.
+    eligible = {}  # divisor -> [exponent, candidate pairs]
+    for chart, _ in unresolved:
+        if len(chart.x_indices) < 2:
+            continue
+        for div, a in chart.exponents:
+            if a >= 2:
+                entry = eligible.setdefault(div, [a, set()])
+                entry[1].update(_pairs_of(chart, config))
+    if eligible:
+        div = min(eligible, key=lambda j: (-eligible[j][0], config.key(j)))
+        pair = min(eligible[div][1], key=config.pair_key)
+        return RuleApplication("MON1", pair, divisors=(div,))
+
+    # Phase B2: two divisors of exponent 1 in one chart.
+    best = None
+    for chart, _ in unresolved:
+        if len(chart.x_indices) < 2:
+            continue
+        ones = sorted((d for d, a in chart.exponents if a == 1), key=config.key)
+        for i, j1 in enumerate(ones):
+            for j2 in ones[i + 1:]:
+                for pair in _pairs_of(chart, config):
+                    cand = ((config.key(j1), config.key(j2)), config.pair_key(pair),
+                            (j1, j2), pair)
+                    if best is None or cand[:2] < best[:2]:
+                        best = cand
+    if best:
+        return RuleApplication("MON2", best[3], divisors=best[2])
+
+    # Phase B3: a single y-factor and a single exponent-1 divisor.
+    best = None
+    for chart, _ in unresolved:
+        deg = cc.mdeg(chart)
+        if deg.dx >= 2 and deg.dy == 1 and deg.dz == 1:
+            (j,) = [d for d, _ in chart.exponents]
+            for pair in _pairs_of(chart, config):
+                cand = (config.key(j), config.pair_key(pair), j, pair)
+                if best is None or cand[:2] < best[:2]:
+                    best = cand
+    if best:
+        return RuleApplication("MON3", best[3], divisors=(best[2],))
+
+    # Phase C: one degree-one factor left (y, or a single exponent-1 divisor).
+    components = set()
+    for chart, _ in unresolved:
+        deg = cc.mdeg(chart)
+        if deg.dx >= 2 and deg.dy + deg.dz == 1:
+            components.update(chart.x_indices)
+    if components:
+        return RuleApplication("BIN", (min(components, key=config.key),))
+
+    raise AssertionError("unresolved charts remain but no phase applies")

@@ -83,6 +83,21 @@ def test_dualcomplex_accepts_raw_complex_documents(tmp_path, capsys):
     assert "betti: 1" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("doc", [
+    {"cells": 5},
+    {"cells": [5]},
+    {"cells": [["v", 0]]},
+    {"cells": [{"id": "v", "dim": 0, "facets": 3}]},
+    {"cells": [{"id": "v", "dim": 0, "label": "v"}]},
+    {"cells": [{"id": "v", "dim": [0]}]},
+])
+def test_dualcomplex_malformed_cells_exit_2(tmp_path, capsys, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["dualcomplex", "--input", str(path)]) == cli.EXIT_INPUT
+    assert "invalid input" in capsys.readouterr().err
+
+
 def test_dualcomplex_dot_export(triangle_file, tmp_path, capsys):
     dot = tmp_path / "skeleton.dot"
     assert cli.main(["dualcomplex", "--input", triangle_file,
@@ -126,6 +141,42 @@ def test_resolve_bad_input_exit_code(tmp_path, capsys):
     path = tmp_path / "junk.json"
     path.write_text(json.dumps({"surprise": True}))
     assert cli.main(["resolve", "--input", str(path)]) == cli.EXIT_INPUT
+
+
+def _state_doc_with_divisor():
+    snc = sm.from_index_sets(["E1", "E2"], [{"E1", "E2"}])
+    state = re_.with_initial_divisors(re_.seed_from_snc(snc, {"E1+E2": 1}),
+                                      [("f1", 2)], {0: ["f1"]})
+    return re_.state_to_obj(state)
+
+
+@pytest.mark.parametrize("path, value", [
+    (("charts", 0, "count"), "3"),
+    (("charts", 0, "chart", "m"), "1"),
+    (("charts", 0, "chart", "x"), [1, 2]),
+    (("charts", 0, "chart", "x"), "E1"),
+    (("charts", 0, "chart", "a"), {"f1": "2"}),
+    (("charts", 0, "chart", "a"), [["f1", 2]]),
+    (("charts", 0), 5),
+    (("charts",), {"E1": 1}),
+    (("registry", 0, "coeff"), "2"),
+    (("registry", 0, "id"), 7),
+    (("registry", 0, "birth"), "seed"),
+    (("registry", 0), ["f1", 2]),
+    (("registry",), {"f1": 2}),
+    (("dual",), {"cells": 5}),
+])
+def test_resolve_malformed_state_document_exit_2(tmp_path, capsys, path, value):
+    doc = _state_doc_with_divisor()
+    assert re_.state_from_obj(json.loads(json.dumps(doc)))  # well-formed as built
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    file = tmp_path / "state.json"
+    file.write_text(json.dumps(doc))
+    assert cli.main(["resolve", "--input", str(file)]) == cli.EXIT_INPUT
+    assert "invalid input" in capsys.readouterr().err
 
 
 def test_resolve_accepts_generated_states(tmp_path, capsys):
@@ -199,6 +250,11 @@ def test_verify_paper_policy_fails_loudly(capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_verify_reversed_range_exit_2(capsys):
+    assert cli.main(["verify", "--rule", "det", "--m", "3..2"]) == cli.EXIT_INPUT
+    assert "bad range" in capsys.readouterr().err
+
+
 def test_verify_unknown_rule(capsys):
     assert cli.main(["verify", "--rule", "frobnicate"]) == cli.EXIT_INPUT
 
@@ -219,6 +275,13 @@ def test_gen_writes_a_runnable_state(tmp_path, capsys):
     state = re_.state_from_obj(doc)
     final, _ = re_.run(state)
     assert final.is_finished()
+
+
+@pytest.mark.parametrize("name", ["SNCRESOLVE_CEILING", "SNCRESOLVE_SEED"])
+def test_non_integer_environment_value_exit_2(monkeypatch, capsys, name):
+    monkeypatch.setenv(name, "abc")
+    assert cli.main(["gen"]) == cli.EXIT_INPUT
+    assert f"{name}='abc'" in capsys.readouterr().err
 
 
 def test_gen_is_deterministic(tmp_path):

@@ -213,6 +213,20 @@ def test_remove_open_star_always_validates(seed):
     assert dc.validate(dc.remove_open_star(complex, cell_id)) == []
 
 
+def test_complex_is_immutable():
+    complex = rp2_complex()
+    before = dc.canonical_json(complex)
+    with pytest.raises(TypeError):
+        complex.cells["x"] = Cell.of("x", 0)
+    with pytest.raises(TypeError):
+        del complex.cells["v"]
+    with pytest.raises(AttributeError):
+        complex._cells = {}
+    with pytest.raises(AttributeError):
+        complex.extra = 1
+    assert dc.canonical_json(complex) == before
+
+
 # --------------------------------------------------------------------------
 # serialization
 # --------------------------------------------------------------------------

@@ -8,8 +8,11 @@ import pytest
 from sncresolve import chart_calculus as cc
 from sncresolve import resolution_engine as re_
 from sncresolve import snc_model as sm
+from sncresolve.chart_calculus import ChildChart, RuleApplication
 from sncresolve.cli import random_state
 from sncresolve.resolution_engine import RunConfig
+
+from oracles import whole_state_select_center
 
 
 def triangle_seed(deep_corank=2, pair_corank=1):
@@ -263,6 +266,146 @@ def test_state_validation_catches_alien_x_index():
         state.dual, state.registry,
         ((cc.ChartState.of(["E1", "E9"], 1, {}), 1),))
     assert any("absent from the dual" in p for p in re_.validate_state(bad))
+
+
+def test_hand_built_states_are_checked_in_full_before_their_first_event():
+    # The alien chart is resolved, so no event would ever touch it.
+    state = double_point_seed()
+    bad = re_.ResolutionState(state.dual, state.registry,
+                              state.charts + ((cc.ChartState.of(["E9"], 0), 1),))
+    for call in (re_.select_center, re_.step, re_.run):
+        with pytest.raises(re_.InvariantBreach, match="absent from the dual"):
+            call(bad)
+
+
+def _corrupt_children(monkeypatch, corrupt):
+    original = cc.children
+
+    def children(chart, app, policy="oracle"):
+        return [ChildChart(corrupt(child.state), child.multiplicity, child.family)
+                for child in original(chart, app, policy)]
+
+    monkeypatch.setattr(cc, "children", children)
+
+
+def _with_ghost_divisor(chart):
+    # One more divisor keeps every child's mdeg below its parent's on a DET
+    # event, so only the registry check can object.
+    return cc.ChartState.of(chart.x_indices, chart.det_size,
+                            {**chart.exponent_map(), "ghost": 1})
+
+
+def _with_alien_index(chart):
+    return cc.ChartState.of({"E9" if i == "E3" else i for i in chart.x_indices},
+                            chart.det_size, chart.exponents)
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_with_ghost_divisor, "unregistered divisor 'ghost'"),
+    (_with_alien_index, r"x-indices \['E9'\] absent from the dual"),
+])
+def test_a_corrupted_child_raises_from_step_and_run(monkeypatch, corrupt, message):
+    config = RunConfig(exponent_policy="paper")
+    seed = triangle_seed()
+    clean_state, clean_event = re_.step(seed, config)
+    seed = triangle_seed()
+    assert re_.select_center(seed, config).kind == "DET"
+    _corrupt_children(monkeypatch, corrupt)
+    with pytest.raises(re_.InvariantBreach, match=message):
+        re_.step(seed, config)
+    with pytest.raises(re_.InvariantBreach, match=message):
+        re_.run(seed, config)
+    monkeypatch.undo()
+    # The failed events left the seed as it was, registry included.
+    state, event = re_.step(seed, config)
+    assert event.new_divisor == ("w1", 2)
+    assert re_.event_to_obj(event) == re_.event_to_obj(clean_event)
+    assert state.charts == clean_state.charts
+
+
+def test_older_states_keep_their_view_and_can_step_again():
+    config = RunConfig(exponent_policy="paper")
+    seed = triangle_seed()
+    first, event = re_.step(seed, config)
+    final, events = re_.run(first, config)
+    assert len(final.trace) == 1 + len(events) and len(events) > 1
+    # seed and first now lag behind the newest state of their line.
+    fresh = triangle_seed()
+    assert (seed.charts, seed.registry, seed.trace) == (fresh.charts, (), ())
+    again, event_again = re_.step(seed, config)
+    assert re_.event_to_obj(event_again) == re_.event_to_obj(event)
+    assert (again.charts, again.registry) == (first.charts, first.registry)
+    final_again, events_again = re_.run(first, config)
+    assert re_.canonical_dumps(re_.state_to_obj(final_again)) \
+        == re_.canonical_dumps(re_.state_to_obj(final))
+    assert [re_.event_to_obj(e) for e in events_again] \
+        == [re_.event_to_obj(e) for e in events]
+    assert final_again.trace == final.trace
+
+
+# --------------------------------------------------------------------------
+# the indexed engine against its reference and its preconditions
+# --------------------------------------------------------------------------
+
+BATCH_SEEDS = 200
+
+
+def batch_states():
+    """Every state of the 200-seed batch under both policies, with its config."""
+    for seed_value in range(BATCH_SEEDS):
+        for policy in ("oracle", "paper"):
+            config = RunConfig(exponent_policy=policy)
+            state = random_state(random.Random(seed_value))
+            yield state, config
+            while not state.is_finished():
+                state, _ = re_.step(state, config)
+                yield state, config
+
+
+def test_select_center_and_parents_equal_the_whole_state_reference():
+    checked = 0
+    expected_parents = None
+    for state, config in batch_states():
+        if state.trace:
+            assert state.trace[-1].parents == expected_parents
+        app = re_.select_center(state, config)
+        assert app == whole_state_select_center(state, config)
+        expected_parents = app and tuple(
+            (chart, n) for chart, n in state.charts if re_._matches(chart, app))
+        checked += 1
+    assert checked > 2 * BATCH_SEEDS
+
+
+def _applications_near(chart):
+    """Rule applications over the chart's own ids, plus one alien x and divisor."""
+    xs = sorted(chart.x_indices) + ["E99"]
+    divs = [d for d, _ in chart.exponents] + ["ghost"]
+    for i in xs:
+        yield RuleApplication("BIN", (i,))
+        for k in xs:
+            if k == i:
+                continue
+            for m in range(2, 6):
+                yield RuleApplication("DET", (i, k), det_size=m)
+            for j in divs:
+                yield RuleApplication("MON1", (i, k), divisors=(j,))
+                yield RuleApplication("MON3", (i, k), divisors=(j,))
+                for j2 in divs:
+                    if j2 != j:
+                        yield RuleApplication("MON2", (i, k), divisors=(j, j2))
+
+
+def test_no_rule_matches_a_resolved_chart():
+    resolved = set()
+    for state, _ in batch_states():
+        if not state.trace:
+            resolved.update(c for c, _ in state.charts if cc.is_resolved(c))
+        else:
+            resolved.update(c for c, _ in state.trace[-1].children if cc.is_resolved(c))
+    assert len(resolved) > 100
+    for chart in resolved:
+        for app in _applications_near(chart):
+            assert not re_._matches(chart, app), (chart, app)
 
 
 # --------------------------------------------------------------------------

@@ -105,7 +105,7 @@ def cmd_dualcomplex(input_path: str, dot_path: str | None = None) -> int:
                     for k, t in enumerate(report.torsion) if t]
     print("torsion:", "; ".join(torsion_bits) if torsion_bits else "none")
     print("euler:", report.euler)
-    print("Q-acyclic:", "yes" if dc.is_q_acyclic(complex) else "no")
+    print("Q-acyclic:", "yes" if all(b == 0 for b in report.betti[1:]) else "no")
 
     if dot_path:
         with open(dot_path, "w", encoding="utf-8") as handle:
@@ -123,8 +123,10 @@ def _seed_from_doc(doc) -> re_.ResolutionState:
         return re_.state_from_obj(doc)
     if isinstance(doc, dict) and "snc" in doc:
         snc = sm.from_json_obj(doc["snc"])
-        coranks = {str(k): v for k, v in doc.get("coranks", {}).items()}
-        return re_.seed_from_snc(snc, coranks)
+        coranks = doc.get("coranks", {})
+        if not isinstance(coranks, dict):
+            raise ValueError("'coranks' must be an object")
+        return re_.seed_from_snc(snc, {str(k): v for k, v in coranks.items()})
     raise ValueError("resolve input must be a state document ('dual'/'charts') "
                      "or {'snc': ..., 'coranks': ...}")
 

@@ -5,10 +5,18 @@ the boundary operator, so any complex accepted by ``validate`` has
 well-defined chain groups with boundary-squared zero.  Homology is
 computed from Smith normal forms over arbitrary-precision integers, so
 Betti numbers and torsion coefficients are exact.
+
+Each boundary map is built sparsely.  Its unit pivots (entries +-1) are
+eliminated first, in Markowitz order, each giving an invariant factor 1;
+only the core left without a unit entry is handed to the dense Smith
+normal form.  Boundary maps are mostly units, so the cost follows the
+number of nonzeros rather than the matrix area, and the dense step sees
+little more than the torsion.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -99,18 +107,6 @@ class DualComplex:
     def cell_counts(self) -> list:
         return [len(self.cells_of_dim(k)) for k in range(self.dimension() + 1)]
 
-    def closure_ids(self, cell_id: str) -> set:
-        """The cell plus every iterated facet below it."""
-        seen = set()
-        stack = [cell_id]
-        while stack:
-            cid = stack.pop()
-            if cid in seen:
-                continue
-            seen.add(cid)
-            stack.extend(self._cells[cid].facets)
-        return seen
-
     def __repr__(self):
         return f"DualComplex({'/'.join(str(n) for n in self.cell_counts()) or 'empty'})"
 
@@ -186,19 +182,123 @@ def _require_valid(complex: DualComplex):
             + ("" if len(violations) <= 5 else f" (+{len(violations) - 5} more)"))
 
 
+def _boundary_rows(complex: DualComplex, k: int):
+    """The k-th boundary map as sparse rows, and its column count.
+
+    Row i is ``{column: coefficient}`` for the i-th (k-1)-cell, columns
+    are the k-cells, both sorted by id.  Signs alternate with facet
+    position; repeated facets accumulate, and entries that cancel are
+    dropped.
+    """
+    index = {c.id: i for i, c in enumerate(complex.cells_of_dim(k - 1))}
+    rows = [{} for _ in index]
+    cols = complex.cells_of_dim(k)
+    for j, cell in enumerate(cols):
+        for pos, fid in enumerate(cell.facets):
+            row = rows[index[fid]]
+            value = row.get(j, 0) + (1 if pos % 2 == 0 else -1)
+            if value:
+                row[j] = value
+            else:
+                del row[j]
+    return rows, len(cols)
+
+
 def boundary_matrix(complex: DualComplex, k: int) -> list:
     """Integer matrix of the k-th boundary map, rows (k-1)-cells, cols k-cells.
 
     Signs alternate with facet position; repeated facets accumulate.
     """
-    rows = complex.cells_of_dim(k - 1)
-    cols = complex.cells_of_dim(k)
-    index = {c.id: i for i, c in enumerate(rows)}
-    mat = [[0] * len(cols) for _ in rows]
-    for j, cell in enumerate(cols):
-        for pos, fid in enumerate(cell.facets):
-            mat[index[fid]][j] += 1 if pos % 2 == 0 else -1
-    return mat
+    rows, ncols = _boundary_rows(complex, k)
+    return [[row.get(j, 0) for j in range(ncols)] for row in rows]
+
+
+def sparse_invariant_factors(rows: list) -> list:
+    """Nonzero Smith invariant factors of a sparse integer matrix.
+
+    ``rows`` lists the rows as ``{column index: value}``.  Unit pivots
+    (entries +-1) are eliminated first, each contributing a factor 1;
+    among them the next pivot is the one of least Markowitz cost
+    ``(row nnz - 1) * (column nnz - 1)``, ties broken by the lower
+    (row, column) index, so the order is deterministic.  The core left
+    without a unit entry goes densely to ``smith_invariant_factors``.
+    The result equals ``smith_invariant_factors`` of the dense matrix.
+    """
+    rows = dict(enumerate({j: x for j, x in row.items() if x} for row in rows))
+    cols = {}  # column -> set of rows with a nonzero entry there
+    for i, row in rows.items():
+        for j in row:
+            cols.setdefault(j, set()).add(i)
+
+    # Every unit entry keeps an offer (cost, row, column) in the heap whose
+    # cost is at most its current cost: an entry is offered when it becomes
+    # a unit or its row or column shrinks, and an offer whose cost has
+    # since risen is renewed when it comes up.  The first offer that comes
+    # up at its current cost is then the least (cost, row, column).
+    heap = []
+
+    def offer(i, js):
+        row = rows[i]
+        for j in js:
+            if row[j] in (1, -1):
+                heapq.heappush(heap, ((len(row) - 1) * (len(cols[j]) - 1), i, j))
+
+    for i, row in rows.items():
+        offer(i, row)
+
+    units = 0
+    while heap:
+        offered, p, q = heapq.heappop(heap)
+        pivot_row = rows.get(p)
+        if pivot_row is None or pivot_row.get(q) not in (1, -1):
+            continue
+        cost = (len(pivot_row) - 1) * (len(cols[q]) - 1)
+        if offered != cost:
+            if offered < cost:
+                heapq.heappush(heap, (cost, p, q))
+            continue
+        units += 1
+        unit = pivot_row[q]
+        changed_rows = [i for i in cols.pop(q) if i != p]
+        del rows[p]
+        changed_cols = [j for j in pivot_row if j != q]
+        row_sizes = [len(rows[i]) for i in changed_rows]
+        col_sizes = [len(cols[j]) for j in changed_cols]
+        for j in changed_cols:
+            cols[j].discard(p)
+        # Subtract the pivot row to clear column q; the pivot row and
+        # column then split off as a 1 x 1 block [unit].
+        new_units = []
+        for i in changed_rows:
+            row = rows[i]
+            factor = row.pop(q) * unit
+            for j in changed_cols:
+                new = row.get(j, 0) - factor * pivot_row[j]
+                if new:
+                    if j not in row:
+                        cols[j].add(i)
+                    row[j] = new
+                    if new in (1, -1):
+                        new_units.append((i, j))
+                else:
+                    del row[j]
+                    cols[j].discard(i)
+        for i, size in zip(changed_rows, row_sizes):
+            if len(rows[i]) < size:
+                offer(i, rows[i])
+        for j, size in zip(changed_cols, col_sizes):
+            if len(cols[j]) < size:
+                for i in cols[j]:
+                    offer(i, (j,))
+        for i, j in new_units:
+            offer(i, (j,))
+
+    core_rows = sorted(i for i, row in rows.items() if row)
+    core_cols = sorted(j for j, col in cols.items() if col)
+    if not core_rows:
+        return [1] * units
+    core = [[rows[i].get(j, 0) for j in core_cols] for i in core_rows]
+    return [1] * units + smith_invariant_factors(core)
 
 
 def smith_invariant_factors(matrix: list) -> list:
@@ -290,7 +390,7 @@ def homology(complex: DualComplex) -> HomologyReport:
     counts = complex.cell_counts()
     factors = {}
     for k in range(1, top + 1):
-        factors[k] = smith_invariant_factors(boundary_matrix(complex, k))
+        factors[k] = sparse_invariant_factors(_boundary_rows(complex, k)[0])
     ranks = {k: len(factors.get(k, [])) for k in range(0, top + 2)}
     betti = []
     torsion = []
@@ -308,14 +408,26 @@ def is_q_acyclic(complex: DualComplex) -> bool:
 
 
 def remove_open_star(complex: DualComplex, cell_id: str) -> DualComplex:
-    """Drop the named cell and every cell whose closure contains it."""
+    """Drop the named cell and every cell whose closure contains it.
+
+    A cell's closure contains the target exactly when the cell is reached
+    from the target by going up through cofacets, so one upward search
+    finds them all.
+    """
     if cell_id not in complex:
         raise KeyError(f"unknown cell id {cell_id!r}")
-    keep = []
+    cofacets = {}
     for cell in complex.cells.values():
-        if cell_id not in complex.closure_ids(cell.id):
-            keep.append(cell)
-    return DualComplex(keep)
+        for fid in cell.facets:
+            cofacets.setdefault(fid, []).append(cell.id)
+    removed = {cell_id}
+    stack = [cell_id]
+    while stack:
+        for cid in cofacets.get(stack.pop(), ()):
+            if cid not in removed:
+                removed.add(cid)
+                stack.append(cid)
+    return DualComplex(c for c in complex.cells.values() if c.id not in removed)
 
 
 # --------------------------------------------------------------------------

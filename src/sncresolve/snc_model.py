@@ -226,21 +226,19 @@ def blowup_center(snc: SncVariety, center: CenterDescriptor):
     if center.kind == "nonstratum":
         return snc, dual_complex_of(snc)
 
-    target = center.stratum_id
-    by_id = {s.id: s for s in snc.strata}
-
-    def chain_closure(stratum_id):
-        seen = set()
-        stack = [stratum_id]
-        while stack:
-            sid = stack.pop()
-            if sid in seen:
-                continue
-            seen.add(sid)
-            stack.extend(pid for _, pid in by_id[sid].parents)
-        return seen
-
-    removed = {s.id for s in snc.strata if target in chain_closure(s.id)}
+    # A stratum sits inside the center exactly when it is reached from the
+    # center by going down through children (the inverse of parents).
+    children = {}
+    for s in snc.strata:
+        for _, pid in s.parents:
+            children.setdefault(pid, []).append(s.id)
+    removed = {center.stratum_id}
+    stack = [center.stratum_id]
+    while stack:
+        for sid in children.get(stack.pop(), ()):
+            if sid not in removed:
+                removed.add(sid)
+                stack.append(sid)
     kept = [s for s in snc.strata if s.id not in removed]
     kept_components = {next(iter(s.indices)) for s in kept if len(s.indices) == 1}
     new_snc = SncVariety.of(kept_components, kept)
@@ -301,8 +299,18 @@ def to_json_obj(snc: SncVariety) -> dict:
 
 
 def from_json_obj(obj: dict) -> SncVariety:
+    """Parse a variety document; an ill-shaped one raises ValueError."""
     if not isinstance(obj, dict) or "components" not in obj or "strata" not in obj:
         raise ValueError("variety document needs 'components' and 'strata'")
-    strata = [Stratum.of(e["id"], e["indices"], e.get("parents", {}))
-              for e in obj["strata"]]
+    if not isinstance(obj["components"], list) or not isinstance(obj["strata"], list):
+        raise ValueError("'components' and 'strata' must be arrays")
+    strata = []
+    for e in obj["strata"]:
+        if not isinstance(e, dict) or "id" not in e or "indices" not in e:
+            raise ValueError(f"a stratum must be an object with 'id' and 'indices', got {e!r}")
+        parents = e.get("parents", {})
+        if not isinstance(e["indices"], list) or not isinstance(parents, dict):
+            raise ValueError(f"stratum {e['id']!r}: 'indices' must be an array "
+                             "and 'parents' an object")
+        strata.append(Stratum.of(e["id"], e["indices"], parents))
     return SncVariety.of(obj["components"], strata)

@@ -108,6 +108,59 @@ def rp2_complex() -> DualComplex:
     ])
 
 
+def klein_bottle_complex() -> DualComplex:
+    """The Klein bottle: a square, cut along a diagonal, one vertex.
+
+    The square's bottom and top edges are both ``a`` (same direction),
+    its left and right edges both ``b`` (opposite directions) and ``c``
+    is the diagonal.  Then d2(U) = a - c + b and d2(L) = b - a + c, so
+    U + L = 2b: H_1 = Z + Z/2 and H_2 = 0.
+    """
+    return DualComplex([
+        Cell.of("v", 0),
+        Cell.of("a", 1, ("v", "v")),
+        Cell.of("b", 1, ("v", "v")),
+        Cell.of("c", 1, ("v", "v")),
+        Cell.of("U", 2, ("a", "c", "b")),
+        Cell.of("L", 2, ("b", "a", "c")),
+    ])
+
+
+def moore_space_complex(q: int) -> DualComplex:
+    """The mod-q Moore space: a disk whose boundary wraps q times round a loop.
+
+    The disk is a fan of q triangles T_i around a centre ``w``, with
+    spokes s_i from the rim vertex ``v`` to ``w`` and rim edge ``a``:
+    d2(T_i) = s_(i+1) - s_i + a, so the T_i sum to q*a.  Hence H_1 = Z/q
+    and H_2 = 0 (needs q >= 2).
+    """
+    cells = [Cell.of("v", 0), Cell.of("w", 0), Cell.of("a", 1, ("v", "v"))]
+    cells += [Cell.of(f"s{i}", 1, ("w", "v")) for i in range(q)]
+    cells += [Cell.of(f"T{i}", 2, (f"s{(i + 1) % q}", f"s{i}", "a"))
+              for i in range(q)]
+    return DualComplex(cells)
+
+
+def closure_rule_open_star(complex: DualComplex, cell_id: str) -> DualComplex:
+    """Open-star removal by the definition: drop every cell whose closure
+    (the cell and its iterated facets) contains ``cell_id``.
+
+    Reference for ``dual_complex.remove_open_star``, which searches
+    upward from the target instead.
+    """
+    def closure(cid):
+        seen, stack = set(), [cid]
+        while stack:
+            top = stack.pop()
+            if top not in seen:
+                seen.add(top)
+                stack.extend(complex[top].facets)
+        return seen
+
+    return DualComplex(c for c in complex.cells.values()
+                       if cell_id not in closure(c.id))
+
+
 def random_delta_complex(rng, max_cells: int = 200) -> DualComplex:
     """A random valid Delta-complex with at most max_cells cells.
 

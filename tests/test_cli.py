@@ -98,6 +98,47 @@ def test_dualcomplex_malformed_cells_exit_2(tmp_path, capsys, doc):
     assert "invalid input" in capsys.readouterr().err
 
 
+def _variety_with(key, value):
+    doc = sm.to_json_obj(sm.coordinate_germ(2))
+    if key in ("indices", "parents"):
+        doc["strata"][-1][key] = value
+    else:
+        doc[key] = value
+    return doc
+
+
+MALFORMED_VARIETIES = [
+    {"components": ["E1"], "strata": ["x"]},
+    _variety_with("indices", 5),
+    _variety_with("components", 5),
+    _variety_with("parents", [1]),
+]
+
+
+@pytest.mark.parametrize("doc", MALFORMED_VARIETIES)
+def test_dualcomplex_malformed_variety_exit_2(tmp_path, capsys, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["dualcomplex", "--input", str(path)]) == cli.EXIT_INPUT
+    assert "invalid input" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc", MALFORMED_VARIETIES)
+def test_resolve_malformed_variety_exit_2(tmp_path, capsys, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"snc": doc, "coranks": {}}))
+    assert cli.main(["resolve", "--input", str(path)]) == cli.EXIT_INPUT
+    assert "invalid input" in capsys.readouterr().err
+
+
+def test_resolve_coranks_not_an_object_exit_2(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"snc": sm.to_json_obj(sm.coordinate_germ(2)),
+                                "coranks": 5}))
+    assert cli.main(["resolve", "--input", str(path)]) == cli.EXIT_INPUT
+    assert "invalid input" in capsys.readouterr().err
+
+
 def test_dualcomplex_dot_export(triangle_file, tmp_path, capsys):
     dot = tmp_path / "skeleton.dot"
     assert cli.main(["dualcomplex", "--input", triangle_file,

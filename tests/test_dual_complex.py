@@ -4,13 +4,16 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sncresolve import dual_complex as dc
+from sncresolve import snc_model as sm
 from sncresolve.dual_complex import Cell, DualComplex
 
-from oracles import (boundary_complex, random_delta_complex, rational_betti,
-                     rp2_complex, simplex_complex)
+from oracles import (boundary_complex, closure_rule_open_star,
+                     klein_bottle_complex, moore_space_complex,
+                     random_delta_complex, rational_betti, rp2_complex,
+                     simplex_complex)
 
 
 # --------------------------------------------------------------------------
@@ -98,6 +101,27 @@ def test_homology_projective_plane():
     report = dc.homology(rp2_complex())
     assert report.betti == (1, 0, 0)
     assert report.torsion == ((), (2,), ())
+    assert report.euler == 1
+
+
+def test_homology_klein_bottle():
+    # Hand-derived in oracles.klein_bottle_complex: H_1 = Z + Z/2, H_2 = 0.
+    complex = klein_bottle_complex()
+    assert dc.validate(complex) == []
+    report = dc.homology(complex)
+    assert report.betti == (1, 1, 0)
+    assert report.torsion == ((), (2,), ())
+    assert report.euler == 0
+    assert list(report.betti) == rational_betti(complex)
+
+
+def test_homology_mod_3_moore_space():
+    # Hand-derived in oracles.moore_space_complex: H_1 = Z/3, H_2 = 0.
+    complex = moore_space_complex(3)
+    assert dc.validate(complex) == []
+    report = dc.homology(complex)
+    assert report.betti == (1, 0, 0)
+    assert report.torsion == ((), (3,), ())
     assert report.euler == 1
 
 
@@ -202,6 +226,82 @@ def test_euler_equals_both_alternating_sums(seed):
     counts = complex.cell_counts()
     assert report.euler == sum((-1) ** k * n for k, n in enumerate(counts))
     assert report.euler == sum((-1) ** k * b for k, b in enumerate(report.betti))
+
+
+def _sparse_rows(matrix):
+    return [{j: x for j, x in enumerate(row) if x} for row in matrix]
+
+
+def _sparse_factors_and_cores(matrix):
+    """The sparse path's factors, and the cores it handed to the dense step."""
+    cores = []
+    dense = dc.smith_invariant_factors
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dc, "smith_invariant_factors",
+                      lambda core: cores.append(core) or dense(core))
+        return dc.sparse_invariant_factors(_sparse_rows(matrix)), cores
+
+
+def _check_against_dense(matrix):
+    factors, cores = _sparse_factors_and_cores(matrix)
+    assert factors == dc.smith_invariant_factors(matrix)
+    # Every unit pivot was eliminated before the dense step.
+    assert all(x not in (1, -1) for core in cores for row in core for x in row)
+
+
+# About half the entries are zero, so that elimination fills in entries.
+_ENTRY = st.one_of(st.just(0), st.integers(min_value=-3, max_value=3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=8).flatmap(
+    lambda n: st.lists(st.lists(_ENTRY, min_size=n, max_size=n), max_size=8)))
+# The first pivot fills in a unit whose row and column keep their sizes.
+@example([[-1, 0, -1], [0, 0, 3], [-1, 2, 0]])
+# A unit whose cost rises before its offer comes up.
+@example([[0, 0, 2], [3, 0, -1], [-1, -2, 0], [0, 0, 2], [-2, 0, 0]])
+def test_sparse_invariant_factors_equal_dense_smith_on_small_matrices(matrix):
+    _check_against_dense(matrix)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_sparse_invariant_factors_equal_dense_smith_on_boundary_maps(seed):
+    complex = random_delta_complex(random.Random(seed), max_cells=80)
+    for k in range(1, complex.dimension() + 1):
+        _check_against_dense(dc.boundary_matrix(complex, k))
+
+
+def test_simplex_boundaries_leave_no_core_for_the_dense_smith(monkeypatch):
+    # Unit elimination alone reduces the boundary maps of every simplex
+    # and simplex boundary up to the 9-simplex; the dense step never runs.
+    cores = []
+    monkeypatch.setattr(dc, "smith_invariant_factors",
+                        lambda matrix: cores.append(matrix) or [])
+    for n in range(1, 11):
+        simplex = sm.dual_complex_of(sm.coordinate_germ(n))
+        (top,) = simplex.cells_of_dim(n - 1)
+        dc.homology(simplex)
+        dc.homology(dc.remove_open_star(simplex, top.id))
+    assert cores == []
+
+
+def test_torsion_reaches_the_dense_smith_as_a_core(monkeypatch):
+    cores = []
+    dense = dc.smith_invariant_factors
+    monkeypatch.setattr(dc, "smith_invariant_factors",
+                        lambda matrix: cores.append(matrix) or dense(matrix))
+    assert dc.homology(moore_space_complex(3)).torsion == ((), (3,), ())
+    assert cores
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_remove_open_star_equals_the_closure_rule(seed):
+    rng = random.Random(seed)
+    complex = random_delta_complex(rng, max_cells=80)
+    cell_id = rng.choice(sorted(complex.cells))
+    assert dc.remove_open_star(complex, cell_id) == closure_rule_open_star(complex, cell_id)
 
 
 @settings(max_examples=30, deadline=None)

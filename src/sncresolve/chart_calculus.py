@@ -176,6 +176,18 @@ def z_var(divisor) -> str:
     return f"z_{divisor}"
 
 
+# Generic determinants by size, built once: Polynomial is immutable, and
+# EQUATION_MAX_DET keeps this to the sizes 2 and 3.
+_GENERIC_DETS = {}
+
+
+def _generic_det(m: int) -> Polynomial:
+    det = _GENERIC_DETS.get(m)
+    if det is None:
+        det = _GENERIC_DETS[m] = generic_det(m, name=lambda r, s: y_var(r, s, m))
+    return det
+
+
 def local_equation(chart: ChartState) -> Polynomial:
     """The exact polynomial  prod x_i - t * det(y) * prod z_j^{a_j}."""
     if chart.det_size > EQUATION_MAX_DET:
@@ -191,8 +203,7 @@ def local_equation(chart: ChartState) -> Polynomial:
     if chart.det_size == 1:
         rhs = rhs * Polynomial.variable("y")
     elif chart.det_size >= 2:
-        m = chart.det_size
-        rhs = rhs * generic_det(m, name=lambda r, s: y_var(r, s, m))
+        rhs = rhs * _generic_det(chart.det_size)
     for div, a in chart.exponents:
         rhs = rhs * Polynomial.variable(z_var(div)) ** a
     return lhs - rhs

@@ -32,8 +32,12 @@ EXIT_SCALE = 4
 ENV_PREFIX = "SNCRESOLVE_"
 
 
+def _env_name(flag: str) -> str:
+    return ENV_PREFIX + flag.replace("-", "_").upper()
+
+
 def _env_default(flag: str, fallback=None):
-    return os.environ.get(ENV_PREFIX + flag.replace("-", "_").upper(), fallback)
+    return os.environ.get(_env_name(flag), fallback)
 
 
 def _env_int(flag: str, fallback: int) -> int:
@@ -44,8 +48,21 @@ def _env_int(flag: str, fallback: int) -> int:
     try:
         return int(value)
     except ValueError:
-        name = ENV_PREFIX + flag.replace("-", "_").upper()
-        raise ValueError(f"{name}={value!r} is not an integer") from None
+        raise ValueError(f"{_env_name(flag)}={value!r} is not an integer") from None
+
+
+def _env_flag(flag: str) -> bool:
+    """A switch's default from the environment: 1/true/yes or 0/false/no."""
+    value = _env_default(flag)
+    if value is None:
+        return False
+    text = value.strip().lower()
+    if text in ("1", "true", "yes"):
+        return True
+    if text in ("0", "false", "no", ""):
+        return False
+    raise ValueError(f"{_env_name(flag)}={value!r} is not a switch value "
+                     "(1/0, true/false, yes/no)")
 
 
 def _parse_range(text: str) -> list:
@@ -209,7 +226,7 @@ def _verify_grid(rule: str, m_values, d_values, a_values, policy: str):
 
 
 def cmd_verify(rule: str, m_range: str, d_range: str, a_range: str,
-               policy: str) -> int:
+               policy: str, as_json: bool = False) -> int:
     try:
         m_values = _parse_range(m_range)
         d_values = _parse_range(d_range)
@@ -244,10 +261,13 @@ def cmd_verify(rule: str, m_range: str, d_range: str, a_range: str,
     reports = [po.verify_rule(app, chart, policy=policy)
                for app, chart in _verify_grid(rule, m_values, d_values,
                                               a_values, policy)]
-    print(po.grid_table(reports))
-    for rep in reports:
-        for note in rep.notes:
-            print("note:", note)
+    if as_json:
+        print(json.dumps([rep.to_json_obj() for rep in reports], indent=1, sort_keys=True))
+    else:
+        print(po.grid_table(reports))
+        for rep in reports:
+            for note in rep.notes:
+                print("note:", note)
     return EXIT_OK if all(r.passed for r in reports) else EXIT_BREACH
 
 
@@ -348,6 +368,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--exponent-policy",
                        default=_env_default("exponent-policy", "oracle"),
                        choices=("oracle", "paper"))
+    p_ver.add_argument("--json", action="store_true", default=_env_flag("json"),
+                       help="print the reports as one JSON array instead of a table")
 
     p_gen = sub.add_parser("gen", help="generate a random seed state")
     p_gen.add_argument("--seed", type=int, default=_env_int("seed", 0))
@@ -385,7 +407,7 @@ def main(argv=None) -> int:
                 _print_err("verify needs --rule")
                 return EXIT_INPUT
             return cmd_verify(args.rule.lower(), args.m, args.d, args.a,
-                              args.exponent_policy)
+                              args.exponent_policy, args.json)
         if args.command == "gen":
             return cmd_gen(args.seed, args.out)
     except po.ScaleError as err:

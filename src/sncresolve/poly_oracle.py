@@ -5,6 +5,14 @@ coefficients, over string-named variables.  This module is deliberately
 small: it is a verifier for blow-up chart computations at desk scale, not
 a general computer-algebra system.  Hard scale caps are enforced by
 ``ScaleError``.
+
+Cost: the public constructor normalises arbitrary input once; every
+arithmetic result is built in canonical form (sorted monomials merged in
+one pass, zero coefficients dropped as they arise) and wrapped without a
+second normalisation.  ``substitute`` accumulates into one term map and
+raises each image to a given power once per call.  The verifier pulls
+each chart back once and takes both the remultiplication check and the
+strict transform from that one pull-back.
 """
 
 from __future__ import annotations
@@ -23,14 +31,71 @@ class ScaleError(ValueError):
 
 
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
+    """Product of two canonical monomials, merged in one linear pass."""
     if not a:
         return b
     if not b:
         return a
-    merged = dict(a)
-    for var, exp in b:
-        merged[var] = merged.get(var, 0) + exp
-    return tuple(sorted(merged.items()))
+    if a[-1][0] < b[0][0]:
+        return a + b
+    if b[-1][0] < a[0][0]:
+        return b + a
+    out = []
+    i = j = 0
+    na, nb = len(a), len(b)
+    while i < na and j < nb:
+        va, ea = a[i]
+        vb, eb = b[j]
+        if va < vb:
+            out.append(a[i])
+            i += 1
+        elif vb < va:
+            out.append(b[j])
+            j += 1
+        else:
+            out.append((va, ea + eb))
+            i += 1
+            j += 1
+    return tuple(out) + a[i:] + b[j:]
+
+
+def _mul_terms(a: dict, b: dict) -> dict:
+    """Canonical terms of the product of two canonical term maps."""
+    out = {}
+    get = out.get
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            mono = _mono_mul(ma, mb)
+            c = get(mono, 0) + ca * cb
+            if c:
+                out[mono] = c
+            elif mono in out:
+                del out[mono]
+    return out
+
+
+def _pow_terms(terms: dict, n: int) -> dict:
+    """Canonical terms of a power, by repeated squaring (n >= 0)."""
+    result = {(): 1}
+    while n:
+        if n & 1:
+            result = _mul_terms(result, terms)
+        n >>= 1
+        if n:
+            terms = _mul_terms(terms, terms)
+    return result
+
+
+def _canon(terms: dict) -> "Polynomial":
+    """Wrap a term map that is already canonical, without checking it.
+
+    Every monomial must be sorted by variable with all exponents > 0, and
+    every coefficient nonzero.  The arithmetic below only ever produces
+    such maps, so it skips the public constructor's normalisation.
+    """
+    poly = object.__new__(Polynomial)
+    object.__setattr__(poly, "terms", terms)
+    return poly
 
 
 class Polynomial:
@@ -56,7 +121,7 @@ class Polynomial:
 
     @staticmethod
     def zero() -> "Polynomial":
-        return Polynomial()
+        return _canon({})
 
     @staticmethod
     def constant(c: int) -> "Polynomial":
@@ -64,7 +129,7 @@ class Polynomial:
 
     @staticmethod
     def variable(name: str) -> "Polynomial":
-        return Polynomial({((name, 1),): 1})
+        return _canon({((name, 1),): 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -97,30 +162,58 @@ class Polynomial:
         """Exact division by var**k; requires var**k to divide every term."""
         if k == 0:
             return self
+        if k < 0:
+            raise ValueError(f"cannot divide by {var}**{k}")
         out = {}
         for mono, coeff in self.terms.items():
-            d = dict(mono)
-            if d.get(var, 0) < k:
+            for pos, (v, e) in enumerate(mono):
+                if v == var:
+                    break
+            else:
+                e = 0
+            if e < k:
                 raise ValueError(f"{var}**{k} does not divide every term")
-            d[var] -= k
-            out[tuple(sorted((v, e) for v, e in d.items() if e))] = coeff
-        return Polynomial(out)
+            if e == k:
+                out[mono[:pos] + mono[pos + 1:]] = coeff
+            else:
+                out[mono[:pos] + ((var, e - k),) + mono[pos + 1:]] = coeff
+        return _canon(out)
 
     def substitute(self, mapping: dict) -> "Polynomial":
-        """Simultaneous substitution of variables by polynomials."""
-        images = {v: (p if isinstance(p, Polynomial) else Polynomial.constant(p))
+        """Simultaneous substitution of variables by polynomials.
+
+        Terms accumulate in one map; each power of an image is computed
+        once per call.  Unsubstituted variables of a term stay as one
+        monomial factor.
+        """
+        images = {v: (p if isinstance(p, Polynomial) else Polynomial.constant(p)).terms
                   for v, p in mapping.items()}
-        total = Polynomial.zero()
+        powers = {}
+        out = {}
+        get = out.get
         for mono, coeff in self.terms.items():
-            term = Polynomial.constant(coeff)
+            term = {(): coeff}
+            kept = []
             for var, exp in mono:
                 base = images.get(var)
                 if base is None:
-                    term = term * Polynomial({((var, exp),): 1})
+                    kept.append((var, exp))
+                    continue
+                power = powers.get((var, exp))
+                if power is None:
+                    power = powers[var, exp] = _pow_terms(base, exp)
+                term = _mul_terms(term, power)
+                if not term:
+                    break
+            if kept and term:
+                term = _mul_terms(term, {tuple(kept): 1})
+            for m, c in term.items():
+                c += get(m, 0)
+                if c:
+                    out[m] = c
                 else:
-                    term = term * base ** exp
-            total = total + term
-        return total
+                    del out[m]
+        return _canon(out)
 
     def __add__(self, other):
         other = other if isinstance(other, Polynomial) else Polynomial.constant(other)
@@ -131,12 +224,12 @@ class Polynomial:
                 out[mono] = c
             elif mono in out:
                 del out[mono]
-        return Polynomial(out)
+        return _canon(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial({m: -c for m, c in self.terms.items()})
+        return _canon({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         other = other if isinstance(other, Polynomial) else Polynomial.constant(other)
@@ -147,30 +240,14 @@ class Polynomial:
 
     def __mul__(self, other):
         other = other if isinstance(other, Polynomial) else Polynomial.constant(other)
-        out = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                mono = _mono_mul(ma, mb)
-                c = out.get(mono, 0) + ca * cb
-                if c:
-                    out[mono] = c
-                elif mono in out:
-                    del out[mono]
-        return Polynomial(out)
+        return _canon(_mul_terms(self.terms, other.terms))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a non-negative integer")
-        result = Polynomial.constant(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _canon(_pow_terms(self.terms, n))
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
@@ -224,6 +301,17 @@ class Substitution:
         return f.substitute(self.mapping)
 
 
+def _pull_back(f: Polynomial, sub: Substitution, exceptional: str):
+    """(f o sub, g, k) with g * exceptional**k == f o sub and k maximal."""
+    if f.is_zero():
+        raise ValueError("strict transform of the zero polynomial")
+    pulled = sub.apply(f)
+    if pulled.is_zero():
+        raise ValueError("substitution annihilated the polynomial")
+    k = pulled.min_exponent(exceptional)
+    return pulled, pulled.divide_out(exceptional, k), k
+
+
 def strict_transform(f: Polynomial, sub: Substitution, exceptional: str):
     """Pull back f and factor out the maximal exceptional power.
 
@@ -231,13 +319,8 @@ def strict_transform(f: Polynomial, sub: Substitution, exceptional: str):
     sub is a standard blow-up chart, k is the multiplicity of f along the
     blow-up center.
     """
-    if f.is_zero():
-        raise ValueError("strict transform of the zero polynomial")
-    pulled = sub.apply(f)
-    if pulled.is_zero():
-        raise ValueError("substitution annihilated the polynomial")
-    k = pulled.min_exponent(exceptional)
-    return pulled.divide_out(exceptional, k), k
+    _, g, k = _pull_back(f, sub, exceptional)
+    return g, k
 
 
 def multiplicity_at_origin(f: Polynomial) -> int:
@@ -304,13 +387,13 @@ def rename_variables(f: Polynomial, mapping: dict) -> Polynomial:
         if len({v for v, _ in renamed}) != len(renamed):
             raise ValueError("renaming is not injective on this polynomial")
         out[renamed] = coeff
-    return Polynomial(out)
+    return _canon(out)
 
 
 def flip_terms_containing(f: Polynomial, var: str) -> Polynomial:
     """Negate every term divisible by var (a unit rescale of one coordinate)."""
-    return Polynomial({m: (-c if Polynomial.exponent_of(m, var) else c)
-                       for m, c in f.terms.items()})
+    return _canon({m: (-c if Polynomial.exponent_of(m, var) else c)
+                   for m, c in f.terms.items()})
 
 
 def equal_up_to_unit(f: Polynomial, g: Polynomial, tvar: str = "t") -> bool:
@@ -426,9 +509,7 @@ def _check_one_chart(f, sub, expected, child_mdeg, family, detail,
     ``post`` optionally applies a further unit coordinate change (the
     pivot elimination of the determinant rule) before comparing.
     """
-    subst = Substitution(sub)
-    pulled = subst.apply(f)
-    g, k = strict_transform(f, subst, EXC)
+    pulled, g, k = _pull_back(f, Substitution(sub), EXC)
     remult = (g * Polynomial.variable(EXC) ** k) == pulled
     if post is not None:
         g = post.apply(g)

@@ -97,21 +97,23 @@ def validate_snc(snc: SncVariety) -> list:
 
     # Two-step coherence: dropping j then i must reach the same stratum as
     # dropping i then j.  This is what makes the dual complex attach
-    # consistently.
+    # consistently.  Parent maps are built once and shared by all pairs.
+    parent_maps = {sid: s.parent_map() for sid, s in by_id.items()}
     for s in snc.strata:
         if len(s.indices) < 3:
             continue
         parents = s.parent_map()
-        for i in sorted(s.indices):
-            for j in sorted(s.indices):
-                if i >= j:
+        ordered = sorted(s.indices)
+        for pos, i in enumerate(ordered):
+            pi = parent_maps.get(parents.get(i, ""))
+            if pi is None:
+                continue
+            for j in ordered[pos + 1:]:
+                pj = parent_maps.get(parents.get(j, ""))
+                if pj is None:
                     continue
-                pi = by_id.get(parents.get(i, ""))
-                pj = by_id.get(parents.get(j, ""))
-                if pi is None or pj is None:
-                    continue
-                via_i = pi.parent_map().get(j)
-                via_j = pj.parent_map().get(i)
+                via_i = pi.get(j)
+                via_j = pj.get(i)
                 if via_i != via_j:
                     out.append(
                         f"stratum {s.id!r}: incoherent parents, dropping "

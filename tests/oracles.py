@@ -288,3 +288,212 @@ def whole_state_select_center(state, config):
         return RuleApplication("BIN", (min(components, key=config.key),))
 
     raise AssertionError("unresolved charts remain but no phase applies")
+
+
+# --------------------------------------------------------------------------
+# Per-pair incidence check
+# --------------------------------------------------------------------------
+
+def per_pair_validate_snc(snc):
+    """``snc_model.validate_snc`` with its coherence loop as one lookup per pair.
+
+    Reference for the library, which builds each parent map once; both
+    must return the same violations in the same order.
+    """
+    out = []
+    by_id = {}
+    for s in snc.strata:
+        if s.id in by_id:
+            out.append(f"duplicate stratum id {s.id!r}")
+        by_id[s.id] = s
+        if not s.indices:
+            out.append(f"stratum {s.id!r} has an empty index set")
+        unknown = s.indices - snc.components
+        if unknown:
+            out.append(f"stratum {s.id!r} mentions unknown components {sorted(unknown)}")
+
+    singletons = {}
+    for s in snc.strata:
+        if len(s.indices) == 1:
+            singletons.setdefault(next(iter(s.indices)), []).append(s.id)
+    for comp in sorted(snc.components):
+        if comp not in singletons:
+            out.append(f"component {comp!r} has no singleton stratum")
+
+    for s in snc.strata:
+        if len(s.indices) < 2:
+            if s.parents:
+                out.append(f"stratum {s.id!r}: a singleton stratum has no parents")
+            continue
+        parents = s.parent_map()
+        if set(parents) != set(s.indices):
+            out.append(f"stratum {s.id!r}: parents must be designated for "
+                       f"exactly the indices {sorted(s.indices)}")
+            continue
+        for j, pid in parents.items():
+            parent = by_id.get(pid)
+            if parent is None:
+                out.append(f"stratum {s.id!r}: parent {pid!r} does not exist")
+            elif parent.indices != s.indices - {j}:
+                out.append(f"stratum {s.id!r}: parent over {j!r} has index set "
+                           f"{sorted(parent.indices)}, expected "
+                           f"{sorted(s.indices - {j})}")
+
+    for s in snc.strata:
+        if len(s.indices) < 3:
+            continue
+        parents = s.parent_map()
+        for i in sorted(s.indices):
+            for j in sorted(s.indices):
+                if i >= j:
+                    continue
+                pi = by_id.get(parents.get(i, ""))
+                pj = by_id.get(parents.get(j, ""))
+                if pi is None or pj is None:
+                    continue
+                via_i = pi.parent_map().get(j)
+                via_j = pj.parent_map().get(i)
+                if via_i != via_j:
+                    out.append(
+                        f"stratum {s.id!r}: incoherent parents, dropping "
+                        f"{i!r} then {j!r} reaches {via_i!r} but {j!r} then "
+                        f"{i!r} reaches {via_j!r}")
+    return out
+
+
+# --------------------------------------------------------------------------
+# Reference polynomial kernel
+# --------------------------------------------------------------------------
+
+def reference_mono_mul(a, b):
+    if not a:
+        return b
+    if not b:
+        return a
+    merged = dict(a)
+    for var, exp in b:
+        merged[var] = merged.get(var, 0) + exp
+    return tuple(sorted(merged.items()))
+
+
+class ReferencePolynomial:
+    """The polynomial kernel that normalises every result from scratch.
+
+    Reference for ``poly_oracle.Polynomial``, whose arithmetic builds
+    canonical terms directly: every operation must give the same
+    ``terms``.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        clean = {}
+        if terms:
+            for mono, coeff in (terms.items() if isinstance(terms, dict) else terms):
+                if coeff:
+                    mono = tuple(sorted((v, e) for v, e in mono if e))
+                    c = clean.get(mono, 0) + coeff
+                    if c:
+                        clean[mono] = c
+                    elif mono in clean:
+                        del clean[mono]
+        object.__setattr__(self, "terms", clean)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ReferencePolynomial is immutable")
+
+    @staticmethod
+    def constant(c):
+        return ReferencePolynomial({(): c})
+
+    def divide_out(self, var, k):
+        if k == 0:
+            return self
+        out = {}
+        for mono, coeff in self.terms.items():
+            d = dict(mono)
+            if d.get(var, 0) < k:
+                raise ValueError(f"{var}**{k} does not divide every term")
+            d[var] -= k
+            out[tuple(sorted((v, e) for v, e in d.items() if e))] = coeff
+        return ReferencePolynomial(out)
+
+    def substitute(self, mapping):
+        images = {v: (p if isinstance(p, ReferencePolynomial)
+                      else ReferencePolynomial.constant(p))
+                  for v, p in mapping.items()}
+        total = ReferencePolynomial()
+        for mono, coeff in self.terms.items():
+            term = ReferencePolynomial.constant(coeff)
+            for var, exp in mono:
+                base = images.get(var)
+                if base is None:
+                    term = term * ReferencePolynomial({((var, exp),): 1})
+                else:
+                    term = term * base ** exp
+            total = total + term
+        return total
+
+    def __add__(self, other):
+        other = (other if isinstance(other, ReferencePolynomial)
+                 else ReferencePolynomial.constant(other))
+        out = dict(self.terms)
+        for mono, coeff in other.terms.items():
+            c = out.get(mono, 0) + coeff
+            if c:
+                out[mono] = c
+            elif mono in out:
+                del out[mono]
+        return ReferencePolynomial(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return ReferencePolynomial({m: -c for m, c in self.terms.items()})
+
+    def __sub__(self, other):
+        other = (other if isinstance(other, ReferencePolynomial)
+                 else ReferencePolynomial.constant(other))
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        other = (other if isinstance(other, ReferencePolynomial)
+                 else ReferencePolynomial.constant(other))
+        out = {}
+        for ma, ca in self.terms.items():
+            for mb, cb in other.terms.items():
+                mono = reference_mono_mul(ma, mb)
+                c = out.get(mono, 0) + ca * cb
+                if c:
+                    out[mono] = c
+                elif mono in out:
+                    del out[mono]
+        return ReferencePolynomial(out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n):
+        if not isinstance(n, int) or n < 0:
+            raise ValueError("exponent must be a non-negative integer")
+        result = ReferencePolynomial.constant(1)
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
+
+def reference_rename_variables(f, mapping):
+    """Injective variable renaming, normalised through the reference constructor."""
+    out = {}
+    for mono, coeff in f.terms.items():
+        renamed = tuple(sorted((mapping.get(v, v), e) for v, e in mono))
+        if len({v for v, _ in renamed}) != len(renamed):
+            raise ValueError("renaming is not injective on this polynomial")
+        out[renamed] = coeff
+    return ReferencePolynomial(out)

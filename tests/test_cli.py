@@ -305,6 +305,40 @@ def test_verify_all_rules_pass_defaults(capsys):
         assert cli.main(["verify", "--rule", rule]) == 0, rule
 
 
+def test_verify_json_passing_grid(capsys):
+    assert cli.main(["verify", "--rule", "mon1", "--d", "2..3", "--a", "2..4",
+                     "--json"]) == cli.EXIT_OK
+    reports = json.loads(capsys.readouterr().out)
+    assert len(reports) == 6
+    assert all(r["rule"] == "MON1" and r["passed"] for r in reports)
+    assert [r["chart"]["a"] for r in reports[:3]] == [{"f1": 2}, {"f1": 3}, {"f1": 4}]
+    assert all(c["passed"] for r in reports for c in r["checks"])
+
+
+def test_verify_json_det_paper_fails_with_six_reports(capsys):
+    assert cli.main(["verify", "--rule", "det", "--exponent-policy", "paper",
+                     "--json"]) == cli.EXIT_BREACH
+    reports = json.loads(capsys.readouterr().out)
+    assert len(reports) == 6
+    assert [r["passed"] for r in reports] == [False] * 6
+    assert all(r["policy"] == "paper" and r["notes"] for r in reports)
+
+
+def test_verify_json_environment_mirror(monkeypatch, capsys):
+    monkeypatch.setenv("SNCRESOLVE_JSON", "1")
+    assert cli.main(["verify", "--rule", "bin", "--d", "2"]) == cli.EXIT_OK
+    assert [r["rule"] for r in json.loads(capsys.readouterr().out)] == ["BIN", "BIN"]
+    monkeypatch.setenv("SNCRESOLVE_JSON", "0")
+    assert cli.main(["verify", "--rule", "bin", "--d", "2"]) == cli.EXIT_OK
+    assert capsys.readouterr().out.startswith("rule ")
+
+
+def test_verify_json_bad_environment_value_exit_2(monkeypatch, capsys):
+    monkeypatch.setenv("SNCRESOLVE_JSON", "maybe")
+    assert cli.main(["verify", "--rule", "bin"]) == cli.EXIT_INPUT
+    assert "SNCRESOLVE_JSON='maybe'" in capsys.readouterr().err
+
+
 # --------------------------------------------------------------------------
 # gen
 # --------------------------------------------------------------------------

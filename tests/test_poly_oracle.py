@@ -7,6 +7,8 @@ from sncresolve import chart_calculus as cc
 from sncresolve import poly_oracle as po
 from sncresolve.poly_oracle import Polynomial, ScaleError, Substitution
 
+from oracles import ReferencePolynomial, reference_rename_variables
+
 V = Polynomial.variable
 C = Polynomial.constant
 
@@ -73,6 +75,130 @@ def test_multiplicity_examples():
     assert po.multiplicity_at_origin(V("x") + V("y") * V("z")) == 1
     with pytest.raises(ValueError):
         po.multiplicity_at_origin(Polynomial.zero())
+
+
+# --------------------------------------------------------------------------
+# the kernel against the reference kernel (tests/oracles.py)
+# --------------------------------------------------------------------------
+
+POOL = ["t", "u", "x_E1", "x_E2", "y11", "z_f1"]
+
+
+@st.composite
+def raw_terms(draw, max_terms=5):
+    """Arbitrary constructor input: unsorted monomials with distinct
+    variables, zero exponents, zero and repeated coefficients."""
+    terms = []
+    for _ in range(draw(st.integers(min_value=0, max_value=max_terms))):
+        chosen = draw(st.lists(st.sampled_from(POOL), max_size=4, unique=True))
+        mono = [(v, draw(st.integers(min_value=0, max_value=3))) for v in chosen]
+        terms.append((tuple(mono), draw(st.integers(min_value=-4, max_value=4))))
+    return terms
+
+
+def both(raw):
+    return Polynomial(raw), ReferencePolynomial(raw)
+
+
+def assert_canonical(p):
+    for mono, coeff in p.terms.items():
+        assert isinstance(mono, tuple)
+        assert all(a[0] < b[0] for a, b in zip(mono, mono[1:])), mono
+        assert all(e > 0 for _, e in mono), mono
+        assert coeff != 0
+
+
+def assert_same(got, want):
+    assert got.terms == want.terms
+    assert_canonical(got)
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw_terms())
+def test_constructor_canonicalises_like_the_reference(raw):
+    f, ref = both(raw)
+    assert_same(f, ref)
+    assert_same(Polynomial(dict(raw)), ReferencePolynomial(dict(raw)))
+
+
+def test_constructor_canonicalises_unsorted_zero_exponent_and_zero_coefficient_input():
+    f = Polynomial([((("y", 1), ("x", 2), ("w", 0)), 3), ((("x", 2), ("y", 1)), -1),
+                    ((("z", 1),), 0), ((("v", 1),), 2), ((("v", 1),), -2)])
+    assert f.terms == {(("x", 2), ("y", 1)): 2}
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw_terms(), raw_terms(), st.integers(min_value=-3, max_value=3),
+       st.integers(min_value=0, max_value=4))
+def test_arithmetic_equals_the_reference(raw_f, raw_g, c, n):
+    (f, rf), (g, rg) = both(raw_f), both(raw_g)
+    assert_same(f + g, rf + rg)
+    assert_same(f - g, rf - rg)
+    assert_same(f * g, rf * rg)
+    assert_same(-f, -rf)
+    assert_same(f ** n, rf ** n)
+    assert_same(f + c, rf + c)
+    assert_same(c + f, c + rf)
+    assert_same(f - c, rf - c)
+    assert_same(c - f, c - rf)
+    assert_same(f * c, rf * c)
+    assert_same(c * f, c * rf)
+
+
+@st.composite
+def images(draw):
+    """A substitution image as (library value, reference value).
+
+    Binomials and blow-up monomials like the verifier's charts, the
+    constants 0 and c (the t = 0 fiber check sends t to 0), or any
+    polynomial over the pool."""
+    kind = draw(st.sampled_from(["binomial", "monomial", "zero", "constant", "any"]))
+    if kind == "zero":
+        value = draw(st.sampled_from([0, Polynomial.constant(0)]))
+        return value, (value if isinstance(value, int) else ReferencePolynomial())
+    if kind == "constant":
+        c = draw(st.integers(min_value=-3, max_value=3))
+        return c, c
+    if kind == "binomial":
+        a, b = draw(st.lists(st.sampled_from(POOL + ["v'"]), min_size=2, max_size=2))
+        raw = [(((a + "'", 1), ("u", 1)), 1),
+               (((b, draw(st.integers(min_value=1, max_value=2))),),
+                draw(st.integers(min_value=-2, max_value=2)))]
+    elif kind == "monomial":
+        raw = [(((draw(st.sampled_from(POOL)) + "'", 1), ("u", 1)), 1)]
+    else:
+        raw = draw(raw_terms(max_terms=3))
+    return Polynomial(raw), ReferencePolynomial(raw)
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw_terms(), st.dictionaries(st.sampled_from(POOL), images(), max_size=4))
+def test_substitute_equals_the_reference(raw, mapping):
+    f, ref = both(raw)
+    got = f.substitute({v: img for v, (img, _) in mapping.items()})
+    want = ref.substitute({v: img for v, (_, img) in mapping.items()})
+    assert_same(got, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw_terms(), st.sampled_from(POOL), st.integers(min_value=0, max_value=4))
+def test_divide_out_equals_the_reference(raw, var, k):
+    f, ref = both(raw)
+    if any(Polynomial.exponent_of(m, var) < k for m in f.terms):
+        with pytest.raises(ValueError):
+            f.divide_out(var, k)
+        with pytest.raises(ValueError):
+            ref.divide_out(var, k)
+    else:
+        assert_same(f.divide_out(var, k), ref.divide_out(var, k))
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw_terms(), st.permutations(POOL + ["a", "zz", "x_E1'"]))
+def test_rename_variables_equals_the_reference(raw, targets):
+    f, ref = both(raw)
+    mapping = dict(zip(POOL, targets))
+    assert_same(po.rename_variables(f, mapping), reference_rename_variables(ref, mapping))
 
 
 # --------------------------------------------------------------------------
@@ -175,6 +301,18 @@ def test_verify_det_x_chart_flags_the_alternate_value():
     assert report.passed
     assert report.measured_exponents == [0]
     assert any("m^2-2 = 2" in note for note in report.notes)
+
+
+def test_verify_pulls_each_chart_back_once(monkeypatch):
+    applied = []
+    original = Substitution.apply
+    monkeypatch.setattr(Substitution, "apply",
+                        lambda self, f: applied.append(f) or original(self, f))
+    report = po.verify_rule(det_app(2), cc.ChartState.of(["E1", "E2"], 2, {}))
+    assert report.passed
+    # One pull-back per chart, plus the pivot elimination on the 4 y-charts.
+    assert len(report.checks) == 6
+    assert len(applied) == 6 + 4
 
 
 def test_verify_det_with_paper_policy_fails_the_match():

@@ -9,7 +9,7 @@ from sncresolve import dual_complex as dc
 from sncresolve import snc_model as sm
 from sncresolve.snc_model import CenterDescriptor, SncVariety, Stratum
 
-from oracles import rational_betti
+from oracles import per_pair_validate_snc, rational_betti
 
 
 def triangle():
@@ -116,6 +116,75 @@ def test_incoherent_parents_are_reported():
     ])
     # Both deep strata are individually coherent; this family is fine too.
     assert sm.validate_snc(bad) == []
+
+
+def _singletons(*comps):
+    return [Stratum.of(c, [c]) for c in comps]
+
+
+# Malformed and incoherent families: each entry is (components, strata).
+MALFORMED = {
+    "missing singleton": (["A", "B"], [Stratum.of("A", ["A"])]),
+    "missing parent": (["A", "B"], _singletons("A", "B") + [
+        Stratum.of("AB", ["A", "B"], {"A": "B"})]),
+    "wrong parent index set": (["A", "B", "C"], _singletons("A", "B", "C") + [
+        Stratum.of("AB", ["A", "B"], {"A": "C", "B": "A"})]),
+    "ghost parent": (["A", "B"], _singletons("A", "B") + [
+        Stratum.of("AB", ["A", "B"], {"A": "ghost", "B": "A"})]),
+    "duplicate deep strata": (["A", "B", "C"], _singletons("A", "B", "C") + [
+        Stratum.of("AB#1", ["A", "B"], {"A": "B", "B": "A"}),
+        Stratum.of("AB#2", ["A", "B"], {"A": "B", "B": "A"}),
+        Stratum.of("AC", ["A", "C"], {"A": "C", "C": "A"}),
+        Stratum.of("BC", ["B", "C"], {"B": "C", "C": "B"}),
+        Stratum.of("ABC", ["A", "B", "C"], {"A": "BC", "B": "AC", "C": "AB#1"}),
+        Stratum.of("ABC2", ["A", "B", "C"], {"A": "BC", "B": "AC", "C": "AB#2"})]),
+    # Two strata over {C}: dropping A then B reaches C#2, B then A reaches C.
+    "incoherent": (["A", "B", "C"], _singletons("A", "B", "C") + [
+        Stratum.of("C#2", ["C"]),
+        Stratum.of("AB", ["A", "B"], {"A": "B", "B": "A"}),
+        Stratum.of("AC", ["A", "C"], {"A": "C", "C": "A"}),
+        Stratum.of("BC", ["B", "C"], {"B": "C#2", "C": "B"}),
+        Stratum.of("ABC", ["A", "B", "C"], {"A": "BC", "B": "AC", "C": "AB"})]),
+    # A repeated id: the later record wins every parent lookup.
+    "duplicate id": (["A", "B", "C"], _singletons("A", "B", "C") + [
+        Stratum.of("C#2", ["C"]),
+        Stratum.of("AB", ["A", "B"], {"A": "B", "B": "A"}),
+        Stratum.of("AC", ["A", "C"], {"A": "C", "C": "A"}),
+        Stratum.of("BC", ["B", "C"], {"B": "C", "C": "B"}),
+        Stratum.of("BC", ["B", "C"], {"B": "C#2", "C": "B"}),
+        Stratum.of("ABC", ["A", "B", "C"], {"A": "BC", "B": "AC", "C": "AB"})]),
+    "deep stratum with a ghost parent": (["A", "B", "C", "D"],
+                                         _singletons("A", "B", "C", "D") + [
+        Stratum.of("ABCD", ["A", "B", "C", "D"],
+                   {"A": "ghost", "B": "ACD", "C": "ABD", "D": "ABC"})]),
+    "unknown component and empty index set": (["A"], _singletons("A") + [
+        Stratum.of("Z", ["Z"]), Stratum.of("none", [])]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_validate_snc_equals_the_per_pair_reference_on_malformed_families(name):
+    components, strata = MALFORMED[name]
+    snc = SncVariety.of(components, strata)
+    violations = sm.validate_snc(snc)
+    assert violations == per_pair_validate_snc(snc)
+    # The duplicate deep strata are coherent: only the others are malformed.
+    assert bool(violations) == (name != "duplicate deep strata")
+    if name == "incoherent":
+        assert any("incoherent parents" in v for v in violations)
+
+
+def test_validate_snc_equals_the_per_pair_reference_on_germs(monkeypatch):
+    for n in range(1, 9):
+        germ = sm.coordinate_germ(n)
+        assert sm.validate_snc(germ) == per_pair_validate_snc(germ) == []
+    calls = []
+    original = Stratum.parent_map
+    monkeypatch.setattr(Stratum, "parent_map",
+                        lambda self: calls.append(self.id) or original(self))
+    germ = sm.coordinate_germ(10)
+    assert sm.validate_snc(germ) == []
+    assert len(calls) <= 3 * len(germ.strata)
 
 
 def test_duplicate_deep_strata_give_parallel_cells():

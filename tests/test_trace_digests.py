@@ -1,9 +1,9 @@
-"""Trace bytes are a contract: regenerate them and compare their digests.
+"""Trace and verifier bytes are a contract: regenerate them and compare digests.
 
-The reference sha256 digests live in ``benchmarks/frozen.json``; this file
-only reads it.  The batch traces are serialized with the benchmark's own
-``trace_bytes``, which writes them exactly as ``sncresolve resolve
---trace`` does.
+The reference sha256 digests of traces live in ``benchmarks/frozen.json``;
+this file only reads it.  The batch traces are serialized with the
+benchmark's own ``trace_bytes``, which writes them exactly as
+``sncresolve resolve --trace`` does.
 """
 
 import hashlib
@@ -12,7 +12,9 @@ import json
 import random
 from pathlib import Path
 
+from sncresolve import chart_calculus as cc
 from sncresolve import cli
+from sncresolve import poly_oracle as po
 from sncresolve import resolution_engine as re_
 from sncresolve import snc_model as sm
 
@@ -54,3 +56,48 @@ def test_large_cli_trace_digests_match_the_frozen_reference(tmp_path, capsys):
         assert f"events: {events[name]}\n" in capsys.readouterr().out
         digest = hashlib.sha256(trace.read_bytes()).hexdigest()
         assert digest == FROZEN["large_trace_sha256"][name], name
+
+
+# sha256 of the verifier's output, derived at commit 2f5a86a, before the
+# polynomial kernel worked on canonical terms.  Each digest covers the
+# reports' ``to_json()`` (or the CLI runs' exit code and stdout), one per
+# line, in the order built below.
+VERIFY_GRID_SHA256 = "bde6da0cf9b63d026f0daf4efc9128f9bf38118a14e7022f5b56309ba69cd7de"
+VERIFY_SHAPES_SHA256 = "004d5c669ff2c54068f5534216d5ee77a82249e0c76541fc3278454051a546cf"
+VERIFY_CLI_SHA256 = "22f24bc587efd35647e2c3bc8ae4afc49a2084289bbb786a29958e213529b74a"
+
+VERIFY_RULES = ("det", "mon1", "mon2", "mon3", "bin")
+POLICIES = ("oracle", "paper")
+
+
+def _lines_sha256(lines) -> str:
+    return hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest()
+
+
+def test_verify_reports_on_the_cli_default_grid_match_the_reference():
+    # The CLI's defaults: m 2..3, d 2..4, a 2..4.
+    reports = [po.verify_rule(app, chart, policy=policy).to_json()
+               for policy in POLICIES for rule in VERIFY_RULES
+               for app, chart in cli._verify_grid(rule, [2, 3], [2, 3, 4], [2, 3, 4], policy)]
+    assert len(reports) == 54
+    assert _lines_sha256(reports) == VERIFY_GRID_SHA256
+
+
+def test_verify_reports_on_the_frozen_engine_shapes_match_the_reference():
+    reports = []
+    for shape in FROZEN["verify_shapes"]:
+        app, chart = fx.shape_instance(cc, shape)
+        reports.append(po.verify_rule(app, chart, policy=shape["policy"]).to_json())
+    assert len(reports) == 210
+    assert _lines_sha256(reports) == VERIFY_SHAPES_SHA256
+
+
+def test_verify_cli_stdout_matches_the_reference(capsys, monkeypatch):
+    for flag in ("M", "D", "A", "EXPONENT_POLICY", "JSON"):
+        monkeypatch.delenv("SNCRESOLVE_" + flag, raising=False)
+    runs = []
+    for policy in POLICIES:
+        for rule in VERIFY_RULES:
+            code = cli.main(["verify", "--rule", rule, "--exponent-policy", policy])
+            runs.append(f"{rule} {policy} {code}\n" + capsys.readouterr().out)
+    assert _lines_sha256(runs) == VERIFY_CLI_SHA256

@@ -14,7 +14,9 @@ is what terminates the whole rewriting process.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import NamedTuple
 
 from .poly_oracle import Polynomial, ScaleError, generic_det
@@ -34,6 +36,9 @@ class MultiDegree(NamedTuple):
     dx: int
     dy: int
     dz: int
+
+
+_DIVISOR_ID = itemgetter(0)
 
 
 @dataclass(frozen=True)
@@ -73,6 +78,25 @@ class ChartState:
         items = exponents.items() if isinstance(exponents, dict) else (exponents or ())
         return ChartState(frozenset(x_indices), det_size,
                           tuple(sorted((str(d), int(a)) for d, a in items)))
+
+    def _derive(self, x_indices, det_size, drop=None, add=None) -> "ChartState":
+        """A chart with this one's exponents, minus divisor ``drop`` and
+        with ``add = (id, exponent)`` inserted in order (replacing the
+        exponent of an id already present).
+
+        The exponent tuple is already sorted, so this costs two slices
+        rather than a sort; the constructor's checks still run.
+        """
+        exps = self.exponents
+        if drop is not None:
+            pos = bisect_left(exps, drop, key=_DIVISOR_ID)
+            if pos < len(exps) and exps[pos][0] == drop:
+                exps = exps[:pos] + exps[pos + 1:]
+        if add is not None:
+            pos = bisect_left(exps, add[0], key=_DIVISOR_ID)
+            end = pos + 1 if pos < len(exps) and exps[pos][0] == add[0] else pos
+            exps = exps[:pos] + (add,) + exps[end:]
+        return ChartState(x_indices, det_size, exps)
 
     def exponent_map(self) -> dict:
         return dict(self.exponents)
@@ -245,9 +269,9 @@ def children(chart: ChartState, app: RuleApplication,
 
     Chart families related by permuting the pair, the matrix entries, or
     the two consumed divisors are collapsed to a single representative
-    whose family size is recorded as the multiplicity.
+    whose family size is recorded as the multiplicity.  Each child's
+    exponents are derived from the parent's sorted tuple, not re-sorted.
     """
-    exps = chart.exponent_map()
     d = mdeg(chart)
 
     if app.kind == "DET":
@@ -260,15 +284,15 @@ def children(chart: ChartState, app: RuleApplication,
         _require(i1 in chart.x_indices and i2 in chart.x_indices and i1 != i2,
                  "DET", f"pair ({i1},{i2}) must be two distinct x-indices of the chart")
         e = exceptional_coefficient("DET", det_size=m, policy=policy)
-        extra = {}
+        extra = None
         if e > 0:
             _require(app.new_divisor is not None, "DET",
                      "a new divisor id is required when the exceptional coefficient is positive")
             _require(app.new_divisor[1] == e, "DET",
                      f"new divisor coefficient {app.new_divisor[1]} != policy value {e}")
-            extra = {app.new_divisor[0]: e}
-        x_child = ChartState.of(chart.x_indices - {min(i1, i2)}, m, {**exps, **extra})
-        y_child = ChartState.of(chart.x_indices, m - 1, {**exps, **extra})
+            extra = (app.new_divisor[0], e)
+        x_child = chart._derive(chart.x_indices - {min(i1, i2)}, m, add=extra)
+        y_child = chart._derive(chart.x_indices, m - 1, add=extra)
         return [ChildChart(x_child, 2, "x"), ChildChart(y_child, m * m, "y")]
 
     if app.kind == "MON1":
@@ -276,19 +300,18 @@ def children(chart: ChartState, app: RuleApplication,
         (j1,) = app.divisors
         _require(i1 in chart.x_indices and i2 in chart.x_indices and i1 != i2,
                  "MON1", f"pair ({i1},{i2}) must be two distinct x-indices of the chart")
+        exps = chart.exponent_map()
         _require(j1 in exps, "MON1", f"divisor {j1!r} absent from the chart")
         a = exps[j1]
         _require(a >= 2, "MON1", f"divisor {j1!r} has exponent {a} < 2")
         e = a - 2
-        extra = {}
+        extra = None
         if e > 0:
             _require(app.new_divisor is not None and app.new_divisor[1] == e, "MON1",
                      f"new divisor with coefficient {e} required")
-            extra = {app.new_divisor[0]: e}
-        rest = {k: v for k, v in exps.items() if k != j1}
-        x_child = ChartState.of(chart.x_indices - {min(i1, i2)},
-                                chart.det_size, {**exps, **extra})
-        z_child = ChartState.of(chart.x_indices, chart.det_size, {**rest, **extra})
+            extra = (app.new_divisor[0], e)
+        x_child = chart._derive(chart.x_indices - {min(i1, i2)}, chart.det_size, add=extra)
+        z_child = chart._derive(chart.x_indices, chart.det_size, drop=j1, add=extra)
         return [ChildChart(x_child, 2, "x"), ChildChart(z_child, 1, "z")]
 
     if app.kind == "MON2":
@@ -296,12 +319,11 @@ def children(chart: ChartState, app: RuleApplication,
         j1, j2 = app.divisors
         _require(i1 in chart.x_indices and i2 in chart.x_indices and i1 != i2,
                  "MON2", f"pair ({i1},{i2}) must be two distinct x-indices of the chart")
+        exps = chart.exponent_map()
         _require(j1 != j2 and exps.get(j1) == 1 and exps.get(j2) == 1, "MON2",
                  f"divisors ({j1!r},{j2!r}) must both carry exponent 1")
-        drop = min(j1, j2)
-        x_child = ChartState.of(chart.x_indices - {min(i1, i2)}, chart.det_size, exps)
-        z_child = ChartState.of(chart.x_indices, chart.det_size,
-                                {k: v for k, v in exps.items() if k != drop})
+        x_child = chart._derive(chart.x_indices - {min(i1, i2)}, chart.det_size)
+        z_child = chart._derive(chart.x_indices, chart.det_size, drop=min(j1, j2))
         return [ChildChart(x_child, 2, "x"), ChildChart(z_child, 2, "z")]
 
     if app.kind == "MON3":
@@ -310,10 +332,10 @@ def children(chart: ChartState, app: RuleApplication,
                  "MON3", f"pair ({i1},{i2}) must be two distinct x-indices of the chart")
         _require(d.dy == 1 and d.dz == 1, "MON3",
                  f"needs (deg_y, deg_z) = (1, 1), chart has ({d.dy},{d.dz})")
-        x_child = ChartState.of(chart.x_indices - {min(i1, i2)}, 1, exps)
+        x_child = chart._derive(chart.x_indices - {min(i1, i2)}, 1)
         # Both single-factor children take the same form once the leftover
         # divisor coordinate is renamed into the y-slot.
-        yz_child = ChartState.of(chart.x_indices, 1, {})
+        yz_child = ChartState(chart.x_indices, 1, ())
         return [ChildChart(x_child, 2, "x"), ChildChart(yz_child, 2, "yz")]
 
     if app.kind == "BIN":
@@ -322,8 +344,8 @@ def children(chart: ChartState, app: RuleApplication,
         _require(d.dx >= 2, "BIN", "needs at least two x-factors")
         _require(d.dy + d.dz == 1, "BIN",
                  f"needs a single degree-one factor, chart has (dy,dz)=({d.dy},{d.dz})")
-        factor_child = ChartState.of(chart.x_indices - {i1}, chart.det_size, exps)
-        smooth_child = ChartState.of(chart.x_indices, 0, {})
+        factor_child = chart._derive(chart.x_indices - {i1}, chart.det_size)
+        smooth_child = ChartState(chart.x_indices, 0, ())
         return [ChildChart(factor_child, 1, "factor"),
                 ChildChart(smooth_child, 1, "smooth")]
 

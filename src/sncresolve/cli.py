@@ -85,11 +85,23 @@ def _print_err(*parts):
     print(*parts, file=sys.stderr)
 
 
+def _print_json(obj):
+    re_.write_json(obj, sys.stdout.write)
+    sys.stdout.write("\n")
+
+
+def _save_json(path: str, obj):
+    with open(path, "w", encoding="utf-8") as handle:
+        re_.write_json(obj, handle.write)
+        handle.write("\n")
+
+
 # --------------------------------------------------------------------------
 # dualcomplex
 # --------------------------------------------------------------------------
 
-def cmd_dualcomplex(input_path: str, dot_path: str | None = None) -> int:
+def cmd_dualcomplex(input_path: str, dot_path: str | None = None,
+                    as_json: bool = False) -> int:
     try:
         doc = _load_json(input_path)
     except (OSError, json.JSONDecodeError) as err:
@@ -116,17 +128,23 @@ def cmd_dualcomplex(input_path: str, dot_path: str | None = None) -> int:
 
     report = dc.homology(complex)
     counts = complex.cell_counts()
+    q_acyclic = all(b == 0 for b in report.betti[1:])
+    if dot_path:
+        with open(dot_path, "w", encoding="utf-8") as handle:
+            handle.write(dc.to_dot(complex) + "\n")
+    if as_json:
+        _print_json({"cells": counts, **report.to_json_obj(),
+                     "q_acyclic": q_acyclic, "dot": dot_path or None})
+        return EXIT_OK
+
     print("cells:", "/".join(str(n) for n in counts) if counts else "0")
     print("betti:", " ".join(str(b) for b in report.betti) if report.betti else "-")
     torsion_bits = [f"dim {k}: {','.join(str(d) for d in t)}"
                     for k, t in enumerate(report.torsion) if t]
     print("torsion:", "; ".join(torsion_bits) if torsion_bits else "none")
     print("euler:", report.euler)
-    print("Q-acyclic:", "yes" if all(b == 0 for b in report.betti[1:]) else "no")
-
+    print("Q-acyclic:", "yes" if q_acyclic else "no")
     if dot_path:
-        with open(dot_path, "w", encoding="utf-8") as handle:
-            handle.write(dc.to_dot(complex) + "\n")
         print("dot written:", dot_path)
     return EXIT_OK
 
@@ -178,10 +196,7 @@ def cmd_resolve(input_path: str, config: re_.RunConfig,
     preserved = final.dual_bytes() == seed.dual_bytes()
     print("dual complex preserved:", "yes" if preserved else "NO")
     if trace_path:
-        doc = re_.trace_to_obj(seed, events, final, config)
-        with open(trace_path, "w", encoding="utf-8") as handle:
-            json.dump(doc, handle, indent=1, sort_keys=True)
-            handle.write("\n")
+        _save_json(trace_path, re_.trace_to_obj(seed, events, final, config))
         print("trace written:", trace_path)
     if not preserved:
         return EXIT_BREACH
@@ -262,7 +277,7 @@ def cmd_verify(rule: str, m_range: str, d_range: str, a_range: str,
                for app, chart in _verify_grid(rule, m_values, d_values,
                                               a_values, policy)]
     if as_json:
-        print(json.dumps([rep.to_json_obj() for rep in reports], indent=1, sort_keys=True))
+        _print_json([rep.to_json_obj() for rep in reports])
     else:
         print(po.grid_table(reports))
         for rep in reports:
@@ -319,15 +334,13 @@ def cmd_gen(seed: int, out_path: str | None) -> int:
     state = random_state(random.Random(seed))
     doc = re_.state_to_obj(state)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            json.dump(doc, handle, indent=1, sort_keys=True)
-            handle.write("\n")
+        _save_json(out_path, doc)
         print(f"seed state written: {out_path} "
               f"(components={len(state.dual.cells_of_dim(0))}, "
               f"charts={sum(n for _, n in state.charts)}, "
               f"divisors={len(state.registry)})")
     else:
-        print(json.dumps(doc, indent=1, sort_keys=True))
+        _print_json(doc)
     return EXIT_OK
 
 
@@ -345,6 +358,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_dual.add_argument("--input", default=_env_default("input"), required=False)
     p_dual.add_argument("--dot", default=_env_default("dot"),
                         help="write the 1-skeleton as DOT")
+    p_dual.add_argument("--json", action="store_true", default=_env_flag("json"),
+                        help="print the report as one JSON object instead of text")
 
     p_res = sub.add_parser("resolve", help="run the rewriting engine")
     p_res.add_argument("--input", default=_env_default("input"), required=False)
@@ -390,7 +405,7 @@ def main(argv=None) -> int:
             if not args.input:
                 _print_err("dualcomplex needs --input")
                 return EXIT_INPUT
-            return cmd_dualcomplex(args.input, args.dot)
+            return cmd_dualcomplex(args.input, args.dot, args.json)
         if args.command == "resolve":
             if not args.input:
                 _print_err("resolve needs --input")

@@ -6,7 +6,8 @@ small: it is a verifier for blow-up chart computations at desk scale, not
 a general computer-algebra system.  Hard scale caps are enforced by
 ``ScaleError``.
 
-Cost: the public constructor normalises arbitrary input once; every
+Cost: the public constructor normalises arbitrary input once (sorting
+each monomial and summing the exponents of a repeated variable); every
 arithmetic result is built in canonical form (sorted monomials merged in
 one pass, zero coefficients dropped as they arise) and wrapped without a
 second normalisation.  ``substitute`` accumulates into one term map and
@@ -108,7 +109,10 @@ class Polynomial:
         if terms:
             for mono, coeff in (terms.items() if isinstance(terms, dict) else terms):
                 if coeff:
-                    mono = tuple(sorted((v, e) for v, e in mono if e))
+                    powers = {}
+                    for v, e in mono:
+                        powers[v] = powers.get(v, 0) + e
+                    mono = tuple(sorted((v, e) for v, e in powers.items() if e))
                     c = clean.get(mono, 0) + coeff
                     if c:
                         clean[mono] = c
@@ -380,14 +384,16 @@ def det_reduction_check(m: int) -> bool:
 
 
 def rename_variables(f: Polynomial, mapping: dict) -> Polynomial:
-    """Injective variable renaming (plain name-for-name)."""
-    out = {}
-    for mono, coeff in f.terms.items():
-        renamed = tuple(sorted((mapping.get(v, v), e) for v, e in mono))
-        if len({v for v, _ in renamed}) != len(renamed):
-            raise ValueError("renaming is not injective on this polynomial")
-        out[renamed] = coeff
-    return _canon(out)
+    """Injective variable renaming (plain name-for-name).
+
+    Raises ValueError unless the renaming is injective on the variables of
+    ``f``: two variables sent to one name would merge distinct terms.
+    """
+    names = f.variables()
+    if len({mapping.get(v, v) for v in names}) != len(names):
+        raise ValueError("renaming is not injective on this polynomial")
+    return _canon({tuple(sorted((mapping.get(v, v), e) for v, e in mono)): coeff
+                   for mono, coeff in f.terms.items()})
 
 
 def flip_terms_containing(f: Polynomial, var: str) -> Polynomial:

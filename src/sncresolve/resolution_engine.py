@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from . import chart_calculus as cc
 from . import dual_complex as dc
@@ -635,6 +636,83 @@ def run(state: ResolutionState,
 
 def canonical_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+# Pieces that write_json collects before handing them to ``write`` at once.
+_FLUSH_AT = 4096
+
+
+def write_json(obj, write) -> None:
+    """Write ``obj`` as ``json.dump(obj, fp, indent=1, sort_keys=True)`` does.
+
+    The program's one indented JSON format: traces, generated states and
+    machine-readable reports.  With ``indent`` set, the standard library
+    leaves its C encoder and yields through one generator per nesting
+    level; here a plain recursion appends whole lines to one list and
+    passes it to ``write`` every few thousand pieces, so memory stays flat
+    however large the document.  Strings go through the C string encoder,
+    which also raises ``TypeError`` for a dict key that is not a ``str``;
+    tuples are written as lists.
+    """
+    text = _leaf(obj)
+    if text is not None:
+        write(text)
+        return
+    chunks = []
+    _write_container(obj, "", "\n", chunks, write)
+    write("".join(chunks))
+
+
+def _leaf(value) -> str | None:
+    """The JSON text of a scalar, or None for a list, tuple or dict."""
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, (list, tuple, dict)):
+        return None
+    return json.dumps(value)
+
+
+def _write_container(value, lead: str, newline: str, chunks: list, write) -> None:
+    """Append ``lead`` and the JSON text of a list, tuple or dict whose
+    closing bracket goes after ``newline`` (a newline and its indentation)."""
+    if not value:
+        chunks.append(lead + ("{}" if isinstance(value, dict) else "[]"))
+        return
+    inner = newline + " "
+    comma = "," + inner
+    sep = inner
+    if isinstance(value, dict):
+        chunks.append(lead + "{")
+        for key in sorted(value):
+            item = value[key]
+            text = _leaf(item)
+            if text is None:
+                _write_container(item, sep + _encode_str(key) + ": ", inner, chunks, write)
+            else:
+                chunks.append(sep + _encode_str(key) + ": " + text)
+            sep = comma
+        chunks.append(newline + "}")
+    else:
+        chunks.append(lead + "[")
+        for item in value:
+            text = _leaf(item)
+            if text is None:
+                _write_container(item, sep, inner, chunks, write)
+            else:
+                chunks.append(sep + text)
+            sep = comma
+        chunks.append(newline + "]")
+    if len(chunks) > _FLUSH_AT:
+        write("".join(chunks))
+        chunks.clear()
 
 
 def mdeg_obj(deg) -> list:

@@ -11,7 +11,9 @@ import itertools
 from fractions import Fraction
 
 from sncresolve import chart_calculus as cc
-from sncresolve.chart_calculus import RuleApplication
+from sncresolve.chart_calculus import (ChartState, ChildChart, RuleApplication,
+                                       RulePreconditionError, _require,
+                                       exceptional_coefficient, mdeg)
 from sncresolve.dual_complex import Cell, DualComplex
 
 
@@ -497,3 +499,98 @@ def reference_rename_variables(f, mapping):
             raise ValueError("renaming is not injective on this polynomial")
         out[renamed] = coeff
     return ReferencePolynomial(out)
+
+
+
+# --------------------------------------------------------------------------
+# Child charts by re-sorting
+# --------------------------------------------------------------------------
+
+def reference_children(chart, app, policy="oracle"):
+    """``chart_calculus.children`` as it re-sorted every child's exponents.
+
+    Reference for the library, which derives each child's exponent tuple
+    from the parent's sorted one; both must give the same ``ChildChart``s
+    and raise the same precondition errors.
+    """
+    exps = chart.exponent_map()
+    d = mdeg(chart)
+
+    if app.kind == "DET":
+        m = chart.det_size
+        _require(m >= 2, "DET", f"needs det size >= 2, chart has {m}")
+        if app.det_size is not None:
+            _require(app.det_size == m, "DET",
+                     f"targets det size {app.det_size}, chart has {m}")
+        i1, i2 = app.pair
+        _require(i1 in chart.x_indices and i2 in chart.x_indices and i1 != i2,
+                 "DET", f"pair ({i1},{i2}) must be two distinct x-indices of the chart")
+        e = exceptional_coefficient("DET", det_size=m, policy=policy)
+        extra = {}
+        if e > 0:
+            _require(app.new_divisor is not None, "DET",
+                     "a new divisor id is required when the exceptional coefficient is positive")
+            _require(app.new_divisor[1] == e, "DET",
+                     f"new divisor coefficient {app.new_divisor[1]} != policy value {e}")
+            extra = {app.new_divisor[0]: e}
+        x_child = ChartState.of(chart.x_indices - {min(i1, i2)}, m, {**exps, **extra})
+        y_child = ChartState.of(chart.x_indices, m - 1, {**exps, **extra})
+        return [ChildChart(x_child, 2, "x"), ChildChart(y_child, m * m, "y")]
+
+    if app.kind == "MON1":
+        i1, i2 = app.pair
+        (j1,) = app.divisors
+        _require(i1 in chart.x_indices and i2 in chart.x_indices and i1 != i2,
+                 "MON1", f"pair ({i1},{i2}) must be two distinct x-indices of the chart")
+        _require(j1 in exps, "MON1", f"divisor {j1!r} absent from the chart")
+        a = exps[j1]
+        _require(a >= 2, "MON1", f"divisor {j1!r} has exponent {a} < 2")
+        e = a - 2
+        extra = {}
+        if e > 0:
+            _require(app.new_divisor is not None and app.new_divisor[1] == e, "MON1",
+                     f"new divisor with coefficient {e} required")
+            extra = {app.new_divisor[0]: e}
+        rest = {k: v for k, v in exps.items() if k != j1}
+        x_child = ChartState.of(chart.x_indices - {min(i1, i2)},
+                                chart.det_size, {**exps, **extra})
+        z_child = ChartState.of(chart.x_indices, chart.det_size, {**rest, **extra})
+        return [ChildChart(x_child, 2, "x"), ChildChart(z_child, 1, "z")]
+
+    if app.kind == "MON2":
+        i1, i2 = app.pair
+        j1, j2 = app.divisors
+        _require(i1 in chart.x_indices and i2 in chart.x_indices and i1 != i2,
+                 "MON2", f"pair ({i1},{i2}) must be two distinct x-indices of the chart")
+        _require(j1 != j2 and exps.get(j1) == 1 and exps.get(j2) == 1, "MON2",
+                 f"divisors ({j1!r},{j2!r}) must both carry exponent 1")
+        drop = min(j1, j2)
+        x_child = ChartState.of(chart.x_indices - {min(i1, i2)}, chart.det_size, exps)
+        z_child = ChartState.of(chart.x_indices, chart.det_size,
+                                {k: v for k, v in exps.items() if k != drop})
+        return [ChildChart(x_child, 2, "x"), ChildChart(z_child, 2, "z")]
+
+    if app.kind == "MON3":
+        i1, i2 = app.pair
+        _require(i1 in chart.x_indices and i2 in chart.x_indices and i1 != i2,
+                 "MON3", f"pair ({i1},{i2}) must be two distinct x-indices of the chart")
+        _require(d.dy == 1 and d.dz == 1, "MON3",
+                 f"needs (deg_y, deg_z) = (1, 1), chart has ({d.dy},{d.dz})")
+        x_child = ChartState.of(chart.x_indices - {min(i1, i2)}, 1, exps)
+        # Both single-factor children take the same form once the leftover
+        # divisor coordinate is renamed into the y-slot.
+        yz_child = ChartState.of(chart.x_indices, 1, {})
+        return [ChildChart(x_child, 2, "x"), ChildChart(yz_child, 2, "yz")]
+
+    if app.kind == "BIN":
+        (i1,) = app.pair
+        _require(i1 in chart.x_indices, "BIN", f"{i1!r} is not an x-index of the chart")
+        _require(d.dx >= 2, "BIN", "needs at least two x-factors")
+        _require(d.dy + d.dz == 1, "BIN",
+                 f"needs a single degree-one factor, chart has (dy,dz)=({d.dy},{d.dz})")
+        factor_child = ChartState.of(chart.x_indices - {i1}, chart.det_size, exps)
+        smooth_child = ChartState.of(chart.x_indices, 0, {})
+        return [ChildChart(factor_child, 1, "factor"),
+                ChildChart(smooth_child, 1, "smooth")]
+
+    raise RulePreconditionError(f"unknown rule kind {app.kind!r}")

@@ -1,12 +1,14 @@
 """Chart descriptors, the degree invariant, and the rewriting rules."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sncresolve import chart_calculus as cc
 from sncresolve import poly_oracle as po
 from sncresolve.chart_calculus import (ChartState, MultiDegree,
                                        RuleApplication, RulePreconditionError)
+
+from oracles import reference_children
 
 
 def chart(xs, m, a=None):
@@ -222,6 +224,82 @@ def test_every_rule_strictly_decreases_mdeg(c):
             assert child.dy <= parent.dy
             if child.dz > parent.dz:
                 assert child.dx < parent.dx or child.dy < parent.dy
+
+
+# --------------------------------------------------------------------------
+# children against the re-sorting reference (tests/oracles.py)
+# --------------------------------------------------------------------------
+
+DIVISOR_POOL = ["f1", "f2", "f3", "w1", "w10", "w2", "a", "z"]
+
+
+@st.composite
+def chart_and_rule(draw):
+    """A chart built by ``ChartState.of`` and a rule of any kind.
+
+    The chart is mostly shaped to meet the rule's precondition, and the
+    new divisor id often collides with one the chart already carries."""
+    kind = draw(st.sampled_from(["DET", "MON1", "MON2", "MON3", "BIN"]))
+    policy = draw(st.sampled_from(["oracle", "paper"]))
+    xs = draw(st.lists(st.sampled_from(["E1", "E2", "E3", "E4"]), min_size=1,
+                       max_size=4, unique=True))
+    m = draw(st.integers(min_value=0, max_value=4))
+    exps = draw(st.dictionaries(st.sampled_from(DIVISOR_POOL),
+                                st.integers(min_value=1, max_value=4), max_size=6))
+    ids = st.sampled_from(DIVISOR_POOL)
+    if draw(st.integers(min_value=0, max_value=3)):
+        if kind == "DET":
+            m = max(m, 2)
+        elif kind == "MON1":
+            exps[draw(ids)] = draw(st.integers(min_value=2, max_value=4))
+        elif kind == "MON2":
+            exps.update(dict.fromkeys(draw(st.lists(ids, min_size=2, max_size=2,
+                                                    unique=True)), 1))
+        elif kind == "MON3":
+            m, exps = 1, {draw(ids): 1}
+        else:
+            m, exps = draw(st.sampled_from([(1, {}), (0, {draw(ids): 1})]))
+    c = chart(xs, m, exps)
+    pairs = [(a, b) for a in xs for b in xs if a != b]
+    pair = draw(st.sampled_from(pairs * 4 + [(xs[0], xs[0]), (xs[0], "E9")]))
+    if kind == "BIN":
+        return c, RuleApplication("BIN", pair[:1]), policy
+    held = [j for j, a in sorted(exps.items()) if kind != "MON2" or a == 1]
+    owned = st.sampled_from(held * 8 + DIVISOR_POOL)
+    divisors = tuple(draw(st.lists(owned, min_size=2, max_size=2)))
+    if kind == "DET":
+        e = cc.exceptional_coefficient("DET", det_size=m, policy=policy)
+        divisors = ()
+    else:
+        e = exps.get(divisors[0], 0) - 2
+        divisors = divisors if kind == "MON2" else divisors[:1]
+    new_divisor = None
+    if e > 0 or draw(st.booleans()):
+        new_divisor = (draw(owned), draw(st.sampled_from([e, e, e, 1, 2])))
+    det_size = draw(st.sampled_from([None, m, m, m + 1]))
+    return c, RuleApplication(kind, pair, divisors, det_size, new_divisor), policy
+
+
+def _outcome(fn, c, app, policy):
+    try:
+        return fn(c, app, policy)
+    except RulePreconditionError as err:
+        return ("raised", str(err))
+
+
+@settings(max_examples=400, deadline=None)
+@given(chart_and_rule())
+@example((chart(["E1", "E2"], 3, {"f1": 2, "w1": 3}),
+          RuleApplication("DET", ("E1", "E2"), det_size=3, new_divisor=("w1", 1)), "oracle"))
+@example((chart(["E1", "E2", "E3"], 1, {"f1": 4, "f2": 1, "w1": 2}),
+          RuleApplication("MON1", ("E2", "E3"), ("f1",), new_divisor=("w1", 2)), "oracle"))
+@example((chart(["E1", "E2"], 0, {"f1": 3, "f2": 1}),
+          RuleApplication("MON1", ("E1", "E2"), ("f1",), new_divisor=("f1", 1)), "oracle"))
+def test_children_equal_the_resorting_reference(case):
+    c, app, policy = case
+    want = _outcome(reference_children, c, app, policy)
+    got = _outcome(cc.children, c, app, policy)
+    assert got == want
 
 
 # --------------------------------------------------------------------------

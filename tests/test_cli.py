@@ -6,8 +6,11 @@ import random
 import pytest
 
 from sncresolve import cli
+from sncresolve import dual_complex as dc
 from sncresolve import resolution_engine as re_
 from sncresolve import snc_model as sm
+
+from oracles import moore_space_complex
 
 
 @pytest.fixture()
@@ -137,6 +140,36 @@ def test_resolve_coranks_not_an_object_exit_2(tmp_path, capsys):
                                 "coranks": 5}))
     assert cli.main(["resolve", "--input", str(path)]) == cli.EXIT_INPUT
     assert "invalid input" in capsys.readouterr().err
+
+
+def test_dualcomplex_json_triangle(triangle_file, tmp_path, capsys):
+    text_dot, json_dot = tmp_path / "text.dot", tmp_path / "json.dot"
+    assert cli.main(["dualcomplex", "--input", triangle_file, "--dot", str(text_dot)]) == 0
+    capsys.readouterr()
+    assert cli.main(["dualcomplex", "--input", triangle_file, "--dot", str(json_dot),
+                     "--json"]) == cli.EXIT_OK
+    out = capsys.readouterr().out
+    assert json.loads(out) == {"cells": [3, 3, 1], "betti": [1, 0, 0],
+                               "torsion": [[], [], []], "euler": 1,
+                               "q_acyclic": True, "dot": str(json_dot)}
+    assert out == json.dumps(json.loads(out), indent=1, sort_keys=True) + "\n"
+    assert json_dot.read_bytes() == text_dot.read_bytes()
+
+
+def test_dualcomplex_json_torsion(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "moore3.json"
+    path.write_text(json.dumps(dc.to_json_obj(moore_space_complex(3))))
+    monkeypatch.setenv("SNCRESOLVE_JSON", "yes")
+    assert cli.main(["dualcomplex", "--input", str(path)]) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out) == {
+        "cells": [2, 4, 3], "betti": [1, 0, 0], "torsion": [[], [3], []],
+        "euler": 1, "q_acyclic": True, "dot": None}
+
+
+def test_dualcomplex_json_bad_environment_value_exit_2(triangle_file, monkeypatch, capsys):
+    monkeypatch.setenv("SNCRESOLVE_JSON", "maybe")
+    assert cli.main(["dualcomplex", "--input", triangle_file]) == cli.EXIT_INPUT
+    assert "SNCRESOLVE_JSON='maybe'" in capsys.readouterr().err
 
 
 def test_dualcomplex_dot_export(triangle_file, tmp_path, capsys):

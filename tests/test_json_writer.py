@@ -1,0 +1,74 @@
+"""The streaming JSON writer against the standard library's indented encoder."""
+
+import json
+import math
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from sncresolve import cli
+from sncresolve import resolution_engine as re_
+
+
+def written(obj) -> str:
+    parts = []
+    re_.write_json(obj, parts.append)
+    return "".join(parts)
+
+
+def reference(obj) -> str:
+    return json.dumps(obj, indent=1, sort_keys=True)
+
+
+texts = st.text(st.one_of(st.characters(),
+                          st.sampled_from('"\\/\n\r\t\b\f\x00\x1f\x7f é€😀')),
+                max_size=8)
+leaves = st.one_of(
+    st.none(), st.booleans(), texts,
+    st.integers(), st.integers(min_value=-2 ** 200, max_value=2 ** 200),
+    st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e300]))
+documents = st.recursive(
+    leaves,
+    lambda inner: st.one_of(st.lists(inner, max_size=5),
+                            st.lists(inner, max_size=5).map(tuple),
+                            st.dictionaries(texts, inner, max_size=5)),
+    max_leaves=40)
+
+
+@settings(max_examples=400, deadline=None)
+@given(documents)
+def test_writer_equals_the_standard_library(doc):
+    assert written(doc) == reference(doc)
+
+
+@pytest.mark.parametrize("doc", [[], {}, (), [[]], {"a": {}}, [(), {}, [[]]],
+                                 {"": [{"": None}]}, "\x00\ud800", 7, None])
+def test_writer_on_empty_and_edge_documents(doc):
+    assert written(doc) == reference(doc)
+
+
+def test_gen_output_equals_the_standard_library(tmp_path, capsys):
+    for seed in range(50):
+        want = reference(re_.state_to_obj(cli.random_state(random.Random(seed)))) + "\n"
+        assert cli.main(["gen", "--seed", str(seed)]) == 0
+        assert capsys.readouterr().out == want, seed
+        out = tmp_path / f"{seed}.json"
+        assert cli.main(["gen", "--seed", str(seed), "--out", str(out)]) == 0
+        assert out.read_bytes() == want.encode("utf-8"), seed
+        assert capsys.readouterr().out.startswith(f"seed state written: {out} ")
+
+
+def test_a_large_document_reaches_write_in_several_calls():
+    doc = {"events": [{"index": i, "pair": ["E1", f"E{i}"], "new": None}
+                      for i in range(3 * re_._FLUSH_AT)]}
+    calls = []
+    re_.write_json(doc, calls.append)
+    assert len(calls) > 1
+    assert "".join(calls) == reference(doc)
+
+
+@pytest.mark.parametrize("doc", [{1: "a"}, {"a": [{"b": 1, None: 2}]}, {(1, 2): 3}])
+def test_a_key_that_is_not_a_string_raises(doc):
+    with pytest.raises(TypeError):
+        written(doc)

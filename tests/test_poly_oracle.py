@@ -127,6 +127,28 @@ def test_constructor_canonicalises_unsorted_zero_exponent_and_zero_coefficient_i
     assert f.terms == {(("x", 2), ("y", 1)): 2}
 
 
+def test_constructor_merges_a_repeated_variable():
+    assert Polynomial([((("x", 1), ("x", 2)), 1)]) == V("x") ** 3
+    f = Polynomial([((("y", 1), ("x", 1), ("y", 2)), 2), ((("x", 1), ("y", 3)), -1)])
+    assert f.terms == {(("x", 1), ("y", 3)): 1}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.lists(st.tuples(st.sampled_from(POOL),
+                                             st.integers(min_value=0, max_value=3)),
+                                   max_size=6),
+                          st.integers(min_value=-4, max_value=4)), max_size=4))
+def test_constructor_on_repeated_variables_equals_the_product_of_powers(raw):
+    want = Polynomial.zero()
+    for mono, coeff in raw:
+        term = C(coeff)
+        for var, exp in mono:
+            term = term * V(var) ** exp
+        want = want + term
+    got = Polynomial(raw)
+    assert_same(got, want)
+
+
 @settings(max_examples=200, deadline=None)
 @given(raw_terms(), raw_terms(), st.integers(min_value=-3, max_value=3),
        st.integers(min_value=0, max_value=4))
@@ -199,6 +221,15 @@ def test_rename_variables_equals_the_reference(raw, targets):
     f, ref = both(raw)
     mapping = dict(zip(POOL, targets))
     assert_same(po.rename_variables(f, mapping), reference_rename_variables(ref, mapping))
+
+
+def test_rename_variables_refuses_to_merge_two_variables():
+    x, y = V("x"), V("y")
+    with pytest.raises(ValueError):
+        po.rename_variables(x + y, {"x": "y"})
+    with pytest.raises(ValueError):
+        po.rename_variables(x * y, {"x": "y"})
+    assert po.rename_variables(x + 2 * y ** 2, {"x": "y", "y": "x"}) == y + 2 * x ** 2
 
 
 # --------------------------------------------------------------------------

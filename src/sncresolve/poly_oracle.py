@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 
 # Monomials are tuples of (variable, exponent) pairs, sorted by variable
@@ -143,11 +144,6 @@ class Polynomial:
         for mono in self.terms:
             out.update(v for v, _ in mono)
         return out
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            raise ValueError("zero polynomial has no degree")
-        return max(sum(e for _, e in mono) for mono in self.terms)
 
     @staticmethod
     def exponent_of(mono: Monomial, var: str) -> int:
@@ -421,7 +417,8 @@ VERIFY_MAX_EXPONENT = 4
 EXC = "u"  # name of the exceptional coordinate in verification charts
 
 
-def _prime(name: str) -> str:
+def prime(name: str) -> str:
+    """The name of a coordinate after a blow-up chart rescales it."""
     return name + "'"
 
 
@@ -508,19 +505,18 @@ def _fiber_is_x_monomial(g: Polynomial, dx: int, exceptional: str) -> bool:
             and len(mono) == dx)
 
 
-def _check_one_chart(f, sub, expected, child_mdeg, family, detail,
-                     post=None) -> ChartCheck:
-    """Strict-transform one blow-up chart and compare with the expected child.
-
-    ``post`` optionally applies a further unit coordinate change (the
-    pivot elimination of the determinant rule) before comparing.
-    """
+def _check_one_chart(f, vc, expected, child_mdeg) -> ChartCheck:
+    """Strict-transform one blow-up chart and compare with the expected child."""
+    exc = Polynomial.variable(EXC)
+    sub = {vc.lead: exc}
+    for p in vc.scaled:
+        sub[p] = Polynomial.variable(prime(p)) * exc
     pulled, g, k = _pull_back(f, Substitution(sub), EXC)
-    remult = (g * Polynomial.variable(EXC) ** k) == pulled
-    if post is not None:
-        g = post.apply(g)
+    remult = (g * exc ** k) == pulled
+    if vc.post is not None:
+        g = Substitution(vc.post).apply(g)
     return ChartCheck(
-        family, detail, k,
+        vc.family, vc.detail, k,
         _measure_t_side(g, EXC),
         remult,
         _fiber_is_x_monomial(g, child_mdeg[0], EXC),
@@ -529,14 +525,36 @@ def _check_one_chart(f, sub, expected, child_mdeg, family, detail,
     )
 
 
+def _expected(child_eq: Polynomial, vc, new_var) -> Polynomial:
+    """A representative child's equation renamed into one chart's coordinates:
+    the new divisor becomes the exceptional coordinate, scaled ones are
+    primed, and those the post-substitution introduces keep their names.  A
+    representative that still has this chart's lead stands for the sibling
+    chart that led with the one scaled coordinate the representative lacks.
+    """
+    names = child_eq.variables()
+    kept = set().union(*(p.variables() for p in vc.post.values())) if vc.post else set()
+    missing = [p for p in vc.scaled if p not in names]
+    rename = {}
+    for v in names - kept:
+        if v == new_var:
+            rename[v] = EXC
+        elif v in vc.scaled:
+            rename[v] = prime(v)
+        elif v == vc.lead and len(missing) == 1:
+            rename[v] = prime(missing[0])
+    return rename_variables(child_eq, rename)
+
+
 def verify_rule(app, chart, policy: str = "oracle") -> VerificationReport:
     """Re-derive every blow-up chart of a rule application exactly.
 
-    Builds the chart's local equation, applies the rule's coordinate
-    changes one family member at a time, strict-transforms, and compares
-    with the predicted child equations (up to renaming into the primed
-    coordinates and a unit sign).  Also measures the exceptional exponent
-    left on the monomial side, which settles the determinant-rule
+    Builds the chart's local equation, applies each of the rule record's
+    verification charts, strict-transforms, and compares with the child
+    that ``chart_calculus.children`` itself gives for the chart's family
+    (renamed into the chart's coordinates, up to a unit sign), whose
+    recorded family sizes must match.  Also measures the exceptional
+    exponent left on the monomial side, which settles the determinant-rule
     coefficient question, and checks that the t = 0 fiber is the expected
     normal crossing monomial.
     """
@@ -557,192 +575,25 @@ def verify_rule(app, chart, policy: str = "oracle") -> VerificationReport:
     f = cc.local_equation(chart)
     report = VerificationReport(rule=app.kind, chart=cc.chart_to_obj(chart),
                                 policy=policy)
-
-    xvar, zvar = cc.x_var, cc.z_var
-    m = chart.det_size
-    exponents = chart.exponent_map()
-    exc = Polynomial.variable(EXC)
-
-    def scaled(parts, lead):
-        """lead -> exceptional, every other listed coordinate -> primed * exceptional."""
-        sub = {lead: exc}
-        for p in parts:
-            if p != lead:
-                sub[p] = Polynomial.variable(_prime(p)) * exc
-        return sub
-
-    def expect(child, rename):
-        return rename_variables(cc.local_equation(child), rename)
-
-    if app.kind == "DET":
-        i1, i2 = app.pair
-        e = cc.exceptional_coefficient("DET", det_size=m, policy=policy)
-        wname = app.new_divisor[0] if app.new_divisor else "w"
-        extra = {wname: e} if e else {}
-        yvars = [cc.y_var(r, s, m) for r in range(1, m + 1) for s in range(1, m + 1)]
-
-        # x-charts: one per choice of leading pair member.
-        for lead, other in ((i1, i2), (i2, i1)):
-            sub = scaled([xvar(other)] + yvars, xvar(lead))
-            child = cc.ChartState.of(chart.x_indices - {lead}, m,
-                                     {**exponents, **extra})
-            rename = {xvar(other): _prime(xvar(other))}
-            rename.update({y: _prime(y) for y in yvars})
-            if e:
-                rename[zvar(wname)] = EXC
-            report.checks.append(_check_one_chart(
-                f, sub, expect(child, rename), cc.mdeg(child), "x", f"lead={lead}"))
-
-        # y-charts: one per matrix entry chosen as the exceptional pivot.
-        # After dividing, the pivot entry is the unit 1; eliminating it via
-        # y'_rs = y''_rs + y'_r,s0 * y'_r0,s shrinks the determinant by one.
-        for r0 in range(1, m + 1):
-            for s0 in range(1, m + 1):
-                sub = scaled([xvar(i1), xvar(i2)]
-                             + [y for y in yvars if y != cc.y_var(r0, s0, m)],
-                             cc.y_var(r0, s0, m))
-                rows = [r for r in range(1, m + 1) if r != r0]
-                cols = [s for s in range(1, m + 1) if s != s0]
-                elim = {}
-                for r in rows:
-                    for s in cols:
-                        elim[_prime(cc.y_var(r, s, m))] = (
-                            Polynomial.variable(_prime(cc.y_var(r, s, m)) + "'")
-                            + Polynomial.variable(_prime(cc.y_var(r, s0, m)))
-                            * Polynomial.variable(_prime(cc.y_var(r0, s, m))))
-
-                child = cc.ChartState.of(chart.x_indices, m - 1,
-                                         {**exponents, **extra})
-                rename = {xvar(i1): _prime(xvar(i1)), xvar(i2): _prime(xvar(i2))}
-                for a, r in enumerate(rows, start=1):
-                    for b, s in enumerate(cols, start=1):
-                        rename[cc.y_var(a, b, m - 1)] = _prime(cc.y_var(r, s, m)) + "'"
-                if e:
-                    rename[zvar(wname)] = EXC
-                report.checks.append(_check_one_chart(
-                    f, sub, expect(child, rename), cc.mdeg(child),
-                    "y", f"pivot=({r0},{s0})", post=Substitution(elim)))
-
-        measured = sorted({c.exc_exponent for c in report.checks})
-        report.notes.append(
-            f"measured exceptional exponent {measured} for m={m}; policy "
-            f"'{policy}' assigns {e} (candidates: m-2 = {m - 2}, "
-            f"m^2-2 = {m * m - 2})")
-        if measured != [e]:
-            report.notes.append(
-                f"policy value {e} disagrees with the measured exponent {measured}")
-
-    elif app.kind == "MON1":
-        i1, i2 = app.pair
-        (j1,) = app.divisors
-        a = exponents[j1]
-        e = a - 2
-        wname = app.new_divisor[0] if app.new_divisor else "w"
-        extra = {wname: e} if e else {}
-        rest = {k: v for k, v in exponents.items() if k != j1}
-
-        for lead, other in ((i1, i2), (i2, i1)):
-            sub = scaled([xvar(other), zvar(j1)], xvar(lead))
-            child = cc.ChartState.of(chart.x_indices - {lead}, m,
-                                     {**exponents, **extra})
-            rename = {xvar(other): _prime(xvar(other)), zvar(j1): _prime(zvar(j1))}
-            if e:
-                rename[zvar(wname)] = EXC
-            report.checks.append(_check_one_chart(
-                f, sub, expect(child, rename), cc.mdeg(child), "x", f"lead={lead}"))
-
-        # z-chart: the old divisor coordinate leads and becomes exceptional.
-        sub = scaled([xvar(i1), xvar(i2)], zvar(j1))
-        child = cc.ChartState.of(chart.x_indices, m, {**rest, **extra})
-        rename = {xvar(i1): _prime(xvar(i1)), xvar(i2): _prime(xvar(i2))}
-        if e:
-            rename[zvar(wname)] = EXC
-        report.checks.append(_check_one_chart(
-            f, sub, expect(child, rename), cc.mdeg(child), "z", f"lead={j1}"))
-
-    elif app.kind == "MON2":
-        i1, i2 = app.pair
-        j1, j2 = app.divisors
-        for lead, other in ((i1, i2), (i2, i1)):
-            sub = scaled([xvar(other), zvar(j1), zvar(j2)], xvar(lead))
-            child = cc.ChartState.of(chart.x_indices - {lead}, m, exponents)
-            rename = {xvar(other): _prime(xvar(other)),
-                      zvar(j1): _prime(zvar(j1)), zvar(j2): _prime(zvar(j2))}
-            report.checks.append(_check_one_chart(
-                f, sub, expect(child, rename), cc.mdeg(child), "x", f"lead={lead}"))
-        for lead, keep in ((j1, j2), (j2, j1)):
-            sub = scaled([xvar(i1), xvar(i2), zvar(keep)], zvar(lead))
-            child = cc.ChartState.of(
-                chart.x_indices, m,
-                {k: v for k, v in exponents.items() if k != lead})
-            rename = {xvar(i1): _prime(xvar(i1)), xvar(i2): _prime(xvar(i2)),
-                      zvar(keep): _prime(zvar(keep))}
-            report.checks.append(_check_one_chart(
-                f, sub, expect(child, rename), cc.mdeg(child), "z", f"lead={lead}"))
-
-    elif app.kind == "MON3":
-        i1, i2 = app.pair
-        (j1,) = tuple(exponents)
-        for lead, other in ((i1, i2), (i2, i1)):
-            sub = scaled([xvar(other), "y", zvar(j1)], xvar(lead))
-            child = cc.ChartState.of(chart.x_indices - {lead}, 1, exponents)
-            rename = {xvar(other): _prime(xvar(other)), "y": "y'",
-                      zvar(j1): _prime(zvar(j1))}
-            report.checks.append(_check_one_chart(
-                f, sub, expect(child, rename), cc.mdeg(child), "x", f"lead={lead}"))
-
-        child = cc.ChartState.of(chart.x_indices, 1, {})
-        # y leads: the survivor is the divisor coordinate, renamed into the
-        # single-factor slot of the child form.
-        sub = scaled([xvar(i1), xvar(i2), zvar(j1)], "y")
-        rename = {xvar(i1): _prime(xvar(i1)), xvar(i2): _prime(xvar(i2)),
-                  "y": _prime(zvar(j1))}
-        report.checks.append(_check_one_chart(
-            f, sub, expect(child, rename), cc.mdeg(child), "yz", "lead=y"))
-        # z leads: the survivor is y itself.
-        sub = scaled([xvar(i1), xvar(i2), "y"], zvar(j1))
-        rename = {xvar(i1): _prime(xvar(i1)), xvar(i2): _prime(xvar(i2)),
-                  "y": "y'"}
-        report.checks.append(_check_one_chart(
-            f, sub, expect(child, rename), cc.mdeg(child), "yz", f"lead={j1}"))
-
-    elif app.kind == "BIN":
-        (i1,) = app.pair
-        single = "y" if m == 1 else zvar(next(iter(exponents)))
-        # Factor-lead chart: one x-factor divides out.
-        sub = {xvar(i1): exc, single: Polynomial.variable(_prime(single)) * exc}
-        child = cc.ChartState.of(chart.x_indices - {i1}, m,
-                                 exponents if m == 0 else {})
-        rename = {("y" if m == 1 else zvar(next(iter(exponents)))): _prime(single)}
-        report.checks.append(_check_one_chart(
-            f, sub, expect(child, rename), cc.mdeg(child), "factor", f"lead={i1}"))
-
-        # Divisor-lead chart: the degree-one factor divides out; smooth child.
-        sub = {single: exc, xvar(i1): Polynomial.variable(_prime(xvar(i1))) * exc}
-        child = cc.ChartState.of(chart.x_indices, 0, {})
-        rename = {xvar(i1): _prime(xvar(i1))}
-        report.checks.append(_check_one_chart(
-            f, sub, expect(child, rename), cc.mdeg(child), "smooth", f"lead={single}"))
-
-    else:
-        raise ValueError(f"unknown rule kind {app.kind!r}")
-
-    # Cross-check against the rule module's collapsed children: per family,
-    # the number of verified members must equal the recorded family size and
-    # every member must land on the representative's degree.
-    predicted = {k.family: (k.multiplicity, {tuple(cc.mdeg(k.state))})
-                 for k in cc.children(chart, app, policy=policy)}
-    verified = {}
-    for check in report.checks:
-        count, degrees = verified.setdefault(check.family, [0, set()])
-        verified[check.family][0] = count + 1
-        degrees.add(tuple(check.child_mdeg))
-    if predicted != {f: (c, d) for f, (c, d) in verified.items()}:
+    kids = cc.children(chart, app, policy=policy)
+    rule = cc.RULES[app.kind]
+    charts = rule.charts(chart, app)
+    predicted = {k.family: k.multiplicity for k in kids}
+    verified = dict(Counter(vc.family for vc in charts))
+    if predicted != verified:
         report.family_check_ok = False
         report.notes.append(
             f"family bookkeeping mismatch: rules record {predicted}, "
             f"the verifier derived {verified}")
+        return report
 
+    equations = {k.family: (cc.local_equation(k.state), k.state.deg) for k in kids}
+    new_var = cc.z_var(app.new_divisor[0]) if app.new_divisor else None
+    for vc in charts:
+        child_eq, child_mdeg = equations[vc.family]
+        report.checks.append(_check_one_chart(
+            f, vc, _expected(child_eq, vc, new_var), child_mdeg))
+    report.notes.extend(rule.notes(chart, policy, report.measured_exponents))
     return report
 
 

@@ -11,9 +11,9 @@ order at every event, which forces termination; an explicit event ceiling
 guards the implementation rather than the mathematics.
 
 Phases: A-det shrinks determinants, B1/B2/B3 shrink the divisor monomial,
-C-bin splits the final degree-one factor.  The dual complex is immutable
-and shared by every state of a run; ``run`` compares its bytes at the
-start and at the end.
+C-bin splits the final degree-one factor; ``chart_calculus.RULES`` holds
+each rule's facts.  The dual complex is immutable and shared by every
+state of a run, so no event can change it.
 
 The engine is incremental.  Resolved charts sit in an inert sink that no
 rule matches; each unresolved chart is filed under the one rule that
@@ -27,7 +27,7 @@ so its cost follows the charts it touches rather than the whole state
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _encode_str
 
 from . import chart_calculus as cc
@@ -52,9 +52,7 @@ class NoApplicableRule(RuntimeError):
     """step() was called on a fully resolved state."""
 
 
-PHASE_OF_KIND = {"DET": "A-det", "MON1": "B1", "MON2": "B2",
-                 "MON3": "B3", "BIN": "C-bin"}
-PHASE_ORDER = ["A-det", "B1", "B2", "B3", "C-bin"]
+PHASE_ORDER = [rule.phase for rule in cc.RULES.values()]
 
 MODEL_ASSUMPTIONS = (
     "descriptor-level bookkeeping: one descriptor stands for every point "
@@ -212,12 +210,6 @@ class ResolutionState:
             _set(self, "_book", book)
         return book
 
-    def chart_multiset(self) -> dict:
-        return dict(self.charts)
-
-    def registry_map(self) -> dict:
-        return {r.id: r for r in self.registry}
-
     def unresolved(self) -> list:
         return [(chart, n) for chart, n in self.charts if not cc.is_resolved(chart)]
 
@@ -280,39 +272,10 @@ class _Book:
         return self.labels
 
 
-def _proposal(chart: ChartState, key) -> tuple:
-    """The rank of the rule application that rewrites an unresolved chart.
-
-    Ranks sort as ``select_center`` prefers: by phase, then by the phase's
-    tie-break under the id ordering ``key``; each ends with the rule's
-    (kind, pair, divisors, det_size).  The pair is the chart's first two
-    x-indices in key order, since the least pair of a union of charts is
-    the least of theirs; in B1 the divisor is the chart's best one and in
-    B2 the divisors are its first two, for the same reason.
-    """
-    xs = sorted(chart.x_indices, key=key)
-    pair = (xs[0], xs[1])
-    pk = (key(xs[0]), key(xs[1]))
-    _, dy, dz = chart.deg
-    if dy >= 2:
-        return (0, -dy, pk, "DET", pair, (), dy)
-    high = [(-a, key(d), d) for d, a in chart.exponents if a >= 2]
-    if high:
-        neg_a, kd, d = min(high)
-        return (1, neg_a, kd, pk, "MON1", pair, (d,), None)
-    if dz >= 2:  # every exponent is 1 from here on
-        j1, j2 = sorted((d for d, _ in chart.exponents), key=key)[:2]
-        return (2, key(j1), key(j2), pk, "MON2", pair, (j1, j2), None)
-    if dy + dz == 2:
-        ((j, _),) = chart.exponents
-        return (3, key(j), pk, "MON3", pair, (j,), None)
-    return (4, key(xs[0]), "BIN", (xs[0],), (), None)
-
-
 class _Index:
     """The head's unresolved charts, filed under the rule each proposes.
 
-    ``groups`` maps each rank from ``_proposal`` to the charts proposing
+    ``groups`` maps each rank from ``cc.propose`` to the charts proposing
     it.  The least rank is the center ``select_center`` picks, and its
     charts are exactly those the rule matches.  A chart that contains the
     selected pair (and divisors) cannot propose anything smaller, so it
@@ -329,7 +292,7 @@ class _Index:
             self.add(chart)
 
     def add(self, chart: ChartState):
-        rank = self.rank[chart] = _proposal(chart, self.key)
+        rank = self.rank[chart] = cc.propose(chart, self.key)
         group = self.groups.get(rank)
         if group is None:
             group = self.groups[rank] = set()
@@ -484,33 +447,20 @@ def select_center(state: ResolutionState,
     factor.  Pairs are compared by ``config.pair_key``.
 
     The answer is the least rank the unresolved charts propose (see
-    ``_proposal``), read from the index.  B1 ranks a divisor by the
-    exponent its charts carry, which is the registry coefficient only in
-    a valid state, so a state of unknown validity is checked in full
-    first (InvariantBreach if it fails).
+    ``chart_calculus.propose``), read from the index.  B1 ranks a
+    divisor by the exponent its charts carry, which is the registry
+    coefficient only in a valid state, so a state of unknown validity is
+    checked in full first (InvariantBreach if it fails).
     """
-    rank = _checked_book(state).index_for(config).least()
+    rank = _center(state, config)[2]
     return None if rank is None else RuleApplication(*rank[-4:])
 
 
-def _matches(chart: ChartState, app: RuleApplication) -> bool:
-    exps = chart.exponent_map()
-    deg = chart.deg
-    if app.kind == "DET":
-        return (set(app.pair) <= chart.x_indices
-                and chart.det_size == app.det_size)
-    if app.kind == "MON1":
-        return set(app.pair) <= chart.x_indices and app.divisors[0] in exps
-    if app.kind == "MON2":
-        return (set(app.pair) <= chart.x_indices
-                and all(j in exps for j in app.divisors))
-    if app.kind == "MON3":
-        return (set(app.pair) <= chart.x_indices and deg.dy == 1
-                and list(exps) == [app.divisors[0]] and deg.dz == 1)
-    if app.kind == "BIN":
-        return (app.pair[0] in chart.x_indices and deg.dx >= 2
-                and deg.dy + deg.dz == 1 and not cc.is_resolved(chart))
-    raise ValueError(f"unknown rule kind {app.kind!r}")
+def _center(state: ResolutionState, config: RunConfig) -> tuple:
+    """(book, index, least rank) of a state; the rank is None once resolved."""
+    book = _checked_book(state)
+    idx = book.index_for(config)
+    return book, idx, idx.least()
 
 
 def step(state: ResolutionState,
@@ -519,63 +469,43 @@ def step(state: ResolutionState,
 
     Returns (new state, event).  At most one divisor is registered per
     event and is shared by all children; certificates of strict
-    lexicographic decrease are recorded and enforced.
+    lexicographic decrease are recorded, and ``BlowupEvent`` enforces them.
 
     Only the produced children and the new divisor are checked: the
     surviving charts were valid, registry records never change, and the
     dual complex is immutable.  Every check runs before the shared book
     is updated, so a failing event leaves ``state`` intact.
     """
-    app = select_center(state, config)
-    if app is None:
+    book, idx, rank = _center(state, config)
+    if rank is None:
         raise NoApplicableRule("every chart is resolved")
-    book = _checked_book(state)
-    idx = book.index_for(config)
-
-    matched = sorted(((c, book.active[c]) for c in idx.groups[idx.least()]
-                      if _matches(c, app)), key=lambda item: item[0].sort_key())
-    if not matched:
-        raise InvariantBreach(f"selected rule {app!r} matches no chart")
+    rule = cc.RULES[rank[-4]]
+    # Every chart filed under the least rank proposes exactly this rule.
+    matched = sorted(((c, book.active[c]) for c in idx.groups[rank]),
+                     key=lambda item: item[0].sort_key())
 
     index = len(book.events)
     exc_name = None
-    new_divisor = None
-    if app.kind in ("DET", "MON1", "MON2", "MON3"):
+    if rule.exceptional:
         serial = index + 1
         while f"w{serial}" in book.coeff:
             serial += 1
         exc_name = f"w{serial}"
-        if app.kind == "DET":
-            e = cc.exceptional_coefficient("DET", det_size=app.det_size,
-                                           policy=config.exponent_policy)
-        elif app.kind == "MON1":
-            a = dict(matched[0][0].exponents)[app.divisors[0]]
-            e = cc.exceptional_coefficient("MON1", divisor_exponent=a,
-                                           policy=config.exponent_policy)
-        else:
-            e = 0
-        if e > 0:
-            new_divisor = (exc_name, e)
-    app = replace(app, new_divisor=new_divisor)
+    app = cc.application(rank, matched[0][0], config.exponent_policy, exc_name)
+    new_divisor = app.new_divisor
 
     certificates = set()
     produced = {}
     for chart, count in matched:
         parent_deg = chart.deg
         for child in cc.children(chart, app, policy=config.exponent_policy):
-            child_deg = child.state.deg
-            if not tuple(child_deg) < tuple(parent_deg):
-                raise InvariantBreach(
-                    f"rule {app.kind} failed to decrease mdeg: "
-                    f"{tuple(parent_deg)} -> {tuple(child_deg)}",
-                    certificate=(parent_deg, child_deg))
-            certificates.add((parent_deg, child_deg))
+            certificates.add((parent_deg, child.state.deg))
             total = count * child.multiplicity
             produced[child.state] = produced.get(child.state, 0) + total
 
     event = BlowupEvent(
         index=index,
-        phase=PHASE_OF_KIND[app.kind],
+        phase=rule.phase,
         rule=app,
         parents=tuple(matched),
         children=_sorted_chart_items(produced),
@@ -615,18 +545,15 @@ def run(state: ResolutionState,
         config: RunConfig = RunConfig()) -> tuple:
     """Iterate to the fixed point; returns (final state, list of events).
 
-    The final state is fully resolved and its dual complex is
-    byte-identical to the seed's; the event ceiling aborts runaway loops.
+    The final state is fully resolved and shares the seed's dual complex;
+    the event ceiling aborts runaway loops.
     """
-    seed_bytes = state.dual_bytes()
     start = state._n
     while not state.is_finished():
         if state._n - start >= config.event_ceiling:
             raise CeilingExceeded(
                 f"{config.event_ceiling} events without reaching a fixed point")
         state, _ = step(state, config)
-    if state.dual_bytes() != seed_bytes:
-        raise InvariantBreach("final dual complex differs from the seed")
     return state, state._book.events[start:state._n]
 
 

@@ -50,9 +50,6 @@ class SncVariety:
                 return s
         raise KeyError(f"unknown stratum {stratum_id!r}")
 
-    def stratum_ids(self) -> list:
-        return [s.id for s in self.strata]
-
 
 def validate_snc(snc: SncVariety) -> list:
     """Human-readable violations of the incidence axioms; empty means valid."""

@@ -172,6 +172,15 @@ def test_dualcomplex_json_bad_environment_value_exit_2(triangle_file, monkeypatc
     assert "SNCRESOLVE_JSON='maybe'" in capsys.readouterr().err
 
 
+def test_dualcomplex_unwritable_dot_exit_2(triangle_file, tmp_path, capsys):
+    # The --dot path is an existing directory.
+    assert cli.main(["dualcomplex", "--input", triangle_file,
+                     "--dot", str(tmp_path)]) == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("cannot write") and captured.err.count("\n") == 1
+
+
 def test_dualcomplex_dot_export(triangle_file, tmp_path, capsys):
     dot = tmp_path / "skeleton.dot"
     assert cli.main(["dualcomplex", "--input", triangle_file,
@@ -192,6 +201,19 @@ def test_resolve_triangle(seed_file, tmp_path, capsys):
     assert "all resolved" in out
     doc = json.loads(trace.read_text())
     assert re_.replay_trace(doc).ok
+
+
+def test_resolve_unwritable_trace_exit_2_before_the_run(seed_file, tmp_path, capsys,
+                                                       monkeypatch):
+    def no_run(*args):
+        raise AssertionError("resolve ran with an unwritable trace path")
+    monkeypatch.setattr(re_, "run", no_run)
+    trace = tmp_path / "missing" / "trace.json"
+    assert cli.main(["resolve", "--input", seed_file,
+                     "--trace", str(trace)]) == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("cannot write") and captured.err.count("\n") == 1
 
 
 def test_resolve_double_point_event_count(tmp_path, capsys):
@@ -390,6 +412,15 @@ def test_non_integer_environment_value_exit_2(monkeypatch, capsys, name):
     monkeypatch.setenv(name, "abc")
     assert cli.main(["gen"]) == cli.EXIT_INPUT
     assert f"{name}='abc'" in capsys.readouterr().err
+
+
+def test_gen_unwritable_out_exit_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "state.json"
+    assert cli.main(["gen", "--seed", "11", "--out", str(out)]) == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("cannot write") and captured.err.count("\n") == 1
+    assert not out.parent.exists()
 
 
 def test_gen_is_deterministic(tmp_path):

@@ -380,6 +380,46 @@ def test_verify_scale_caps():
                        cc.ChartState.of(["E1", "E2"], 0, {"f1": 5}))
 
 
+def _rename_new_divisor(state):
+    return cc.ChartState.of(state.x_indices, state.det_size,
+                            {("v" if d == "w" else d): a for d, a in state.exponents})
+
+
+def _keep_e1_drop_e3(state):
+    if "E1" in state.x_indices:
+        return state
+    return cc.ChartState(state.x_indices - {"E3"} | {"E1"}, state.det_size, state.exponents)
+
+
+@pytest.mark.parametrize("mutate", [_rename_new_divisor, _keep_e1_drop_e3])
+@pytest.mark.parametrize("app", [
+    det_app(3),
+    cc.RuleApplication("MON1", ("E1", "E2"), divisors=("f1",), new_divisor=("w", 1)),
+])
+def test_verify_checks_the_children_the_engine_uses(monkeypatch, app, mutate):
+    # Each mutation keeps every child's mdeg and every family size, so only
+    # an exact comparison with the output of children() can catch it.
+    chart = cc.ChartState.of(["E1", "E2", "E3"], app.det_size or 0,
+                             {} if app.det_size else {"f1": 3})
+    assert po.verify_rule(app, chart).passed
+    original = cc.children
+    monkeypatch.setattr(cc, "children", lambda *args, **kwargs: [
+        kid._replace(state=mutate(kid.state)) for kid in original(*args, **kwargs)])
+    report = po.verify_rule(app, chart)
+    assert report.family_check_ok
+    assert not report.passed
+    assert not all(c.child_matches for c in report.checks)
+
+
+def test_verify_checks_the_family_sizes_of_children(monkeypatch):
+    original = cc.children
+    monkeypatch.setattr(cc, "children", lambda *args, **kwargs: [
+        kid._replace(multiplicity=kid.multiplicity + 1) for kid in original(*args, **kwargs)])
+    report = po.verify_rule(det_app(2), cc.ChartState.of(["E1", "E2"], 2, {}))
+    assert not report.family_check_ok and not report.passed
+    assert any("family bookkeeping mismatch" in note for note in report.notes)
+
+
 def test_verification_report_serializes():
     chart = cc.ChartState.of(["E1", "E2"], 1, {"f1": 1})
     app = cc.RuleApplication("MON3", ("E1", "E2"), divisors=("f1",))

@@ -371,7 +371,7 @@ def test_select_center_and_parents_equal_the_whole_state_reference():
         app = re_.select_center(state, config)
         assert app == whole_state_select_center(state, config)
         expected_parents = app and tuple(
-            (chart, n) for chart, n in state.charts if re_._matches(chart, app))
+            (chart, n) for chart, n in state.charts if cc.RULES[app.kind].matches(chart, app))
         checked += 1
     assert checked > 2 * BATCH_SEEDS
 
@@ -405,7 +405,7 @@ def test_no_rule_matches_a_resolved_chart():
     assert len(resolved) > 100
     for chart in resolved:
         for app in _applications_near(chart):
-            assert not re_._matches(chart, app), (chart, app)
+            assert not cc.RULES[app.kind].matches(chart, app), (chart, app)
 
 
 # --------------------------------------------------------------------------

@@ -256,18 +256,19 @@ def cmd_verify(rule: str, m_range: str, d_range: str, a_range: str,
         *names, last = _RULES_BY_NAME
         _print_err(f"unknown rule {rule!r}; pick {', '.join(names)} or {last}")
         return EXIT_INPUT
-    if max(m_values) > po.VERIFY_MAX_DET:
+    # deg_x is in every grid; m and a only in the grid that names them.
+    param, least, _ = spec.grid
+    if param == "m" and max(m_values) > po.VERIFY_MAX_DET:
         _print_err(f"det size capped at {po.VERIFY_MAX_DET} "
                    f"(requested {max(m_values)})")
         return EXIT_SCALE
     if max(d_values) > po.VERIFY_MAX_DX:
         _print_err(f"deg_x capped at {po.VERIFY_MAX_DX} (requested {max(d_values)})")
         return EXIT_SCALE
-    if max(a_values) > po.VERIFY_MAX_EXPONENT:
+    if param == "a" and max(a_values) > po.VERIFY_MAX_EXPONENT:
         _print_err(f"divisor exponents capped at {po.VERIFY_MAX_EXPONENT} "
                    f"(requested {max(a_values)})")
         return EXIT_SCALE
-    param, least, _ = spec.grid
     if param and min({"m": m_values, "a": a_values}[param]) < least:
         _print_err(f"{rule} rule needs {param} >= {least}")
         return EXIT_INPUT

@@ -6,18 +6,22 @@ well-defined chain groups with boundary-squared zero.  Homology is
 computed from Smith normal forms over arbitrary-precision integers, so
 Betti numbers and torsion coefficients are exact.
 
-Each boundary map is built sparsely.  Its unit pivots (entries +-1) are
-eliminated first, in Markowitz order, each giving an invariant factor 1;
-only the core left without a unit entry is handed to the dense Smith
-normal form.  Boundary maps are mostly units, so the cost follows the
-number of nonzeros rather than the matrix area, and the dense step sees
-little more than the torsion.
+``homology`` first shrinks the whole complex without building a matrix.
+It removes one base vertex per connected component, then runs
+coreductions (Mrozek and Batko, 2009) to exhaustion: a cell whose
+remaining boundary is a single face with coefficient +-1 leaves together
+with that face, which keeps the homology.  Only the surviving cells reach
+the boundary maps.  Each map is eliminated sparsely: its unit pivots
+(entries +-1) go first, in Markowitz order, each giving an invariant
+factor 1, and only the core left without a unit entry is handed to the
+dense Smith normal form, which then sees little more than the torsion.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
+from collections import Counter, deque
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -105,7 +109,8 @@ class DualComplex:
                       key=lambda c: c.id)
 
     def cell_counts(self) -> list:
-        return [len(self.cells_of_dim(k)) for k in range(self.dimension() + 1)]
+        by_dim = Counter(c.dim for c in self._cells.values())
+        return [by_dim[k] for k in range(max(by_dim, default=-1) + 1)]
 
     def __repr__(self):
         return f"DualComplex({'/'.join(str(n) for n in self.cell_counts()) or 'empty'})"
@@ -130,39 +135,40 @@ def validate(complex: DualComplex) -> list:
                 "facet count", cell.id,
                 f"a {cell.dim}-cell needs {expected} facets, found {len(cell.facets)}"))
             continue
+        facets = [cells.get(fid) for fid in cell.facets]
         dangling = False
-        for fid in cell.facets:
-            if fid not in cells:
+        for fid, facet in zip(cell.facets, facets):
+            if facet is None:
                 out.append(Violation("dangling facet", cell.id,
                                      f"facet {fid!r} does not exist"))
                 dangling = True
-            elif cells[fid].dim != cell.dim - 1:
+            elif facet.dim != cell.dim - 1:
                 out.append(Violation(
                     "facet dimension", cell.id,
-                    f"facet {fid!r} has dimension {cells[fid].dim}, expected {cell.dim - 1}"))
+                    f"facet {fid!r} has dimension {facet.dim}, expected {cell.dim - 1}"))
                 dangling = True
         if dangling:
             continue
         # Compatibility: dropping face j then face i (i < j) must agree
         # with dropping face i then face j-1.
         if cell.dim >= 2:
-            for j in range(cell.dim + 1):
-                for i in range(j):
-                    fj = cells[cell.facets[j]]
-                    fi = cells[cell.facets[i]]
-                    if len(fj.facets) > i and len(fi.facets) > j - 1:
-                        if fj.facets[i] != fi.facets[j - 1]:
-                            out.append(Violation(
-                                "facet compatibility", cell.id,
-                                f"facets {j} then {i} reach {fj.facets[i]!r} but "
-                                f"facets {i} then {j - 1} reach {fi.facets[j - 1]!r}"))
+            faces = [facet.facets for facet in facets]
+            for j, fj in enumerate(faces):
+                for i, fi in enumerate(faces[:j]):
+                    if len(fj) > i and len(fi) > j - 1 and fj[i] != fi[j - 1]:
+                        out.append(Violation(
+                            "facet compatibility", cell.id,
+                            f"facets {j} then {i} reach {fj[i]!r} but "
+                            f"facets {i} then {j - 1} reach {fi[j - 1]!r}"))
         if cell.label is not None and cell.dim >= 1:
             if len(cell.label) == cell.dim + 1:
                 ordered = sorted(cell.label)
-                for i, fid in enumerate(cell.facets):
-                    flabel = cells[fid].label
-                    want = frozenset(ordered[:i] + ordered[i + 1:])
-                    if flabel is not None and flabel != want:
+                for i, facet in enumerate(facets):
+                    flabel = facet.label
+                    # flabel == label - {ordered[i]}, without building it.
+                    if flabel is not None and (
+                            ordered[i] in flabel or len(flabel) != cell.dim
+                            or not flabel < cell.label):
                         out.append(Violation(
                             "label mismatch", cell.id,
                             f"facet {i} should drop {ordered[i]!r}, but carries "
@@ -182,35 +188,36 @@ def _require_valid(complex: DualComplex):
             + ("" if len(violations) <= 5 else f" (+{len(violations) - 5} more)"))
 
 
-def _boundary_rows(complex: DualComplex, k: int):
-    """The k-th boundary map as sparse rows, and its column count.
+def _signed_facets(cell: Cell) -> dict:
+    """The cell's boundary as ``{facet id: coefficient}``.
 
-    Row i is ``{column: coefficient}`` for the i-th (k-1)-cell, columns
-    are the k-cells, both sorted by id.  Signs alternate with facet
-    position; repeated facets accumulate, and entries that cancel are
-    dropped.
+    Facet i has sign (-1)**i; repeated facets accumulate, and entries
+    that cancel are dropped.
     """
-    index = {c.id: i for i, c in enumerate(complex.cells_of_dim(k - 1))}
-    rows = [{} for _ in index]
-    cols = complex.cells_of_dim(k)
-    for j, cell in enumerate(cols):
-        for pos, fid in enumerate(cell.facets):
-            row = rows[index[fid]]
-            value = row.get(j, 0) + (1 if pos % 2 == 0 else -1)
-            if value:
-                row[j] = value
-            else:
-                del row[j]
-    return rows, len(cols)
+    out = {}
+    sign = 1
+    for fid in cell.facets:
+        value = out.get(fid, 0) + sign
+        if value:
+            out[fid] = value
+        else:
+            del out[fid]
+        sign = -sign
+    return out
 
 
 def boundary_matrix(complex: DualComplex, k: int) -> list:
     """Integer matrix of the k-th boundary map, rows (k-1)-cells, cols k-cells.
 
-    Signs alternate with facet position; repeated facets accumulate.
+    Both are sorted by id; entries come from ``_signed_facets``.
     """
-    rows, ncols = _boundary_rows(complex, k)
-    return [[row.get(j, 0) for j in range(ncols)] for row in rows]
+    index = {c.id: i for i, c in enumerate(complex.cells_of_dim(k - 1))}
+    cols = complex.cells_of_dim(k)
+    matrix = [[0] * len(cols) for _ in index]
+    for j, cell in enumerate(cols):
+        for fid, value in _signed_facets(cell).items():
+            matrix[index[fid]][j] = value
+    return matrix
 
 
 def sparse_invariant_factors(rows: list) -> list:
@@ -381,23 +388,93 @@ class HomologyReport:
                 "euler": self.euler}
 
 
+def _coreduce(boundary: list, nverts: int) -> int:
+    """Shrink the complex in place; return its number of components.
+
+    ``boundary[i]`` is cell i's boundary as ``{cell index: coefficient}``,
+    cells in (dimension, id) order, so the first ``nverts`` are the
+    vertices.  The least vertex of each component of the 1-skeleton is
+    removed first (each is one Z in H_0), then every coreduction pair: a
+    cell whose remaining boundary is one face with coefficient +-1 leaves
+    together with that face.  Neither step changes the homology of what
+    remains, whose boundaries are left in ``boundary``; removed cells get
+    ``None``.  No base vertex is chosen after coreducing, as a second one
+    in a component would add a false H_1 class.
+    """
+    cofaces = [[] for _ in boundary]
+    for i, faces in enumerate(boundary):
+        for f in faces:
+            cofaces[f].append(i)
+    reached = [False] * nverts
+    bases = []
+    for v in range(nverts):
+        if not reached[v]:
+            bases.append(v)
+            reached[v] = True
+            stack = [v]
+            while stack:
+                for edge in cofaces[stack.pop()]:
+                    for w in boundary[edge]:
+                        if not reached[w]:
+                            reached[w] = True
+                            stack.append(w)
+
+    queue = deque()
+
+    def remove(i):
+        boundary[i] = None
+        for c in cofaces[i]:
+            if boundary[c] is not None:
+                del boundary[c][i]
+                queue.append(c)
+
+    for v in bases:
+        remove(v)
+    queue.extend(range(nverts, len(boundary)))
+    while queue:
+        i = queue.popleft()
+        faces = boundary[i]
+        if faces is not None and len(faces) == 1:
+            (face, value), = faces.items()
+            if value in (1, -1):
+                remove(i)
+                remove(face)
+    return len(bases)
+
+
 def homology(complex: DualComplex) -> HomologyReport:
-    """Integral homology via Smith normal forms of the boundary matrices."""
+    """Integral homology of the coreduced complex, by Smith normal forms.
+
+    Betti_k is the survivors of dimension k minus the ranks of the
+    boundary maps into and out of them, plus the number of components
+    for k = 0; the Euler characteristic comes from the full cell counts.
+    """
     _require_valid(complex)
-    top = complex.dimension()
+    counts = complex.cell_counts()
+    top = len(counts) - 1
     if top < 0:
         return HomologyReport((), (), 0)
-    counts = complex.cell_counts()
-    factors = {}
+    cells = sorted(complex.cells.values(), key=lambda c: (c.dim, c.id))
+    index = {c.id: i for i, c in enumerate(cells)}
+    boundary = [{index[f]: x for f, x in _signed_facets(c).items()} for c in cells]
+    components = _coreduce(boundary, counts[0])
+    survivors = [[] for _ in counts]
+    for i, cell in enumerate(cells):
+        if boundary[i] is not None:
+            survivors[cell.dim].append(i)
+    factors = [[]] * (top + 2)
     for k in range(1, top + 1):
-        factors[k] = sparse_invariant_factors(_boundary_rows(complex, k)[0])
-    ranks = {k: len(factors.get(k, [])) for k in range(0, top + 2)}
-    betti = []
-    torsion = []
-    for k in range(top + 1):
-        betti.append(counts[k] - ranks.get(k, 0) - ranks.get(k + 1, 0))
-        torsion.append(tuple(d for d in factors.get(k + 1, []) if d > 1))
-    euler = sum((-1) ** k * counts[k] for k in range(top + 1))
+        row_of = {i: r for r, i in enumerate(survivors[k - 1])}
+        rows = [{} for _ in row_of]
+        for j, i in enumerate(survivors[k]):
+            for f, value in boundary[i].items():
+                rows[row_of[f]][j] = value
+        factors[k] = sparse_invariant_factors(rows)
+    betti = [len(survivors[k]) - len(factors[k]) - len(factors[k + 1])
+             for k in range(top + 1)]
+    betti[0] += components
+    torsion = [tuple(d for d in factors[k + 1] if d > 1) for k in range(top + 1)]
+    euler = sum((-1) ** k * n for k, n in enumerate(counts))
     return HomologyReport(tuple(betti), tuple(torsion), euler)
 
 

@@ -2,7 +2,10 @@
 
 Everything here recomputes from first principles (rational Gaussian
 elimination, direct enumeration) without touching the library's Smith
-normal form path, so agreement is meaningful.
+normal form path, so agreement is meaningful.  The one exception is
+``per_map_homology``, the reference for coreduction: it reduces every
+whole boundary map with the library's ``sparse_invariant_factors``,
+which the tests check against the dense Smith normal form on its own.
 """
 
 from __future__ import annotations
@@ -14,7 +17,8 @@ from sncresolve import chart_calculus as cc
 from sncresolve.chart_calculus import (ChartState, ChildChart, RuleApplication,
                                        RulePreconditionError, _require,
                                        exceptional_coefficient, mdeg)
-from sncresolve.dual_complex import Cell, DualComplex
+from sncresolve import dual_complex as dc
+from sncresolve.dual_complex import Cell, DualComplex, HomologyReport, Violation
 
 
 def rational_rank(matrix) -> int:
@@ -69,6 +73,94 @@ def rational_betti(complex: DualComplex) -> list:
              for k in range(1, top + 1)}
     return [counts[k] - ranks.get(k, 0) - ranks.get(k + 1, 0)
             for k in range(top + 1)]
+
+
+def per_map_homology(complex: DualComplex) -> HomologyReport:
+    """Homology from every whole boundary map, without coreduction.
+
+    Each map is built by ``independent_boundary_matrix`` and reduced by
+    ``sparse_invariant_factors``; Betti_k is the k-cells minus the ranks
+    of the maps into and out of them.  Reference for
+    ``dual_complex.homology``, which shrinks the complex first.
+    """
+    top = max((c.dim for c in complex.cells.values()), default=-1)
+    counts = [sum(1 for c in complex.cells.values() if c.dim == k)
+              for k in range(top + 1)]
+    factors = {k: dc.sparse_invariant_factors(
+        [{j: x for j, x in enumerate(row) if x}
+         for row in independent_boundary_matrix(complex, k)])
+        for k in range(1, top + 1)}
+    betti = [counts[k] - len(factors.get(k, [])) - len(factors.get(k + 1, []))
+             for k in range(top + 1)]
+    torsion = [tuple(d for d in factors.get(k + 1, []) if d > 1)
+               for k in range(top + 1)]
+    euler = sum((-1) ** k * n for k, n in enumerate(counts))
+    return HomologyReport(tuple(betti), tuple(torsion), euler)
+
+
+def reference_validate(complex: DualComplex) -> list:
+    """Reference for ``dual_complex.validate``: the same checks, looking
+    each facet up in ``cells`` again inside every loop.  The violations
+    and their order must agree.
+
+    Checks facet counts, dangling or wrong-dimension facets, the
+    facets-of-facets compatibility that makes boundary-squared vanish, and
+    (when labels are present) that facet i drops the i-th smallest label.
+    """
+    out = []
+    cells = complex.cells
+    for cell in sorted(cells.values(), key=lambda c: (c.dim, c.id)):
+        if cell.dim < 0:
+            out.append(Violation("dimension", cell.id, f"negative dimension {cell.dim}"))
+            continue
+        expected = 0 if cell.dim == 0 else cell.dim + 1
+        if len(cell.facets) != expected:
+            out.append(Violation(
+                "facet count", cell.id,
+                f"a {cell.dim}-cell needs {expected} facets, found {len(cell.facets)}"))
+            continue
+        dangling = False
+        for fid in cell.facets:
+            if fid not in cells:
+                out.append(Violation("dangling facet", cell.id,
+                                     f"facet {fid!r} does not exist"))
+                dangling = True
+            elif cells[fid].dim != cell.dim - 1:
+                out.append(Violation(
+                    "facet dimension", cell.id,
+                    f"facet {fid!r} has dimension {cells[fid].dim}, expected {cell.dim - 1}"))
+                dangling = True
+        if dangling:
+            continue
+        # Compatibility: dropping face j then face i (i < j) must agree
+        # with dropping face i then face j-1.
+        if cell.dim >= 2:
+            for j in range(cell.dim + 1):
+                for i in range(j):
+                    fj = cells[cell.facets[j]]
+                    fi = cells[cell.facets[i]]
+                    if len(fj.facets) > i and len(fi.facets) > j - 1:
+                        if fj.facets[i] != fi.facets[j - 1]:
+                            out.append(Violation(
+                                "facet compatibility", cell.id,
+                                f"facets {j} then {i} reach {fj.facets[i]!r} but "
+                                f"facets {i} then {j - 1} reach {fi.facets[j - 1]!r}"))
+        if cell.label is not None and cell.dim >= 1:
+            if len(cell.label) == cell.dim + 1:
+                ordered = sorted(cell.label)
+                for i, fid in enumerate(cell.facets):
+                    flabel = cells[fid].label
+                    want = frozenset(ordered[:i] + ordered[i + 1:])
+                    if flabel is not None and flabel != want:
+                        out.append(Violation(
+                            "label mismatch", cell.id,
+                            f"facet {i} should drop {ordered[i]!r}, but carries "
+                            f"label {sorted(flabel)}"))
+            else:
+                out.append(Violation(
+                    "label size", cell.id,
+                    f"label has {len(cell.label)} entries on a {cell.dim}-cell"))
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -166,10 +258,33 @@ def closure_rule_open_star(complex: DualComplex, cell_id: str) -> DualComplex:
 def random_delta_complex(rng, max_cells: int = 200) -> DualComplex:
     """A random valid Delta-complex with at most max_cells cells.
 
-    Built as a random downward-closed simplicial family (facet order by
-    sorted vertices, so the compatibility identities hold), then a few
-    cells are duplicated to leave simplicial-complex territory.
+    A disjoint union of one to three parts, each a random downward-closed
+    simplicial family (facet order by sorted vertices, so the
+    compatibility identities hold) with a few maximal cells duplicated to
+    leave simplicial-complex territory.  Then, each at random: isolated
+    vertices, two loop edges ``l`` and ``m`` at one vertex, a 2-cell
+    ``(l, m, l)`` with boundary 2l - m, and a 2-cell ``(m, m, m)`` with
+    boundary m.  The last two glue a projective plane on: once ``m`` is
+    paired off, the coefficient 2 is left and H_1 gains Z/2.  Cells come
+    after their facets, so cutting the list at max_cells keeps it valid.
     """
+    parts = rng.randint(1, 3)
+    cells = []
+    for part in range(parts):
+        cells += _random_simplicial_part(rng, f"p{part}:", max_cells // parts)
+    cells += [Cell.of(f"iso{k}", 0) for k in range(rng.randint(0, 2))]
+    if rng.random() < 0.5:
+        base = rng.choice([c.id for c in cells if c.dim == 0])
+        cells += [Cell.of("loop.l", 1, (base, base)), Cell.of("loop.m", 1, (base, base))]
+        if rng.random() < 0.7:
+            cells.append(Cell.of("pinch", 2, ("loop.l", "loop.m", "loop.l")))
+        if rng.random() < 0.5:
+            cells.append(Cell.of("cap", 2, ("loop.m", "loop.m", "loop.m")))
+    return DualComplex(cells[:max_cells])
+
+
+def _random_simplicial_part(rng, prefix: str, max_cells: int) -> list:
+    """One part of ``random_delta_complex``: its cells, facets first."""
     n0 = rng.randint(1, 14)
     verts = list(range(n0))
     present = {(v,) for v in verts}
@@ -183,7 +298,7 @@ def random_delta_complex(rng, max_cells: int = 200) -> DualComplex:
                     present.add(subset)
 
     def cid(subset, copy=0):
-        base = "c" + "_".join(str(v) for v in subset)
+        base = prefix + "c" + "_".join(str(v) for v in subset)
         return base if copy == 0 else f"{base}@{copy}"
 
     cells = []
@@ -200,11 +315,9 @@ def random_delta_complex(rng, max_cells: int = 200) -> DualComplex:
         len(t) == len(s) + 1 and set(s) <= set(t) for t in present)]
     rng.shuffle(maximal)
     for subset in maximal[:6]:
-        if len(cells) >= max_cells:
-            break
         facets = [cid(tuple(v for v in subset if v != d)) for d in subset]
         cells.append(Cell.of(cid(subset, copy=1), len(subset) - 1, facets))
-    return DualComplex(cells[:max_cells] if len(cells) > max_cells else cells)
+    return cells
 
 
 # --------------------------------------------------------------------------

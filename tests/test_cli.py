@@ -339,6 +339,17 @@ def test_verify_rejects_out_of_scale(capsys):
     assert "capped" in capsys.readouterr().err
 
 
+def test_verify_caps_only_the_range_the_rule_uses(capsys):
+    # BIN and MON2 grids ignore m and a, so those caps do not apply there.
+    assert cli.main(["verify", "--rule", "bin", "--m", "2..4"]) == cli.EXIT_OK
+    assert cli.main(["verify", "--rule", "mon2", "--a", "5"]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert cli.main(["verify", "--rule", "det", "--m", "2..4"]) == cli.EXIT_SCALE
+    assert "det size capped" in capsys.readouterr().err
+    # An unused range is still parsed: reversed, it is bad input.
+    assert cli.main(["verify", "--rule", "bin", "--m", "4..2"]) == cli.EXIT_INPUT
+
+
 def test_verify_paper_policy_fails_loudly(capsys):
     code = cli.main(["verify", "--rule", "det", "--m", "2", "--d", "2",
                      "--exponent-policy", "paper"])

@@ -1,7 +1,11 @@
 """Validation, homology, open-star removal, serialization."""
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -12,8 +16,10 @@ from sncresolve.dual_complex import Cell, DualComplex
 
 from oracles import (boundary_complex, closure_rule_open_star,
                      klein_bottle_complex, moore_space_complex,
-                     random_delta_complex, rational_betti, rp2_complex,
-                     simplex_complex)
+                     per_map_homology, random_delta_complex, rational_betti,
+                     reference_validate, rp2_complex, simplex_complex)
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 # --------------------------------------------------------------------------
@@ -73,6 +79,42 @@ def test_validate_checks_label_drop_order():
         Cell.of("ab", 1, ("a", "b"), {"A", "B"}),
     ])
     assert any(v.rule == "label mismatch" for v in dc.validate(flipped))
+
+
+def _malformed(rng, complex):
+    """The complex with some cells broken: a facet swapped for another id
+    (or a missing one), facets shuffled or cut short, a negative
+    dimension, and random labels that sometimes fit the dimension."""
+    ids = sorted(complex.cells) + ["ghost"]
+    cells = []
+    for cell in complex.cells.values():
+        facets, dim, label = list(cell.facets), cell.dim, None
+        roll = rng.random()
+        if roll < 0.1 and facets:
+            facets[rng.randrange(len(facets))] = rng.choice(ids)
+        elif roll < 0.2:
+            rng.shuffle(facets)
+        elif roll < 0.25:
+            facets = facets[1:]
+        elif roll < 0.28:
+            dim = -1
+        if rng.random() < 0.4:
+            size = dim + 1 if rng.random() < 0.8 else rng.randint(0, 4)
+            label = rng.sample("ABCDEFG", max(0, min(size, 7)))
+        cells.append(Cell.of(cell.id, dim, facets, label))
+    return DualComplex(cells)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_validate_equals_the_reference_on_malformed_complexes(seed):
+    rng = random.Random(seed)
+    complex = random_delta_complex(rng, max_cells=60)
+    assert dc.validate(complex) == reference_validate(complex) == []
+    bad = _malformed(rng, complex)
+    assert dc.validate(bad) == reference_validate(bad)
+    assert bad.cell_counts() == [len(bad.cells_of_dim(k))
+                                 for k in range(bad.dimension() + 1)]
 
 
 # --------------------------------------------------------------------------
@@ -141,6 +183,67 @@ def test_homology_rejects_invalid_complex():
 def test_homology_empty_complex():
     report = dc.homology(DualComplex())
     assert report.betti == () and report.euler == 0
+
+
+def test_homology_of_two_disjoint_triangle_boundaries():
+    # Each component keeps its own base vertex: two Z in H_0, two loops.
+    cells = [Cell.of(f"{side}{c.id}", c.dim, [f"{side}{f}" for f in c.facets])
+             for side in "LR" for c in boundary_complex(2).cells.values()]
+    report = dc.homology(DualComplex(cells))
+    assert report.betti == (2, 2)
+    assert report.torsion == ((), ())
+    assert report.euler == 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_homology_equals_the_per_map_reference(seed):
+    complex = random_delta_complex(random.Random(seed), max_cells=80)
+    assert dc.homology(complex) == per_map_homology(complex)
+
+
+def test_random_complexes_cover_what_coreduction_must_not_pair():
+    # Over these seeds the generator makes every feature the coreduction
+    # has to handle, so the property above meets each of them.
+    seen = set()
+    for seed in range(200):
+        complex = random_delta_complex(random.Random(seed), max_cells=80)
+        seen.add(("components", per_map_homology(complex).betti[0] > 1))
+        seen.update(cid for cid in ("iso0", "loop.l", "pinch", "cap") if cid in complex)
+        if "pinch" in complex and "cap" in complex:
+            seen.add(("torsion", 2 in dc.homology(complex).torsion[1]))
+    assert seen >= {("components", True), "iso0", "loop.l", "pinch", "cap",
+                    ("torsion", True)}
+
+
+_CORE_SCRIPT = """
+import importlib.util, json, sys
+from sncresolve import dual_complex as dc
+spec = importlib.util.spec_from_file_location("bench_fixtures", sys.argv[1])
+fx = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(fx)
+cores = []
+dense = dc.smith_invariant_factors
+dc.smith_invariant_factors = lambda core: cores.append(core) or dense(core)
+report = dc.homology(fx.torsion_complex(dc))
+print(json.dumps([report.to_json_obj(), cores]))
+"""
+
+
+def test_torsion_wedge_core_repeats_under_any_hash_seed():
+    # The surviving core, and with it what the dense step sees, must not
+    # depend on string hashing.
+    outputs = []
+    for hash_seed in ("1", "4242"):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED=hash_seed)
+        done = subprocess.run(
+            [sys.executable, "-c", _CORE_SCRIPT, str(ROOT / "benchmarks" / "fixtures.py")],
+            env=env, capture_output=True, text=True, timeout=120, check=True)
+        outputs.append(json.loads(done.stdout))
+    report, cores = outputs[0]
+    assert report["torsion"] == [[], [6], []]
+    assert cores
+    assert outputs[0] == outputs[1]
 
 
 def test_is_q_acyclic():

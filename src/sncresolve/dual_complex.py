@@ -15,6 +15,10 @@ the boundary maps.  Each map is eliminated sparsely: its unit pivots
 (entries +-1) go first, in Markowitz order, each giving an invariant
 factor 1, and only the core left without a unit entry is handed to the
 dense Smith normal form, which then sees little more than the torsion.
+
+``validate`` checks a complex once and keeps the answer on it.  The
+output of ``snc_model.dual_complex_of``, and of ``remove_open_star`` on a
+complex known to be valid, is valid by construction and never checked.
 """
 
 from __future__ import annotations
@@ -61,10 +65,10 @@ class DualComplex:
 
     Immutable: ``cells`` is a read-only mapping and no attribute can be
     set after construction, so a complex shared by many states cannot
-    drift.
+    drift.  ``_violations`` keeps ``validate``'s answer (None: unknown).
     """
 
-    __slots__ = ("_cells",)
+    __slots__ = ("_cells", "_violations")
 
     def __init__(self, cells=()):
         by_id = {}
@@ -73,6 +77,7 @@ class DualComplex:
                 raise ValueError(f"duplicate cell id {cell.id!r}")
             by_id[cell.id] = cell
         object.__setattr__(self, "_cells", MappingProxyType(by_id))
+        object.__setattr__(self, "_violations", None)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"DualComplex is immutable; cannot set {name!r}")
@@ -122,7 +127,20 @@ def validate(complex: DualComplex) -> list:
     Checks facet counts, dangling or wrong-dimension facets, the
     facets-of-facets compatibility that makes boundary-squared vanish, and
     (when labels are present) that facet i drops the i-th smallest label.
+    The checks run once per complex; every call returns a new list.
     """
+    if complex._violations is None:
+        object.__setattr__(complex, "_violations", tuple(_find_violations(complex)))
+    return list(complex._violations)
+
+
+def _known_valid(value):
+    """Mark a complex or variety valid, for constructors that keep validity."""
+    object.__setattr__(value, "_violations", ())
+    return value
+
+
+def _find_violations(complex: DualComplex) -> list:
     out = []
     cells = complex.cells
     for cell in sorted(cells.values(), key=lambda c: (c.dim, c.id)):
@@ -489,7 +507,8 @@ def remove_open_star(complex: DualComplex, cell_id: str) -> DualComplex:
 
     A cell's closure contains the target exactly when the cell is reached
     from the target by going up through cofacets, so one upward search
-    finds them all.
+    finds them all.  Valid input gives valid output: what is kept is closed
+    under facets.
     """
     if cell_id not in complex:
         raise KeyError(f"unknown cell id {cell_id!r}")
@@ -504,7 +523,8 @@ def remove_open_star(complex: DualComplex, cell_id: str) -> DualComplex:
             if cid not in removed:
                 removed.add(cid)
                 stack.append(cid)
-    return DualComplex(c for c in complex.cells.values() if c.id not in removed)
+    rest = DualComplex(c for c in complex.cells.values() if c.id not in removed)
+    return _known_valid(rest) if complex._violations == () else rest
 
 
 # --------------------------------------------------------------------------

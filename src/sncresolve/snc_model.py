@@ -5,13 +5,17 @@ family of strata, each an irreducible piece of an intersection of
 components.  A stratum over index set J designates, for every j in J, the
 unique stratum over J minus {j} containing it; that designation is exactly
 the attaching data of the dual complex.
+
+``validate_snc`` checks a variety once and keeps the answer on it.  The
+complex ``dual_complex_of`` builds, and the stratum ``blowup_center`` of a
+variety known to be valid, are valid by construction and never checked.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .dual_complex import Cell, DualComplex
+from .dual_complex import Cell, DualComplex, _known_valid
 
 
 class IncidenceError(ValueError):
@@ -38,6 +42,7 @@ class Stratum:
 class SncVariety:
     components: frozenset
     strata: tuple  # Stratum records, sorted by id
+    _violations: tuple = field(default=None, init=False, repr=False, compare=False)
 
     @staticmethod
     def of(components, strata) -> "SncVariety":
@@ -52,7 +57,21 @@ class SncVariety:
 
 
 def validate_snc(snc: SncVariety) -> list:
-    """Human-readable violations of the incidence axioms; empty means valid."""
+    """Human-readable violations of the incidence axioms; empty means valid.
+
+    The checks run once per variety; every call returns a new list.
+    """
+    if snc._violations is None:
+        object.__setattr__(snc, "_violations", tuple(_find_violations(snc)))
+    return list(snc._violations)
+
+
+def _str_ids(snc: SncVariety) -> bool:
+    """Whether ``Cell.of`` and ``SncVariety.of`` keep every id as it is."""
+    return all(type(x) is str for x in [*snc.components, *(s.id for s in snc.strata)])
+
+
+def _find_violations(snc: SncVariety) -> list:
     out = []
     by_id = {}
     for s in snc.strata:
@@ -73,12 +92,13 @@ def validate_snc(snc: SncVariety) -> list:
         if comp not in singletons:
             out.append(f"component {comp!r} has no singleton stratum")
 
-    for s in snc.strata:
+    # Each stratum's own parent map, built once; a list, as ids may repeat.
+    maps = [s.parent_map() for s in snc.strata]
+    for s, parents in zip(snc.strata, maps):
         if len(s.indices) < 2:
             if s.parents:
                 out.append(f"stratum {s.id!r}: a singleton stratum has no parents")
             continue
-        parents = s.parent_map()
         if set(parents) != set(s.indices):
             out.append(f"stratum {s.id!r}: parents must be designated for "
                        f"exactly the indices {sorted(s.indices)}")
@@ -94,12 +114,11 @@ def validate_snc(snc: SncVariety) -> list:
 
     # Two-step coherence: dropping j then i must reach the same stratum as
     # dropping i then j.  This is what makes the dual complex attach
-    # consistently.  Parent maps are built once and shared by all pairs.
-    parent_maps = {sid: s.parent_map() for sid, s in by_id.items()}
-    for s in snc.strata:
+    # consistently.  A repeated id's parent lookups see its last record.
+    parent_maps = {s.id: m for s, m in zip(snc.strata, maps)}
+    for s, parents in zip(snc.strata, maps):
         if len(s.indices) < 3:
             continue
-        parents = s.parent_map()
         ordered = sorted(s.indices)
         for pos, i in enumerate(ordered):
             pi = parent_maps.get(parents.get(i, ""))
@@ -120,7 +139,10 @@ def validate_snc(snc: SncVariety) -> list:
 
 
 def dual_complex_of(snc: SncVariety) -> DualComplex:
-    """One (|J|-1)-cell per stratum; facet i drops the i-th smallest index."""
+    """One (|J|-1)-cell per stratum; facet i drops the i-th smallest index.
+
+    Valid with str ids: incidence validity gives every Delta-complex check.
+    """
     violations = validate_snc(snc)
     if violations:
         raise IncidenceError("; ".join(violations))
@@ -133,7 +155,8 @@ def dual_complex_of(snc: SncVariety) -> DualComplex:
             parents = s.parent_map()
             facets = tuple(parents[j] for j in ordered)
             cells.append(Cell.of(s.id, len(ordered) - 1, facets, s.indices))
-    return DualComplex(cells)
+    complex = DualComplex(cells)
+    return _known_valid(complex) if _str_ids(snc) else complex
 
 
 # --------------------------------------------------------------------------
@@ -217,7 +240,9 @@ def blowup_center(snc: SncVariety, center: CenterDescriptor):
     A stratum center deletes the stratum and everything it sits inside
     (open-star removal on the dual complex).  A compatible non-stratum
     center is a thrifty modification: both the variety's incidence data
-    and its dual complex come back unchanged.
+    and its dual complex come back unchanged.  A stratum blow-up of a
+    valid variety is valid: kept strata are closed under parents, so each
+    kept index keeps its singleton stratum.
     """
     verdict = check_center(snc, center)
     if not verdict:
@@ -241,6 +266,8 @@ def blowup_center(snc: SncVariety, center: CenterDescriptor):
     kept = [s for s in snc.strata if s.id not in removed]
     kept_components = {next(iter(s.indices)) for s in kept if len(s.indices) == 1}
     new_snc = SncVariety.of(kept_components, kept)
+    if snc._violations == () and _str_ids(snc):
+        _known_valid(new_snc)
     return new_snc, dual_complex_of(new_snc)
 
 

@@ -19,6 +19,7 @@ from sncresolve.chart_calculus import (ChartState, ChildChart, RuleApplication,
                                        exceptional_coefficient, mdeg)
 from sncresolve import dual_complex as dc
 from sncresolve.dual_complex import Cell, DualComplex, HomologyReport, Violation
+from sncresolve.snc_model import SncVariety, from_index_sets
 
 
 def rational_rank(matrix) -> int:
@@ -474,6 +475,120 @@ def per_pair_validate_snc(snc):
                         f"{i!r} then {j!r} reaches {via_i!r} but {j!r} then "
                         f"{i!r} reaches {via_j!r}")
     return out
+
+
+def shared_map_validate_snc(snc):
+    """``snc_model.validate_snc`` as it was before each stratum's own parent
+    map was built once: its third and fourth loops call ``parent_map``
+    again, and the coherence loop shares one map per id (the last record
+    of a repeated id).  Reference for the library; both must return the
+    same violations in the same order.
+    """
+    out = []
+    by_id = {}
+    for s in snc.strata:
+        if s.id in by_id:
+            out.append(f"duplicate stratum id {s.id!r}")
+        by_id[s.id] = s
+        if not s.indices:
+            out.append(f"stratum {s.id!r} has an empty index set")
+        unknown = s.indices - snc.components
+        if unknown:
+            out.append(f"stratum {s.id!r} mentions unknown components {sorted(unknown)}")
+
+    singletons = {}
+    for s in snc.strata:
+        if len(s.indices) == 1:
+            singletons.setdefault(next(iter(s.indices)), []).append(s.id)
+    for comp in sorted(snc.components):
+        if comp not in singletons:
+            out.append(f"component {comp!r} has no singleton stratum")
+
+    for s in snc.strata:
+        if len(s.indices) < 2:
+            if s.parents:
+                out.append(f"stratum {s.id!r}: a singleton stratum has no parents")
+            continue
+        parents = s.parent_map()
+        if set(parents) != set(s.indices):
+            out.append(f"stratum {s.id!r}: parents must be designated for "
+                       f"exactly the indices {sorted(s.indices)}")
+            continue
+        for j, pid in parents.items():
+            parent = by_id.get(pid)
+            if parent is None:
+                out.append(f"stratum {s.id!r}: parent {pid!r} does not exist")
+            elif parent.indices != s.indices - {j}:
+                out.append(f"stratum {s.id!r}: parent over {j!r} has index set "
+                           f"{sorted(parent.indices)}, expected "
+                           f"{sorted(s.indices - {j})}")
+
+    parent_maps = {sid: s.parent_map() for sid, s in by_id.items()}
+    for s in snc.strata:
+        if len(s.indices) < 3:
+            continue
+        parents = s.parent_map()
+        ordered = sorted(s.indices)
+        for pos, i in enumerate(ordered):
+            pi = parent_maps.get(parents.get(i, ""))
+            if pi is None:
+                continue
+            for j in ordered[pos + 1:]:
+                pj = parent_maps.get(parents.get(j, ""))
+                if pj is None:
+                    continue
+                via_i = pi.get(j)
+                via_j = pj.get(i)
+                if via_i != via_j:
+                    out.append(
+                        f"stratum {s.id!r}: incoherent parents, dropping "
+                        f"{i!r} then {j!r} reaches {via_i!r} but {j!r} then "
+                        f"{i!r} reaches {via_j!r}")
+    return out
+
+
+# --------------------------------------------------------------------------
+# Random varieties and blow-ups by the definition
+# --------------------------------------------------------------------------
+
+def random_variety(rng) -> SncVariety:
+    """A random valid variety: one to six components and the downward
+    closure of a few random index sets, built by ``from_index_sets``."""
+    comps = [f"E{i}" for i in range(1, rng.randint(1, 6) + 1)]
+    family = set()
+    for _ in range(rng.randint(0, 4)):
+        top = rng.sample(comps, rng.randint(1, len(comps)))
+        for size in range(1, len(top) + 1):
+            family.update(frozenset(s) for s in itertools.combinations(top, size))
+    return from_index_sets(comps, family)
+
+
+def closure_rule_blowup(snc: SncVariety, center_id: str) -> SncVariety:
+    """The variety left by a stratum blow-up, by the definition: drop every
+    stratum id from which iterated parents reach the center, and keep the
+    components that still have a singleton stratum.
+
+    Reference for the variety ``snc_model.blowup_center`` builds, which
+    searches down through children from the center instead.
+    """
+    parents = {}
+    for s in snc.strata:
+        parents.setdefault(s.id, set()).update(pid for _, pid in s.parents)
+
+    def reaches_center(sid):
+        seen, stack = set(), [sid]
+        while stack:
+            top = stack.pop()
+            if top == center_id:
+                return True
+            if top not in seen:
+                seen.add(top)
+                stack.extend(parents.get(top, ()))
+        return False
+
+    kept = [s for s in snc.strata if not reaches_center(s.id)]
+    return SncVariety.of({next(iter(s.indices)) for s in kept if len(s.indices) == 1},
+                         kept)
 
 
 # --------------------------------------------------------------------------

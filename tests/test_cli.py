@@ -68,6 +68,45 @@ def test_dualcomplex_dangling_facet_diagnostic(tmp_path, capsys):
     assert "dangling facet" in err
 
 
+def _count_complex_checks(monkeypatch):
+    runs = []
+    original = dc._find_violations
+    monkeypatch.setattr(dc, "_find_violations",
+                        lambda complex: runs.append(complex) or original(complex))
+    return runs
+
+
+def test_dualcomplex_checks_a_complex_document_once(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "triangle.json"
+    path.write_text(json.dumps(dc.to_json_obj(sm.dual_complex_of(sm.coordinate_germ(3)))))
+    runs = _count_complex_checks(monkeypatch)
+    assert cli.main(["dualcomplex", "--input", str(path)]) == cli.EXIT_OK
+    assert len(runs) == 1
+    assert "betti: 1 0 0" in capsys.readouterr().out
+
+
+def test_dualcomplex_never_checks_the_complex_of_a_variety(triangle_file, capsys,
+                                                           monkeypatch):
+    runs = _count_complex_checks(monkeypatch)
+    assert cli.main(["dualcomplex", "--input", triangle_file]) == cli.EXIT_OK
+    assert runs == []
+
+
+def test_dualcomplex_prints_each_violation_of_a_complex_once(tmp_path, capsys,
+                                                            monkeypatch):
+    doc = {"cells": [{"id": "v", "dim": 0, "facets": []},
+                     {"id": "e", "dim": 1, "facets": ["v", "ghost"]},
+                     {"id": "f", "dim": 1, "facets": ["v"]}]}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    runs = _count_complex_checks(monkeypatch)
+    assert cli.main(["dualcomplex", "--input", str(path)]) == cli.EXIT_INPUT
+    assert len(runs) == 1
+    want = [str(v) for v in dc.validate(dc.from_json_obj(doc))]
+    assert len(want) == 2
+    assert capsys.readouterr().err.splitlines() == want
+
+
 def test_dualcomplex_unparseable_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -16,8 +16,9 @@ from sncresolve.dual_complex import Cell, DualComplex
 
 from oracles import (boundary_complex, closure_rule_open_star,
                      klein_bottle_complex, moore_space_complex,
-                     per_map_homology, random_delta_complex, rational_betti,
-                     reference_validate, rp2_complex, simplex_complex)
+                     per_map_homology, random_delta_complex, random_variety,
+                     rational_betti, reference_validate, rp2_complex,
+                     simplex_complex)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -428,6 +429,77 @@ def test_complex_is_immutable():
     with pytest.raises(AttributeError):
         complex.extra = 1
     assert dc.canonical_json(complex) == before
+
+
+# --------------------------------------------------------------------------
+# validity computed once and carried by remove_open_star
+# --------------------------------------------------------------------------
+
+def _require_valid_message(violations):
+    return ("; ".join(str(v) for v in violations[:5])
+            + ("" if len(violations) <= 5 else f" (+{len(violations) - 5} more)"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_open_stars_of_complexes_marked_valid_pass_the_full_checks(seed):
+    rng = random.Random(seed)
+    # A dual complex is valid by construction; a random one once validated.
+    complex = sm.dual_complex_of(random_variety(rng))
+    if rng.random() < 0.5:
+        complex = random_delta_complex(rng, max_cells=60)
+        assert dc.validate(complex) == []
+    for _ in range(rng.randint(1, 4)):
+        assert complex._violations == ()
+        fresh = DualComplex(complex.cells.values())
+        assert fresh._violations is None
+        assert dc.validate(fresh) == []
+        assert dc.homology(complex) == per_map_homology(fresh)
+        if not len(complex):
+            break
+        complex = dc.remove_open_star(complex, rng.choice(sorted(complex.cells)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_hand_built_and_malformed_complexes_are_never_carried_as_valid(seed):
+    rng = random.Random(seed)
+    good = random_delta_complex(rng, max_cells=60)
+    bad = _malformed(rng, good)
+    parsed = dc.from_json_obj(dc.to_json_obj(bad))
+    cell_id = rng.choice(sorted(bad.cells))
+    for complex in (good, bad, parsed):
+        assert complex._violations is None
+        assert dc.remove_open_star(complex, cell_id)._violations is None
+    want = reference_validate(bad)
+    for complex in (bad, parsed):
+        if want:
+            with pytest.raises(dc.InvalidComplexError) as err:
+                dc.homology(complex)
+            assert str(err.value) == _require_valid_message(want)
+        assert dc.validate(complex) == want
+        # Known now: an open star of an invalid complex is still unknown.
+        star = dc.remove_open_star(complex, cell_id)
+        assert star._violations == (None if want else ())
+        assert dc.validate(star) == reference_validate(star)
+
+
+def test_the_validity_memo_is_invisible_on_complexes():
+    checked, fresh = rp2_complex(), rp2_complex()
+    first = dc.validate(checked)
+    assert checked._violations == () and fresh._violations is None
+    assert checked == fresh and hash(checked) == hash(fresh)
+    assert repr(checked) == repr(fresh)
+    assert dc.to_json_obj(checked) == dc.to_json_obj(fresh)
+    assert dc.canonical_json(checked) == dc.canonical_json(fresh)
+    assert dc.to_dot(checked) == dc.to_dot(fresh)
+    first.append("tampered")
+    assert dc.validate(checked) == [] and dc.validate(checked) is not first
+
+    bad = DualComplex([Cell.of("v", 0), Cell.of("e", 1, ("v", "ghost"))])
+    want = reference_validate(bad)
+    dc.validate(bad).clear()
+    assert dc.validate(bad) == want != []
 
 
 # --------------------------------------------------------------------------

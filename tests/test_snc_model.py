@@ -3,13 +3,18 @@
 import json
 import random
 
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sncresolve import dual_complex as dc
 from sncresolve import snc_model as sm
+from sncresolve.dual_complex import DualComplex
 from sncresolve.snc_model import CenterDescriptor, SncVariety, Stratum
 
-from oracles import per_pair_validate_snc, rational_betti
+from oracles import (closure_rule_blowup, per_map_homology, per_pair_validate_snc,
+                     random_variety, rational_betti, shared_map_validate_snc)
 
 
 def triangle():
@@ -325,3 +330,183 @@ def test_json_schema_keys():
     doc = sm.to_json_obj(cycle3())
     assert set(doc) == {"components", "strata"}
     assert all(set(s) == {"id", "indices", "parents"} for s in doc["strata"])
+
+
+# --------------------------------------------------------------------------
+# validity computed once and carried through constructors
+# --------------------------------------------------------------------------
+
+def _mutated(rng, snc):
+    """The variety with one to three random edits: a stratum dropped, an id
+    given to another stratum (or a ghost), a parent redirected or dropped,
+    a stratum over an unknown component or over none, or a component with
+    no stratum.  Some edits leave it valid."""
+    components, strata = set(snc.components), list(snc.strata)
+    ids = [s.id for s in strata] + ["ghost"]
+    for _ in range(rng.randint(1, 3)):
+        roll = rng.randrange(7)
+        k = rng.randrange(len(strata)) if strata else None
+        s = strata[k] if strata else None
+        if roll == 0 and s:
+            del strata[k]
+        elif roll == 1 and s:
+            strata[k] = Stratum.of(rng.choice(ids), s.indices, s.parents)
+        elif roll == 2 and s and s.parents:
+            parents = list(s.parents)
+            p = rng.randrange(len(parents))
+            parents[p] = (parents[p][0], rng.choice(ids))
+            strata[k] = Stratum.of(s.id, s.indices, parents)
+        elif roll == 3 and s and s.parents:
+            strata[k] = Stratum.of(s.id, s.indices, s.parents[1:])
+        elif roll == 4:
+            strata.append(Stratum.of("Z", ["Z"]))
+        elif roll == 5:
+            strata.append(Stratum.of("none", []))
+        else:
+            components.add("F")
+    return SncVariety.of(components, strata)
+
+
+def _stratum(center):
+    return CenterDescriptor("stratum", stratum_id=center)
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_validate_snc_equals_the_shared_map_reference_on_malformed_families(name):
+    snc = SncVariety.of(*MALFORMED[name])
+    assert sm.validate_snc(snc) == shared_map_validate_snc(snc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_validate_snc_equals_both_references_on_mutated_varieties(seed):
+    rng = random.Random(seed)
+    snc = random_variety(rng)
+    assert sm.validate_snc(snc) == shared_map_validate_snc(snc) == []
+    bad = _mutated(rng, snc)
+    assert sm.validate_snc(bad) == shared_map_validate_snc(bad) == per_pair_validate_snc(bad)
+
+
+def test_mutated_varieties_cover_every_kind_of_violation():
+    seen = set()
+    for seed in range(300):
+        rng = random.Random(seed)
+        bad = _mutated(rng, random_variety(rng))
+        for v in shared_map_validate_snc(bad):
+            seen.update(kind for kind in (
+                "duplicate stratum id", "empty index set", "unknown components",
+                "no singleton", "designated", "does not exist", "expected",
+                "incoherent") if kind in v)
+    assert len(seen) == 8, seen
+
+
+def test_validate_snc_builds_each_parent_map_once(monkeypatch):
+    calls = []
+    original = Stratum.parent_map
+    monkeypatch.setattr(Stratum, "parent_map",
+                        lambda self: calls.append(self.id) or original(self))
+    germ = sm.coordinate_germ(10)
+    assert sm.validate_snc(germ) == []
+    assert len(calls) == len(germ.strata)
+    assert sm.validate_snc(germ) == []  # answered from the memo
+    assert len(calls) == len(germ.strata)
+
+
+def _assert_valid_when_rebuilt(snc, complex):
+    assert snc._violations == () and complex._violations == ()
+    fresh = SncVariety.of(snc.components, snc.strata)
+    fresh_complex = DualComplex(complex.cells.values())
+    assert fresh._violations is None and fresh_complex._violations is None
+    assert sm.validate_snc(fresh) == []
+    assert dc.validate(fresh_complex) == []
+    assert dc.homology(complex) == per_map_homology(fresh_complex)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_varieties_and_complexes_marked_valid_pass_the_full_checks(seed):
+    rng = random.Random(seed)
+    snc = random_variety(rng)
+    complex = sm.dual_complex_of(snc)
+    with mock.patch.object(sm, "_find_violations", wraps=sm._find_violations) as snc_runs, \
+            mock.patch.object(dc, "_find_violations", wraps=dc._find_violations) as dc_runs:
+        rebuilds = 0
+        for _ in range(rng.randint(1, 4)):
+            _assert_valid_when_rebuilt(snc, complex)
+            rebuilds += 1
+            if not snc.strata:
+                break
+            center = rng.choice(snc.strata).id
+            before = snc_runs.call_count
+            blown, complex = sm.blowup_center(snc, _stratum(center))
+            assert snc_runs.call_count == before  # carried, not checked
+            assert blown == closure_rule_blowup(snc, center)
+            snc = blown
+    # Only the fresh copies were checked.
+    assert snc_runs.call_count == dc_runs.call_count == rebuilds
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_mutated_varieties_are_never_carried_as_valid(seed):
+    rng = random.Random(seed)
+    snc = random_variety(rng)
+    sm.dual_complex_of(snc)
+    bad = _mutated(rng, snc)
+    assert bad._violations is None
+    want = per_pair_validate_snc(bad)
+    if want:
+        with pytest.raises(sm.IncidenceError) as err:
+            sm.dual_complex_of(bad)
+        assert str(err.value) == "; ".join(want)
+    else:
+        _assert_valid_when_rebuilt(bad, sm.dual_complex_of(bad))
+    if not bad.strata:
+        return
+    center = rng.choice(bad.strata).id
+    kept = closure_rule_blowup(bad, center)
+    want = per_pair_validate_snc(kept)
+    # bad's validity is known now; a fresh copy's is not.
+    for variety in (bad, SncVariety.of(bad.components, bad.strata)):
+        if want:
+            with pytest.raises(sm.IncidenceError) as err:
+                sm.blowup_center(variety, _stratum(center))
+            assert str(err.value) == "; ".join(want)
+        else:
+            blown, complex = sm.blowup_center(variety, _stratum(center))
+            assert blown == kept
+            _assert_valid_when_rebuilt(blown, complex)
+
+
+def test_non_str_ids_are_not_carried_as_valid():
+    # Cell.of and SncVariety.of turn ids into str: "10" sorts before "2",
+    # so the labels no longer match the facet order, and the components
+    # of a blow-up no longer contain the (int) indices.  Both stay checked.
+    ints = SncVariety(frozenset({2, 10}), (
+        Stratum(2, frozenset({2})), Stratum(10, frozenset({10})),
+        Stratum(99, frozenset({2, 10}), ((2, 10), (10, 2)))))
+    assert sm.validate_snc(ints) == []
+    complex = sm.dual_complex_of(ints)
+    assert [v.rule for v in dc.validate(complex)] == ["label mismatch"] * 2
+    with pytest.raises(dc.InvalidComplexError):
+        dc.homology(complex)
+    with pytest.raises(sm.IncidenceError) as err:
+        sm.blowup_center(ints, _stratum(99))
+    assert "stratum 2 mentions unknown components [2]" in str(err.value)
+
+
+def test_the_validity_memo_is_invisible_on_varieties():
+    checked, fresh = sm.coordinate_germ(4), sm.coordinate_germ(4)
+    sm.dual_complex_of(checked)
+    assert checked._violations == () and fresh._violations is None
+    assert checked == fresh and hash(checked) == hash(fresh)
+    assert repr(checked) == repr(fresh)
+    assert json.dumps(sm.to_json_obj(checked)) == json.dumps(sm.to_json_obj(fresh))
+    first = sm.validate_snc(checked)
+    first.append("tampered")
+    assert sm.validate_snc(checked) == [] and sm.validate_snc(checked) is not first
+
+    bad = SncVariety.of(*MALFORMED["incoherent"])
+    want = per_pair_validate_snc(bad)
+    sm.validate_snc(bad).clear()
+    assert sm.validate_snc(bad) == want != []

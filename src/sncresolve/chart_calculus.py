@@ -182,15 +182,15 @@ def z_var(divisor) -> str:
     return f"z_{divisor}"
 
 
-# Generic determinants by size, built once: Polynomial is immutable, and
-# EQUATION_MAX_DET keeps this to the sizes 2 and 3.
-_GENERIC_DETS = {}
+# Determinant factors by size, built once: Polynomial is immutable.
+_DET_FACTORS = {}
 
 
-def _generic_det(m: int) -> Polynomial:
-    det = _GENERIC_DETS.get(m)
+def _det_factor(m: int) -> Polynomial:
+    """det(y) of an m x m block: 1 for m = 0, the variable y for m = 1."""
+    det = _DET_FACTORS.get(m)
     if det is None:
-        det = _GENERIC_DETS[m] = generic_det(m, name=lambda r, s: y_var(r, s, m))
+        det = _DET_FACTORS[m] = generic_det(m, name=lambda r, s: y_var(r, s, m))
     return det
 
 
@@ -205,11 +205,7 @@ def local_equation(chart: ChartState) -> Polynomial:
     lhs = Polynomial.constant(1)
     for i in sorted(chart.x_indices):
         lhs = lhs * Polynomial.variable(x_var(i))
-    rhs = Polynomial.variable("t")
-    if chart.det_size == 1:
-        rhs = rhs * Polynomial.variable("y")
-    elif chart.det_size >= 2:
-        rhs = rhs * _generic_det(chart.det_size)
+    rhs = Polynomial.variable("t") * _det_factor(chart.det_size)
     for div, a in chart.exponents:
         rhs = rhs * Polynomial.variable(z_var(div)) ** a
     return lhs - rhs
@@ -226,12 +222,7 @@ def snc_certificate(chart: ChartState) -> tuple[Polynomial, Polynomial]:
     if len(chart.x_indices) != 1:
         raise ValueError("snc certificate applies to single-x-factor charts only")
     (i,) = chart.x_indices
-    m = chart.det_size
-    det = Polynomial.constant(1)
-    if m == 1:
-        det = Polynomial.variable("y")
-    elif m >= 2:
-        det = generic_det(m, name=lambda r, s: y_var(r, s, m))
+    det = _det_factor(chart.det_size)
     zmono = Polynomial.constant(1)
     for div, a in chart.exponents:
         zmono = zmono * Polynomial.variable(z_var(div)) ** a

@@ -12,9 +12,9 @@ coreductions (Mrozek and Batko, 2009) to exhaustion: a cell whose
 remaining boundary is a single face with coefficient +-1 leaves together
 with that face, which keeps the homology.  Only the surviving cells reach
 the boundary maps.  Each map is eliminated sparsely: its unit pivots
-(entries +-1) go first, in Markowitz order, each giving an invariant
-factor 1, and only the core left without a unit entry is handed to the
-dense Smith normal form, which then sees little more than the torsion.
+(entries +-1) go first, row by row, each giving an invariant factor 1,
+and only the core left without a unit entry is handed to the dense
+Smith normal form, which then sees little more than the torsion.
 
 ``validate`` checks a complex once and keeps the answer on it.  The
 output of ``snc_model.dual_complex_of``, and of ``remove_open_star`` on a
@@ -23,7 +23,6 @@ complex known to be valid, is valid by construction and never checked.
 
 from __future__ import annotations
 
-import heapq
 import json
 from collections import Counter, deque
 from dataclasses import dataclass
@@ -242,81 +241,46 @@ def sparse_invariant_factors(rows: list) -> list:
     """Nonzero Smith invariant factors of a sparse integer matrix.
 
     ``rows`` lists the rows as ``{column index: value}``.  Unit pivots
-    (entries +-1) are eliminated first, each contributing a factor 1;
-    among them the next pivot is the one of least Markowitz cost
-    ``(row nnz - 1) * (column nnz - 1)``, ties broken by the lower
-    (row, column) index, so the order is deterministic.  The core left
-    without a unit entry goes densely to ``smith_invariant_factors``.
-    The result equals ``smith_invariant_factors`` of the dense matrix.
+    (entries +-1) are eliminated first, each contributing a factor 1:
+    rows are taken in index order from a work list, a row's first unit
+    entry clears its column, and every row that changed goes back on the
+    list.  The core left without a unit entry goes densely to
+    ``smith_invariant_factors``.  The result equals
+    ``smith_invariant_factors`` of the dense matrix, since invariant
+    factors do not depend on the order of the pivots.
     """
     rows = dict(enumerate({j: x for j, x in row.items() if x} for row in rows))
     cols = {}  # column -> set of rows with a nonzero entry there
     for i, row in rows.items():
         for j in row:
             cols.setdefault(j, set()).add(i)
-
-    # Every unit entry keeps an offer (cost, row, column) in the heap whose
-    # cost is at most its current cost: an entry is offered when it becomes
-    # a unit or its row or column shrinks, and an offer whose cost has
-    # since risen is renewed when it comes up.  The first offer that comes
-    # up at its current cost is then the least (cost, row, column).
-    heap = []
-
-    def offer(i, js):
-        row = rows[i]
-        for j in js:
-            if row[j] in (1, -1):
-                heapq.heappush(heap, ((len(row) - 1) * (len(cols[j]) - 1), i, j))
-
-    for i, row in rows.items():
-        offer(i, row)
-
     units = 0
-    while heap:
-        offered, p, q = heapq.heappop(heap)
-        pivot_row = rows.get(p)
-        if pivot_row is None or pivot_row.get(q) not in (1, -1):
-            continue
-        cost = (len(pivot_row) - 1) * (len(cols[q]) - 1)
-        if offered != cost:
-            if offered < cost:
-                heapq.heappush(heap, (cost, p, q))
+    work = deque(rows)
+    while work:
+        p = work.popleft()
+        pivot_row = rows.get(p, {})
+        q = next((j for j, x in pivot_row.items() if x in (1, -1)), None)
+        if q is None:
             continue
         units += 1
-        unit = pivot_row[q]
-        changed_rows = [i for i in cols.pop(q) if i != p]
         del rows[p]
-        changed_cols = [j for j in pivot_row if j != q]
-        row_sizes = [len(rows[i]) for i in changed_rows]
-        col_sizes = [len(cols[j]) for j in changed_cols]
-        for j in changed_cols:
+        for j in pivot_row:
             cols[j].discard(p)
+        unit = pivot_row.pop(q)
         # Subtract the pivot row to clear column q; the pivot row and
         # column then split off as a 1 x 1 block [unit].
-        new_units = []
-        for i in changed_rows:
+        for i in cols.pop(q):
             row = rows[i]
             factor = row.pop(q) * unit
-            for j in changed_cols:
-                new = row.get(j, 0) - factor * pivot_row[j]
+            for j, x in pivot_row.items():
+                new = row.get(j, 0) - factor * x
                 if new:
-                    if j not in row:
-                        cols[j].add(i)
                     row[j] = new
-                    if new in (1, -1):
-                        new_units.append((i, j))
+                    cols[j].add(i)
                 else:
                     del row[j]
                     cols[j].discard(i)
-        for i, size in zip(changed_rows, row_sizes):
-            if len(rows[i]) < size:
-                offer(i, rows[i])
-        for j, size in zip(changed_cols, col_sizes):
-            if len(cols[j]) < size:
-                for i in cols[j]:
-                    offer(i, (j,))
-        for i, j in new_units:
-            offer(i, (j,))
+            work.append(i)
 
     core_rows = sorted(i for i, row in rows.items() if row)
     core_cols = sorted(j for j, col in cols.items() if col)

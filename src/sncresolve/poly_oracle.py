@@ -398,10 +398,10 @@ def flip_terms_containing(f: Polynomial, var: str) -> Polynomial:
                    for m, c in f.terms.items()})
 
 
-def equal_up_to_unit(f: Polynomial, g: Polynomial, tvar: str = "t") -> bool:
+def equal_up_to_unit(f: Polynomial, g: Polynomial) -> bool:
     """Equality up to overall sign or a sign absorbed into the t-factor side."""
-    return f == g or f == -g or f == flip_terms_containing(g, tvar) \
-        or f == -flip_terms_containing(g, tvar)
+    return f == g or f == -g or f == flip_terms_containing(g, "t") \
+        or f == -flip_terms_containing(g, "t")
 
 
 # ---------------------------------------------------------------------------

@@ -360,11 +360,11 @@ def validate_state(state: ResolutionState) -> list:
             for problem in _chart_problems(chart, count, labels, coeff)]
 
 
-def _validated(state: ResolutionState) -> ResolutionState:
-    """Check a state in full; ValueError if it is inconsistent."""
+def _validated(state: ResolutionState, error=ValueError, prefix="") -> ResolutionState:
+    """Check a state in full; ``error`` if it is inconsistent."""
     problems = validate_state(state)
     if problems:
-        raise ValueError("; ".join(problems))
+        raise error(prefix + "; ".join(problems))
     _set(state, "_valid", True)
     return state
 
@@ -375,10 +375,7 @@ def _checked_book(state: ResolutionState) -> _Book:
     States that ``step`` produces are valid by construction.
     """
     if not state._valid:
-        problems = validate_state(state)
-        if problems:
-            raise InvariantBreach("state invariants broken: " + "; ".join(problems))
-        _set(state, "_valid", True)
+        _validated(state, InvariantBreach, "state invariants broken: ")
     return state._own()
 
 

@@ -66,13 +66,15 @@ def validate_snc(snc: SncVariety) -> list:
     return list(snc._violations)
 
 
-def _str_ids(snc: SncVariety) -> bool:
-    """Whether ``Cell.of`` and ``SncVariety.of`` keep every id as it is."""
-    return all(type(x) is str for x in [*snc.components, *(s.id for s in snc.strata)])
-
-
 def _find_violations(snc: SncVariety) -> list:
-    out = []
+    # ``Cell.of`` and ``SncVariety.of`` turn ids into str, so only str ids
+    # keep their order and identity; the rules below compare them as such.
+    # A non-str index or parent id is then an unknown component or parent.
+    out = [f"component {c!r} is not a str"
+           for c in sorted(snc.components, key=repr) if type(c) is not str]
+    out += [f"stratum id {s.id!r} is not a str" for s in snc.strata if type(s.id) is not str]
+    if out:
+        return out
     by_id = {}
     for s in snc.strata:
         if s.id in by_id:
@@ -141,7 +143,7 @@ def _find_violations(snc: SncVariety) -> list:
 def dual_complex_of(snc: SncVariety) -> DualComplex:
     """One (|J|-1)-cell per stratum; facet i drops the i-th smallest index.
 
-    Valid with str ids: incidence validity gives every Delta-complex check.
+    Valid by construction: incidence validity gives every Delta-complex check.
     """
     violations = validate_snc(snc)
     if violations:
@@ -155,8 +157,7 @@ def dual_complex_of(snc: SncVariety) -> DualComplex:
             parents = s.parent_map()
             facets = tuple(parents[j] for j in ordered)
             cells.append(Cell.of(s.id, len(ordered) - 1, facets, s.indices))
-    complex = DualComplex(cells)
-    return _known_valid(complex) if _str_ids(snc) else complex
+    return _known_valid(DualComplex(cells))
 
 
 # --------------------------------------------------------------------------
@@ -266,7 +267,7 @@ def blowup_center(snc: SncVariety, center: CenterDescriptor):
     kept = [s for s in snc.strata if s.id not in removed]
     kept_components = {next(iter(s.indices)) for s in kept if len(s.indices) == 1}
     new_snc = SncVariety.of(kept_components, kept)
-    if snc._violations == () and _str_ids(snc):
+    if snc._violations == ():
         _known_valid(new_snc)
     return new_snc, dual_complex_of(new_snc)
 

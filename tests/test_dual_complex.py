@@ -1,5 +1,6 @@
 """Validation, homology, open-star removal, serialization."""
 
+import itertools
 import json
 import os
 import random
@@ -362,7 +363,7 @@ _ENTRY = st.one_of(st.just(0), st.integers(min_value=-3, max_value=3))
     lambda n: st.lists(st.lists(_ENTRY, min_size=n, max_size=n), max_size=8)))
 # The first pivot fills in a unit whose row and column keep their sizes.
 @example([[-1, 0, -1], [0, 0, 3], [-1, 2, 0]])
-# A unit whose cost rises before its offer comes up.
+# Two successive pivots write fill-in into rows that hold no unit.
 @example([[0, 0, 2], [3, 0, -1], [-1, -2, 0], [0, 0, 2], [-2, 0, 0]])
 def test_sparse_invariant_factors_equal_dense_smith_on_small_matrices(matrix):
     _check_against_dense(matrix)
@@ -397,6 +398,34 @@ def test_torsion_reaches_the_dense_smith_as_a_core(monkeypatch):
                         lambda matrix: cores.append(matrix) or dense(matrix))
     assert dc.homology(moore_space_complex(3)).torsion == ((), (3,), ())
     assert cores
+
+
+def _downward_closed_variety(rng, n, probs):
+    """Components E0..E{n-1}; a set of size k + 2 whose every facet is
+    present is kept with probability ``probs[k]``."""
+    comps = [f"E{i}" for i in range(n)]
+    family = {frozenset([c]) for c in comps}
+    for size, p in enumerate(probs, start=2):
+        for subset in itertools.combinations(comps, size):
+            subset = frozenset(subset)
+            if all(subset - {c} in family for c in subset) and rng.random() < p:
+                family.add(subset)
+    return sm.from_index_sets(comps, family)
+
+
+def test_homology_with_a_large_coreduced_core(monkeypatch):
+    # About 1500 cells whose top boundary map keeps several hundred rows
+    # after coreduction, far more than any other complex in the suite.
+    complex = sm.dual_complex_of(
+        _downward_closed_variety(random.Random(0), 25, (0.9, 0.6, 0.3)))
+    assert 1400 <= len(complex) <= 1600
+    sizes = []
+    sparse = dc.sparse_invariant_factors
+    monkeypatch.setattr(dc, "sparse_invariant_factors",
+                        lambda rows: sizes.append(len(rows)) or sparse(rows))
+    report = dc.homology(complex)
+    assert max(sizes) > 300
+    assert report == per_map_homology(complex)
 
 
 @settings(max_examples=60, deadline=None)

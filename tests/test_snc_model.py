@@ -480,19 +480,24 @@ def test_mutated_varieties_are_never_carried_as_valid(seed):
 
 def test_non_str_ids_are_not_carried_as_valid():
     # Cell.of and SncVariety.of turn ids into str: "10" sorts before "2",
-    # so the labels no longer match the facet order, and the components
-    # of a blow-up no longer contain the (int) indices.  Both stay checked.
+    # so the labels would no longer match the facet order, and the
+    # components of a blow-up would no longer contain the (int) indices.
+    # Such ids are an incidence violation, so neither constructor builds
+    # anything from them.
     ints = SncVariety(frozenset({2, 10}), (
         Stratum(2, frozenset({2})), Stratum(10, frozenset({10})),
         Stratum(99, frozenset({2, 10}), ((2, 10), (10, 2)))))
-    assert sm.validate_snc(ints) == []
-    complex = sm.dual_complex_of(ints)
-    assert [v.rule for v in dc.validate(complex)] == ["label mismatch"] * 2
-    with pytest.raises(dc.InvalidComplexError):
-        dc.homology(complex)
+    want = ["component 10 is not a str", "component 2 is not a str",
+            "stratum id 2 is not a str", "stratum id 10 is not a str",
+            "stratum id 99 is not a str"]
+    assert sm.validate_snc(ints) == want
+    with pytest.raises(sm.IncidenceError) as err:
+        sm.dual_complex_of(ints)
+    assert str(err.value) == "; ".join(want)
+    # The blow-up's kept components come back as str, its stratum ids not.
     with pytest.raises(sm.IncidenceError) as err:
         sm.blowup_center(ints, _stratum(99))
-    assert "stratum 2 mentions unknown components [2]" in str(err.value)
+    assert str(err.value) == "stratum id 2 is not a str; stratum id 10 is not a str"
 
 
 def test_the_validity_memo_is_invisible_on_varieties():

@@ -19,6 +19,8 @@ Smith normal form, which then sees little more than the torsion.
 ``validate`` checks a complex once and keeps the answer on it.  The
 output of ``snc_model.dual_complex_of``, and of ``remove_open_star`` on a
 complex known to be valid, is valid by construction and never checked.
+A cell or facet id that is not a str, or a dimension that is not an int,
+is a violation of its own, as ``Cell.of`` would have converted it.
 """
 
 from __future__ import annotations
@@ -139,9 +141,32 @@ def _known_valid(value):
     return value
 
 
+def _in_order(items) -> list:
+    """``sorted(items)``; values that do not compare (a hand-built id or
+    label mixing int and str) are grouped by type name first, so they too
+    sort the same way under every ``PYTHONHASHSEED``."""
+    try:
+        return sorted(items)
+    except TypeError:
+        return sorted(items, key=lambda x: (type(x).__name__, x))
+
+
 def _find_violations(complex: DualComplex) -> list:
+    # ``Cell.of`` turns ids into str, so only str ids keep their order and
+    # identity; the rules below sort and compare them as such.
     out = []
     cells = complex.cells
+    for cell in cells.values():
+        where = cell.id if type(cell.id) is str else None
+        if where is None:
+            out.append(Violation("cell id", None, f"{cell.id!r} is not a str"))
+        if type(cell.dim) is not int:
+            out.append(Violation("dimension", where, f"{cell.dim!r} is not an int"))
+        for fid in cell.facets:
+            if type(fid) is not str:
+                out.append(Violation("facet id", where, f"{fid!r} is not a str"))
+    if out:
+        return out
     for cell in sorted(cells.values(), key=lambda c: (c.dim, c.id)):
         if cell.dim < 0:
             out.append(Violation("dimension", cell.id, f"negative dimension {cell.dim}"))
@@ -179,7 +204,7 @@ def _find_violations(complex: DualComplex) -> list:
                             f"facets {i} then {j - 1} reach {fi[j - 1]!r}"))
         if cell.label is not None and cell.dim >= 1:
             if len(cell.label) == cell.dim + 1:
-                ordered = sorted(cell.label)
+                ordered = _in_order(cell.label)
                 for i, facet in enumerate(facets):
                     flabel = facet.label
                     # flabel == label - {ordered[i]}, without building it.
@@ -189,7 +214,7 @@ def _find_violations(complex: DualComplex) -> list:
                         out.append(Violation(
                             "label mismatch", cell.id,
                             f"facet {i} should drop {ordered[i]!r}, but carries "
-                            f"label {sorted(flabel)}"))
+                            f"label {_in_order(flabel)}"))
             else:
                 out.append(Violation(
                     "label size", cell.id,

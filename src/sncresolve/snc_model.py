@@ -9,13 +9,18 @@ the attaching data of the dual complex.
 ``validate_snc`` checks a variety once and keeps the answer on it.  The
 complex ``dual_complex_of`` builds, and the stratum ``blowup_center`` of a
 variety known to be valid, are valid by construction and never checked.
+A dual cell depends only on its stratum, so each stratum builds its cell
+once, in the first ``dual_complex_of`` of a valid variety holding it, and
+keeps it (a private field that takes no part in equality, hashing or
+``repr``).  A stratum blow-up keeps the other strata as they are, so its
+complex shares their cells instead of building them again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .dual_complex import Cell, DualComplex, _known_valid
+from .dual_complex import Cell, DualComplex, _in_order, _known_valid
 
 
 class IncidenceError(ValueError):
@@ -27,6 +32,7 @@ class Stratum:
     id: str
     indices: frozenset
     parents: tuple = ()  # sorted tuple of (dropped component id, stratum id)
+    _cell: Cell = field(default=None, init=False, repr=False, compare=False)
 
     @staticmethod
     def of(id, indices, parents=None) -> "Stratum":
@@ -69,7 +75,9 @@ def validate_snc(snc: SncVariety) -> list:
 def _find_violations(snc: SncVariety) -> list:
     # ``Cell.of`` and ``SncVariety.of`` turn ids into str, so only str ids
     # keep their order and identity; the rules below compare them as such.
-    # A non-str index or parent id is then an unknown component or parent.
+    # A non-str index or parent id is then an unknown component or parent,
+    # and index sets are sorted with ``_in_order``, which never compares
+    # an int with a str.
     out = [f"component {c!r} is not a str"
            for c in sorted(snc.components, key=repr) if type(c) is not str]
     out += [f"stratum id {s.id!r} is not a str" for s in snc.strata if type(s.id) is not str]
@@ -84,7 +92,7 @@ def _find_violations(snc: SncVariety) -> list:
             out.append(f"stratum {s.id!r} has an empty index set")
         unknown = s.indices - snc.components
         if unknown:
-            out.append(f"stratum {s.id!r} mentions unknown components {sorted(unknown)}")
+            out.append(f"stratum {s.id!r} mentions unknown components {_in_order(unknown)}")
 
     singletons = {}
     for s in snc.strata:
@@ -103,7 +111,7 @@ def _find_violations(snc: SncVariety) -> list:
             continue
         if set(parents) != set(s.indices):
             out.append(f"stratum {s.id!r}: parents must be designated for "
-                       f"exactly the indices {sorted(s.indices)}")
+                       f"exactly the indices {_in_order(s.indices)}")
             continue
         for j, pid in parents.items():
             parent = by_id.get(pid)
@@ -111,8 +119,8 @@ def _find_violations(snc: SncVariety) -> list:
                 out.append(f"stratum {s.id!r}: parent {pid!r} does not exist")
             elif parent.indices != s.indices - {j}:
                 out.append(f"stratum {s.id!r}: parent over {j!r} has index set "
-                           f"{sorted(parent.indices)}, expected "
-                           f"{sorted(s.indices - {j})}")
+                           f"{_in_order(parent.indices)}, expected "
+                           f"{_in_order(s.indices - {j})}")
 
     # Two-step coherence: dropping j then i must reach the same stratum as
     # dropping i then j.  This is what makes the dual complex attach
@@ -121,7 +129,7 @@ def _find_violations(snc: SncVariety) -> list:
     for s, parents in zip(snc.strata, maps):
         if len(s.indices) < 3:
             continue
-        ordered = sorted(s.indices)
+        ordered = _in_order(s.indices)
         for pos, i in enumerate(ordered):
             pi = parent_maps.get(parents.get(i, ""))
             if pi is None:
@@ -144,19 +152,23 @@ def dual_complex_of(snc: SncVariety) -> DualComplex:
     """One (|J|-1)-cell per stratum; facet i drops the i-th smallest index.
 
     Valid by construction: incidence validity gives every Delta-complex check.
+    Each stratum builds its cell on the first call and keeps it, so a later
+    call, or the complex of a blow-up, reuses it.  An invalid variety raises
+    before any cell is built.
     """
     violations = validate_snc(snc)
     if violations:
         raise IncidenceError("; ".join(violations))
     cells = []
     for s in snc.strata:
-        ordered = sorted(s.indices)
-        if len(ordered) == 1:
-            cells.append(Cell.of(s.id, 0, (), s.indices))
-        else:
+        if s._cell is None:
+            # Validation proved every id, index and parent id a str, and
+            # designated a parent over each index of a deeper stratum.
+            ordered = sorted(s.indices)
             parents = s.parent_map()
-            facets = tuple(parents[j] for j in ordered)
-            cells.append(Cell.of(s.id, len(ordered) - 1, facets, s.indices))
+            facets = tuple(parents[j] for j in ordered) if len(ordered) > 1 else ()
+            object.__setattr__(s, "_cell", Cell(s.id, len(ordered) - 1, facets, s.indices))
+        cells.append(s._cell)
     return _known_valid(DualComplex(cells))
 
 

@@ -591,6 +591,25 @@ def closure_rule_blowup(snc: SncVariety, center_id: str) -> SncVariety:
                          kept)
 
 
+def cell_of_dual_complex(snc: SncVariety) -> DualComplex:
+    """``snc_model.dual_complex_of`` as it was before each stratum kept its
+    cell: one ``Cell.of`` per stratum, on every call, unchecked.
+
+    Reference for the library's memoized cells; the two complexes must be
+    equal cell for cell and in the same order.
+    """
+    cells = []
+    for s in snc.strata:
+        ordered = sorted(s.indices)
+        if len(ordered) == 1:
+            cells.append(Cell.of(s.id, 0, (), s.indices))
+        else:
+            parents = s.parent_map()
+            cells.append(Cell.of(s.id, len(ordered) - 1,
+                                 tuple(parents[j] for j in ordered), s.indices))
+    return DualComplex(cells)
+
+
 # --------------------------------------------------------------------------
 # Reference polynomial kernel
 # --------------------------------------------------------------------------

@@ -83,6 +83,34 @@ def test_validate_checks_label_drop_order():
     assert any(v.rule == "label mismatch" for v in dc.validate(flipped))
 
 
+def test_mixed_type_ids_and_labels_are_violations_not_type_errors():
+    # Hand-built cells may carry ids, facets or labels that Cell.of would
+    # have turned into str.  A non-str id is a violation of its own; a
+    # label mixing int and str is ordered by type name first, so no sort
+    # compares an int with a str and nothing depends on string hashing.
+    ids = DualComplex([Cell("a", 0), Cell(2, 0), Cell("b", 0),
+                       Cell("e", 1, ("a", 2)), Cell("f", "1", ("a", "b"))])
+    labels = DualComplex([
+        Cell("a", 0, (), frozenset({1})), Cell("b", 0, (), frozenset({"x"})),
+        Cell("m", 0, (), frozenset({2, "x"})), Cell("n", 0, (), frozenset({"p"})),
+        Cell("ab", 1, ("a", "b"), frozenset({1, "x"})),
+        Cell("ba", 1, ("b", "a"), frozenset({1, "x"})),
+        Cell("mn", 1, ("m", "n"), frozenset({"p", "q"}))])
+    cases = [
+        (ids, ["cell id: 2 is not a str", "facet id [e]: 2 is not a str",
+               "dimension [f]: '1' is not an int"]),
+        (labels, ["label mismatch [ab]: facet 0 should drop 1, but carries label [1]",
+                  "label mismatch [ab]: facet 1 should drop 'x', but carries label ['x']",
+                  "label mismatch [mn]: facet 0 should drop 'p', but carries "
+                  "label [2, 'x']"]),
+    ]
+    for complex, want in cases:
+        assert [str(v) for v in dc.validate(complex)] == want
+        with pytest.raises(dc.InvalidComplexError) as err:
+            dc.homology(complex)
+        assert str(err.value) == "; ".join(want)
+
+
 def _malformed(rng, complex):
     """The complex with some cells broken: a facet swapped for another id
     (or a missing one), facets shuffled or cut short, a negative

@@ -13,8 +13,9 @@ from sncresolve import snc_model as sm
 from sncresolve.dual_complex import DualComplex
 from sncresolve.snc_model import CenterDescriptor, SncVariety, Stratum
 
-from oracles import (closure_rule_blowup, per_map_homology, per_pair_validate_snc,
-                     random_variety, rational_betti, shared_map_validate_snc)
+from oracles import (cell_of_dual_complex, closure_rule_blowup, per_map_homology,
+                     per_pair_validate_snc, random_variety, rational_betti,
+                     shared_map_validate_snc)
 
 
 def triangle():
@@ -500,6 +501,34 @@ def test_non_str_ids_are_not_carried_as_valid():
     assert str(err.value) == "stratum id 2 is not a str; stratum id 10 is not a str"
 
 
+def test_mixed_type_indices_are_violations_not_type_errors():
+    # A hand-built stratum may mix int and str indices (Stratum.of would
+    # turn them into str).  Each message lists them grouped by type name,
+    # so none compares an int with a str and the order does not depend on
+    # string hashing.
+    snc = SncVariety(frozenset({"y", "z"}), (
+        Stratum("y", frozenset({"y"})), Stratum("z", frozenset({"z"})),
+        Stratum("yz", frozenset({"y", "z"}), (("y", "z"), ("z", "y"))),
+        Stratum("s", frozenset({1, "x", "y"})),
+        Stratum("u", frozenset({3, "y", "z"}), ((3, "yz"), ("y", "z"), ("z", "y")))))
+    want = [
+        "stratum 's' mentions unknown components [1, 'x']",
+        "stratum 'u' mentions unknown components [3]",
+        "stratum 's': parents must be designated for exactly the indices [1, 'x', 'y']",
+        "stratum 'u': parent over 'y' has index set ['z'], expected [3, 'z']",
+        "stratum 'u': parent over 'z' has index set ['y'], expected [3, 'y']",
+        "stratum 'u': incoherent parents, dropping 3 then 'y' reaches 'z' but "
+        "'y' then 3 reaches None",
+        "stratum 'u': incoherent parents, dropping 3 then 'z' reaches 'y' but "
+        "'z' then 3 reaches None",
+    ]
+    assert sm.validate_snc(snc) == want
+    with pytest.raises(sm.IncidenceError) as err:
+        sm.dual_complex_of(snc)
+    assert str(err.value) == "; ".join(want)
+    assert all(s._cell is None for s in snc.strata)
+
+
 def test_the_validity_memo_is_invisible_on_varieties():
     checked, fresh = sm.coordinate_germ(4), sm.coordinate_germ(4)
     sm.dual_complex_of(checked)
@@ -515,3 +544,73 @@ def test_the_validity_memo_is_invisible_on_varieties():
     want = per_pair_validate_snc(bad)
     sm.validate_snc(bad).clear()
     assert sm.validate_snc(bad) == want != []
+
+
+# --------------------------------------------------------------------------
+# one cell per stratum, shared by blow-ups
+# --------------------------------------------------------------------------
+
+def _chain(rng, snc):
+    """(variety, complex) pairs: the variety, then one to four stratum
+    blow-ups in a row at random centers."""
+    out = [(snc, sm.dual_complex_of(snc))]
+    for _ in range(rng.randint(1, 4)):
+        if not snc.strata:
+            break
+        snc, complex = sm.blowup_center(snc, _stratum(rng.choice(snc.strata).id))
+        out.append((snc, complex))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_memoized_cells_give_the_complex_that_cell_of_builds(seed):
+    rng = random.Random(seed)
+    for snc, complex in _chain(rng, random_variety(rng)):
+        want = cell_of_dual_complex(snc)
+        for got in (complex, sm.dual_complex_of(snc)):
+            assert got == want
+            assert list(got.cells) == list(want.cells)
+            assert dc.canonical_json(got) == dc.canonical_json(want)
+            assert dc.to_dot(got) == dc.to_dot(want)
+            assert dc.homology(got) == dc.homology(want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_blowups_share_the_cells_of_the_parent_complex(seed):
+    rng = random.Random(seed)
+    chain = _chain(rng, random_variety(rng))
+    for (_, parent), (_, blown) in zip(chain, chain[1:]):
+        assert all(cell is parent[cid] for cid, cell in blown.cells.items())
+    for snc, complex in chain:
+        again = sm.dual_complex_of(snc)
+        assert all(again[s.id] is complex[s.id] is s._cell for s in snc.strata)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_the_cell_memo_is_invisible_on_strata(seed):
+    snc = random_variety(random.Random(seed))
+    fresh = SncVariety.of(snc.components,
+                          [Stratum(s.id, s.indices, s.parents) for s in snc.strata])
+    sm.dual_complex_of(snc)
+    assert all(s._cell is not None for s in snc.strata)
+    assert all(s._cell is None for s in fresh.strata)
+    for built, plain in zip(snc.strata, fresh.strata):
+        assert built == plain and hash(built) == hash(plain)
+        assert repr(built) == repr(plain)
+    assert snc == fresh and hash(snc) == hash(fresh)
+    assert json.dumps(sm.to_json_obj(snc)) == json.dumps(sm.to_json_obj(fresh))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_invalid_varieties_store_no_cells(seed):
+    rng = random.Random(seed)
+    bad = _mutated(rng, random_variety(rng))
+    if not per_pair_validate_snc(bad):
+        return
+    with pytest.raises(sm.IncidenceError):
+        sm.dual_complex_of(bad)
+    assert all(s._cell is None for s in bad.strata)

@@ -31,6 +31,7 @@ EXIT_BREACH = 3
 EXIT_SCALE = 4
 
 ENV_PREFIX = "SNCRESOLVE_"
+_POLICIES = ("oracle", "paper")
 
 
 def _env_name(flag: str) -> str:
@@ -50,6 +51,16 @@ def _env_int(flag: str, fallback: int) -> int:
         return int(value)
     except ValueError:
         raise ValueError(f"{_env_name(flag)}={value!r} is not an integer") from None
+
+
+def _env_choice(flag: str, choices: tuple, fallback: str) -> str:
+    """A choice flag's default from the environment; argparse checks only
+    the values given on the command line, so this checks the variable's."""
+    value = _env_default(flag, fallback)
+    if value not in choices:
+        raise ValueError(f"{_env_name(flag)}={value!r} is not one of "
+                         f"{', '.join(choices)}")
+    return value
 
 
 def _env_flag(flag: str) -> bool:
@@ -213,7 +224,7 @@ def cmd_resolve(input_path: str, config: re_.RunConfig,
     # Every state of a run shares the seed's immutable dual complex.
     print("dual complex preserved: yes")
     if trace_path:
-        _save_json(trace_path, re_.trace_to_obj(seed, events, final, config))
+        _save_json(trace_path, re_.trace_stream(seed, events, final, config))
         print("trace written:", trace_path)
     return EXIT_OK
 
@@ -333,8 +344,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_res.add_argument("--ordering", default=_env_default("ordering"),
                        help="comma-separated id priority, e.g. E2,E1")
     p_res.add_argument("--exponent-policy",
-                       default=_env_default("exponent-policy", "oracle"),
-                       choices=("oracle", "paper"))
+                       default=_env_choice("exponent-policy", _POLICIES, "oracle"),
+                       choices=_POLICIES)
     p_res.add_argument("--ceiling", type=int, default=_env_int("ceiling", 10_000))
 
     p_ver = sub.add_parser("verify", help="re-derive rule grids exactly")
@@ -346,8 +357,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--a", default=_env_default("a", "2..4"),
                        help="divisor exponents, e.g. 2..4")
     p_ver.add_argument("--exponent-policy",
-                       default=_env_default("exponent-policy", "oracle"),
-                       choices=("oracle", "paper"))
+                       default=_env_choice("exponent-policy", _POLICIES, "oracle"),
+                       choices=_POLICIES)
     p_ver.add_argument("--json", action="store_true", default=_env_flag("json"),
                        help="print the reports as one JSON array instead of a table")
 

@@ -525,7 +525,7 @@ def to_json_obj(complex: DualComplex) -> dict:
     for cell in sorted(complex.cells.values(), key=lambda c: (c.dim, c.id)):
         entry = {"id": cell.id, "dim": cell.dim, "facets": list(cell.facets)}
         if cell.label is not None:
-            entry["label"] = sorted(cell.label)
+            entry["label"] = _in_order(cell.label)
         cells.append(entry)
     return {"cells": cells}
 
@@ -555,7 +555,7 @@ def to_dot(complex: DualComplex) -> str:
     """DOT rendering of the 1-skeleton (vertices and edges only)."""
     lines = ["graph skeleton {"]
     for cell in complex.cells_of_dim(0):
-        label = ",".join(sorted(cell.label)) if cell.label else cell.id
+        label = ",".join(map(str, _in_order(cell.label))) if cell.label else cell.id
         lines.append(f'  "{cell.id}" [label="{label}"];')
     for cell in complex.cells_of_dim(1):
         a, b = cell.facets

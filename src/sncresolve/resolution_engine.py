@@ -27,6 +27,7 @@ so its cost follows the charts it touches rather than the whole state
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _encode_str
 
@@ -573,10 +574,11 @@ def write_json(obj, write) -> None:
     machine-readable reports.  With ``indent`` set, the standard library
     leaves its C encoder and yields through one generator per nesting
     level; here a plain recursion appends whole lines to one list and
-    passes it to ``write`` every few thousand pieces, so memory stays flat
-    however large the document.  Strings go through the C string encoder,
-    which also raises ``TypeError`` for a dict key that is not a ``str``;
-    tuples are written as lists.
+    passes it to ``write`` every few thousand pieces, so the text held at
+    once stays small; the document itself is held only as far as ``obj``
+    holds it.  Strings go through the C string encoder, which also raises
+    ``TypeError`` for a dict key that is not a ``str``; tuples and
+    iterators are written as lists, an iterator consumed as it is written.
     """
     text = _leaf(obj)
     if text is not None:
@@ -599,21 +601,22 @@ def _leaf(value) -> str | None:
         return "false"
     if isinstance(value, int):
         return int.__repr__(value)
-    if isinstance(value, (list, tuple, dict)):
+    if isinstance(value, (list, tuple, dict, Iterator)):
         return None
     return json.dumps(value)
 
 
 def _write_container(value, lead: str, newline: str, chunks: list, write) -> None:
-    """Append ``lead`` and the JSON text of a list, tuple or dict whose
-    closing bracket goes after ``newline`` (a newline and its indentation)."""
-    if not value:
-        chunks.append(lead + ("{}" if isinstance(value, dict) else "[]"))
-        return
+    """Append ``lead`` and the JSON text of a list, tuple, iterator or dict
+    whose closing bracket goes after ``newline`` (a newline and its
+    indentation); an empty one is written as ``[]`` or ``{}``."""
     inner = newline + " "
     comma = "," + inner
     sep = inner
     if isinstance(value, dict):
+        if not value:
+            chunks.append(lead + "{}")
+            return
         chunks.append(lead + "{")
         for key in sorted(value):
             item = value[key]
@@ -633,7 +636,7 @@ def _write_container(value, lead: str, newline: str, chunks: list, write) -> Non
             else:
                 chunks.append(sep + text)
             sep = comma
-        chunks.append(newline + "]")
+        chunks.append("]" if sep is inner else newline + "]")
     if len(chunks) > _FLUSH_AT:
         write("".join(chunks))
         chunks.clear()
@@ -658,8 +661,8 @@ def rule_from_obj(obj: dict) -> RuleApplication:
                            (nd[0], nd[1]) if nd else None)
 
 
-def _chart_items_obj(items) -> list:
-    return [{"chart": cc.chart_to_obj(c), "count": n} for c, n in items]
+def _chart_items_obj(items, seq):
+    return seq({"chart": cc.chart_to_obj(c), "count": n} for c, n in items)
 
 
 def _chart_items_from_obj(entries) -> tuple:
@@ -687,8 +690,8 @@ def event_to_obj(event: BlowupEvent) -> dict:
         "index": event.index,
         "phase": event.phase,
         "rule": rule_to_obj(event.rule),
-        "parents": _chart_items_obj(event.parents),
-        "children": _chart_items_obj(event.children),
+        "parents": _chart_items_obj(event.parents, list),
+        "children": _chart_items_obj(event.children, list),
         "new_divisor": list(event.new_divisor) if event.new_divisor else None,
         "exceptional": event.exceptional,
         "lex": [[mdeg_obj(p), mdeg_obj(ch)] for p, ch in event.lex],
@@ -708,11 +711,15 @@ def event_from_obj(obj: dict) -> BlowupEvent:
 
 
 def state_to_obj(state: ResolutionState) -> dict:
+    return _state_obj(state, list)
+
+
+def _state_obj(state: ResolutionState, seq) -> dict:
     return {
         "dual": dc.to_json_obj(state.dual),
         "registry": [{"id": r.id, "coeff": r.coeff, "birth": r.birth}
                      for r in state.registry],
-        "charts": _chart_items_obj(state.charts),
+        "charts": _chart_items_obj(state.charts, seq),
     }
 
 
@@ -729,12 +736,25 @@ def state_from_obj(obj: dict) -> ResolutionState:
 
 def trace_to_obj(seed: ResolutionState, events, final: ResolutionState,
                  config: RunConfig) -> dict:
+    return _trace_obj(seed, events, final, config, list)
+
+
+def trace_stream(seed: ResolutionState, events, final: ResolutionState,
+                 config: RunConfig) -> dict:
+    """``trace_to_obj`` with its event and chart arrays as one-shot
+    iterators: ``write_json`` builds each entry as it writes it and drops
+    it, so writing never holds the whole document."""
+    return _trace_obj(seed, events, final, config, iter)
+
+
+def _trace_obj(seed, events, final, config, seq) -> dict:
+    """The trace document; ``seq`` makes its event and chart arrays."""
     return {
         "config": config.to_json_obj(),
         "assumptions": list(MODEL_ASSUMPTIONS),
-        "seed": state_to_obj(seed),
-        "events": [event_to_obj(e) for e in events],
-        "final": state_to_obj(final),
+        "seed": _state_obj(seed, seq),
+        "events": seq(map(event_to_obj, events)),
+        "final": _state_obj(final, seq),
     }
 
 

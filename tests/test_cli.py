@@ -242,6 +242,21 @@ def test_resolve_triangle(seed_file, tmp_path, capsys):
     assert re_.replay_trace(doc).ok
 
 
+def test_resolve_streams_the_trace_without_building_the_document(seed_file, tmp_path,
+                                                                 monkeypatch):
+    trace_to_obj = re_.trace_to_obj
+
+    def no_document(*args):
+        raise AssertionError("resolve built the whole trace document")
+    monkeypatch.setattr(re_, "trace_to_obj", no_document)
+    trace = tmp_path / "trace.json"
+    assert cli.main(["resolve", "--input", seed_file, "--trace", str(trace)]) == 0
+    doc = json.loads(trace.read_text())
+    seed = re_.state_from_obj(doc["seed"])
+    final, events = re_.run(seed, re_.RunConfig())
+    assert doc == trace_to_obj(seed, events, final, re_.RunConfig())
+
+
 def test_resolve_unwritable_trace_exit_2_before_the_run(seed_file, tmp_path, capsys,
                                                        monkeypatch):
     def no_run(*args):
@@ -462,6 +477,18 @@ def test_non_integer_environment_value_exit_2(monkeypatch, capsys, name):
     monkeypatch.setenv(name, "abc")
     assert cli.main(["gen"]) == cli.EXIT_INPUT
     assert f"{name}='abc'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["verify", "--rule", "det"],
+                                  ["resolve", "--input", "state.json"]])
+def test_unknown_environment_policy_exit_2(monkeypatch, capsys, argv):
+    # argparse checks ``choices`` only on the command line, not on defaults.
+    monkeypatch.setenv("SNCRESOLVE_EXPONENT_POLICY", "bogus")
+    assert cli.main(argv) == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("bad environment value: SNCRESOLVE_EXPONENT_POLICY="
+                            "'bogus' is not one of oracle, paper\n")
 
 
 def test_gen_unwritable_out_exit_2(tmp_path, capsys):

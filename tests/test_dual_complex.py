@@ -582,3 +582,46 @@ def test_dot_export_lists_vertices_and_edges():
     assert dot.startswith("graph")
     assert dot.count("--") == 3
     assert '"s0"' in dot
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False), st.booleans())
+def test_every_complex_that_validates_serializes(rng, keep_order):
+    # Hand-built cells may carry labels mixing int and str, which
+    # ``validate`` orders by type name first.  The first ``cut`` component
+    # names become ints; in the order of the sorted names (``keep_order``)
+    # that keeps every label's order, otherwise it may not.
+    complex = sm.dual_complex_of(random_variety(rng))
+    names = sorted({x for cell in complex.cells_of_dim(0) for x in cell.label})
+    if not keep_order:
+        rng.shuffle(names)
+    cut = rng.randint(0, len(names))
+    relabel = {x: k if k < cut else x for k, x in enumerate(names)}
+    mixed = DualComplex(Cell(c.id, c.dim, c.facets, frozenset(map(relabel.get, c.label)))
+                        for c in complex.cells.values())
+    if dc.validate(mixed):
+        assert not keep_order
+        return
+    obj = dc.to_json_obj(mixed)
+    assert dc.canonical_json(mixed) == json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    dot = dc.to_dot(mixed)
+    for cell in mixed.cells_of_dim(0):
+        (x,) = cell.label
+        assert f'  "{cell.id}" [label="{x}"];' in dot
+    if keep_order:
+        # The cell and facet order are those of the all-str complex.
+        want = dc.to_json_obj(complex)
+        for entry in want["cells"]:
+            entry["label"] = [relabel[x] for x in entry["label"]]
+        assert obj == want
+
+
+def test_mixed_int_and_str_labels_serialize():
+    complex = DualComplex([
+        Cell("a", 0, (), frozenset({1})), Cell("b", 0, (), frozenset({"x"})),
+        Cell("ab", 1, ("b", "a"), frozenset({1, "x"}))])
+    assert dc.validate(complex) == []
+    assert dc.to_json_obj(complex)["cells"][-1]["label"] == [1, "x"]
+    assert '"ab"' in dc.canonical_json(complex)
+    assert dc.to_dot(complex).splitlines()[1:3] == ['  "a" [label="1"];',
+                                                   '  "b" [label="x"];']

@@ -36,16 +36,43 @@ documents = st.recursive(
     max_leaves=40)
 
 
+def one_shot(doc, pick=lambda: True):
+    """``doc`` with each list or tuple that ``pick()`` chooses swapped for
+    a one-shot iterator over the same (likewise swapped) items."""
+    if isinstance(doc, dict):
+        return {key: one_shot(value, pick) for key, value in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        items = [one_shot(item, pick) for item in doc]
+        return iter(items) if pick() else items
+    return doc
+
+
 @settings(max_examples=400, deadline=None)
-@given(documents)
-def test_writer_equals_the_standard_library(doc):
-    assert written(doc) == reference(doc)
+@given(documents, st.randoms(use_true_random=False))
+def test_writer_equals_the_standard_library(doc, rng):
+    want = reference(doc)
+    assert written(doc) == want
+    assert written(one_shot(doc, lambda: rng.random() < 0.5)) == want
+    assert written(one_shot(doc)) == want
 
 
 @pytest.mark.parametrize("doc", [[], {}, (), [[]], {"a": {}}, [(), {}, [[]]],
                                  {"": [{"": None}]}, "\x00\ud800", 7, None])
 def test_writer_on_empty_and_edge_documents(doc):
     assert written(doc) == reference(doc)
+    assert written(one_shot(doc)) == reference(doc)
+
+
+@pytest.mark.parametrize("make, want", [
+    (lambda: iter([]), []),
+    (lambda: (x for x in ()), []),
+    (lambda: map(str, []), []),
+    (lambda: {"a": iter([]), "b": [iter([])]}, {"a": [], "b": [[]]}),
+    (lambda: iter([iter([]), iter([iter([]), 1]), {"k": iter([None])}]),
+     [[], [[], 1], {"k": [None]}]),
+])
+def test_empty_and_nested_iterators(make, want):
+    assert written(make()) == reference(want)
 
 
 def test_gen_output_equals_the_standard_library(tmp_path, capsys):
@@ -59,13 +86,37 @@ def test_gen_output_equals_the_standard_library(tmp_path, capsys):
         assert capsys.readouterr().out.startswith(f"seed state written: {out} ")
 
 
+def _event(i):
+    return {"index": i, "pair": ["E1", f"E{i}"], "new": None}
+
+
 def test_a_large_document_reaches_write_in_several_calls():
-    doc = {"events": [{"index": i, "pair": ["E1", f"E{i}"], "new": None}
-                      for i in range(3 * re_._FLUSH_AT)]}
+    doc = {"events": [_event(i) for i in range(3 * re_._FLUSH_AT)]}
     calls = []
     re_.write_json(doc, calls.append)
     assert len(calls) > 1
     assert "".join(calls) == reference(doc)
+
+
+def test_a_stream_of_events_is_written_as_it_is_consumed():
+    n = 3 * re_._FLUSH_AT + 1
+    built = []
+    calls = []
+
+    def events():
+        for i in range(n):
+            built.append(i)
+            yield _event(i)
+
+    def write(text):
+        calls.append((len(built), text))
+
+    re_.write_json({"events": events(), "n": n}, write)
+    assert len(calls) > 3
+    # Text reaches ``write`` while most events are still to be built.
+    assert calls[0][0] < n // 2
+    assert "".join(text for _, text in calls) == reference(
+        {"events": [_event(i) for i in range(n)], "n": n})
 
 
 @pytest.mark.parametrize("doc", [{1: "a"}, {"a": [{"b": 1, None: 2}]}, {(1, 2): 3}])

@@ -3,14 +3,15 @@
 The reference sha256 digests of traces live in ``benchmarks/frozen.json``;
 this file only reads it.  The batch traces are serialized with the
 benchmark's own ``trace_bytes`` (the standard library's indented encoder),
-and the program's ``write_json``, which ``sncresolve resolve --trace``
-uses, must give the same bytes.
+and the program's ``write_json`` must give the same bytes, also when it
+streams the trace as ``sncresolve resolve --trace`` does.
 """
 
 import hashlib
 import importlib.util
 import json
 import random
+import tracemalloc
 from pathlib import Path
 
 from sncresolve import chart_calculus as cc
@@ -37,7 +38,7 @@ FROZEN = fx.load_frozen()
 def test_batch_trace_digests_match_the_frozen_reference():
     want = FROZEN["batch_trace_sha256"]
     got = {}
-    written_differs = []
+    written_differs, streamed_differs = [], []
     for state_seed in range(fx.BATCH_SEEDS):
         state = cli.random_state(random.Random(state_seed))
         for policy in fx.BATCH_POLICIES:
@@ -46,13 +47,48 @@ def test_batch_trace_digests_match_the_frozen_reference():
             doc = re_.trace_to_obj(state, events, final, config)
             data = fx.trace_bytes(doc)
             got[f"{state_seed}:{policy}"] = hashlib.sha256(data).hexdigest()
-            parts = []
-            re_.write_json(doc, parts.append)
-            if ("".join(parts) + "\n").encode("utf-8") != data:
+            text = _written(doc)
+            if (text + "\n").encode("utf-8") != data:
                 written_differs.append(f"{state_seed}:{policy}")
+            if _written(re_.trace_stream(state, events, final, config)) != text:
+                streamed_differs.append(f"{state_seed}:{policy}")
     assert len(want) == 2 * fx.BATCH_SEEDS
     assert [key for key in want if got[key] != want[key]] == []
     assert written_differs == []
+    assert streamed_differs == []
+
+
+def _written(doc) -> str:
+    parts = []
+    re_.write_json(doc, parts.append)
+    return "".join(parts)
+
+
+def test_streaming_a_trace_never_holds_the_document():
+    # ``resolve --trace`` streams the trace; writing the materialized
+    # document holds all of it.  Allocations are deterministic.
+    doc = fx.germ_seed_doc(sm)
+    seed = re_.seed_from_snc(sm.from_json_obj(doc["snc"]), doc["coranks"])
+    config = re_.RunConfig()
+    final, events = re_.run(seed, config)
+    final.census()  # the CLI reads the final charts before it writes
+
+    def peak(write_trace) -> int:
+        tracemalloc.start()
+        try:
+            write_trace()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def discard(text):
+        pass
+
+    streamed = peak(lambda: re_.write_json(
+        re_.trace_stream(seed, events, final, config), discard))
+    materialized = peak(lambda: re_.write_json(
+        re_.trace_to_obj(seed, events, final, config), discard))
+    assert streamed * 4 <= materialized, (streamed, materialized)
 
 
 def test_large_cli_trace_digests_match_the_frozen_reference(tmp_path, capsys):

@@ -19,6 +19,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from operator import itemgetter
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .poly_oracle import Polynomial, ScaleError, generic_det, prime
@@ -195,20 +196,17 @@ def _det_factor(m: int) -> Polynomial:
 
 
 def local_equation(chart: ChartState) -> Polynomial:
-    """The exact polynomial  prod x_i - t * det(y) * prod z_j^{a_j}."""
+    """The exact polynomial  prod x_i - t * det(y) * prod z_j^{a_j}, its
+    two monomials each built as one term."""
     if chart.det_size > EQUATION_MAX_DET:
         raise ScaleError(
             f"local equations cap det size at {EQUATION_MAX_DET} (got {chart.det_size})")
     d = mdeg(chart)
     if d.dx + d.dy + d.dz + 1 > EQUATION_MAX_TOTAL_DEGREE:
         raise ScaleError("local equation exceeds the total-degree cap")
-    lhs = Polynomial.constant(1)
-    for i in sorted(chart.x_indices):
-        lhs = lhs * Polynomial.variable(x_var(i))
-    rhs = Polynomial.variable("t") * _det_factor(chart.det_size)
-    for div, a in chart.exponents:
-        rhs = rhs * Polynomial.variable(z_var(div)) ** a
-    return lhs - rhs
+    lhs = Polynomial({tuple((x_var(i), 1) for i in chart.x_indices): 1})
+    rhs = Polynomial({(("t", 1),) + tuple((z_var(d), a) for d, a in chart.exponents): 1})
+    return lhs - rhs * _det_factor(chart.det_size)
 
 
 def snc_certificate(chart: ChartState) -> tuple[Polynomial, Polynomial]:
@@ -223,9 +221,7 @@ def snc_certificate(chart: ChartState) -> tuple[Polynomial, Polynomial]:
         raise ValueError("snc certificate applies to single-x-factor charts only")
     (i,) = chart.x_indices
     det = _det_factor(chart.det_size)
-    zmono = Polynomial.constant(1)
-    for div, a in chart.exponents:
-        zmono = zmono * Polynomial.variable(z_var(div)) ** a
+    zmono = Polynomial({tuple((z_var(d), a) for d, a in chart.exponents): 1})
     t = Polynomial.variable("t")
     x_new = Polynomial.variable(x_var(i)) + t * (Polynomial.constant(1) - det) * zmono
     return x_new, x_new - t * zmono
@@ -244,7 +240,7 @@ class VerifyChart(NamedTuple):
     scaled: tuple
     family: str
     detail: str
-    post: dict | None = None
+    post: MappingProxyType | None = None
 
 
 class Rule:
@@ -291,16 +287,24 @@ def _pair_center(app: RuleApplication) -> list:
     return [(x_var(i), "x", f"lead={i}") for i in app.pair]
 
 
-def _pivot_elimination(m: int, r0: int, s0: int) -> dict:
+# Pivot eliminations by (m, r0, s0), built once and shared read-only.
+_PIVOT_ELIMINATIONS = {}
+
+
+def _pivot_elimination(m: int, r0: int, s0: int) -> MappingProxyType:
     """After the y-chart with pivot (r0, s0) the pivot entry is the unit 1;
     y'_rs = y_ab + y'_r,s0 * y'_r0,s, with y_ab the entry of the child's
     matrix, shrinks the determinant by one."""
-    var = Polynomial.variable
-    rows = [r for r in range(1, m + 1) if r != r0]
-    cols = [s for s in range(1, m + 1) if s != s0]
-    return {prime(y_var(r, s, m)): var(y_var(a, b, m - 1))
-            + var(prime(y_var(r, s0, m))) * var(prime(y_var(r0, s, m)))
-            for a, r in enumerate(rows, start=1) for b, s in enumerate(cols, start=1)}
+    post = _PIVOT_ELIMINATIONS.get((m, r0, s0))
+    if post is None:
+        var = Polynomial.variable
+        rows = [r for r in range(1, m + 1) if r != r0]
+        cols = [s for s in range(1, m + 1) if s != s0]
+        post = _PIVOT_ELIMINATIONS[m, r0, s0] = MappingProxyType({
+            prime(y_var(r, s, m)): var(y_var(a, b, m - 1))
+                + var(prime(y_var(r, s0, m))) * var(prime(y_var(r0, s, m)))
+            for a, r in enumerate(rows, start=1) for b, s in enumerate(cols, start=1)})
+    return post
 
 
 class _Det(Rule):

@@ -104,7 +104,8 @@ def _print_json(obj):
 
 def _writable(path: str) -> bool:
     """Whether an output file can be written, checked before the work (an
-    existing file is left as it is); one stderr line if not."""
+    existing file is left as it is; ``main`` removes a file this creates
+    if the command then fails); one stderr line if not."""
     try:
         with open(path, "a", encoding="utf-8"):
             return True
@@ -376,6 +377,20 @@ def main(argv=None) -> int:
         _print_err(f"bad environment value: {err}")
         return EXIT_INPUT
     args = parser.parse_args(argv)
+    # A failing command removes an output file that its probe created.
+    out = vars(args).get({"dualcomplex": "dot", "resolve": "trace", "gen": "out"}
+                         .get(args.command))
+    fresh = bool(out) and not os.path.lexists(out)
+    code = EXIT_INPUT
+    try:
+        code = _dispatch(args)
+    finally:
+        if fresh and code != EXIT_OK and os.path.lexists(out):
+            os.remove(out)
+    return code
+
+
+def _dispatch(args) -> int:
     try:
         if args.command == "dualcomplex":
             if not args.input:

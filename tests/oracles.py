@@ -19,6 +19,7 @@ from sncresolve.chart_calculus import (ChartState, ChildChart, RuleApplication,
                                        exceptional_coefficient, mdeg)
 from sncresolve import dual_complex as dc
 from sncresolve.dual_complex import Cell, DualComplex, HomologyReport, Violation
+from sncresolve.poly_oracle import Polynomial, ScaleError, generic_det
 from sncresolve.snc_model import SncVariety, from_index_sets
 
 
@@ -747,6 +748,27 @@ def reference_rename_variables(f, mapping):
         out[renamed] = coeff
     return ReferencePolynomial(out)
 
+
+def reference_local_equation(chart):
+    """``chart_calculus.local_equation`` as it multiplied out both sides.
+
+    Reference for the library, which builds prod x_i and t * prod z_j^{a_j}
+    as one monomial each; both must give the same polynomial and raise
+    ``ScaleError`` at the same charts.
+    """
+    if chart.det_size > cc.EQUATION_MAX_DET:
+        raise ScaleError("det size cap")
+    d = mdeg(chart)
+    if d.dx + d.dy + d.dz + 1 > cc.EQUATION_MAX_TOTAL_DEGREE:
+        raise ScaleError("total-degree cap")
+    lhs = Polynomial.constant(1)
+    for i in sorted(chart.x_indices):
+        lhs = lhs * Polynomial.variable(cc.x_var(i))
+    m = chart.det_size
+    rhs = Polynomial.variable("t") * generic_det(m, name=lambda r, s: cc.y_var(r, s, m))
+    for div, a in chart.exponents:
+        rhs = rhs * Polynomial.variable(cc.z_var(div)) ** a
+    return lhs - rhs
 
 
 # --------------------------------------------------------------------------

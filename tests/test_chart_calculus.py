@@ -8,7 +8,7 @@ from sncresolve import poly_oracle as po
 from sncresolve.chart_calculus import (ChartState, MultiDegree,
                                        RuleApplication, RulePreconditionError)
 
-from oracles import reference_children
+from oracles import reference_children, reference_local_equation
 
 
 def chart(xs, m, a=None):
@@ -330,6 +330,37 @@ def test_local_equation_scale_cap():
         cc.local_equation(chart(["1", "2"], 4))
     with pytest.raises(po.ScaleError):
         cc.local_equation(chart([f"E{i}" for i in range(1, 21)], 0, {"j": 4}))
+
+
+@st.composite
+def equation_charts(draw, max_m=3, max_a=4):
+    dx = draw(st.integers(min_value=1, max_value=4))
+    m = draw(st.integers(min_value=0, max_value=max_m))
+    exps = {f"f{j}": draw(st.integers(min_value=1, max_value=max_a))
+            for j in range(draw(st.integers(min_value=0, max_value=3)))}
+    return chart([f"E{i}" for i in range(1, dx + 1)], m, exps)
+
+
+def _equation_or_cap(build, c):
+    try:
+        return build(c).terms
+    except po.ScaleError:
+        return po.ScaleError
+
+
+@settings(max_examples=200, deadline=None)
+@given(equation_charts())
+def test_local_equation_equals_the_product_reference(c):
+    assert cc.local_equation(c).terms == reference_local_equation(c).terms
+
+
+@settings(max_examples=200, deadline=None)
+@given(equation_charts(max_m=5, max_a=9))
+@example(chart(["E1", "E2", "E3", "E4"], 3, {"f0": 8, "f1": 8}))  # degree 24: allowed
+@example(chart(["E1", "E2", "E3", "E4"], 3, {"f0": 8, "f1": 9}))  # degree 25: capped
+def test_local_equation_caps_where_the_product_reference_caps(c):
+    assert _equation_or_cap(cc.local_equation, c) \
+        == _equation_or_cap(reference_local_equation, c)
 
 
 def test_snc_certificate_identity():

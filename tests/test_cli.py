@@ -7,6 +7,7 @@ import pytest
 
 from sncresolve import cli
 from sncresolve import dual_complex as dc
+from sncresolve import poly_oracle as po
 from sncresolve import resolution_engine as re_
 from sncresolve import snc_model as sm
 
@@ -285,6 +286,54 @@ def test_resolve_ceiling_exit_code(seed_file, capsys):
     assert cli.main(["resolve", "--input", seed_file,
                      "--ceiling", "1"]) == cli.EXIT_SCALE
     assert "ceiling" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("existing", [None, "kept\n"])
+def test_resolve_failure_leaves_no_trace_file_behind(seed_file, tmp_path, capsys, existing):
+    # A fresh file that the probe created goes; one that was there stays as it was.
+    trace = tmp_path / "trace.json"
+    if existing is not None:
+        trace.write_text(existing)
+    assert cli.main(["resolve", "--input", seed_file, "--ceiling", "1",
+                     "--trace", str(trace)]) == cli.EXIT_SCALE
+    assert "ceiling" in capsys.readouterr().err
+    if existing is None:
+        assert not trace.exists()
+    else:
+        assert trace.read_text() == existing
+
+
+def _scale_error(*args):
+    raise po.ScaleError("capped")
+
+
+def _crash(*args):
+    raise RuntimeError("crash")
+
+
+@pytest.mark.parametrize("existing", [None, "kept\n"])
+@pytest.mark.parametrize("fail", [_scale_error, _crash])
+@pytest.mark.parametrize("command", ["dualcomplex", "gen"])
+def test_failing_command_leaves_no_output_file_behind(triangle_file, tmp_path, capsys,
+                                                      monkeypatch, command, fail, existing):
+    out = tmp_path / "out.txt"
+    if existing is not None:
+        out.write_text(existing)
+    if command == "dualcomplex":
+        monkeypatch.setattr(dc, "homology", fail)
+    else:
+        monkeypatch.setattr(re_, "state_to_obj", fail)
+    argv = (["dualcomplex", "--input", triangle_file, "--dot", str(out)]
+            if command == "dualcomplex" else ["gen", "--out", str(out)])
+    if fail is _crash:
+        with pytest.raises(RuntimeError):
+            cli.main(argv)
+    else:
+        assert cli.main(argv) == cli.EXIT_SCALE
+    if existing is None:
+        assert not out.exists()
+    else:
+        assert out.read_text() == existing
 
 
 def test_resolve_bad_input_exit_code(tmp_path, capsys):

@@ -168,20 +168,31 @@ def test_arithmetic_equals_the_reference(raw_f, raw_g, c, n):
 
 
 @st.composite
-def images(draw):
-    """A substitution image as (library value, reference value).
+def images(draw, var):
+    """An image of ``var`` as (library value, reference value).
 
-    Binomials and blow-up monomials like the verifier's charts, the
-    constants 0 and c (the t = 0 fiber check sends t to 0), or any
+    Binomials and blow-up monomials like the verifier's charts, one-term
+    images with a coefficient other than 1, the identity image, the
+    constants 0, 1 and c (the t = 0 fiber check sends t to 0), or any
     polynomial over the pool."""
-    kind = draw(st.sampled_from(["binomial", "monomial", "zero", "constant", "any"]))
+    kind = draw(st.sampled_from(["binomial", "monomial", "scaled", "identity",
+                                 "zero", "one", "constant", "any"]))
     if kind == "zero":
         value = draw(st.sampled_from([0, Polynomial.constant(0)]))
         return value, (value if isinstance(value, int) else ReferencePolynomial())
+    if kind == "one":
+        return Polynomial.constant(1), ReferencePolynomial.constant(1)
     if kind == "constant":
         c = draw(st.integers(min_value=-3, max_value=3))
         return c, c
-    if kind == "binomial":
+    if kind == "identity":
+        raw = [(((var, 1),), 1)]
+    elif kind == "scaled":
+        power = draw(st.integers(min_value=1, max_value=3))
+        mono = ((draw(st.sampled_from(POOL)) + "'", power), ("u", 1))
+        raw = [(draw(st.sampled_from([mono, mono[:1], ()])),
+                draw(st.sampled_from([-2, 3])))]
+    elif kind == "binomial":
         a, b = draw(st.lists(st.sampled_from(POOL + ["v'"]), min_size=2, max_size=2))
         raw = [(((a + "'", 1), ("u", 1)), 1),
                (((b, draw(st.integers(min_value=1, max_value=2))),),
@@ -193,8 +204,15 @@ def images(draw):
     return Polynomial(raw), ReferencePolynomial(raw)
 
 
-@settings(max_examples=200, deadline=None)
-@given(raw_terms(), st.dictionaries(st.sampled_from(POOL), images(), max_size=4))
+@st.composite
+def substitutions(draw):
+    """A map from up to four pool variables to (library, reference) images."""
+    names = draw(st.lists(st.sampled_from(POOL), max_size=4, unique=True))
+    return {v: draw(images(v)) for v in names}
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_terms(), substitutions())
 def test_substitute_equals_the_reference(raw, mapping):
     f, ref = both(raw)
     got = f.substitute({v: img for v, (img, _) in mapping.items()})
@@ -344,6 +362,26 @@ def test_verify_pulls_each_chart_back_once(monkeypatch):
     # One pull-back per chart, plus the pivot elimination on the 4 y-charts.
     assert len(report.checks) == 6
     assert len(applied) == 6 + 4
+
+
+def test_pivot_eliminations_are_shared_read_only():
+    chart = cc.ChartState.of(["E1", "E2"], 3, {})
+    posts = [vc.post for vc in cc.RULES["DET"].charts(chart, det_app(3))
+             if vc.post is not None]
+    assert len(posts) == 9
+    assert posts[0] is cc._pivot_elimination(3, 1, 1)
+    before = dict(posts[0])
+    with pytest.raises(TypeError):
+        posts[0]["y11'"] = C(0)
+    with pytest.raises(TypeError):
+        del posts[0]["y22'"]
+    assert dict(cc._pivot_elimination(3, 1, 1)) == before
+
+
+def test_verify_det_report_is_the_same_when_built_twice():
+    chart = cc.ChartState.of(["E1", "E2", "E3"], 3, {})
+    first = po.verify_rule(det_app(3), chart).to_json()
+    assert po.verify_rule(det_app(3), chart).to_json() == first
 
 
 def test_verify_det_with_paper_policy_fails_the_match():

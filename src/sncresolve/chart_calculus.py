@@ -234,13 +234,15 @@ class VerifyChart(NamedTuple):
     """One blow-up chart of the ``children`` family ``family``: ``lead``
     becomes the exceptional coordinate and every ``scaled`` one its primed
     self times it.  The optional unit coordinate change ``post`` follows
-    the strict transform; its images name the child's new coordinates."""
+    the strict transform; its images name the child's new coordinates,
+    which ``kept`` holds."""
 
     lead: str
     scaled: tuple
     family: str
     detail: str
     post: MappingProxyType | None = None
+    kept: frozenset = frozenset()
 
 
 class Rule:
@@ -287,8 +289,10 @@ def _pair_center(app: RuleApplication) -> list:
     return [(x_var(i), "x", f"lead={i}") for i in app.pair]
 
 
-# Pivot eliminations by (m, r0, s0), built once and shared read-only.
+# Pivot eliminations by (m, r0, s0), built once and shared read-only, and
+# the names that each one's images introduce.
 _PIVOT_ELIMINATIONS = {}
+_PIVOT_NAMES = {}
 
 
 def _pivot_elimination(m: int, r0: int, s0: int) -> MappingProxyType:
@@ -304,6 +308,7 @@ def _pivot_elimination(m: int, r0: int, s0: int) -> MappingProxyType:
             prime(y_var(r, s, m)): var(y_var(a, b, m - 1))
                 + var(prime(y_var(r, s0, m))) * var(prime(y_var(r0, s, m)))
             for a, r in enumerate(rows, start=1) for b, s in enumerate(cols, start=1)})
+        _PIVOT_NAMES[m, r0, s0] = frozenset().union(*(p.variables() for p in post.values()))
     return post
 
 
@@ -344,8 +349,10 @@ class _Det(Rule):
 
     def charts(self, chart, app):
         m = chart.det_size
+        # _pivot_elimination, evaluated first, fills _PIVOT_NAMES.
         return _blowup(*_pair_center(app), *(
-            (y_var(r, s, m), "y", f"pivot=({r},{s})", _pivot_elimination(m, r, s))
+            (y_var(r, s, m), "y", f"pivot=({r},{s})", _pivot_elimination(m, r, s),
+             _PIVOT_NAMES[m, r, s])
             for r in range(1, m + 1) for s in range(1, m + 1)))
 
     def notes(self, chart, policy, measured):

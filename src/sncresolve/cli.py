@@ -3,8 +3,11 @@
 Subcommands: ``dualcomplex`` (homology report of a configuration or a raw
 complex), ``resolve`` (run the rewriting engine and write a trace),
 ``verify`` (exact re-derivation of rule grids), ``gen`` (random seed
-states for property testing).  Every flag can also be supplied through an
-environment variable with the ``SNCRESOLVE_`` prefix; explicit flags win.
+states for property testing).  Each command's flags, their
+``SNCRESOLVE_`` environment mirrors (explicit flags win), its required flag
+and its output file are declared once, in ``_COMMANDS``; ``main`` reads
+the table to build the parser, refuse a missing required flag, probe the
+output file before any work and remove it again if the command fails.
 
 Exit codes: 0 success, 2 input error, 3 invariant breach or failed
 verification, 4 scale or event ceiling.
@@ -34,58 +37,43 @@ ENV_PREFIX = "SNCRESOLVE_"
 _POLICIES = ("oracle", "paper")
 
 
-def _env_name(flag: str) -> str:
-    return ENV_PREFIX + flag.replace("-", "_").upper()
+def _env_default(flag: str, default, kind):
+    """A flag's default, from ``SNCRESOLVE_<FLAG>`` when that is set.
 
-
-def _env_default(flag: str, fallback=None):
-    return os.environ.get(_env_name(flag), fallback)
-
-
-def _env_int(flag: str, fallback: int) -> int:
-    """An integer flag default from the environment; ValueError names the variable."""
-    value = _env_default(flag)
+    argparse checks a flag's type and choices only on the command line, so
+    the variable's value is checked here against the same ``kind``; the
+    ValueError names the variable."""
+    name = ENV_PREFIX + flag.replace("-", "_").upper()
+    value = os.environ.get(name)
     if value is None:
-        return fallback
-    try:
-        return int(value)
-    except ValueError:
-        raise ValueError(f"{_env_name(flag)}={value!r} is not an integer") from None
-
-
-def _env_choice(flag: str, choices: tuple, fallback: str) -> str:
-    """A choice flag's default from the environment; argparse checks only
-    the values given on the command line, so this checks the variable's."""
-    value = _env_default(flag, fallback)
-    if value not in choices:
-        raise ValueError(f"{_env_name(flag)}={value!r} is not one of "
-                         f"{', '.join(choices)}")
+        return default
+    if kind is int:
+        try:
+            return int(value)
+        except ValueError:
+            raise ValueError(f"{name}={value!r} is not an integer") from None
+    if kind is bool:
+        text = value.strip().lower()
+        if text in ("1", "true", "yes"):
+            return True
+        if text in ("0", "false", "no", ""):
+            return False
+        raise ValueError(f"{name}={value!r} is not a switch value "
+                         "(1/0, true/false, yes/no)")
+    if isinstance(kind, tuple) and value not in kind:
+        raise ValueError(f"{name}={value!r} is not one of {', '.join(kind)}")
     return value
 
 
-def _env_flag(flag: str) -> bool:
-    """A switch's default from the environment: 1/true/yes or 0/false/no."""
-    value = _env_default(flag)
-    if value is None:
-        return False
-    text = value.strip().lower()
-    if text in ("1", "true", "yes"):
-        return True
-    if text in ("0", "false", "no", ""):
-        return False
-    raise ValueError(f"{_env_name(flag)}={value!r} is not a switch value "
-                     "(1/0, true/false, yes/no)")
-
-
-def _parse_range(text: str) -> list:
-    """'2..4' -> [2, 3, 4]; '3' -> [3]; an empty range raises ValueError."""
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        values = list(range(int(lo), int(hi) + 1))
-        if not values:
-            raise ValueError(f"{text!r} is an empty range")
-        return values
-    return [int(text)]
+def _parse_range(text: str) -> range:
+    """'2..4' -> range(2, 5); '3' -> range(3, 4); an empty range raises
+    ValueError.  Nothing is enumerated, so a huge range costs nothing
+    until the caps have looked at its ends."""
+    lo, dots, hi = text.partition("..")
+    values = range(int(lo), int(hi if dots else lo) + 1)
+    if not values:
+        raise ValueError(f"{text!r} is an empty range")
+    return values
 
 
 def _load_json(path: str):
@@ -124,12 +112,11 @@ def _save_json(path: str, obj):
 # dualcomplex
 # --------------------------------------------------------------------------
 
-def cmd_dualcomplex(input_path: str, dot_path: str | None = None,
-                    as_json: bool = False) -> int:
+def cmd_dualcomplex(args) -> int:
     try:
-        doc = _load_json(input_path)
+        doc = _load_json(args.input)
     except (OSError, json.JSONDecodeError) as err:
-        _print_err(f"cannot read {input_path}: {err}")
+        _print_err(f"cannot read {args.input}: {err}")
         return EXIT_INPUT
 
     try:
@@ -150,18 +137,15 @@ def cmd_dualcomplex(input_path: str, dot_path: str | None = None,
         _print_err(f"invalid input: {err}")
         return EXIT_INPUT
 
-    if dot_path and not _writable(dot_path):
-        return EXIT_INPUT
-
     report = dc.homology(complex)
     counts = complex.cell_counts()
     q_acyclic = all(b == 0 for b in report.betti[1:])
-    if dot_path:
-        with open(dot_path, "w", encoding="utf-8") as handle:
+    if args.dot:
+        with open(args.dot, "w", encoding="utf-8") as handle:
             handle.write(dc.to_dot(complex) + "\n")
-    if as_json:
+    if args.json:
         _print_json({"cells": counts, **report.to_json_obj(),
-                     "q_acyclic": q_acyclic, "dot": dot_path or None})
+                     "q_acyclic": q_acyclic, "dot": args.dot or None})
         return EXIT_OK
 
     print("cells:", "/".join(str(n) for n in counts) if counts else "0")
@@ -171,8 +155,8 @@ def cmd_dualcomplex(input_path: str, dot_path: str | None = None,
     print("torsion:", "; ".join(torsion_bits) if torsion_bits else "none")
     print("euler:", report.euler)
     print("Q-acyclic:", "yes" if q_acyclic else "no")
-    if dot_path:
-        print("dot written:", dot_path)
+    if args.dot:
+        print("dot written:", args.dot)
     return EXIT_OK
 
 
@@ -193,15 +177,18 @@ def _seed_from_doc(doc) -> re_.ResolutionState:
                      "or {'snc': ..., 'coranks': ...}")
 
 
-def cmd_resolve(input_path: str, config: re_.RunConfig,
-                trace_path: str | None = None) -> int:
+def cmd_resolve(args) -> int:
+    ordering = tuple(args.ordering.split(",")) if args.ordering else None
     try:
-        doc = _load_json(input_path)
+        config = re_.RunConfig(ordering, args.exponent_policy, args.ceiling)
+    except ValueError as err:
+        _print_err(f"bad config: {err}")
+        return EXIT_INPUT
+    try:
+        doc = _load_json(args.input)
         seed = _seed_from_doc(doc)
     except (OSError, json.JSONDecodeError, ValueError, KeyError) as err:
         _print_err(f"invalid input: {err}")
-        return EXIT_INPUT
-    if trace_path and not _writable(trace_path):
         return EXIT_INPUT
 
     try:
@@ -224,9 +211,9 @@ def cmd_resolve(input_path: str, config: re_.RunConfig,
         print(f"  ({deg.dx},{deg.dy},{deg.dz}) x{count} {kind}")
     # Every state of a run shares the seed's immutable dual complex.
     print("dual complex preserved: yes")
-    if trace_path:
-        _save_json(trace_path, re_.trace_stream(seed, events, final, config))
-        print("trace written:", trace_path)
+    if args.trace:
+        _save_json(args.trace, re_.trace_stream(seed, events, final, config))
+        print("trace written:", args.trace)
     return EXIT_OK
 
 
@@ -254,12 +241,12 @@ def _verify_grid(rule: str, m_values, d_values, a_values, policy: str):
     return cells
 
 
-def cmd_verify(rule: str, m_range: str, d_range: str, a_range: str,
-               policy: str, as_json: bool = False) -> int:
+def cmd_verify(args) -> int:
+    rule, policy = args.rule.lower(), args.exponent_policy
     try:
-        m_values = _parse_range(m_range)
-        d_values = _parse_range(d_range)
-        a_values = _parse_range(a_range)
+        m_values = _parse_range(args.m)
+        d_values = _parse_range(args.d)
+        a_values = _parse_range(args.a)
     except ValueError as err:
         _print_err(f"bad range: {err}")
         return EXIT_INPUT
@@ -268,30 +255,31 @@ def cmd_verify(rule: str, m_range: str, d_range: str, a_range: str,
         *names, last = _RULES_BY_NAME
         _print_err(f"unknown rule {rule!r}; pick {', '.join(names)} or {last}")
         return EXIT_INPUT
-    # deg_x is in every grid; m and a only in the grid that names them.
+    # deg_x is in every grid; m and a only in the grid that names them.  The
+    # ranges ascend, so [0] and [-1] are their least and greatest values.
     param, least, _ = spec.grid
-    if param == "m" and max(m_values) > po.VERIFY_MAX_DET:
+    if param == "m" and m_values[-1] > po.VERIFY_MAX_DET:
         _print_err(f"det size capped at {po.VERIFY_MAX_DET} "
-                   f"(requested {max(m_values)})")
+                   f"(requested {m_values[-1]})")
         return EXIT_SCALE
-    if max(d_values) > po.VERIFY_MAX_DX:
-        _print_err(f"deg_x capped at {po.VERIFY_MAX_DX} (requested {max(d_values)})")
+    if d_values[-1] > po.VERIFY_MAX_DX:
+        _print_err(f"deg_x capped at {po.VERIFY_MAX_DX} (requested {d_values[-1]})")
         return EXIT_SCALE
-    if param == "a" and max(a_values) > po.VERIFY_MAX_EXPONENT:
+    if param == "a" and a_values[-1] > po.VERIFY_MAX_EXPONENT:
         _print_err(f"divisor exponents capped at {po.VERIFY_MAX_EXPONENT} "
-                   f"(requested {max(a_values)})")
+                   f"(requested {a_values[-1]})")
         return EXIT_SCALE
-    if param and min({"m": m_values, "a": a_values}[param]) < least:
+    if param and {"m": m_values, "a": a_values}[param][0] < least:
         _print_err(f"{rule} rule needs {param} >= {least}")
         return EXIT_INPUT
-    if min(d_values) < 2:
+    if d_values[0] < 2:
         _print_err("rules need at least two x-factors")
         return EXIT_INPUT
 
     reports = [po.verify_rule(app, chart, policy=policy)
                for app, chart in _verify_grid(rule, m_values, d_values,
                                               a_values, policy)]
-    if as_json:
+    if args.json:
         _print_json([rep.to_json_obj() for rep in reports])
     else:
         print(po.grid_table(reports))
@@ -305,14 +293,12 @@ def cmd_verify(rule: str, m_range: str, d_range: str, a_range: str,
 # gen
 # --------------------------------------------------------------------------
 
-def cmd_gen(seed: int, out_path: str | None) -> int:
-    if out_path and not _writable(out_path):
-        return EXIT_INPUT
-    state = random_state(random.Random(seed))
+def cmd_gen(args) -> int:
+    state = random_state(random.Random(args.seed))
     doc = re_.state_to_obj(state)
-    if out_path:
-        _save_json(out_path, doc)
-        print(f"seed state written: {out_path} "
+    if args.out:
+        _save_json(args.out, doc)
+        print(f"seed state written: {args.out} "
               f"(components={len(state.dual.cells_of_dim(0))}, "
               f"charts={sum(n for _, n in state.charts)}, "
               f"divisors={len(state.registry)})")
@@ -322,51 +308,52 @@ def cmd_gen(seed: int, out_path: str | None) -> int:
 
 
 # --------------------------------------------------------------------------
-# argument parsing
+# the command table
 # --------------------------------------------------------------------------
+
+# Each command: (handler, help, required flag, output flag, flags).  A flag
+# is (name, default, kind, help), ``kind`` being str, int, bool (a switch)
+# or a tuple of choices; ``_env_default`` mirrors its default.
+_COMMANDS = {
+    "dualcomplex": (cmd_dualcomplex, "homology report of a configuration", "input", "dot", (
+        ("input", None, str, None),
+        ("dot", None, str, "write the 1-skeleton as DOT"),
+        ("json", False, bool, "print the report as one JSON object instead of text"),
+    )),
+    "resolve": (cmd_resolve, "run the rewriting engine", "input", "trace", (
+        ("input", None, str, None),
+        ("trace", None, str, "write the full trace JSON here"),
+        ("ordering", None, str, "comma-separated id priority, e.g. E2,E1"),
+        ("exponent-policy", "oracle", _POLICIES, None),
+        ("ceiling", 10_000, int, None),
+    )),
+    "verify": (cmd_verify, "re-derive rule grids exactly", "rule", None, (
+        ("rule", None, str, None),
+        ("m", "2..3", str, "det sizes, e.g. 2..3"),
+        ("d", "2..4", str, "x-factor counts, e.g. 2..4"),
+        ("a", "2..4", str, "divisor exponents, e.g. 2..4"),
+        ("exponent-policy", "oracle", _POLICIES, None),
+        ("json", False, bool, "print the reports as one JSON array instead of a table"),
+    )),
+    "gen": (cmd_gen, "generate a random seed state", None, "out", (
+        ("seed", 0, int, None),
+        ("out", None, str, None),
+    )),
+}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sncresolve",
         description="dual complexes, blow-up charts, and verified resolution traces")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_dual = sub.add_parser("dualcomplex", help="homology report of a configuration")
-    p_dual.add_argument("--input", default=_env_default("input"), required=False)
-    p_dual.add_argument("--dot", default=_env_default("dot"),
-                        help="write the 1-skeleton as DOT")
-    p_dual.add_argument("--json", action="store_true", default=_env_flag("json"),
-                        help="print the report as one JSON object instead of text")
-
-    p_res = sub.add_parser("resolve", help="run the rewriting engine")
-    p_res.add_argument("--input", default=_env_default("input"), required=False)
-    p_res.add_argument("--trace", default=_env_default("trace"),
-                       help="write the full trace JSON here")
-    p_res.add_argument("--ordering", default=_env_default("ordering"),
-                       help="comma-separated id priority, e.g. E2,E1")
-    p_res.add_argument("--exponent-policy",
-                       default=_env_choice("exponent-policy", _POLICIES, "oracle"),
-                       choices=_POLICIES)
-    p_res.add_argument("--ceiling", type=int, default=_env_int("ceiling", 10_000))
-
-    p_ver = sub.add_parser("verify", help="re-derive rule grids exactly")
-    p_ver.add_argument("--rule", default=_env_default("rule"), required=False)
-    p_ver.add_argument("--m", default=_env_default("m", "2..3"),
-                       help="det sizes, e.g. 2..3")
-    p_ver.add_argument("--d", default=_env_default("d", "2..4"),
-                       help="x-factor counts, e.g. 2..4")
-    p_ver.add_argument("--a", default=_env_default("a", "2..4"),
-                       help="divisor exponents, e.g. 2..4")
-    p_ver.add_argument("--exponent-policy",
-                       default=_env_choice("exponent-policy", _POLICIES, "oracle"),
-                       choices=_POLICIES)
-    p_ver.add_argument("--json", action="store_true", default=_env_flag("json"),
-                       help="print the reports as one JSON array instead of a table")
-
-    p_gen = sub.add_parser("gen", help="generate a random seed state")
-    p_gen.add_argument("--seed", type=int, default=_env_int("seed", 0))
-    p_gen.add_argument("--out", default=_env_default("out"))
-
+    for command, (_, summary, _, _, flags) in _COMMANDS.items():
+        p_cmd = sub.add_parser(command, help=summary)
+        for name, default, kind, text in flags:
+            check = ({"action": "store_true"} if kind is bool
+                     else {"choices": kind} if isinstance(kind, tuple) else {"type": kind})
+            p_cmd.add_argument(f"--{name}", default=_env_default(name, default, kind),
+                               help=text, **check)
     return parser
 
 
@@ -377,50 +364,25 @@ def main(argv=None) -> int:
         _print_err(f"bad environment value: {err}")
         return EXIT_INPUT
     args = parser.parse_args(argv)
-    # A failing command removes an output file that its probe created.
-    out = vars(args).get({"dualcomplex": "dot", "resolve": "trace", "gen": "out"}
-                         .get(args.command))
+    handler, _, required, output, _ = _COMMANDS[args.command]
+    if required and not getattr(args, required):
+        _print_err(f"{args.command} needs --{required}")
+        return EXIT_INPUT
+    out = getattr(args, output) if output else None
     fresh = bool(out) and not os.path.lexists(out)
+    if out and not _writable(out):
+        return EXIT_INPUT
     code = EXIT_INPUT
     try:
-        code = _dispatch(args)
+        code = handler(args)
+    except po.ScaleError as err:
+        _print_err(f"scale ceiling: {err}")
+        code = EXIT_SCALE
     finally:
+        # A failing command removes an output file that the probe created.
         if fresh and code != EXIT_OK and os.path.lexists(out):
             os.remove(out)
     return code
-
-
-def _dispatch(args) -> int:
-    try:
-        if args.command == "dualcomplex":
-            if not args.input:
-                _print_err("dualcomplex needs --input")
-                return EXIT_INPUT
-            return cmd_dualcomplex(args.input, args.dot, args.json)
-        if args.command == "resolve":
-            if not args.input:
-                _print_err("resolve needs --input")
-                return EXIT_INPUT
-            ordering = tuple(args.ordering.split(",")) if args.ordering else None
-            try:
-                config = re_.RunConfig(ordering, args.exponent_policy, args.ceiling)
-            except ValueError as err:
-                _print_err(f"bad config: {err}")
-                return EXIT_INPUT
-            return cmd_resolve(args.input, config, args.trace)
-        if args.command == "verify":
-            if not args.rule:
-                _print_err("verify needs --rule")
-                return EXIT_INPUT
-            return cmd_verify(args.rule.lower(), args.m, args.d, args.a,
-                              args.exponent_policy, args.json)
-        if args.command == "gen":
-            return cmd_gen(args.seed, args.out)
-    except po.ScaleError as err:
-        _print_err(f"scale ceiling: {err}")
-        return EXIT_SCALE
-    _print_err(f"unknown command {args.command!r}")
-    return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -394,7 +394,7 @@ def seed_from_snc(snc: sm.SncVariety, coranks: dict) -> ResolutionState:
             raise ValueError(f"corank assigned to unknown stratum {sid!r}")
         if len(by_id[sid].indices) < 2:
             raise ValueError(f"corank assigned to singleton stratum {sid!r}")
-        if not isinstance(m, int) or m < 0:
+        if type(m) is not int or m < 0:
             raise ValueError(f"corank of stratum {sid!r} must be an integer >= 0, "
                              f"got {m!r}")
     charts = {}
@@ -670,8 +670,10 @@ def _chart_items_from_obj(entries) -> tuple:
         raise ValueError(f"chart items must be an array, got {entries!r}")
     items = []
     for e in entries:
-        if not isinstance(e, dict) or type(e.get("count")) is not int:
-            raise ValueError(f"a chart item needs an integer 'count', got {e!r}")
+        # A count below 1 is refused here: summed with other entries of
+        # its chart it would pass the state check's count test.
+        if not isinstance(e, dict) or type(e.get("count")) is not int or e["count"] < 1:
+            raise ValueError(f"a chart item needs a positive integer 'count', got {e!r}")
         items.append((cc.chart_from_obj(e.get("chart")), e["count"]))
     return tuple(items)
 
@@ -731,7 +733,7 @@ def state_from_obj(obj: dict) -> ResolutionState:
         raise ValueError(f"state 'registry' must be an array, got {registry!r}")
     return _validated(ResolutionState(
         dc.from_json_obj(obj["dual"]), tuple(_record_from_obj(r) for r in registry),
-        _sorted_chart_items(dict(_chart_items_from_obj(obj["charts"])))))
+        _sorted_chart_items(_multiset(_chart_items_from_obj(obj["charts"])))))
 
 
 def trace_to_obj(seed: ResolutionState, events, final: ResolutionState,

@@ -2,9 +2,11 @@
 
 import json
 import random
+import time
 
 import pytest
 
+from sncresolve import chart_calculus as cc
 from sncresolve import cli
 from sncresolve import dual_complex as dc
 from sncresolve import poly_oracle as po
@@ -139,6 +141,23 @@ def test_dualcomplex_malformed_cells_exit_2(tmp_path, capsys, doc):
     path.write_text(json.dumps(doc))
     assert cli.main(["dualcomplex", "--input", str(path)]) == cli.EXIT_INPUT
     assert "invalid input" in capsys.readouterr().err
+
+
+def test_dualcomplex_rejects_a_json_array(tmp_path, capsys):
+    path = tmp_path / "array.json"
+    path.write_text("[1, 2]")
+    assert cli.main(["dualcomplex", "--input", str(path)]) == cli.EXIT_INPUT
+    assert "must be a variety document" in capsys.readouterr().err
+
+
+def test_dualcomplex_duplicate_cell_id_exit_2(tmp_path, capsys):
+    doc = dc.to_json_obj(sm.dual_complex_of(sm.coordinate_germ(2)))
+    doc["cells"].append(dict(doc["cells"][0]))
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["dualcomplex", "--input", str(path)]) == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err
 
 
 def _variety_with(key, value):
@@ -336,6 +355,68 @@ def test_failing_command_leaves_no_output_file_behind(triangle_file, tmp_path, c
         assert out.read_text() == existing
 
 
+def test_resolve_invariant_breach_exit_3_leaves_no_trace(seed_file, tmp_path, capsys,
+                                                        monkeypatch):
+    # A child whose mdeg does not drop breaks the event's lex certificate.
+    monkeypatch.setattr(cc, "children",
+                        lambda chart, app, policy: [cc.ChildChart(chart, 1, "x")])
+    trace = tmp_path / "trace.json"
+    assert cli.main(["resolve", "--input", seed_file,
+                     "--trace", str(trace)]) == cli.EXIT_BREACH
+    err = capsys.readouterr().err
+    assert "lex certificate violated" in err
+    assert "offending certificate: " in err
+    assert not trace.exists()
+
+
+def test_resolve_bad_config_exit_2(seed_file, capsys):
+    assert cli.main(["resolve", "--input", seed_file,
+                     "--ceiling", "0"]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err.startswith("bad config")
+
+
+@pytest.mark.parametrize("argv, flag", [(["resolve"], "--input"),
+                                        (["dualcomplex"], "--input"),
+                                        (["verify"], "--rule")])
+def test_missing_required_flag_exit_2(capsys, argv, flag):
+    assert cli.main(argv) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == f"{argv[0]} needs {flag}\n"
+
+
+def test_unwritable_output_is_reported_before_bad_input(tmp_path, capsys):
+    # The output probe runs before the input is read, so with both wrong
+    # the message names the output; the exit code is 2 either way.
+    junk = tmp_path / "junk.json"
+    junk.write_text("{")
+    trace = tmp_path / "missing" / "trace.json"
+    assert cli.main(["resolve", "--input", str(junk),
+                     "--trace", str(trace)]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err.startswith("cannot write")
+
+
+def test_resolve_names_the_first_divisor_past_the_registry(tmp_path):
+    snc = sm.from_index_sets(["E1", "E2"], [{"E1", "E2"}])
+    state = re_.with_initial_divisors(re_.seed_from_snc(snc, {"E1+E2": 3}),
+                                      [("w1", 2)], {0: ["w1"]})
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(re_.state_to_obj(state)))
+    trace = tmp_path / "trace.json"
+    assert cli.main(["resolve", "--input", str(path), "--trace", str(trace)]) == 0
+    doc = json.loads(trace.read_text())
+    assert doc["events"][0]["exceptional"] == "w2"
+    assert re_.replay_trace(doc).ok
+
+
+def test_resolve_boolean_corank_exit_2(tmp_path, capsys):
+    snc = sm.from_index_sets(["E1", "E2"], [{"E1", "E2"}])
+    path = tmp_path / "dp.json"
+    path.write_text(json.dumps({"snc": sm.to_json_obj(snc), "coranks": {"E1+E2": True}}))
+    assert cli.main(["resolve", "--input", str(path)]) == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "corank of stratum 'E1+E2' must be an integer >= 0, got True" in captured.err
+
+
 def test_resolve_bad_input_exit_code(tmp_path, capsys):
     path = tmp_path / "junk.json"
     path.write_text(json.dumps({"surprise": True}))
@@ -451,6 +532,32 @@ def test_verify_caps_only_the_range_the_rule_uses(capsys):
     assert "det size capped" in capsys.readouterr().err
     # An unused range is still parsed: reversed, it is bad input.
     assert cli.main(["verify", "--rule", "bin", "--m", "4..2"]) == cli.EXIT_INPUT
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--d", "1"], cli.EXIT_INPUT),
+    (["--rule", "mon1", "--a", "1"], cli.EXIT_INPUT),
+    (["--d", "5"], cli.EXIT_SCALE),
+    (["--rule", "mon1", "--a", "5"], cli.EXIT_SCALE),
+])
+def test_verify_grid_bounds(capsys, argv, code):
+    argv = ["verify", *(["--rule", "det"] if "--rule" not in argv else []), *argv]
+    assert cli.main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--rule", "det", "--m", "2..1000000000000"], cli.EXIT_SCALE),
+    (["--rule", "bin", "--m", "2..1000000000000"], cli.EXIT_OK),
+    (["--rule", "det", "--d", "2..1000000000000"], cli.EXIT_SCALE),
+    (["--rule", "det", "--m", "1000000000000..2"], cli.EXIT_INPUT),
+])
+def test_verify_huge_ranges_are_never_enumerated(capsys, argv, code):
+    # Enumerating 10**12 values would exhaust memory long before a second.
+    start = time.perf_counter()
+    assert cli.main(["verify", *argv]) == code
+    assert time.perf_counter() - start < 1.0
 
 
 def test_verify_paper_policy_fails_loudly(capsys):

@@ -1,5 +1,7 @@
 """Polynomial arithmetic, strict transforms, and rule verification."""
 
+from types import MappingProxyType
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -353,15 +355,38 @@ def test_verify_det_x_chart_flags_the_alternate_value():
 
 
 def test_verify_pulls_each_chart_back_once(monkeypatch):
-    applied = []
+    applied, eliminations = [], []
     original = Substitution.apply
     monkeypatch.setattr(Substitution, "apply",
                         lambda self, f: applied.append(f) or original(self, f))
+    substitute = Polynomial.substitute
+
+    def counting_substitute(self, mapping):
+        if isinstance(mapping, MappingProxyType):
+            eliminations.append(mapping)
+        return substitute(self, mapping)
+    monkeypatch.setattr(Polynomial, "substitute", counting_substitute)
     report = po.verify_rule(det_app(2), cc.ChartState.of(["E1", "E2"], 2, {}))
     assert report.passed
-    # One pull-back per chart, plus the pivot elimination on the 4 y-charts.
+    # One pull-back per chart, plus the pivot elimination on the 4 y-charts,
+    # which applies the memoized map directly.
     assert len(report.checks) == 6
-    assert len(applied) == 6 + 4
+    assert len(applied) == 6
+    assert len(eliminations) == 4
+
+
+def test_every_pivot_elimination_passes_the_substitution_check():
+    # The verifier applies the memoized maps without Substitution, whose
+    # check rejects a map that mentions a substituted variable.
+    checked = 0
+    for m in range(2, po.VERIFY_MAX_DET + 1):
+        for vc in cc.RULES["DET"].charts(cc.ChartState.of(["E1", "E2"], m, {}), det_app(m)):
+            if vc.post is not None:
+                Substitution(vc.post)
+                assert vc.kept == frozenset().union(
+                    *(image.variables() for image in vc.post.values()))
+                checked += 1
+    assert checked == 2 * 2 + 3 * 3
 
 
 def test_pivot_eliminations_are_shared_read_only():

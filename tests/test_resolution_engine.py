@@ -63,6 +63,12 @@ def test_seed_requires_every_deep_corank():
         re_.seed_from_snc(germ, {"E1+E2": 1, "E1": 0})
 
 
+def test_seed_rejects_a_boolean_corank():
+    # bool is an int subclass; True would seed a chart with m = True.
+    with pytest.raises(ValueError, match="must be an integer >= 0, got True"):
+        re_.seed_from_snc(sm.coordinate_germ(2), {"E1+E2": True})
+
+
 # --------------------------------------------------------------------------
 # selection
 # --------------------------------------------------------------------------
@@ -420,6 +426,20 @@ def test_state_json_round_trip():
         == re_.canonical_dumps(re_.state_to_obj(state))
 
 
+def test_state_document_sums_repeated_chart_entries():
+    doc = re_.state_to_obj(double_point_seed())
+    doc["charts"] = doc["charts"] * 2
+    assert [n for _, n in re_.state_from_obj(doc).charts] == [2]
+
+
+@pytest.mark.parametrize("counts", [[0], [1, -1], [-1, 2]])
+def test_state_document_rejects_chart_counts_below_one(counts):
+    doc = re_.state_to_obj(double_point_seed())
+    doc["charts"] = [dict(doc["charts"][0], count=n) for n in counts]
+    with pytest.raises(ValueError, match="positive integer 'count'"):
+        re_.state_from_obj(doc)
+
+
 def test_trace_round_trip_and_replay():
     seed = triangle_seed()
     config = RunConfig()
@@ -438,6 +458,21 @@ def test_replay_detects_tampering():
     doc["final"]["charts"][0]["count"] += 1
     result = re_.replay_trace(doc)
     assert not result.ok
+
+
+@pytest.mark.parametrize("tamper, detail", [
+    (lambda events: events.pop(), "event count"),
+    (lambda events: events[0]["lex"].reverse(), "event log differs"),
+])
+def test_replay_names_what_differs_in_the_event_log(tamper, detail):
+    seed = triangle_seed()
+    config = RunConfig()
+    final, events = re_.run(seed, config)
+    doc = json.loads(json.dumps(re_.trace_to_obj(seed, events, final, config)))
+    tamper(doc["events"])
+    result = re_.replay_trace(doc)
+    assert not result.ok
+    assert detail in result.detail
 
 
 def test_replay_respects_recorded_policy():

@@ -156,8 +156,7 @@ def test_dualcomplex_duplicate_cell_id_exit_2(tmp_path, capsys):
     path = tmp_path / "dup.json"
     path.write_text(json.dumps(doc))
     assert cli.main(["dualcomplex", "--input", str(path)]) == cli.EXIT_INPUT
-    captured = capsys.readouterr()
-    assert captured.out == "" and captured.err
+    assert capsys.readouterr().err == "invalid input: duplicate cell id 'E1'\n"
 
 
 def _variety_with(key, value):
@@ -535,14 +534,13 @@ def test_verify_caps_only_the_range_the_rule_uses(capsys):
 
 
 @pytest.mark.parametrize("argv, code", [
-    (["--d", "1"], cli.EXIT_INPUT),
+    (["--rule", "det", "--d", "1"], cli.EXIT_INPUT),
     (["--rule", "mon1", "--a", "1"], cli.EXIT_INPUT),
-    (["--d", "5"], cli.EXIT_SCALE),
+    (["--rule", "det", "--d", "5"], cli.EXIT_SCALE),
     (["--rule", "mon1", "--a", "5"], cli.EXIT_SCALE),
 ])
 def test_verify_grid_bounds(capsys, argv, code):
-    argv = ["verify", *(["--rule", "det"] if "--rule" not in argv else []), *argv]
-    assert cli.main(argv) == code
+    assert cli.main(["verify", *argv]) == code
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count("\n") == 1
 

@@ -22,11 +22,21 @@ from operator import itemgetter
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .poly_oracle import Polynomial, ScaleError, generic_det, prime
+from .poly_oracle import VERIFY_MAX_DET, Polynomial, ScaleError, generic_det, prime
 
-# Caps for building exact local equations.
-EQUATION_MAX_DET = 3
+# Caps for building exact local equations; the det-size cap is the verifier's.
+EQUATION_MAX_DET = VERIFY_MAX_DET
 EQUATION_MAX_TOTAL_DEGREE = 24
+
+# The exceptional-coefficient policies, which differ on the DET rule only.
+POLICIES = ("oracle", "paper")
+
+
+def check_policy(policy: str) -> str:
+    """``policy`` itself; ValueError unless it is one of ``POLICIES``."""
+    if policy not in POLICIES:
+        raise ValueError(f"unknown exponent policy {policy!r}")
+    return policy
 
 
 class RulePreconditionError(ValueError):
@@ -331,7 +341,7 @@ class _Det(Rule):
             _require(app.det_size == m, "DET",
                      f"targets det size {app.det_size}, chart has {m}")
         _pair(chart, app, "DET")
-        e = exceptional_coefficient("DET", det_size=m, policy=policy)
+        e = self.coefficient(m, None, policy)
         extra = None
         if e > 0:
             _require(app.new_divisor is not None, "DET",
@@ -386,7 +396,7 @@ class _Mon1(Rule):
         _require(j1 in exps, "MON1", f"divisor {j1!r} absent from the chart")
         a = exps[j1]
         _require(a >= 2, "MON1", f"divisor {j1!r} has exponent {a} < 2")
-        e = a - 2
+        e = self.coefficient(None, a, policy)
         extra = None
         if e > 0:
             _require(app.new_divisor is not None and app.new_divisor[1] == e, "MON1",
@@ -529,16 +539,9 @@ def propose(chart: ChartState, key) -> tuple:
 def exceptional_coefficient(kind: str, *, det_size: int | None = None,
                             divisor_exponent: int | None = None,
                             policy: str = "oracle") -> int:
-    """Coefficient of the new divisor created by one rule application.
-
-    For DET the two candidate values differ: direct strict-transform
-    division yields m - 2, while the alternate 'paper' policy uses
-    m**2 - 2.  The monomial rule MON1 always yields a - 2; the remaining
-    rules create no divisor with positive coefficient.
-    """
-    if policy not in ("oracle", "paper"):
-        raise ValueError(f"unknown exponent policy {policy!r}")
-    return RULES[kind].coefficient(det_size, divisor_exponent, policy)
+    """Coefficient of the new divisor created by one rule application under
+    ``policy``, as the rule's record states it (0: no new divisor)."""
+    return RULES[kind].coefficient(det_size, divisor_exponent, check_policy(policy))
 
 
 def application(rank: tuple, chart: ChartState, policy: str,
@@ -564,4 +567,4 @@ def children(chart: ChartState, app: RuleApplication,
     """
     if app.kind not in RULES:
         raise RulePreconditionError(f"unknown rule kind {app.kind!r}")
-    return RULES[app.kind].children(chart, app, policy)
+    return RULES[app.kind].children(chart, app, check_policy(policy))

@@ -34,7 +34,6 @@ EXIT_BREACH = 3
 EXIT_SCALE = 4
 
 ENV_PREFIX = "SNCRESOLVE_"
-_POLICIES = ("oracle", "paper")
 
 
 def _env_default(flag: str, default, kind):
@@ -258,17 +257,13 @@ def cmd_verify(args) -> int:
     # deg_x is in every grid; m and a only in the grid that names them.  The
     # ranges ascend, so [0] and [-1] are their least and greatest values.
     param, least, _ = spec.grid
-    if param == "m" and m_values[-1] > po.VERIFY_MAX_DET:
-        _print_err(f"det size capped at {po.VERIFY_MAX_DET} "
-                   f"(requested {m_values[-1]})")
-        return EXIT_SCALE
-    if d_values[-1] > po.VERIFY_MAX_DX:
-        _print_err(f"deg_x capped at {po.VERIFY_MAX_DX} (requested {d_values[-1]})")
-        return EXIT_SCALE
-    if param == "a" and a_values[-1] > po.VERIFY_MAX_EXPONENT:
-        _print_err(f"divisor exponents capped at {po.VERIFY_MAX_EXPONENT} "
-                   f"(requested {a_values[-1]})")
-        return EXIT_SCALE
+    for name, cap, values, used in (
+            ("det size", po.VERIFY_MAX_DET, m_values, param == "m"),
+            ("deg_x", po.VERIFY_MAX_DX, d_values, True),
+            ("divisor exponents", po.VERIFY_MAX_EXPONENT, a_values, param == "a")):
+        if used and values[-1] > cap:
+            _print_err(f"{name} capped at {cap} (requested {values[-1]})")
+            return EXIT_SCALE
     if param and {"m": m_values, "a": a_values}[param][0] < least:
         _print_err(f"{rule} rule needs {param} >= {least}")
         return EXIT_INPUT
@@ -324,15 +319,15 @@ _COMMANDS = {
         ("input", None, str, None),
         ("trace", None, str, "write the full trace JSON here"),
         ("ordering", None, str, "comma-separated id priority, e.g. E2,E1"),
-        ("exponent-policy", "oracle", _POLICIES, None),
-        ("ceiling", 10_000, int, None),
+        ("exponent-policy", re_.RunConfig.exponent_policy, cc.POLICIES, None),
+        ("ceiling", re_.RunConfig.event_ceiling, int, None),
     )),
     "verify": (cmd_verify, "re-derive rule grids exactly", "rule", None, (
         ("rule", None, str, None),
         ("m", "2..3", str, "det sizes, e.g. 2..3"),
         ("d", "2..4", str, "x-factor counts, e.g. 2..4"),
         ("a", "2..4", str, "divisor exponents, e.g. 2..4"),
-        ("exponent-policy", "oracle", _POLICIES, None),
+        ("exponent-policy", re_.RunConfig.exponent_policy, cc.POLICIES, None),
         ("json", False, bool, "print the reports as one JSON array instead of a table"),
     )),
     "gen": (cmd_gen, "generate a random seed state", None, "out", (

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter, deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from types import MappingProxyType
 
 
@@ -390,9 +390,7 @@ class HomologyReport:
                 f"euler {self.euler} != alternating betti sum {alt}")
 
     def to_json_obj(self) -> dict:
-        return {"betti": list(self.betti),
-                "torsion": [list(t) for t in self.torsion],
-                "euler": self.euler}
+        return asdict(self)
 
 
 def _coreduce(boundary: list, nverts: int) -> int:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 # Monomials are tuples of (variable, exponent) pairs, sorted by variable
 # name, with all exponents > 0.  The empty tuple is the constant monomial.
@@ -463,28 +463,12 @@ class VerificationReport:
         return sorted({c.exc_exponent for c in self.checks})
 
     def to_json_obj(self) -> dict:
-        return {
-            "rule": self.rule,
-            "chart": self.chart,
-            "policy": self.policy,
-            "passed": self.passed,
-            "family_check_ok": self.family_check_ok,
-            "notes": list(self.notes),
-            "checks": [
-                {
-                    "family": c.family,
-                    "detail": c.detail,
-                    "divided_power": c.divided_power,
-                    "exc_exponent": c.exc_exponent,
-                    "remultiplication_ok": c.remultiplication_ok,
-                    "preimage_ok": c.preimage_ok,
-                    "child_matches": c.child_matches,
-                    "child_mdeg": list(c.child_mdeg),
-                    "passed": c.passed,
-                }
-                for c in self.checks
-            ],
-        }
+        """The report's fields, with ``passed`` on it and on each check."""
+        obj = asdict(self)
+        obj["passed"] = self.passed
+        for check, c in zip(obj["checks"], self.checks):
+            check["passed"] = c.passed
+        return obj
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_obj(), sort_keys=True)

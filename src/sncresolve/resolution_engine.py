@@ -15,18 +15,21 @@ C-bin splits the final degree-one factor; ``chart_calculus.RULES`` holds
 each rule's facts.  The dual complex is immutable and shared by every
 state of a run, so no event can change it.
 
-The engine is incremental.  Resolved charts sit in an inert sink that no
-rule matches; each unresolved chart is filed under the one rule that
-would rewrite it, ranked by phase and tie-break.  An event takes the
-least-ranked rule and the charts filed under it as its parents, checks
-only the children it produces, and updates the newest state in place,
-so its cost follows the charts it touches rather than the whole state
-(apart from one minimum over the distinct proposed rules).
+The engine is incremental.  The states of a run share one book: the
+events so far and the live views of the newest state.  In it, resolved
+charts sit in an inert sink that no rule matches; each unresolved chart
+is filed under the one rule that would rewrite it, ranked by phase and
+tie-break.  An event takes the least-ranked rule and the charts filed
+under it as its parents, checks only the children it produces, and
+updates the newest state in place, so its cost follows the charts it
+touches rather than the whole state (apart from one minimum over the
+distinct proposed rules).
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _encode_str
@@ -75,8 +78,7 @@ class RunConfig:
     event_ceiling: int = 10_000
 
     def __post_init__(self):
-        if self.exponent_policy not in ("oracle", "paper"):
-            raise ValueError(f"unknown exponent policy {self.exponent_policy!r}")
+        cc.check_policy(self.exponent_policy)
         if self.event_ceiling < 1:
             raise ValueError("event ceiling must be >= 1")
 
@@ -98,8 +100,8 @@ class RunConfig:
     def from_json_obj(obj: dict) -> "RunConfig":
         ordering = obj.get("ordering")
         return RunConfig(tuple(ordering) if ordering else None,
-                         obj.get("exponent_policy", "oracle"),
-                         obj.get("event_ceiling", 10_000))
+                         obj.get("exponent_policy", RunConfig.exponent_policy),
+                         obj.get("event_ceiling", RunConfig.event_ceiling))
 
 
 @dataclass(frozen=True)
@@ -245,8 +247,15 @@ class _Book:
     state, which ``step`` advances in place: ``active`` and ``resolved``
     split its chart multiset (no rule matches a resolved chart, so that
     part is an inert sink), ``coeff`` maps its registered divisors to
-    their coefficients, and ``index`` groups the active charts for one
-    id ordering.
+    their coefficients and ``labels`` holds the vertex labels.  Once
+    ``rank_by`` has named an id ordering, ``rank`` maps each active chart
+    to its ``cc.propose`` rank and ``groups`` each rank to its charts.
+
+    The least rank is the center ``select_center`` picks, and its charts
+    are exactly those the rule matches: a chart that contains the selected
+    pair (and divisors) cannot propose anything smaller, so it proposes
+    that very rule; in B1 this holds because a divisor carries its
+    registry coefficient in every chart of a valid state.
     """
 
     def __init__(self, dual, registry, charts, trace):
@@ -256,58 +265,46 @@ class _Book:
         self.registry = registry
         self.charts = charts
         self.coeff = {r.id: r.coeff for r in registry}
-        self.active, self.resolved = {}, {}
-        for chart, count in _multiset(charts).items():
-            (self.resolved if cc.is_resolved(chart) else self.active)[chart] = count
-        self.index = None
-        self.labels = None
+        self.labels = _vertex_labels(dual)
+        self.key = self.ordering = None
+        self.active, self.resolved, self.rank, self.groups = {}, {}, {}, {}
+        for chart, count in charts:
+            self.add(chart, count)
 
-    def index_for(self, config: RunConfig) -> "_Index":
-        if self.index is None or self.index.ordering != config.ordering:
-            self.index = _Index(config, self.active)
-        return self.index
+    def rank_by(self, config: RunConfig) -> None:
+        """File the active charts under their ranks for ``config``'s ordering."""
+        if self.key is None or self.ordering != config.ordering:
+            self.ordering, self.key = config.ordering, config.key
+            self.rank, self.groups = {}, {}
+            for chart in self.active:
+                self._file(chart)
 
-    def vertex_labels(self) -> set:
-        if self.labels is None:
-            self.labels = _vertex_labels(self.dual)
-        return self.labels
-
-
-class _Index:
-    """The head's unresolved charts, filed under the rule each proposes.
-
-    ``groups`` maps each rank from ``cc.propose`` to the charts proposing
-    it.  The least rank is the center ``select_center`` picks, and its
-    charts are exactly those the rule matches.  A chart that contains the
-    selected pair (and divisors) cannot propose anything smaller, so it
-    proposes that very rule; in B1 this holds because a divisor carries
-    its registry coefficient in every chart of a valid state.
-    """
-
-    def __init__(self, config: RunConfig, charts):
-        self.ordering = config.ordering
-        self.key = config.key
-        self.rank = {}    # chart -> its proposal
-        self.groups = {}  # rank -> charts proposing it
-        for chart in charts:
-            self.add(chart)
-
-    def add(self, chart: ChartState):
+    def _file(self, chart: ChartState):
         rank = self.rank[chart] = cc.propose(chart, self.key)
         group = self.groups.get(rank)
         if group is None:
             group = self.groups[rank] = set()
         group.add(chart)
 
+    def add(self, chart: ChartState, count: int):
+        """Add ``count`` copies of a chart, filing it if it is new and active."""
+        if cc.is_resolved(chart):
+            self.resolved[chart] = self.resolved.get(chart, 0) + count
+        elif chart in self.active:
+            self.active[chart] += count
+        else:
+            self.active[chart] = count
+            if self.key is not None:
+                self._file(chart)
+
     def remove(self, chart: ChartState):
+        """Drop an active chart, all its copies."""
+        del self.active[chart]
         rank = self.rank.pop(chart)
         group = self.groups[rank]
         group.remove(chart)
         if not group:
             del self.groups[rank]
-
-    def least(self):
-        return min(self.groups, default=None)
 
 
 def _multiset(items) -> dict:
@@ -330,11 +327,12 @@ def _vertex_labels(dual: dc.DualComplex) -> set:
     return labels
 
 
-def _chart_problems(chart: ChartState, count, vertex_labels: set, coeff) -> list:
+def _chart_problems(chart: ChartState, count, vertex_labels: set, coeff: dict,
+                    fresh=None) -> list:
     """What is wrong with one (chart, count) item.
 
-    ``coeff(div)`` is the registry coefficient of a divisor id, None if
-    it is unregistered.
+    ``coeff`` maps each registered divisor id to its coefficient; the pair
+    ``fresh``, if given, is one more (id, coefficient).
     """
     out = []
     if count < 1:
@@ -343,8 +341,9 @@ def _chart_problems(chart: ChartState, count, vertex_labels: set, coeff) -> list
     if missing:
         out.append(f"chart {chart!r} uses x-indices {sorted(missing)} "
                    f"absent from the dual complex vertices")
+    new, e = fresh or (None, None)
     for div, a in chart.exponents:
-        c = coeff(div)
+        c = e if div == new else coeff.get(div)
         if c is None:
             out.append(f"chart {chart!r} references unregistered divisor {div!r}")
         elif c != a:
@@ -354,11 +353,15 @@ def _chart_problems(chart: ChartState, count, vertex_labels: set, coeff) -> list
 
 
 def validate_state(state: ResolutionState) -> list:
-    """Internal consistency: registry-backed exponents, known vertex labels."""
+    """Internal consistency: each divisor registered once, registry-backed
+    exponents, known vertex labels."""
+    counts = Counter(r.id for r in state.registry)
+    out = [f"divisor {div!r} is registered {counts[div]} times"
+           for div in sorted(counts) if counts[div] > 1]
     labels = _vertex_labels(state.dual)
-    coeff = {r.id: r.coeff for r in state.registry}.get
-    return [problem for chart, count in state.charts
-            for problem in _chart_problems(chart, count, labels, coeff)]
+    coeff = {r.id: r.coeff for r in state.registry}
+    return out + [problem for chart, count in state.charts
+                  for problem in _chart_problems(chart, count, labels, coeff)]
 
 
 def _validated(state: ResolutionState, error=ValueError, prefix="") -> ResolutionState:
@@ -368,16 +371,6 @@ def _validated(state: ResolutionState, error=ValueError, prefix="") -> Resolutio
         raise error(prefix + "; ".join(problems))
     _set(state, "_valid", True)
     return state
-
-
-def _checked_book(state: ResolutionState) -> _Book:
-    """The state's own book, after a full check if its validity is unknown.
-
-    States that ``step`` produces are valid by construction.
-    """
-    if not state._valid:
-        _validated(state, InvariantBreach, "state invariants broken: ")
-    return state._own()
 
 
 def seed_from_snc(snc: sm.SncVariety, coranks: dict) -> ResolutionState:
@@ -397,15 +390,14 @@ def seed_from_snc(snc: sm.SncVariety, coranks: dict) -> ResolutionState:
         if type(m) is not int or m < 0:
             raise ValueError(f"corank of stratum {sid!r} must be an integer >= 0, "
                              f"got {m!r}")
-    charts = {}
+    charts = []
     for s in snc.strata:
         if len(s.indices) < 2:
             continue
         if s.id not in coranks:
             raise ValueError(f"missing corank for stratum {s.id!r}")
-        chart = ChartState.of(s.indices, coranks[s.id], {})
-        charts[chart] = charts.get(chart, 0) + 1
-    return _validated(ResolutionState(dual, (), _sorted_chart_items(charts)))
+        charts.append((ChartState.of(s.indices, coranks[s.id], {}), 1))
+    return _validated(ResolutionState(dual, (), _sorted_chart_items(_multiset(charts))))
 
 
 def with_initial_divisors(state: ResolutionState, divisors, placements) -> ResolutionState:
@@ -420,14 +412,13 @@ def with_initial_divisors(state: ResolutionState, divisors, placements) -> Resol
     for div, a in divisors:
         registry.append(DivisorRecord(str(div), int(a), None))
         coeff[str(div)] = int(a)
-    charts = {}
+    charts = []
     for pos, (chart, n) in enumerate(state.charts):
         extra = {d: coeff[d] for d in placements.get(pos, ())}
-        new_chart = ChartState.of(chart.x_indices, chart.det_size,
-                                  {**chart.exponent_map(), **extra})
-        charts[new_chart] = charts.get(new_chart, 0) + n
+        charts.append((ChartState.of(chart.x_indices, chart.det_size,
+                                     {**chart.exponent_map(), **extra}), n))
     return _validated(ResolutionState(state.dual, tuple(registry),
-                                      _sorted_chart_items(charts), state.trace))
+                                      _sorted_chart_items(_multiset(charts)), state.trace))
 
 
 # --------------------------------------------------------------------------
@@ -445,20 +436,20 @@ def select_center(state: ResolutionState,
     factor.  Pairs are compared by ``config.pair_key``.
 
     The answer is the least rank the unresolved charts propose (see
-    ``chart_calculus.propose``), read from the index.  B1 ranks a
-    divisor by the exponent its charts carry, which is the registry
-    coefficient only in a valid state, so a state of unknown validity is
-    checked in full first (InvariantBreach if it fails).
+    ``chart_calculus.propose``), read from the state's book; a state of
+    unknown validity is checked in full first (InvariantBreach if it fails).
     """
-    rank = _center(state, config)[2]
+    rank = _center(state, config)[1]
     return None if rank is None else RuleApplication(*rank[-4:])
 
 
 def _center(state: ResolutionState, config: RunConfig) -> tuple:
-    """(book, index, least rank) of a state; the rank is None once resolved."""
-    book = _checked_book(state)
-    idx = book.index_for(config)
-    return book, idx, idx.least()
+    """(book, least rank) of a state; the rank is None once resolved."""
+    if not state._valid:
+        _validated(state, InvariantBreach, "state invariants broken: ")
+    book = state._own()
+    book.rank_by(config)
+    return book, min(book.groups, default=None)
 
 
 def step(state: ResolutionState,
@@ -474,12 +465,12 @@ def step(state: ResolutionState,
     dual complex is immutable.  Every check runs before the shared book
     is updated, so a failing event leaves ``state`` intact.
     """
-    book, idx, rank = _center(state, config)
+    book, rank = _center(state, config)
     if rank is None:
         raise NoApplicableRule("every chart is resolved")
     rule = cc.RULES[rank[-4]]
     # Every chart filed under the least rank proposes exactly this rule.
-    matched = sorted(((c, book.active[c]) for c in idx.groups[rank]),
+    matched = sorted(((c, book.active[c]) for c in book.groups[rank]),
                      key=lambda item: item[0].sort_key())
 
     index = len(book.events)
@@ -512,27 +503,20 @@ def step(state: ResolutionState,
         lex=tuple(sorted(certificates)),
     )
 
-    if new_divisor:
-        book.coeff[exc_name] = new_divisor[1]
-    labels = book.vertex_labels()
+    # The new divisor counts as registered; the book registers it once the
+    # children pass.
     problems = [problem for chart, count in produced.items()
-                for problem in _chart_problems(chart, count, labels, book.coeff.get)]
+                for problem in _chart_problems(chart, count, book.labels, book.coeff,
+                                               new_divisor)]
     if problems:
-        if new_divisor:
-            del book.coeff[exc_name]
         raise InvariantBreach("state invariants broken: " + "; ".join(problems))
 
     for chart, _ in matched:
-        del book.active[chart]
-        idx.remove(chart)
+        book.remove(chart)
     for chart, count in produced.items():
-        if cc.is_resolved(chart):
-            book.resolved[chart] = book.resolved.get(chart, 0) + count
-        elif chart in book.active:
-            book.active[chart] += count
-        else:
-            book.active[chart] = count
-            idx.add(chart)
+        book.add(chart, count)
+    if new_divisor:
+        book.coeff[exc_name] = new_divisor[1]
     book.events.append(event)
     if state._n == book.start:  # the first state of a line has its fields built
         _set(state, "_book", None)
@@ -726,13 +710,19 @@ def _state_obj(state: ResolutionState, seq) -> dict:
 
 
 def state_from_obj(obj: dict) -> ResolutionState:
+    """Parse a state document; ValueError if it is malformed, its dual
+    complex is invalid or the state is inconsistent."""
     if not isinstance(obj, dict) or "dual" not in obj or "charts" not in obj:
         raise ValueError("state document needs 'dual' and 'charts'")
     registry = obj.get("registry", [])
     if not isinstance(registry, list):
         raise ValueError(f"state 'registry' must be an array, got {registry!r}")
+    dual = dc.from_json_obj(obj["dual"])
+    violations = dc.validate(dual)
+    if violations:
+        raise ValueError("; ".join(map(str, violations)))
     return _validated(ResolutionState(
-        dc.from_json_obj(obj["dual"]), tuple(_record_from_obj(r) for r in registry),
+        dual, tuple(_record_from_obj(r) for r in registry),
         _sorted_chart_items(_multiset(_chart_items_from_obj(obj["charts"])))))
 
 

@@ -1,10 +1,13 @@
 """Command-line surface: outputs, exit codes, env overrides, round trips."""
 
+import contextlib
+import io
 import json
 import random
 import time
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from sncresolve import chart_calculus as cc
 from sncresolve import cli
@@ -463,6 +466,95 @@ def test_resolve_accepts_generated_states(tmp_path, capsys):
     path = tmp_path / "state.json"
     path.write_text(json.dumps(re_.state_to_obj(state)))
     assert cli.main(["resolve", "--input", str(path)]) == 0
+
+
+def _gen_doc(seed):
+    return re_.state_to_obj(cli.random_state(random.Random(seed)))
+
+
+def _resolve_refuses(doc, tmp_path, capsys, message):
+    path, trace = tmp_path / "state.json", tmp_path / "trace.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["resolve", "--input", str(path), "--trace", str(trace)]) == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"invalid input: {message}\n"
+    assert not trace.exists()
+
+
+def test_resolve_refuses_a_state_with_an_invalid_dual_complex(tmp_path, capsys):
+    doc = _gen_doc(3)
+    edge = next(c for c in doc["dual"]["cells"] if c["id"] == "E1+E2")
+    edge["facets"][0] = "ghost"
+    _resolve_refuses(doc, tmp_path, capsys,
+                     "dangling facet [E1+E2]: facet 'ghost' does not exist")
+
+
+@pytest.mark.parametrize("second, extra", [
+    (3, ""),
+    (4, "; chart Chart[x:E1,E2|m:1|z:f1^3] carries 'f1'^3 but the registry "
+        "coefficient is 4"),
+])
+def test_resolve_refuses_a_registry_listing_a_divisor_twice(tmp_path, capsys, second, extra):
+    doc = _gen_doc(3)
+    (entry,) = doc["registry"]
+    doc["registry"].append(dict(entry, coeff=second))
+    _resolve_refuses(doc, tmp_path, capsys, "divisor 'f1' is registered 2 times" + extra)
+
+
+# One field of a state document: (part, position, key).  Positions wrap
+# around the part's length; a cell's "facet" is one entry of its facets.
+_STATE_FIELDS = st.one_of(*(
+    st.tuples(st.just(part), st.integers(0, 30), st.sampled_from(keys))
+    for part, keys in (("cells", ["facet", "dim"]),
+                       ("registry", ["id", "coeff", "birth"]),
+                       ("charts", ["x", "m", "a", "count"]))))
+_FIELD_VALUES = st.one_of(st.integers(-2, 6), st.sampled_from([
+    "E1", "E2", "E9", "f1", "f2", "w1", "ghost", "", None, True, 1.5,
+    [], ["E1"], ["E1", "E2"], ["E2", "E9"], [1, 2],
+    {}, {"f1": 2}, {"f1": "2"}, {"f1": 0}, {"ghost": 1}]))
+
+
+def _change_field(doc, field, value) -> bool:
+    """Set one field of a state document; False if it has no such field."""
+    part, pos, key = field
+    items = doc["dual"]["cells"] if part == "cells" else doc[part]
+    if not items:
+        return False
+    item = items[pos % len(items)]
+    if key == "facet":
+        facets = item["facets"]
+        if facets:
+            facets[pos % len(facets)] = value
+        else:
+            facets.append(value)
+    elif part == "charts" and key != "count":
+        item["chart"][key] = value
+    else:
+        item[key] = value
+    return True
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 20), _STATE_FIELDS, _FIELD_VALUES)
+@example(3, ("cells", 2, "facet"), "ghost")    # a dangling facet
+@example(14, ("registry", 1, "id"), "f1")      # 'f1' registered twice
+def test_resolve_never_crashes_on_a_changed_state_document(tmp_path_factory, seed, field,
+                                                           value):
+    doc = _gen_doc(seed)
+    assume(_change_field(doc, field, value))
+    path = tmp_path_factory.mktemp("fuzz") / "state.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["resolve", "--input", str(path)])
+    assert code in (cli.EXIT_OK, cli.EXIT_INPUT), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if code == cli.EXIT_OK:
+        # What resolve accepts is consistent: a valid complex, distinct ids.
+        assert not dc.validate(dc.from_json_obj(doc["dual"]))
+        ids = [entry["id"] for entry in doc["registry"]]
+        assert len(set(ids)) == len(ids)
 
 
 def test_resolve_policy_flag_recorded_in_trace(seed_file, tmp_path):

@@ -432,6 +432,43 @@ def test_state_document_sums_repeated_chart_entries():
     assert [n for _, n in re_.state_from_obj(doc).charts] == [2]
 
 
+def test_state_document_with_an_invalid_dual_complex_is_refused():
+    doc = re_.state_to_obj(random_state(random.Random(3)))
+    edge = next(c for c in doc["dual"]["cells"] if c["id"] == "E1+E2")
+    edge["facets"][0] = "ghost"
+    with pytest.raises(ValueError) as err:
+        re_.state_from_obj(doc)
+    assert str(err.value) == "dangling facet [E1+E2]: facet 'ghost' does not exist"
+
+
+@pytest.mark.parametrize("coeffs, extra", [
+    ((3, 3), ""),
+    ((3, 4), "; chart Chart[x:E1,E2|m:1|z:f1^3] carries 'f1'^3 but the registry "
+             "coefficient is 4"),
+])
+def test_a_divisor_registered_twice_is_reported_first(coeffs, extra):
+    state = random_state(random.Random(3))
+    (record,) = state.registry
+    assert record.coeff == coeffs[0]
+    registry = tuple(re_.DivisorRecord(record.id, c, None) for c in coeffs)
+    doubled = re_.ResolutionState(state.dual, registry, state.charts)
+    problems = re_.validate_state(doubled)
+    assert problems[0] == "divisor 'f1' is registered 2 times"
+    assert "; ".join(problems) == "divisor 'f1' is registered 2 times" + extra
+    doc = re_.state_to_obj(doubled)
+    with pytest.raises(ValueError, match="^divisor 'f1' is registered 2 times"):
+        re_.state_from_obj(doc)
+
+
+def test_repeated_registry_ids_are_counted_and_sorted():
+    state = random_state(random.Random(3))
+    records = [re_.DivisorRecord(div, 1, None) for div in ("g", "f1", "g", "e", "g", "e")]
+    bad = re_.ResolutionState(state.dual, state.registry + tuple(records), state.charts)
+    assert re_.validate_state(bad)[:3] == ["divisor 'e' is registered 2 times",
+                                           "divisor 'f1' is registered 2 times",
+                                           "divisor 'g' is registered 3 times"]
+
+
 @pytest.mark.parametrize("counts", [[0], [1, -1], [-1, 2]])
 def test_state_document_rejects_chart_counts_below_one(counts):
     doc = re_.state_to_obj(double_point_seed())

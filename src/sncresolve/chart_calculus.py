@@ -161,6 +161,8 @@ def chart_from_obj(obj: dict) -> ChartState:
     xs, m, exps = obj.get("x"), obj.get("m"), obj.get("a", {})
     if not isinstance(xs, list) or not all(isinstance(i, str) for i in xs):
         raise ValueError(f"chart 'x' must be a list of ids, got {xs!r}")
+    if len(set(xs)) != len(xs):
+        raise ValueError(f"chart 'x' repeats an id, got {xs!r}")
     if type(m) is not int:
         raise ValueError(f"chart 'm' must be an integer, got {m!r}")
     if not isinstance(exps, dict) or any(type(a) is not int for a in exps.values()):

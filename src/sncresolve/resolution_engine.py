@@ -247,9 +247,9 @@ class _Book:
     state, which ``step`` advances in place: ``active`` and ``resolved``
     split its chart multiset (no rule matches a resolved chart, so that
     part is an inert sink), ``coeff`` maps its registered divisors to
-    their coefficients and ``labels`` holds the vertex labels.  Once
-    ``rank_by`` has named an id ordering, ``rank`` maps each active chart
-    to its ``cc.propose`` rank and ``groups`` each rank to its charts.
+    their coefficients and ``labels`` holds the vertex and cell labels.
+    Once ``rank_by`` has named an id ordering, ``rank`` maps each active
+    chart to its ``cc.propose`` rank and ``groups`` each rank to its charts.
 
     The least rank is the center ``select_center`` picks, and its charts
     are exactly those the rule matches: a chart that contains the selected
@@ -265,7 +265,7 @@ class _Book:
         self.registry = registry
         self.charts = charts
         self.coeff = {r.id: r.coeff for r in registry}
-        self.labels = _vertex_labels(dual)
+        self.labels = _labels(dual)
         self.key = self.ordering = None
         self.active, self.resolved, self.rank, self.groups = {}, {}, {}, {}
         for chart, count in charts:
@@ -319,28 +319,36 @@ def _sorted_chart_items(multiset: dict) -> tuple:
                         key=lambda item: item[0].sort_key()))
 
 
-def _vertex_labels(dual: dc.DualComplex) -> set:
-    labels = set()
-    for cell in dual.cells_of_dim(0):
+def _labels(dual: dc.DualComplex) -> tuple:
+    """(the ids in the labels of the vertices, the labels of all cells)."""
+    vertices, spans = set(), set()
+    for cell in dual.cells.values():
         if cell.label:
-            labels.update(cell.label)
-    return labels
+            spans.add(cell.label)
+            if cell.dim == 0:
+                vertices.update(cell.label)
+    return vertices, spans
 
 
-def _chart_problems(chart: ChartState, count, vertex_labels: set, coeff: dict,
+def _chart_problems(chart: ChartState, count, labels: tuple, coeff: dict,
                     fresh=None) -> list:
     """What is wrong with one (chart, count) item.
 
-    ``coeff`` maps each registered divisor id to its coefficient; the pair
-    ``fresh``, if given, is one more (id, coefficient).
+    ``labels`` is ``_labels`` of the dual complex; ``coeff`` maps each
+    registered divisor id to its coefficient; the pair ``fresh``, if
+    given, is one more (id, coefficient).
     """
     out = []
     if count < 1:
         out.append(f"chart {chart!r} has count {count}")
-    missing = chart.x_indices - vertex_labels
+    vertices, spans = labels
+    missing = chart.x_indices - vertices
     if missing:
         out.append(f"chart {chart!r} uses x-indices {sorted(missing)} "
                    f"absent from the dual complex vertices")
+    elif chart.x_indices not in spans:
+        out.append(f"chart {chart!r} uses x-indices {sorted(chart.x_indices)} "
+                   f"that span no cell of the dual complex")
     new, e = fresh or (None, None)
     for div, a in chart.exponents:
         c = e if div == new else coeff.get(div)
@@ -354,11 +362,11 @@ def _chart_problems(chart: ChartState, count, vertex_labels: set, coeff: dict,
 
 def validate_state(state: ResolutionState) -> list:
     """Internal consistency: each divisor registered once, registry-backed
-    exponents, known vertex labels."""
+    exponents, x-indices that label a cell."""
     counts = Counter(r.id for r in state.registry)
     out = [f"divisor {div!r} is registered {counts[div]} times"
            for div in sorted(counts) if counts[div] > 1]
-    labels = _vertex_labels(state.dual)
+    labels = _labels(state.dual)
     coeff = {r.id: r.coeff for r in state.registry}
     return out + [problem for chart, count in state.charts
                   for problem in _chart_problems(chart, count, labels, coeff)]
@@ -551,6 +559,10 @@ def canonical_dumps(obj) -> str:
 _FLUSH_AT = 4096
 
 
+class _Fragment(str):
+    """JSON text as ``write_json`` lays it out at depth 0."""
+
+
 def write_json(obj, write) -> None:
     """Write ``obj`` as ``json.dump(obj, fp, indent=1, sort_keys=True)`` does.
 
@@ -563,6 +575,10 @@ def write_json(obj, write) -> None:
     holds it.  Strings go through the C string encoder, which also raises
     ``TypeError`` for a dict key that is not a ``str``; tuples and
     iterators are written as lists, an iterator consumed as it is written.
+
+    A ``_Fragment`` is written with the indentation of its place after
+    each newline; this is exact, as the string encoder escapes every
+    control character, so a fragment's only newlines are layout ones.
     """
     text = _leaf(obj)
     if text is not None:
@@ -574,9 +590,9 @@ def write_json(obj, write) -> None:
 
 
 def _leaf(value) -> str | None:
-    """The JSON text of a scalar, or None for a list, tuple or dict."""
+    """The JSON text of a scalar, or None for a container or a fragment."""
     if isinstance(value, str):
-        return _encode_str(value)
+        return None if type(value) is _Fragment else _encode_str(value)
     if value is None:
         return "null"
     if value is True:
@@ -591,9 +607,12 @@ def _leaf(value) -> str | None:
 
 
 def _write_container(value, lead: str, newline: str, chunks: list, write) -> None:
-    """Append ``lead`` and the JSON text of a list, tuple, iterator or dict
-    whose closing bracket goes after ``newline`` (a newline and its
-    indentation); an empty one is written as ``[]`` or ``{}``."""
+    """Append ``lead`` and the JSON text of a list, tuple, iterator, dict
+    or fragment whose closing bracket goes after ``newline`` (a newline
+    and its indentation); an empty one is written as ``[]`` or ``{}``."""
+    if type(value) is _Fragment:
+        chunks.append(lead + value.replace("\n", newline))
+        return
     inner = newline + " "
     comma = "," + inner
     sep = inner
@@ -626,10 +645,6 @@ def _write_container(value, lead: str, newline: str, chunks: list, write) -> Non
         chunks.clear()
 
 
-def mdeg_obj(deg) -> list:
-    return [deg[0], deg[1], deg[2]]
-
-
 def rule_to_obj(app: RuleApplication) -> dict:
     return {"kind": app.kind, "pair": list(app.pair),
             "divisors": list(app.divisors),
@@ -645,8 +660,8 @@ def rule_from_obj(obj: dict) -> RuleApplication:
                            (nd[0], nd[1]) if nd else None)
 
 
-def _chart_items_obj(items, seq):
-    return seq({"chart": cc.chart_to_obj(c), "count": n} for c, n in items)
+def _chart_items_obj(items, chart, seq):
+    return seq({"chart": chart(c), "count": n} for c, n in items)
 
 
 def _chart_items_from_obj(entries) -> tuple:
@@ -672,16 +687,26 @@ def _record_from_obj(obj) -> DivisorRecord:
 
 
 def event_to_obj(event: BlowupEvent) -> dict:
+    return _event_obj(event, cc.chart_to_obj, cc.chart_to_obj, _lex_obj)
+
+
+def _event_obj(event: BlowupEvent, child, parent, lex) -> dict:
+    """``child``, ``parent`` and ``lex`` lay out the charts and lex pairs."""
     return {
         "index": event.index,
         "phase": event.phase,
         "rule": rule_to_obj(event.rule),
-        "parents": _chart_items_obj(event.parents, list),
-        "children": _chart_items_obj(event.children, list),
+        "parents": _chart_items_obj(event.parents, parent, list),
+        "children": _chart_items_obj(event.children, child, list),
         "new_divisor": list(event.new_divisor) if event.new_divisor else None,
         "exceptional": event.exceptional,
-        "lex": [[mdeg_obj(p), mdeg_obj(ch)] for p, ch in event.lex],
+        "lex": [lex(pair) for pair in event.lex],
     }
+
+
+def _lex_obj(pair) -> list:
+    (px, py, pz), (cx, cy, cz) = pair
+    return [[px, py, pz], [cx, cy, cz]]
 
 
 def event_from_obj(obj: dict) -> BlowupEvent:
@@ -697,15 +722,15 @@ def event_from_obj(obj: dict) -> BlowupEvent:
 
 
 def state_to_obj(state: ResolutionState) -> dict:
-    return _state_obj(state, list)
+    return _state_obj(state, cc.chart_to_obj, list)
 
 
-def _state_obj(state: ResolutionState, seq) -> dict:
+def _state_obj(state: ResolutionState, chart, seq) -> dict:
     return {
         "dual": dc.to_json_obj(state.dual),
         "registry": [{"id": r.id, "coeff": r.coeff, "birth": r.birth}
                      for r in state.registry],
-        "charts": _chart_items_obj(state.charts, seq),
+        "charts": _chart_items_obj(state.charts, chart, seq),
     }
 
 
@@ -728,25 +753,49 @@ def state_from_obj(obj: dict) -> ResolutionState:
 
 def trace_to_obj(seed: ResolutionState, events, final: ResolutionState,
                  config: RunConfig) -> dict:
-    return _trace_obj(seed, events, final, config, list)
+    return _trace_obj(seed, events, final, config, list,
+                      cc.chart_to_obj, cc.chart_to_obj, _lex_obj)
 
 
 def trace_stream(seed: ResolutionState, events, final: ResolutionState,
                  config: RunConfig) -> dict:
     """``trace_to_obj`` with its event and chart arrays as one-shot
     iterators: ``write_json`` builds each entry as it writes it and drops
-    it, so writing never holds the whole document."""
-    return _trace_obj(seed, events, final, config, iter)
+    it, so writing never holds the whole document.
+
+    Each live chart is laid out once: the ``_Fragment`` written for a child
+    is kept, reused and dropped at its last use, as a parent or in the
+    final state (the seed, written last, keeps nothing).  So streaming holds
+    the text of the live charts, not of the trace; a chart not kept is laid
+    out anew, so the bytes never depend on the memo.  Lex pairs, which
+    repeat from event to event, are kept throughout.
+    """
+    texts = {}
+
+    def kept(key, obj=cc.chart_to_obj):
+        text = texts.get(key)
+        if text is None:
+            parts = []
+            write_json(obj(key), parts.append)
+            text = texts[key] = _Fragment("".join(parts))
+        return text
+
+    def last(chart):
+        return texts.pop(chart, None) or cc.chart_to_obj(chart)
+
+    return _trace_obj(seed, events, final, config, iter, kept, last,
+                      lambda pair: kept(pair, _lex_obj))
 
 
-def _trace_obj(seed, events, final, config, seq) -> dict:
-    """The trace document; ``seq`` makes its event and chart arrays."""
+def _trace_obj(seed, events, final, config, seq, kept, last, lex) -> dict:
+    """The trace document; ``seq`` makes its event and chart arrays, and
+    ``kept``, ``last`` and ``lex`` lay out children, last uses and lex pairs."""
     return {
         "config": config.to_json_obj(),
         "assumptions": list(MODEL_ASSUMPTIONS),
-        "seed": _state_obj(seed, seq),
-        "events": seq(map(event_to_obj, events)),
-        "final": _state_obj(final, seq),
+        "seed": _state_obj(seed, cc.chart_to_obj, seq),
+        "events": seq(_event_obj(e, kept, last, lex) for e in events),
+        "final": _state_obj(final, last, seq),
     }
 
 

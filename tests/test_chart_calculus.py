@@ -377,3 +377,9 @@ def test_chart_json_round_trip():
     obj = cc.chart_to_obj(c)
     assert obj == {"x": ["E1", "E2"], "m": 2, "a": {"f1": 3}}
     assert cc.chart_from_obj(obj) == c
+
+
+def test_chart_from_obj_refuses_a_repeated_x_index():
+    # Read as a set, ["E1", "E1"] would be the resolved chart over E1 alone.
+    with pytest.raises(ValueError, match="chart 'x' repeats an id"):
+        cc.chart_from_obj({"x": ["E1", "E1"], "m": 1, "a": {"f1": 3}})

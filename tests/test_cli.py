@@ -490,6 +490,20 @@ def test_resolve_refuses_a_state_with_an_invalid_dual_complex(tmp_path, capsys):
                      "dangling facet [E1+E2]: facet 'ghost' does not exist")
 
 
+def test_resolve_refuses_a_chart_repeating_an_x_index(tmp_path, capsys):
+    doc = _gen_doc(3)
+    doc["charts"][0]["chart"]["x"] = ["E1", "E1"]
+    _resolve_refuses(doc, tmp_path, capsys, "chart 'x' repeats an id, got ['E1', 'E1']")
+
+
+def test_resolve_refuses_a_chart_whose_x_indices_span_no_cell(tmp_path, capsys):
+    doc = _gen_doc(3)
+    doc["dual"]["cells"] = [c for c in doc["dual"]["cells"] if c["id"] != "E1+E2"]
+    _resolve_refuses(doc, tmp_path, capsys,
+                     "chart Chart[x:E1,E2|m:1|z:f1^3] uses x-indices ['E1', 'E2'] "
+                     "that span no cell of the dual complex")
+
+
 @pytest.mark.parametrize("second, extra", [
     (3, ""),
     (4, "; chart Chart[x:E1,E2|m:1|z:f1^3] carries 'f1'^3 but the registry "

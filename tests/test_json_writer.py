@@ -7,8 +7,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sncresolve import chart_calculus as cc
 from sncresolve import cli
 from sncresolve import resolution_engine as re_
+from sncresolve import snc_model as sm
 
 
 def written(obj) -> str:
@@ -123,3 +125,60 @@ def test_a_stream_of_events_is_written_as_it_is_consumed():
 def test_a_key_that_is_not_a_string_raises(doc):
     with pytest.raises(TypeError):
         written(doc)
+
+
+# A trace streamed by ``trace_stream`` reuses the text of each live chart
+# (a fragment laid out at depth 0 and indented where it is written).
+
+ODD_IDS = ["E\n1", 'E"2', "E\\3é"]
+
+
+def test_a_streamed_trace_with_escaped_ids_equals_the_standard_library():
+    snc = sm.from_index_sets(ODD_IDS, [set(ODD_IDS[:2]), set(ODD_IDS[1:]),
+                                       {ODD_IDS[0], ODD_IDS[2]}, set(ODD_IDS)])
+    seed = re_.seed_from_snc(snc, {s.id: len(s.indices) - 1
+                                   for s in snc.strata if len(s.indices) >= 2})
+    divisor = 'f\n"\\é'
+    seed = re_.with_initial_divisors(seed, [(divisor, 2)], {0: [divisor]})
+    config = re_.RunConfig()
+    final, events = re_.run(seed, config)
+    assert len(events) > 3
+    want = reference(re_.trace_to_obj(seed, events, final, config))
+    assert divisor in json.loads(want)["seed"]["charts"][0]["chart"]["a"]
+    assert written(re_.trace_stream(seed, events, final, config)) == want
+
+
+def _blowup(index, parents, children):
+    return re_.BlowupEvent(index, "C-bin", cc.RuleApplication("BIN", ("E1",)),
+                           parents, children, None, None, ())
+
+
+def test_a_chart_consumed_and_produced_again_streams_the_same_bytes(monkeypatch):
+    a, b, c, d = (cc.ChartState.of(["E1", "E2"], m, {}) for m in (4, 3, 2, 1))
+    dual = sm.dual_complex_of(sm.from_index_sets(["E1", "E2"], [{"E1", "E2"}]))
+    seed = re_.ResolutionState(dual, (), ((a, 1),))
+    events = [_blowup(0, ((a, 1),), ((b, 1), (c, 1))),
+              _blowup(1, ((b, 1),), ((a, 2),)),         # a produced again
+              _blowup(2, ((d, 1),), ((b, 1),))]         # d never written before
+    final = re_.ResolutionState(dual, (), ((a, 2), (b, 1), (c, 1)))
+    config = re_.RunConfig()
+    want = reference(re_.trace_to_obj(seed, events, final, config))
+
+    laid_out = []
+    chart_to_obj = cc.chart_to_obj
+
+    def counted(chart):
+        laid_out.append(chart)
+        return chart_to_obj(chart)
+
+    monkeypatch.setattr(cc, "chart_to_obj", counted)
+    assert written(re_.trace_stream(seed, events, final, config)) == want
+    # Keys are written sorted: the events, then the final state, then the
+    # seed.  Each chart is laid out once while it is live: a parent or a
+    # final chart reuses the text kept when it was produced.  A parent never
+    # produced before is laid out where it is written, and a chart produced
+    # again after it was consumed is laid out again.
+    assert laid_out == [a, b, c,   # event 0: the parent a, then the children
+                        a,         # event 1: b reused; a produced again
+                        d, b,      # event 2: d never written; b produced again
+                        a]         # final reuses a, b and c; the seed lays out a

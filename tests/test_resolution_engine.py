@@ -274,6 +274,20 @@ def test_state_validation_catches_alien_x_index():
     assert any("absent from the dual" in p for p in re_.validate_state(bad))
 
 
+def test_state_validation_catches_x_indices_spanning_no_cell():
+    # E1 and E2 are vertices, but without the edge they do not meet.
+    snc = sm.from_index_sets(["E1", "E2"], [])
+    chart = cc.ChartState.of(["E1", "E2"], 1, {})
+    bad = re_.ResolutionState(sm.dual_complex_of(snc), (), ((chart, 1),))
+    assert re_.validate_state(bad) == [
+        "chart Chart[x:E1,E2|m:1|z:] uses x-indices ['E1', 'E2'] that span "
+        "no cell of the dual complex"]
+    with pytest.raises(ValueError, match="span no cell"):
+        re_.state_from_obj(re_.state_to_obj(bad))
+    with pytest.raises(re_.InvariantBreach, match="span no cell"):
+        re_.run(bad)
+
+
 def test_hand_built_states_are_checked_in_full_before_their_first_event():
     # The alien chart is resolved, so no event would ever touch it.
     state = double_point_seed()

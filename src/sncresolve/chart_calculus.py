@@ -246,8 +246,9 @@ class VerifyChart(NamedTuple):
     """One blow-up chart of the ``children`` family ``family``: ``lead``
     becomes the exceptional coordinate and every ``scaled`` one its primed
     self times it.  The optional unit coordinate change ``post`` follows
-    the strict transform; its images name the child's new coordinates,
-    which ``kept`` holds."""
+    the strict transform and carries the chart's one sign (a DET pivot's
+    cofactor sign, as t -> -t); its images name the child's new
+    coordinates, which ``kept`` holds."""
 
     lead: str
     scaled: tuple
@@ -260,10 +261,10 @@ class VerifyChart(NamedTuple):
 class Rule:
     """Everything known about one rewriting rule; ``kind`` and ``phase``
     name it in traces.  ``propose(chart, xs, pk, key)`` ranks it on a chart
-    (``xs`` the x-indices in key order, ``pk`` the first two keys) and
-    ``matches`` is its match test.  ``children`` raises RulePreconditionError
-    outside the precondition; ``coefficient`` is that of the divisor it
-    creates (0: none) and ``exceptional`` says whether an event names it.
+    (``xs`` the x-indices in key order, ``pk`` the first two keys).
+    ``children`` raises RulePreconditionError outside the precondition;
+    ``coefficient`` is that of the divisor it creates (0: none) and
+    ``exceptional`` says whether an event names it.
     ``charts`` and ``notes`` serve the exact verifier; ``grid`` is (range
     "m", "a" or None, least value, charts(component ids, value)) for verify.
     """
@@ -310,16 +311,21 @@ _PIVOT_NAMES = {}
 def _pivot_elimination(m: int, r0: int, s0: int) -> MappingProxyType:
     """After the y-chart with pivot (r0, s0) the pivot entry is the unit 1;
     y'_rs = y_ab + y'_r,s0 * y'_r0,s, with y_ab the entry of the child's
-    matrix, shrinks the determinant by one."""
+    matrix, shrinks the determinant by one.  Moving the pivot to the corner
+    multiplies det(y) by its cofactor sign (-1)^(r0+s0), which t -> -t
+    absorbs when it is -1."""
     post = _PIVOT_ELIMINATIONS.get((m, r0, s0))
     if post is None:
         var = Polynomial.variable
         rows = [r for r in range(1, m + 1) if r != r0]
         cols = [s for s in range(1, m + 1) if s != s0]
-        post = _PIVOT_ELIMINATIONS[m, r0, s0] = MappingProxyType({
+        images = {
             prime(y_var(r, s, m)): var(y_var(a, b, m - 1))
                 + var(prime(y_var(r, s0, m))) * var(prime(y_var(r0, s, m)))
-            for a, r in enumerate(rows, start=1) for b, s in enumerate(cols, start=1)})
+            for a, r in enumerate(rows, start=1) for b, s in enumerate(cols, start=1)}
+        if (r0 + s0) % 2:
+            images["t"] = -var("t")
+        post = _PIVOT_ELIMINATIONS[m, r0, s0] = MappingProxyType(images)
         _PIVOT_NAMES[m, r0, s0] = frozenset().union(*(p.variables() for p in post.values()))
     return post
 
@@ -332,9 +338,6 @@ class _Det(Rule):
 
     def propose(self, chart, xs, pk, key):
         return (0, -chart.det_size, pk, "DET", (xs[0], xs[1]), (), chart.det_size)
-
-    def matches(self, chart, app):
-        return set(app.pair) <= chart.x_indices and chart.det_size == app.det_size
 
     def children(self, chart, app, policy):
         m = chart.det_size
@@ -388,9 +391,6 @@ class _Mon1(Rule):
         neg_a, kd, d = min((-a, key(d), d) for d, a in chart.exponents if a >= 2)
         return (1, neg_a, kd, pk, "MON1", (xs[0], xs[1]), (d,), None)
 
-    def matches(self, chart, app):
-        return set(app.pair) <= chart.x_indices and app.divisors[0] in chart.exponent_map()
-
     def children(self, chart, app, policy):
         (j1,) = app.divisors
         _pair(chart, app, "MON1")
@@ -428,10 +428,6 @@ class _Mon2(Rule):
         j1, j2 = sorted((d for d, _ in chart.exponents), key=key)[:2]
         return (2, key(j1), key(j2), pk, "MON2", (xs[0], xs[1]), (j1, j2), None)
 
-    def matches(self, chart, app):
-        return (set(app.pair) <= chart.x_indices
-                and all(j in chart.exponent_map() for j in app.divisors))
-
     def children(self, chart, app, policy):
         j1, j2 = app.divisors
         _pair(chart, app, "MON2")
@@ -452,10 +448,6 @@ class _Mon3(Rule):
     def propose(self, chart, xs, pk, key):
         ((j, _),) = chart.exponents
         return (3, key(j), pk, "MON3", (xs[0], xs[1]), (j,), None)
-
-    def matches(self, chart, app):
-        return (set(app.pair) <= chart.x_indices and chart.deg.dy == 1
-                and list(chart.exponent_map()) == [app.divisors[0]] and chart.deg.dz == 1)
 
     def children(self, chart, app, policy):
         d = chart.deg
@@ -484,11 +476,6 @@ class _Bin(Rule):
 
     def propose(self, chart, xs, pk, key):
         return (4, key(xs[0]), "BIN", (xs[0],), (), None)
-
-    def matches(self, chart, app):
-        d = chart.deg
-        return (app.pair[0] in chart.x_indices and d.dx >= 2 and d.dy + d.dz == 1
-                and not is_resolved(chart))
 
     def children(self, chart, app, policy):
         d = chart.deg

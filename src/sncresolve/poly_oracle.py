@@ -396,18 +396,6 @@ def rename_variables(f: Polynomial, mapping: dict) -> Polynomial:
                    for mono, coeff in f.terms.items()})
 
 
-def flip_terms_containing(f: Polynomial, var: str) -> Polynomial:
-    """Negate every term divisible by var (a unit rescale of one coordinate)."""
-    return _canon({m: (-c if Polynomial.exponent_of(m, var) else c)
-                   for m, c in f.terms.items()})
-
-
-def equal_up_to_unit(f: Polynomial, g: Polynomial) -> bool:
-    """Equality up to overall sign or a sign absorbed into the t-factor side."""
-    return f == g or f == -g or f == flip_terms_containing(g, "t") \
-        or f == -flip_terms_containing(g, "t")
-
-
 # ---------------------------------------------------------------------------
 # Rule verification: recompute every blow-up chart of a rewriting rule by
 # direct substitution and compare with the predicted child chart.
@@ -507,7 +495,7 @@ def _check_one_chart(f, vc, expected, child_mdeg) -> ChartCheck:
         _measure_t_side(g, EXC),
         True,
         _fiber_is_x_monomial(g, child_mdeg[0], EXC),
-        equal_up_to_unit(g, expected),
+        g == expected,
         tuple(child_mdeg),
     )
 
@@ -539,8 +527,10 @@ def verify_rule(app, chart, policy: str = "oracle") -> VerificationReport:
     Builds the chart's local equation, applies each of the rule record's
     verification charts, strict-transforms, and compares with the child
     that ``chart_calculus.children`` itself gives for the chart's family
-    (renamed into the chart's coordinates, up to a unit sign), whose
-    recorded family sizes must match.  Also measures the exceptional
+    (renamed into the chart's coordinates), whose recorded family sizes
+    must match.  The comparison is exact: the one sign a chart may carry,
+    a DET pivot's cofactor sign, is part of its unit coordinate change
+    ``post`` as t -> -t.  Also measures the exceptional
     exponent left on the monomial side, which settles the determinant-rule
     coefficient question, and checks that the t = 0 fiber is the expected
     normal crossing monomial.

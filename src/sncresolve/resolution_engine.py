@@ -7,8 +7,9 @@ rewrites every chart meeting it into its children, optionally registers
 one new divisor shared by all children, and records a certificate that
 every parent-to-child step strictly lowered the lexicographic invariant.
 The multiset of invariants therefore decreases in the Dershowitz-Manna
-order at every event, which forces termination; an explicit event ceiling
-guards the implementation rather than the mathematics.
+order at every event, which forces termination.  The event ceiling bounds
+a run's work, so it can stop a terminating input too: a double point of
+corank c takes ceil(c(c+2)/4) events, over the default 10 000 from c = 200.
 
 Phases: A-det shrinks determinants, B1/B2/B3 shrink the divisor monomial,
 C-bin splits the final degree-one factor; ``chart_calculus.RULES`` holds
@@ -87,9 +88,6 @@ class RunConfig:
         if self.ordering and ident in self.ordering:
             return (0, self.ordering.index(ident), ident)
         return (1, 0, ident)
-
-    def pair_key(self, pair):
-        return tuple(self.key(i) for i in pair)
 
     def to_json_obj(self) -> dict:
         return {"ordering": list(self.ordering) if self.ordering else None,
@@ -212,9 +210,6 @@ class ResolutionState:
             book = _Book(self.dual, self.registry, self.charts, self.trace)
             _set(self, "_book", book)
         return book
-
-    def unresolved(self) -> list:
-        return [(chart, n) for chart, n in self.charts if not cc.is_resolved(chart)]
 
     def is_finished(self) -> bool:
         return not self._own().active
@@ -441,7 +436,7 @@ def select_center(state: ResolutionState,
     determinant size present at an unresolved point; the monomial phases
     pick the smallest eligible divisor (largest exponent first in B1);
     phase C picks the smallest component index carrying a degree-one
-    factor.  Pairs are compared by ``config.pair_key``.
+    factor.  Pairs are compared by the ``config.key`` of each member in turn.
 
     The answer is the least rank the unresolved charts propose (see
     ``chart_calculus.propose``), read from the state's book; a state of

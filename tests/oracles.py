@@ -338,7 +338,10 @@ def whole_state_select_center(state, config):
     index of the unresolved charts instead; both must agree on every
     valid state.
     """
-    unresolved = state.unresolved()
+    def pair_key(pair):
+        return tuple(config.key(i) for i in pair)
+
+    unresolved = [(chart, n) for chart, n in state.charts if not cc.is_resolved(chart)]
     if not unresolved:
         return None
 
@@ -349,7 +352,7 @@ def whole_state_select_center(state, config):
         for chart, _ in unresolved:
             if chart.det_size == m_star:
                 pairs.update(_pairs_of(chart, config))
-        pair = min(pairs, key=config.pair_key)
+        pair = min(pairs, key=pair_key)
         return RuleApplication("DET", pair, det_size=m_star)
 
     # Phase B1: some divisor exponent >= 2; largest exponent first.
@@ -363,7 +366,7 @@ def whole_state_select_center(state, config):
                 entry[1].update(_pairs_of(chart, config))
     if eligible:
         div = min(eligible, key=lambda j: (-eligible[j][0], config.key(j)))
-        pair = min(eligible[div][1], key=config.pair_key)
+        pair = min(eligible[div][1], key=pair_key)
         return RuleApplication("MON1", pair, divisors=(div,))
 
     # Phase B2: two divisors of exponent 1 in one chart.
@@ -375,7 +378,7 @@ def whole_state_select_center(state, config):
         for i, j1 in enumerate(ones):
             for j2 in ones[i + 1:]:
                 for pair in _pairs_of(chart, config):
-                    cand = ((config.key(j1), config.key(j2)), config.pair_key(pair),
+                    cand = ((config.key(j1), config.key(j2)), pair_key(pair),
                             (j1, j2), pair)
                     if best is None or cand[:2] < best[:2]:
                         best = cand
@@ -389,7 +392,7 @@ def whole_state_select_center(state, config):
         if deg.dx >= 2 and deg.dy == 1 and deg.dz == 1:
             (j,) = [d for d, _ in chart.exponents]
             for pair in _pairs_of(chart, config):
-                cand = (config.key(j), config.pair_key(pair), j, pair)
+                cand = (config.key(j), pair_key(pair), j, pair)
                 if best is None or cand[:2] < best[:2]:
                     best = cand
     if best:
@@ -405,6 +408,27 @@ def whole_state_select_center(state, config):
         return RuleApplication("BIN", (min(components, key=config.key),))
 
     raise AssertionError("unresolved charts remain but no phase applies")
+
+
+def rule_matches(chart, app) -> bool:
+    """Whether ``app`` rewrites ``chart``: the chart carries the rule's pair
+    (and divisors, det size or degrees).  Reference for the charts the
+    engine files under a rule as the parents of its event."""
+    deg = chart.deg
+    exps = chart.exponent_map()
+    pair_in = set(app.pair) <= chart.x_indices
+    if app.kind == "DET":
+        return pair_in and chart.det_size == app.det_size
+    if app.kind == "MON1":
+        return pair_in and app.divisors[0] in exps
+    if app.kind == "MON2":
+        return pair_in and all(j in exps for j in app.divisors)
+    if app.kind == "MON3":
+        return pair_in and deg.dy == 1 and list(exps) == [app.divisors[0]] and deg.dz == 1
+    if app.kind == "BIN":
+        return (app.pair[0] in chart.x_indices and deg.dx >= 2 and deg.dy + deg.dz == 1
+                and not cc.is_resolved(chart))
+    raise KeyError(app.kind)
 
 
 # --------------------------------------------------------------------------

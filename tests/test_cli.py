@@ -303,6 +303,19 @@ def test_resolve_double_point_event_count(tmp_path, capsys):
     assert "final charts: 2" in out
 
 
+def test_ceiling_can_stop_a_terminating_run(tmp_path, capsys):
+    # A double point of corank c takes ceil(c(c+2)/4) events: 30 at c = 10.
+    snc = sm.from_index_sets(["E1", "E2"], [{"E1", "E2"}])
+    path = tmp_path / "dp10.json"
+    path.write_text(json.dumps({"snc": sm.to_json_obj(snc),
+                                "coranks": {"E1+E2": 10}}))
+    assert cli.main(["resolve", "--input", str(path), "--ceiling", "30"]) == cli.EXIT_OK
+    assert "events: 30" in capsys.readouterr().out
+    assert cli.main(["resolve", "--input", str(path),
+                     "--ceiling", "29"]) == cli.EXIT_SCALE
+    assert "ceiling" in capsys.readouterr().err
+
+
 def test_resolve_ceiling_exit_code(seed_file, capsys):
     assert cli.main(["resolve", "--input", seed_file,
                      "--ceiling", "1"]) == cli.EXIT_SCALE
@@ -669,6 +682,18 @@ def test_verify_paper_policy_fails_loudly(capsys):
                      "--exponent-policy", "paper"])
     assert code == cli.EXIT_BREACH
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_verify_catches_a_wrong_det_sign(monkeypatch, capsys):
+    # A chart's only sign is its pivot's cofactor sign, so a local equation
+    # with -det(y) at m = 2 fails the y-charts whose pivot has r + s even.
+    det_factor = cc._det_factor
+    monkeypatch.setattr(cc, "_det_factor",
+                        lambda m: -det_factor(m) if m == 2 else det_factor(m))
+    reports = [po.verify_rule(app, chart, policy="oracle")
+               for app, chart in cli._verify_grid("det", [2], [2, 3, 4], [2], "oracle")]
+    assert any(not c.child_matches for r in reports for c in r.checks)
+    assert cli.main(["verify", "--rule", "det", "--m", "2"]) == cli.EXIT_BREACH
 
 
 def test_verify_reversed_range_exit_2(capsys):

@@ -377,7 +377,8 @@ def test_verify_pulls_each_chart_back_once(monkeypatch):
 
 def test_every_pivot_elimination_passes_the_substitution_check():
     # The verifier applies the memoized maps without Substitution, whose
-    # check rejects a map that mentions a substituted variable.
+    # check rejects a map that mentions a substituted variable.  Each map
+    # carries its pivot's cofactor sign (-1)^(r+s), as t -> -t when odd.
     checked = 0
     for m in range(2, po.VERIFY_MAX_DET + 1):
         for vc in cc.RULES["DET"].charts(cc.ChartState.of(["E1", "E2"], m, {}), det_app(m)):
@@ -385,6 +386,11 @@ def test_every_pivot_elimination_passes_the_substitution_check():
                 Substitution(vc.post)
                 assert vc.kept == frozenset().union(
                     *(image.variables() for image in vc.post.values()))
+                r, s = (int(c) for c in vc.detail[len("pivot=("):-1].split(","))
+                if (r + s) % 2:
+                    assert vc.post.get("t") == -Polynomial.variable("t"), vc.detail
+                else:
+                    assert vc.post.get("t") is None, vc.detail
                 checked += 1
     assert checked == 2 * 2 + 3 * 3
 

@@ -12,7 +12,7 @@ from sncresolve.chart_calculus import ChildChart, RuleApplication
 from sncresolve.cli import random_state
 from sncresolve.resolution_engine import RunConfig
 
-from oracles import whole_state_select_center
+from oracles import rule_matches, whole_state_select_center
 
 
 def triangle_seed(deep_corank=2, pair_corank=1):
@@ -391,7 +391,7 @@ def test_select_center_and_parents_equal_the_whole_state_reference():
         app = re_.select_center(state, config)
         assert app == whole_state_select_center(state, config)
         expected_parents = app and tuple(
-            (chart, n) for chart, n in state.charts if cc.RULES[app.kind].matches(chart, app))
+            (chart, n) for chart, n in state.charts if rule_matches(chart, app))
         checked += 1
     assert checked > 2 * BATCH_SEEDS
 
@@ -425,7 +425,7 @@ def test_no_rule_matches_a_resolved_chart():
     assert len(resolved) > 100
     for chart in resolved:
         for app in _applications_near(chart):
-            assert not cc.RULES[app.kind].matches(chart, app), (chart, app)
+            assert not rule_matches(chart, app), (chart, app)
 
 
 # --------------------------------------------------------------------------

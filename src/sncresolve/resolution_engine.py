@@ -80,8 +80,8 @@ class RunConfig:
 
     def __post_init__(self):
         cc.check_policy(self.exponent_policy)
-        if self.event_ceiling < 1:
-            raise ValueError("event ceiling must be >= 1")
+        if type(self.event_ceiling) is not int or self.event_ceiling < 1:
+            raise ValueError(f"event ceiling must be an int >= 1, got {self.event_ceiling!r}")
 
     def key(self, ident: str):
         """Total order on ids: explicit ordering first, then lexicographic."""
@@ -96,7 +96,12 @@ class RunConfig:
 
     @staticmethod
     def from_json_obj(obj: dict) -> "RunConfig":
+        if not isinstance(obj, dict):
+            raise ValueError(f"a run config must be an object, got {obj!r}")
         ordering = obj.get("ordering")
+        if not (ordering is None or isinstance(ordering, list)
+                and all(isinstance(i, str) for i in ordering)):
+            raise ValueError(f"'ordering' must be null or a list of ids, got {ordering!r}")
         return RunConfig(tuple(ordering) if ordering else None,
                          obj.get("exponent_policy", RunConfig.exponent_policy),
                          obj.get("event_ceiling", RunConfig.event_ceiling))
@@ -546,12 +551,9 @@ def run(state: ResolutionState,
 # Serialization and replay
 # --------------------------------------------------------------------------
 
-def canonical_dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
 # Pieces that write_json collects before handing them to ``write`` at once.
 _FLUSH_AT = 4096
+_PLAIN = frozenset((str, int, type(None)))  # the scalar types the program writes
 
 
 class _Fragment(str):
@@ -802,20 +804,33 @@ class ReplayResult:
 
 
 def replay_trace(doc: dict) -> ReplayResult:
-    """Re-run a trace from its recorded seed and compare bit-for-bit."""
+    """Re-run a trace from its recorded seed and config and compare the run's
+    objects with the record type-strictly, which gives the verdict of a byte
+    comparison of their canonical JSON text; name the first differing event."""
     seed = state_from_obj(doc["seed"])
     config = RunConfig.from_json_obj(doc.get("config", {}))
+    recorded = doc.get("events", [])
+    if not isinstance(recorded, list):
+        raise ValueError(f"trace 'events' must be an array, got {recorded!r}")
     final, events = run(seed, config)
-    want_final = canonical_dumps(doc["final"])
-    got_final = canonical_dumps(state_to_obj(final))
-    if len(events) != len(doc.get("events", ())):
-        return ReplayResult(False, final,
-                            f"event count {len(events)} != recorded "
-                            f"{len(doc.get('events', ()))}")
-    if got_final != want_final:
+    if len(events) != len(recorded):
+        return ReplayResult(False, final, f"event count {len(events)} != recorded {len(recorded)}")
+    if state_to_obj(final) != doc["final"] or not _strict(doc["final"]):
         return ReplayResult(False, final, "final state differs from the record")
-    got_events = canonical_dumps([event_to_obj(e) for e in events])
-    want_events = canonical_dumps(doc.get("events", ()))
-    if got_events != want_events:
-        return ReplayResult(False, final, "event log differs from the record")
+    for event, want in zip(events, recorded):
+        if event_to_obj(event) != want or not _strict(want):
+            return ReplayResult(False, final,
+                                f"event log differs from the record at event {event.index}")
     return ReplayResult(True, final, "replay reproduced the trace")
+
+
+def _strict(value) -> bool:
+    """No bool and no float in ``value``: ``==`` equates them with ints."""
+    if isinstance(value, dict):
+        value = value.values()
+    elif not isinstance(value, list):
+        return not isinstance(value, (bool, float))
+    for item in value:
+        if type(item) not in _PLAIN and not _strict(item):
+            return False
+    return True

@@ -11,6 +11,7 @@ which the tests check against the dense Smith normal form on its own.
 from __future__ import annotations
 
 import itertools
+import json
 from fractions import Fraction
 
 from sncresolve import chart_calculus as cc
@@ -320,6 +321,16 @@ def _random_simplicial_part(rng, prefix: str, max_cells: int) -> list:
         facets = [cid(tuple(v for v in subset if v != d)) for d in subset]
         cells.append(Cell.of(cid(subset, copy=1), len(subset) - 1, facets))
     return cells
+
+
+# --------------------------------------------------------------------------
+# Canonical JSON text
+# --------------------------------------------------------------------------
+
+def canonical_dumps(obj) -> str:
+    """One line of JSON with sorted keys: equal text means equal documents,
+    a JSON number's type included (``1``, ``1.0`` and ``true`` differ)."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 # --------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from sncresolve import poly_oracle as po
 from sncresolve import resolution_engine as re_
 from sncresolve import snc_model as sm
 
-from oracles import moore_space_complex
+from oracles import canonical_dumps, moore_space_complex
 
 
 @pytest.fixture()
@@ -806,5 +806,5 @@ def test_emitted_json_reparses_to_equal_value(seed_file, tmp_path):
     cli.main(["resolve", "--input", seed_file, "--trace", str(trace)])
     doc = json.loads(trace.read_text())
     seed = re_.state_from_obj(doc["seed"])
-    assert re_.canonical_dumps(re_.state_to_obj(seed)) \
-        == re_.canonical_dumps(doc["seed"])
+    assert canonical_dumps(re_.state_to_obj(seed)) \
+        == canonical_dumps(doc["seed"])

@@ -12,7 +12,7 @@ from sncresolve.chart_calculus import ChildChart, RuleApplication
 from sncresolve.cli import random_state
 from sncresolve.resolution_engine import RunConfig
 
-from oracles import rule_matches, whole_state_select_center
+from oracles import canonical_dumps, rule_matches, whole_state_select_center
 
 
 def triangle_seed(deep_corank=2, pair_corank=1):
@@ -208,7 +208,7 @@ def test_run_is_deterministic():
     for _ in range(3):
         final, events = re_.run(triangle_seed(), config)
         doc = re_.trace_to_obj(triangle_seed(), events, final, config)
-        finals.append(re_.canonical_dumps(doc))
+        finals.append(canonical_dumps(doc))
     assert len(set(finals)) == 1
 
 
@@ -356,8 +356,8 @@ def test_older_states_keep_their_view_and_can_step_again():
     assert re_.event_to_obj(event_again) == re_.event_to_obj(event)
     assert (again.charts, again.registry) == (first.charts, first.registry)
     final_again, events_again = re_.run(first, config)
-    assert re_.canonical_dumps(re_.state_to_obj(final_again)) \
-        == re_.canonical_dumps(re_.state_to_obj(final))
+    assert canonical_dumps(re_.state_to_obj(final_again)) \
+        == canonical_dumps(re_.state_to_obj(final))
     assert [re_.event_to_obj(e) for e in events_again] \
         == [re_.event_to_obj(e) for e in events]
     assert final_again.trace == final.trace
@@ -436,8 +436,8 @@ def test_state_json_round_trip():
     state = random_state(random.Random(3))
     doc = json.loads(json.dumps(re_.state_to_obj(state)))
     again = re_.state_from_obj(doc)
-    assert re_.canonical_dumps(re_.state_to_obj(again)) \
-        == re_.canonical_dumps(re_.state_to_obj(state))
+    assert canonical_dumps(re_.state_to_obj(again)) \
+        == canonical_dumps(re_.state_to_obj(state))
 
 
 def test_state_document_sums_repeated_chart_entries():
@@ -512,18 +512,96 @@ def test_replay_detects_tampering():
 
 
 @pytest.mark.parametrize("tamper, detail", [
-    (lambda events: events.pop(), "event count"),
-    (lambda events: events[0].update(phase="tampered"), "event log differs"),
+    (lambda doc: doc["events"].pop(), "event count"),
+    (lambda doc: doc["events"][0].update(phase="tampered"), "event log differs"),
+    # Each value below equals the recorded int under ``==``, but its JSON
+    # text differs, so replay refuses it.
+    pytest.param(lambda doc: doc["final"]["charts"][0].update(count=1.0),
+                 "final state differs", id="final-count-float"),
+    pytest.param(lambda doc: doc["events"][0]["parents"][0].update(count=True),
+                 "event log differs from the record at event 0", id="parent-count-bool"),
+    pytest.param(lambda doc: doc["events"][0].update(index=0.0),
+                 "event log differs from the record at event 0", id="index-float"),
+    pytest.param(lambda doc: doc["events"][2].update(phase="tampered"),
+                 "event log differs from the record at event 2", id="later-event"),
 ])
 def test_replay_names_what_differs_in_the_event_log(tamper, detail):
     seed = triangle_seed()
     config = RunConfig()
     final, events = re_.run(seed, config)
     doc = json.loads(json.dumps(re_.trace_to_obj(seed, events, final, config)))
-    tamper(doc["events"])
+    before = canonical_dumps(doc)
+    tamper(doc)
+    assert canonical_dumps(doc) != before
     result = re_.replay_trace(doc)
     assert not result.ok
     assert detail in result.detail
+
+
+def _int_places(value, path=()):
+    """The paths to every int in a JSON value."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return [path] if type(value) is int else []
+    return [place for key, item in items for place in _int_places(item, path + (key,))]
+
+
+def test_replay_refuses_a_number_retyped_anywhere_in_the_record():
+    # The in-memory document replays; each recorded int turned into the
+    # equal float or bool changes the canonical text, and replay refuses it.
+    rng = random.Random(5)
+    for s in range(6):
+        state = random_state(random.Random(s))
+        final, events = re_.run(state, RunConfig())
+        doc = re_.trace_to_obj(state, events, final, RunConfig())
+        assert re_.replay_trace(doc).ok
+        places = _int_places({"final": doc["final"], "events": doc["events"]})
+        for path in rng.sample(places, min(8, len(places))):
+            for retype in (float, bool):
+                mutated = json.loads(json.dumps(doc))
+                holder = mutated
+                for key in path[:-1]:
+                    holder = holder[key]
+                if retype is bool and holder[path[-1]] not in (0, 1):
+                    continue
+                holder[path[-1]] = retype(holder[path[-1]])
+                assert canonical_dumps(mutated) != canonical_dumps(doc)
+                assert not re_.replay_trace(mutated).ok, path
+
+
+@pytest.mark.parametrize("ceiling", [True, 2.5])
+def test_run_config_refuses_a_ceiling_that_is_not_an_int(ceiling):
+    with pytest.raises(ValueError, match="event ceiling must be an int"):
+        RunConfig(event_ceiling=ceiling)
+
+
+@pytest.mark.parametrize("tamper, message", [
+    (lambda doc: doc["config"].update(event_ceiling="9"), "event ceiling must be an int"),
+    (lambda doc: doc.update(config=None), "run config must be an object"),
+    (lambda doc: doc["config"].update(ordering="E1"), "'ordering' must be null or a list"),
+    (lambda doc: doc["config"].update(ordering=["E1", 2]), "'ordering' must be null or a list"),
+    (lambda doc: doc.update(events={}), "'events' must be an array"),
+], ids=["ceiling-string", "config-null", "ordering-string", "ordering-non-id", "events-object"])
+def test_replay_refuses_an_ill_typed_trace_document(tamper, message):
+    seed = double_point_seed()
+    config = RunConfig()
+    final, events = re_.run(seed, config)
+    doc = json.loads(json.dumps(re_.trace_to_obj(seed, events, final, config)))
+    tamper(doc)
+    with pytest.raises(ValueError, match=message):
+        re_.replay_trace(doc)
+
+
+def test_replay_keeps_a_recorded_ordering():
+    seed = triangle_seed()
+    config = RunConfig(ordering=("E3", "E1"))
+    final, events = re_.run(seed, config)
+    doc = json.loads(json.dumps(re_.trace_to_obj(seed, events, final, config)))
+    assert doc["config"]["ordering"] == ["E3", "E1"]
+    assert re_.replay_trace(doc).ok
 
 
 def test_replay_respects_recorded_policy():
@@ -539,8 +617,8 @@ def test_event_serialization_round_trip():
     _, events = re_.run(seed)
     for event in events:
         again = re_.event_from_obj(json.loads(json.dumps(re_.event_to_obj(event))))
-        assert re_.canonical_dumps(re_.event_to_obj(again)) \
-            == re_.canonical_dumps(re_.event_to_obj(event))
+        assert canonical_dumps(re_.event_to_obj(again)) \
+            == canonical_dumps(re_.event_to_obj(event))
 
 
 def test_trace_header_documents_the_model_assumptions():

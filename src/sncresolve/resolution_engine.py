@@ -32,7 +32,8 @@ from __future__ import annotations
 import json
 from collections import Counter
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import starmap
 from json.encoder import encode_basestring_ascii as _encode_str
 
 from . import chart_calculus as cc
@@ -77,17 +78,23 @@ class RunConfig:
     ordering: tuple | None = None
     exponent_policy: str = "oracle"
     event_ceiling: int = 10_000
+    _position: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cc.check_policy(self.exponent_policy)
         if type(self.event_ceiling) is not int or self.event_ceiling < 1:
             raise ValueError(f"event ceiling must be an int >= 1, got {self.event_ceiling!r}")
+        if not (self.ordering is None or isinstance(self.ordering, tuple)
+                and all(isinstance(i, str) for i in self.ordering)):
+            raise ValueError(f"ordering must be None or a tuple of ids, got {self.ordering!r}")
+        # Read backwards, so a repeated id keeps its first place, as with tuple.index.
+        position = {ident: i for i, ident in reversed(list(enumerate(self.ordering or ())))}
+        object.__setattr__(self, "_position", position)
 
     def key(self, ident: str):
         """Total order on ids: explicit ordering first, then lexicographic."""
-        if self.ordering and ident in self.ordering:
-            return (0, self.ordering.index(ident), ident)
-        return (1, 0, ident)
+        i = self._position.get(ident)
+        return (1, 0, ident) if i is None else (0, i, ident)
 
     def to_json_obj(self) -> dict:
         return {"ordering": list(self.ordering) if self.ordering else None,
@@ -552,7 +559,7 @@ def run(state: ResolutionState,
 # --------------------------------------------------------------------------
 
 # Pieces that write_json collects before handing them to ``write`` at once.
-_FLUSH_AT = 4096
+_FLUSH_AT = 1024
 _PLAIN = frozenset((str, int, type(None)))  # the scalar types the program writes
 
 
@@ -567,15 +574,16 @@ def write_json(obj, write) -> None:
     machine-readable reports.  With ``indent`` set, the standard library
     leaves its C encoder and yields through one generator per nesting
     level; here a plain recursion appends whole lines to one list and
-    passes it to ``write`` every few thousand pieces, so the text held at
-    once stays small; the document itself is held only as far as ``obj``
-    holds it.  Strings go through the C string encoder, which also raises
-    ``TypeError`` for a dict key that is not a ``str``; tuples and
-    iterators are written as lists, an iterator consumed as it is written.
+    passes it to ``write`` once a container or fragment ends with more
+    than ``_FLUSH_AT`` pieces held, so the text held at once stays small;
+    the document itself is held only as far as ``obj`` holds it.  Strings
+    go through the C string encoder, which also raises ``TypeError`` for a
+    dict key that is not a ``str``; tuples and iterators are written as
+    lists, an iterator consumed as it is written.
 
-    A ``_Fragment`` is written with the indentation of its place after
-    each newline; this is exact, as the string encoder escapes every
-    control character, so a fragment's only newlines are layout ones.
+    A ``_Fragment`` (one piece) is written with the indentation of its
+    place after each newline; this is exact, as the string encoder escapes
+    every control character, so a fragment's only newlines are layout ones.
     """
     text = _leaf(obj)
     if text is not None:
@@ -607,13 +615,12 @@ def _write_container(value, lead: str, newline: str, chunks: list, write) -> Non
     """Append ``lead`` and the JSON text of a list, tuple, iterator, dict
     or fragment whose closing bracket goes after ``newline`` (a newline
     and its indentation); an empty one is written as ``[]`` or ``{}``."""
-    if type(value) is _Fragment:
-        chunks.append(lead + value.replace("\n", newline))
-        return
     inner = newline + " "
     comma = "," + inner
     sep = inner
-    if isinstance(value, dict):
+    if type(value) is _Fragment:
+        chunks.append(lead + value.replace("\n", newline))
+    elif isinstance(value, dict):
         if not value:
             chunks.append(lead + "{}")
             return
@@ -657,8 +664,8 @@ def rule_from_obj(obj: dict) -> RuleApplication:
                            (nd[0], nd[1]) if nd else None)
 
 
-def _chart_items_obj(items, chart, seq):
-    return seq({"chart": chart(c), "count": n} for c, n in items)
+def _item_obj(chart: ChartState, count) -> dict:
+    return {"chart": cc.chart_to_obj(chart), "count": count}
 
 
 def _chart_items_from_obj(entries) -> tuple:
@@ -684,17 +691,17 @@ def _record_from_obj(obj) -> DivisorRecord:
 
 
 def event_to_obj(event: BlowupEvent) -> dict:
-    return _event_obj(event, cc.chart_to_obj, cc.chart_to_obj, _lex_obj)
+    return _event_obj(event, _item_obj, _item_obj, _lex_obj)
 
 
 def _event_obj(event: BlowupEvent, child, parent, lex) -> dict:
-    """``child``, ``parent`` and ``lex`` lay out the charts and lex pairs."""
+    """``child``, ``parent`` and ``lex`` lay out chart items and lex pairs."""
     return {
         "index": event.index,
         "phase": event.phase,
         "rule": rule_to_obj(event.rule),
-        "parents": _chart_items_obj(event.parents, parent, list),
-        "children": _chart_items_obj(event.children, child, list),
+        "parents": list(starmap(parent, event.parents)),
+        "children": list(starmap(child, event.children)),
         "new_divisor": list(event.new_divisor) if event.new_divisor else None,
         "exceptional": event.exceptional,
         "lex": [lex(pair) for pair in event.lex],
@@ -719,15 +726,15 @@ def event_from_obj(obj: dict) -> BlowupEvent:
 
 
 def state_to_obj(state: ResolutionState) -> dict:
-    return _state_obj(state, cc.chart_to_obj, list)
+    return _state_obj(state, _item_obj, list)
 
 
-def _state_obj(state: ResolutionState, chart, seq) -> dict:
+def _state_obj(state: ResolutionState, item, seq) -> dict:
     return {
         "dual": dc.to_json_obj(state.dual),
         "registry": [{"id": r.id, "coeff": r.coeff, "birth": r.birth}
                      for r in state.registry],
-        "charts": _chart_items_obj(state.charts, chart, seq),
+        "charts": seq(starmap(item, state.charts)),
     }
 
 
@@ -750,8 +757,7 @@ def state_from_obj(obj: dict) -> ResolutionState:
 
 def trace_to_obj(seed: ResolutionState, events, final: ResolutionState,
                  config: RunConfig) -> dict:
-    return _trace_obj(seed, events, final, config, list,
-                      cc.chart_to_obj, cc.chart_to_obj, _lex_obj)
+    return _trace_obj(seed, events, final, config, list, _item_obj, _item_obj, _lex_obj)
 
 
 def trace_stream(seed: ResolutionState, events, final: ResolutionState,
@@ -760,40 +766,78 @@ def trace_stream(seed: ResolutionState, events, final: ResolutionState,
     iterators: ``write_json`` builds each entry as it writes it and drops
     it, so writing never holds the whole document.
 
-    Each live chart is laid out once: the ``_Fragment`` written for a child
-    is kept, reused and dropped at its last use, as a parent or in the
-    final state (the seed, written last, keeps nothing).  So streaming holds
-    the text of the live charts, not of the trace; a chart not kept is laid
-    out anew, so the bytes never depend on the memo.  Lex pairs, which
-    repeat from event to event, are kept throughout.
+    Each chart item and lex pair is one ``_Fragment`` laid out directly,
+    and the bytes still equal ``json.dumps(trace_to_obj(...), indent=1,
+    sort_keys=True)``; a flush of ``_FLUSH_AT`` pieces may hold as many
+    charts.  A chart is laid out once while it is live: a child's text is
+    kept, reused and dropped at its last use, as a parent or in the final
+    state, and a seed chart's text is kept for the seed, written last.  So
+    streaming holds the text of the live and seed charts, not of the
+    trace; the bytes never depend on the memo.
     """
-    texts = {}
+    texts, entries = {}, _Entries()
+    in_seed = {chart for chart, _ in seed.charts}
 
-    def kept(key, obj=cc.chart_to_obj):
-        text = texts.get(key)
-        if text is None:
-            parts = []
-            write_json(obj(key), parts.append)
-            text = texts[key] = _Fragment("".join(parts))
-        return text
+    def item(chart, count, keep=True):
+        text = texts.pop(chart, None) or _chart_text(chart, entries)
+        if keep:
+            texts[chart] = text
+        return _item_text(text, count)
 
-    def last(chart):
-        return texts.pop(chart, None) or cc.chart_to_obj(chart)
-
-    return _trace_obj(seed, events, final, config, iter, kept, last,
-                      lambda pair: kept(pair, _lex_obj))
+    return _trace_obj(seed, events, final, config, iter, item,
+                      lambda chart, count: item(chart, count, chart in in_seed), _lex_text)
 
 
 def _trace_obj(seed, events, final, config, seq, kept, last, lex) -> dict:
     """The trace document; ``seq`` makes its event and chart arrays, and
-    ``kept``, ``last`` and ``lex`` lay out children, last uses and lex pairs."""
+    ``kept``, ``last`` and ``lex`` lay out children, other uses and lex pairs."""
     return {
         "config": config.to_json_obj(),
         "assumptions": list(MODEL_ASSUMPTIONS),
-        "seed": _state_obj(seed, cc.chart_to_obj, seq),
+        "seed": _state_obj(seed, last, seq),
         "events": seq(_event_obj(e, kept, last, lex) for e in events),
         "final": _state_obj(final, last, seq),
     }
+
+
+class _Entries(dict):
+    """The text ``"id": exponent`` of each (id, exponent) pair, made once."""
+
+    def __missing__(self, pair):
+        text = self[pair] = _encode_str(pair[0]) + ": " + int.__repr__(pair[1])
+        return text
+
+
+def _chart_text(chart: ChartState, entries: _Entries):
+    """``cc.chart_to_obj(chart)`` as a ``_Fragment`` with the bytes that
+    ``write_json`` writes for it, when the exponent ids strictly increase,
+    the ids and x-indices are exact ``str``s and the values exact ``int``s;
+    otherwise the dict itself."""
+    xs, exps = sorted(chart.x_indices), chart.exponents
+    ids, values = zip(*exps) if exps else ((), ())
+    if not (set(map(type, xs)) == {str} >= set(map(type, ids))
+            and {int} >= {type(chart.det_size), *map(type, values)}
+            and all(map(str.__lt__, ids, ids[1:]))):
+        return cc.chart_to_obj(chart)
+    a = "{\n  " + ",\n  ".join(map(entries.__getitem__, exps)) + "\n }" if exps else "{}"
+    return _Fragment('{\n "a": ' + a + ',\n "m": ' + int.__repr__(chart.det_size)
+                     + ',\n "x": [\n  ' + ",\n  ".join(map(_encode_str, xs)) + "\n ]\n}")
+
+
+def _item_text(chart, count):
+    """``{"chart": chart, "count": count}``; a ``_Fragment`` if chart is one, count an int."""
+    if type(chart) is not _Fragment or type(count) is not int:
+        return {"chart": chart, "count": count}
+    return _Fragment('{\n "chart": ' + chart.replace("\n", "\n ")
+                     + ',\n "count": ' + int.__repr__(count) + "\n}")
+
+
+def _lex_text(pair):
+    """``_lex_obj(pair)`` as a ``_Fragment`` when its six values are ints."""
+    (px, py, pz), (cx, cy, cz) = pair
+    six = (px, py, pz, cx, cy, cz)
+    return (_Fragment("[\n [\n  %d,\n  %d,\n  %d\n ],\n [\n  %d,\n  %d,\n  %d\n ]\n]" % six)
+            if set(map(type, six)) == {int} else _lex_obj(pair))
 
 
 @dataclass(frozen=True)

@@ -100,6 +100,17 @@ def test_a_large_document_reaches_write_in_several_calls():
     assert "".join(calls) == reference(doc)
 
 
+def test_a_long_array_of_fragments_reaches_write_in_several_calls():
+    # A streamed trace's chart arrays hold one fragment per chart item.
+    items = [re_._Fragment('{\n "count": %d\n}' % i) for i in range(3 * re_._FLUSH_AT)]
+    calls = []
+    re_.write_json({"charts": items}, calls.append)
+    text = "".join(calls)
+    assert text == reference({"charts": [{"count": i} for i in range(len(items))]})
+    # The array is handed on while it is written, not once it ends.
+    assert max(map(len, calls)) < len(text) / 2
+
+
 def test_a_stream_of_events_is_written_as_it_is_consumed():
     n = 3 * re_._FLUSH_AT + 1
     built = []
@@ -165,20 +176,89 @@ def test_a_chart_consumed_and_produced_again_streams_the_same_bytes(monkeypatch)
     want = reference(re_.trace_to_obj(seed, events, final, config))
 
     laid_out = []
-    chart_to_obj = cc.chart_to_obj
+    chart_text = re_._chart_text
 
-    def counted(chart):
+    def counted(chart, entries):
         laid_out.append(chart)
-        return chart_to_obj(chart)
+        return chart_text(chart, entries)
 
-    monkeypatch.setattr(cc, "chart_to_obj", counted)
+    monkeypatch.setattr(re_, "_chart_text", counted)
     assert written(re_.trace_stream(seed, events, final, config)) == want
     # Keys are written sorted: the events, then the final state, then the
     # seed.  Each chart is laid out once while it is live: a parent or a
-    # final chart reuses the text kept when it was produced.  A parent never
+    # final chart reuses the text kept when it was produced, and a seed
+    # chart keeps its text until the seed is written.  A parent never
     # produced before is laid out where it is written, and a chart produced
     # again after it was consumed is laid out again.
-    assert laid_out == [a, b, c,   # event 0: the parent a, then the children
-                        a,         # event 1: b reused; a produced again
-                        d, b,      # event 2: d never written; b produced again
-                        a]         # final reuses a, b and c; the seed lays out a
+    assert laid_out == [a, b, c,   # event 0: the seed chart a, then the children
+                        d, b]      # event 2: d never written; b produced again
+    # Event 1 reuses b and a, the final state a, b and c, the seed a.
+
+
+# The direct layouts of ``trace_stream`` against ``write_json`` of the dicts
+# and lists that ``trace_to_obj`` builds.
+
+chart_ids = st.text(st.one_of(st.characters(), st.sampled_from('"\\\né😀')), max_size=6)
+big_ints = st.integers(min_value=0, max_value=2 ** 200)
+charts = st.builds(cc.ChartState.of, st.sets(chart_ids, min_size=1, max_size=4),
+                   st.one_of(st.just(0), big_ints),
+                   st.dictionaries(chart_ids, big_ints.map(lambda n: n + 1), max_size=5))
+degrees = st.tuples(big_ints, big_ints, big_ints)
+
+
+def direct_layouts(chart, count, pair, entries):
+    """(layout, the ``write_json`` text it must equal) for one chart, its
+    chart item and a lex pair."""
+    text = re_._chart_text(chart, entries)
+    return [(written(text), written(cc.chart_to_obj(chart))),
+            (written(re_._item_text(text, count)),
+             written({"chart": cc.chart_to_obj(chart), "count": count})),
+            (written(re_._lex_text(pair)), written(re_._lex_obj(pair)))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(charts, min_size=1, max_size=3),
+       st.one_of(st.integers(min_value=-2 ** 200, max_value=2 ** 200), st.booleans()),
+       st.tuples(degrees, degrees))
+def test_direct_layouts_equal_the_writer(chart_list, count, pair):
+    entries = re_._Entries()  # shared, as within one stream
+    for chart in chart_list:
+        assert type(re_._chart_text(chart, entries)) is re_._Fragment
+        for got, want in direct_layouts(chart, count, pair, entries):
+            assert got == want
+    assert type(re_._lex_text(pair)) is re_._Fragment
+
+
+def _hand_built(x_indices, det_size, exponents):
+    return cc.ChartState(frozenset(x_indices), det_size, exponents)
+
+
+@pytest.mark.parametrize("chart", [
+    _hand_built({"E1"}, 1, (("b", 1), ("a", 2))),     # unsorted
+    _hand_built({"E1"}, 1, (("a", 1), ("a", 2))),     # a repeated id
+    _hand_built({1, 2}, 1, (("a", 1),)),              # int x-indices
+    _hand_built({"E1"}, 1, (("a", True),)),           # a bool exponent
+    _hand_built({"E1"}, True, ()),                    # a bool det size
+], ids=["unsorted", "repeated", "int-x", "bool-exponent", "bool-det-size"])
+def test_direct_layouts_fall_back_to_the_writer(chart):
+    assert re_._chart_text(chart, re_._Entries()) == cc.chart_to_obj(chart)
+    for count, pair in ((1, ((1, 2, 3), (1, 2, 2))), (True, ((1, 2, True), (1, 2, 0)))):
+        entries = re_._Entries()
+        for got, want in direct_layouts(chart, count, pair, entries):
+            assert got == want
+    dual = sm.dual_complex_of(sm.from_index_sets(["E1", "E2"], [{"E1", "E2"}]))
+    seed = re_.ResolutionState(dual, (), ((chart, True),))
+    events = [_blowup(0, ((chart, 1),), ((chart, 2),))]
+    final = re_.ResolutionState(dual, (), ((chart, 2),))
+    config = re_.RunConfig()
+    assert written(re_.trace_stream(seed, events, final, config)) \
+        == reference(re_.trace_to_obj(seed, events, final, config))
+
+
+@pytest.mark.parametrize("exponents", [((1, 2),), (("a", 1), (2, 1))])
+def test_a_chart_with_a_non_string_exponent_key_raises_as_the_writer_does(exponents):
+    chart = _hand_built({"E1"}, 1, exponents)
+    with pytest.raises(TypeError):
+        written(cc.chart_to_obj(chart))
+    with pytest.raises(TypeError):
+        written(re_._chart_text(chart, re_._Entries()))

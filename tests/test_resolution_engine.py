@@ -578,6 +578,31 @@ def test_run_config_refuses_a_ceiling_that_is_not_an_int(ceiling):
         RunConfig(event_ceiling=ceiling)
 
 
+@pytest.mark.parametrize("ordering", ["E2E1", ["E2", "E1"], ("E2", 1)])
+def test_run_config_refuses_an_ordering_that_is_not_a_tuple_of_ids(ordering):
+    with pytest.raises(ValueError, match="ordering must be None or a tuple of ids"):
+        RunConfig(ordering=ordering)
+
+
+def test_run_config_key_ranks_a_repeated_id_at_its_first_place():
+    config = RunConfig(ordering=("E2", "E1", "E2"))
+    assert config.key("E2") == (0, 0, "E2")
+    assert config.key("E1") == (0, 1, "E1")
+    assert config.key("E") == (1, 0, "E")
+    assert config.to_json_obj()["ordering"] == ["E2", "E1", "E2"]
+
+
+def test_an_empty_ordering_runs_as_no_ordering():
+    seed = triangle_seed()
+    config = RunConfig(ordering=())
+    assert config.key("E1") == (1, 0, "E1")
+    assert config.to_json_obj() == RunConfig().to_json_obj()
+    final, events = re_.run(seed, config)
+    plain_final, plain_events = re_.run(seed, RunConfig())
+    assert re_.trace_to_obj(seed, events, final, config) \
+        == re_.trace_to_obj(seed, plain_events, plain_final, RunConfig())
+
+
 @pytest.mark.parametrize("tamper, message", [
     (lambda doc: doc["config"].update(event_ceiling="9"), "event ceiling must be an int"),
     (lambda doc: doc.update(config=None), "run config must be an object"),

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
-from operator import itemgetter
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -51,37 +50,47 @@ class MultiDegree(NamedTuple):
     dz: int
 
 
-_DIVISOR_ID = itemgetter(0)
-
-
 @dataclass(frozen=True)
 class ChartState:
     """One local normal form, up to permutation of coordinates within a group.
 
-    ``deg`` is the invariant ``mdeg`` and ``_hash`` the hash, both computed
-    once when the chart is built: charts carrying hundreds of divisors sit
-    in many sets and dicts.
+    Built only in form (ValueError otherwise): a non-empty frozenset of str
+    x-indices, an int det size >= 0, and a tuple of (str id, int exponent
+    >= 1) pairs with strictly increasing ids.  ``deg`` (the invariant
+    ``mdeg``) and the hash are computed once: wide charts sit in many sets.
     """
 
     x_indices: frozenset
     det_size: int
-    exponents: tuple  # sorted tuple of (divisor id, exponent >= 1)
+    exponents: tuple
     deg: MultiDegree = field(init=False, repr=False, compare=False)
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.x_indices:
+        xs, m, exps = self.x_indices, self.det_size, self.exponents
+        if not xs:
             raise ValueError("a chart needs at least one x-factor")
-        if self.det_size < 0:
+        if type(m) is int and m < 0:
             raise ValueError("determinant size must be >= 0")
+        if not (type(xs) is frozenset and all(type(i) is str for i in xs)
+                and type(m) is int and type(exps) is tuple):
+            raise ValueError(f"chart fields out of form: {xs!r}, {m!r}, {exps!r}")
         dz = 0
-        for div, a in self.exponents:
-            if a < 1:
-                raise ValueError(f"divisor {div!r} carries exponent {a} < 1")
-            dz += a
-        object.__setattr__(self, "deg", MultiDegree(len(self.x_indices), self.det_size, dz))
-        object.__setattr__(self, "_hash", hash((self.x_indices, self.det_size,
-                                                self.exponents)))
+        for i, pair in enumerate(exps):
+            if not (type(pair) is tuple and len(pair) == 2 and type(pair[0]) is str
+                    and type(pair[1]) is int and (i == 0 or exps[i - 1][0] < pair[0])):
+                raise ValueError(f"exponents are not (str, int) pairs with rising ids: {exps!r}")
+            if pair[1] < 1:
+                raise ValueError(f"divisor {pair[0]!r} carries exponent {pair[1]} < 1")
+            dz += pair[1]
+        self._fill(xs, m, exps, dz)
+
+    def _fill(self, x_indices, det_size, exponents, dz: int) -> "ChartState":
+        """Set the fields of a chart in form whose exponents sum to ``dz``."""
+        vars(self).update(x_indices=x_indices, det_size=det_size, exponents=exponents,
+                          deg=MultiDegree(len(x_indices), det_size, dz),
+                          _hash=hash((x_indices, det_size, exponents)))
+        return self
 
     def __hash__(self):
         return self._hash
@@ -93,23 +102,25 @@ class ChartState:
                           tuple(sorted((str(d), int(a)) for d, a in items)))
 
     def _derive(self, x_indices, det_size, drop=None, add=None) -> "ChartState":
-        """A chart with this one's exponents, minus divisor ``drop`` and
-        with ``add = (id, exponent)`` inserted in order (replacing the
-        exponent of an id already present).
-
-        The exponent tuple is already sorted, so this costs two slices
-        rather than a sort; the constructor's checks still run.
+        """A chart with this one's exponents, minus divisor ``drop`` (which it
+        carries) and with ``add = (id, exponent)`` put in order (replacing the
+        exponent of an id present).  This chart is in form, so two slices
+        keep the order and the exponent sum carries over.  Only the added id
+        is checked (ValueError unless a ``str``): the rules pass a non-empty
+        subset of the x-indices, a det size >= 0 and an exponent >= 1.
         """
-        exps = self.exponents
+        exps, dz = self.exponents, self.deg.dz
         if drop is not None:
-            pos = bisect_left(exps, drop, key=_DIVISOR_ID)
-            if pos < len(exps) and exps[pos][0] == drop:
-                exps = exps[:pos] + exps[pos + 1:]
+            pos = bisect_left(exps, (drop,))  # (id,) sorts just before (id, exponent)
+            exps, dz = exps[:pos] + exps[pos + 1:], dz - exps[pos][1]
         if add is not None:
-            pos = bisect_left(exps, add[0], key=_DIVISOR_ID)
-            end = pos + 1 if pos < len(exps) and exps[pos][0] == add[0] else pos
-            exps = exps[:pos] + (add,) + exps[end:]
-        return ChartState(x_indices, det_size, exps)
+            if type(add[0]) is not str:
+                raise ValueError(f"a new divisor id must be a str, got {add[0]!r}")
+            pos = end = bisect_left(exps, add[:1])
+            if pos < len(exps) and exps[pos][0] == add[0]:
+                dz, end = dz - exps[pos][1], pos + 1
+            exps, dz = exps[:pos] + (add,) + exps[end:], dz + add[1]
+        return object.__new__(ChartState)._fill(x_indices, det_size, exps, dz)
 
     def exponent_map(self) -> dict:
         return dict(self.exponents)

@@ -346,7 +346,7 @@ def _chart_problems(chart: ChartState, count, labels: tuple, coeff: dict,
     given, is one more (id, coefficient).
     """
     out = []
-    if count < 1:
+    if type(count) is not int or count < 1:
         out.append(f"chart {chart!r} has count {count}")
     vertices, spans = labels
     missing = chart.x_indices - vertices
@@ -543,9 +543,11 @@ def run(state: ResolutionState,
     """Iterate to the fixed point; returns (final state, list of events).
 
     The final state is fully resolved and shares the seed's dual complex;
-    the event ceiling aborts runaway loops.
+    the event ceiling aborts runaway loops.  A state of unknown validity,
+    even a resolved one, is checked in full first, as ``step`` checks it.
     """
     start = state._n
+    _center(state, config)
     while not state.is_finished():
         if state._n - start >= config.event_ceiling:
             raise CeilingExceeded(
@@ -709,8 +711,7 @@ def _event_obj(event: BlowupEvent, child, parent, lex) -> dict:
 
 
 def _lex_obj(pair) -> list:
-    (px, py, pz), (cx, cy, cz) = pair
-    return [[px, py, pz], [cx, cy, cz]]
+    return [list(pair[0]), list(pair[1])]
 
 
 def event_from_obj(obj: dict) -> BlowupEvent:
@@ -808,36 +809,24 @@ class _Entries(dict):
         return text
 
 
-def _chart_text(chart: ChartState, entries: _Entries):
-    """``cc.chart_to_obj(chart)`` as a ``_Fragment`` with the bytes that
-    ``write_json`` writes for it, when the exponent ids strictly increase,
-    the ids and x-indices are exact ``str``s and the values exact ``int``s;
-    otherwise the dict itself."""
+def _chart_text(chart: ChartState, entries: _Entries) -> _Fragment:
+    """The text that ``write_json`` writes for ``cc.chart_to_obj(chart)``."""
     xs, exps = sorted(chart.x_indices), chart.exponents
-    ids, values = zip(*exps) if exps else ((), ())
-    if not (set(map(type, xs)) == {str} >= set(map(type, ids))
-            and {int} >= {type(chart.det_size), *map(type, values)}
-            and all(map(str.__lt__, ids, ids[1:]))):
-        return cc.chart_to_obj(chart)
     a = "{\n  " + ",\n  ".join(map(entries.__getitem__, exps)) + "\n }" if exps else "{}"
     return _Fragment('{\n "a": ' + a + ',\n "m": ' + int.__repr__(chart.det_size)
                      + ',\n "x": [\n  ' + ",\n  ".join(map(_encode_str, xs)) + "\n ]\n}")
 
 
-def _item_text(chart, count):
-    """``{"chart": chart, "count": count}``; a ``_Fragment`` if chart is one, count an int."""
-    if type(chart) is not _Fragment or type(count) is not int:
-        return {"chart": chart, "count": count}
+def _item_text(chart: _Fragment, count) -> _Fragment:
+    """``{"chart": chart, "count": count}`` for the text of a chart."""
     return _Fragment('{\n "chart": ' + chart.replace("\n", "\n ")
-                     + ',\n "count": ' + int.__repr__(count) + "\n}")
+                     + ',\n "count": ' + _leaf(count) + "\n}")
 
 
-def _lex_text(pair):
-    """``_lex_obj(pair)`` as a ``_Fragment`` when its six values are ints."""
-    (px, py, pz), (cx, cy, cz) = pair
-    six = (px, py, pz, cx, cy, cz)
-    return (_Fragment("[\n [\n  %d,\n  %d,\n  %d\n ],\n [\n  %d,\n  %d,\n  %d\n ]\n]" % six)
-            if set(map(type, six)) == {int} else _lex_obj(pair))
+def _lex_text(pair) -> _Fragment:
+    """The text of ``_lex_obj(pair)``."""
+    return _Fragment("[\n [\n  %s,\n  %s,\n  %s\n ],\n [\n  %s,\n  %s,\n  %s\n ]\n]"
+                     % tuple(map(_leaf, (*pair[0], *pair[1]))))
 
 
 @dataclass(frozen=True)

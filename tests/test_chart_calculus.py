@@ -46,6 +46,35 @@ def test_chart_invariants_enforced():
         ChartState.of(["1"], -1, {})
 
 
+@pytest.mark.parametrize("make", [
+    lambda: ChartState(frozenset({"E1", "E2"}), 0, (("b", 2), ("a", 3))),
+    # Summed, this would be dz 3, but its JSON {"a": 2} reads back as dz 2.
+    lambda: ChartState.of(["E1", "E2"], 1, [("a", 1), ("a", 2)]),
+    lambda: ChartState(frozenset({1, 2}), 1, (("a", 1),)),
+    lambda: ChartState.of([1, 2], 1, {}),
+    lambda: ChartState(frozenset({"E1"}), 1, (("a", True),)),
+    lambda: ChartState(frozenset({"E1"}), True, ()),
+    lambda: ChartState.of(["E1"], True, {}),
+    lambda: ChartState(frozenset({"E1"}), 1, ((1, 2),)),
+    lambda: ChartState(frozenset({"E1"}), 1, (("a", 1), (2, 1))),
+    lambda: ChartState(frozenset({"E1"}), 1, [("a", 1)]),
+    lambda: ChartState({"E1"}, 1, ()),
+    lambda: ChartState(frozenset({"E1"}), 1, (("a", 1.0),)),
+], ids=["unsorted", "repeated", "int-x", "int-x-of", "bool-exponent", "bool-det-size",
+        "bool-det-size-of", "non-str-exponent-id", "non-str-second-id",
+        "list-exponents", "set-x", "float-exponent"])
+def test_a_chart_outside_the_stated_form_is_refused(make):
+    with pytest.raises(ValueError):
+        make()
+
+
+def test_a_derived_child_refuses_a_new_divisor_id_that_is_not_a_str():
+    c = chart(["E1", "E2"], 0, {"f1": 3})
+    app = RuleApplication("MON1", ("E1", "E2"), ("f1",), new_divisor=(7, 1))
+    with pytest.raises(ValueError, match="new divisor id must be a str"):
+        cc.children(c, app)
+
+
 # --------------------------------------------------------------------------
 # children
 # --------------------------------------------------------------------------
@@ -300,6 +329,11 @@ def test_children_equal_the_resorting_reference(case):
     want = _outcome(reference_children, c, app, policy)
     got = _outcome(cc.children, c, app, policy)
     assert got == want
+    # A derived child carries its degree over; rebuilt in full it must agree.
+    for child in (got if isinstance(got, list) else ()):
+        s = child.state
+        rebuilt = ChartState(s.x_indices, s.det_size, s.exponents)
+        assert (s.deg, hash(s)) == (rebuilt.deg, hash(rebuilt))
 
 
 # --------------------------------------------------------------------------

@@ -298,6 +298,25 @@ def test_hand_built_states_are_checked_in_full_before_their_first_event():
             call(bad)
 
 
+def test_a_resolved_hand_built_state_is_checked_before_run_returns():
+    state = double_point_seed()
+    ghost = re_.ResolutionState(state.dual, state.registry,
+                                ((cc.ChartState.of(["E1"], 0, {"ghost": 1}), 1),))
+    assert ghost.is_finished()
+    with pytest.raises(re_.InvariantBreach, match="unregistered divisor 'ghost'"):
+        re_.run(ghost)
+
+
+@pytest.mark.parametrize("count", [1.5, True])
+def test_a_chart_count_that_is_not_an_int_is_refused(count):
+    state = double_point_seed()
+    bad = re_.ResolutionState(state.dual, state.registry,
+                              ((cc.ChartState.of(["E1"], 0, {}), count),))
+    assert re_.validate_state(bad) == [f"chart Chart[x:E1|m:0|z:] has count {count}"]
+    with pytest.raises(re_.InvariantBreach, match="has count"):
+        re_.run(bad)
+
+
 def _corrupt_children(monkeypatch, corrupt):
     original = cc.children
 

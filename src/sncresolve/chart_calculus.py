@@ -97,9 +97,15 @@ class ChartState:
 
     @staticmethod
     def of(x_indices, det_size, exponents=None) -> "ChartState":
+        """A chart from any iterable of x-indices and a map (or pairs) of
+        divisor exponents, sorted here; nothing is coerced, so a field out
+        of form raises ValueError as the constructor does."""
         items = exponents.items() if isinstance(exponents, dict) else (exponents or ())
-        return ChartState(frozenset(x_indices), det_size,
-                          tuple(sorted((str(d), int(a)) for d, a in items)))
+        try:
+            exps = tuple(sorted(items))
+        except TypeError:
+            raise ValueError(f"exponents are not (str, int) pairs: {exponents!r}") from None
+        return ChartState(frozenset(x_indices), det_size, exps)
 
     def _derive(self, x_indices, det_size, drop=None, add=None) -> "ChartState":
         """A chart with this one's exponents, minus divisor ``drop`` (which it
@@ -218,9 +224,10 @@ def _det_factor(m: int) -> Polynomial:
     return det
 
 
-def local_equation(chart: ChartState) -> Polynomial:
-    """The exact polynomial  prod x_i - t * det(y) * prod z_j^{a_j}, its
-    two monomials each built as one term."""
+def equation_parts(chart: ChartState) -> tuple[Polynomial, Polynomial, Polynomial]:
+    """The parts (prod x_i, t * prod z_j^{a_j}, det(y)) of the chart's local
+    equation  lhs - rhs * det:  two monomials, each built as one term, and
+    the determinant factor.  ScaleError beyond the equation caps."""
     if chart.det_size > EQUATION_MAX_DET:
         raise ScaleError(
             f"local equations cap det size at {EQUATION_MAX_DET} (got {chart.det_size})")
@@ -229,7 +236,13 @@ def local_equation(chart: ChartState) -> Polynomial:
         raise ScaleError("local equation exceeds the total-degree cap")
     lhs = Polynomial({tuple((x_var(i), 1) for i in chart.x_indices): 1})
     rhs = Polynomial({(("t", 1),) + tuple((z_var(d), a) for d, a in chart.exponents): 1})
-    return lhs - rhs * _det_factor(chart.det_size)
+    return lhs, rhs, _det_factor(chart.det_size)
+
+
+def local_equation(chart: ChartState) -> Polynomial:
+    """The exact polynomial  prod x_i - t * det(y) * prod z_j^{a_j}."""
+    lhs, rhs, det = equation_parts(chart)
+    return lhs - rhs * det
 
 
 def snc_certificate(chart: ChartState) -> tuple[Polynomial, Polynomial]:

@@ -12,8 +12,12 @@ arithmetic result is built in canonical form (sorted monomials merged in
 one pass, zero coefficients dropped as they arise) and wrapped without a
 second normalisation.  Blow-up charts are monomial maps, so ``substitute``
 folds a one-term image into each term and multiplies out only images of
-several terms.  The verifier pulls each chart back once and takes the
-strict transform from it; ``divide_out`` is exact division (it raises
+several terms.  A local equation is  prod x - t * prod z^a * det(y), and a
+chart map sends each monomial to a monomial, so the verifier pulls back the
+two monomials once per chart and det(y) once per key, memoized read-only.
+Keys hold no x- or divisor name, so there are at most m^2 + 2 per det size
+m <= ``VERIFY_MAX_DET``.  The exceptional power is read from the two
+parts, which cannot cancel; ``divide_out`` is exact division (it raises
 unless the power divides every term), so nothing is multiplied back and
 ``remultiplication_ok`` holds by construction.
 """
@@ -470,28 +474,72 @@ def _measure_t_side(g: Polynomial, exceptional: str) -> int:
 
 
 def _fiber_is_x_monomial(g: Polynomial, dx: int, exceptional: str) -> bool:
-    """True if g at t=0 is one squarefree monomial in dx non-exceptional variables."""
-    fiber = g.substitute({"t": Polynomial.constant(0)})
-    if len(fiber.terms) != 1:
+    """True if g at t=0, its t-free terms, is one squarefree monomial in dx
+    non-exceptional variables."""
+    fiber = [(mono, coeff) for mono, coeff in g.terms.items()
+             if not Polynomial.exponent_of(mono, "t")]
+    if len(fiber) != 1:
         return False
-    (mono, coeff), = fiber.terms.items()
+    (mono, coeff), = fiber
     return (abs(coeff) == 1
             and all(e == 1 for _, e in mono)
             and all(v != exceptional for v, _ in mono)
             and len(mono) == dx)
 
 
-def _check_one_chart(f, vc, expected, child_mdeg) -> ChartCheck:
-    """Strict-transform one blow-up chart and compare with the expected child."""
+# (image, exceptional power) of each pulled-back det(y) by the value key of
+# ``_det_image``, shared read-only (the CLI's default grids fill 18 keys).
+_DET_IMAGES = {}
+
+
+def _det_image(det: Polynomial, names: set, vc, sub: Substitution) -> tuple:
+    """det(y), whose variables are ``names``, pulled back through the chart
+    map ``sub`` and then ``post``, with its exceptional power.  Keyed by all
+    the image depends on: det(y) and ``post`` by value (so a swapped one
+    gets a key of its own) and which of det's coordinates lead or are scaled.
+    """
+    lead = vc.lead if vc.lead in names else None
+    scaled = tuple(p for p in vc.scaled if p in names)
+    key = (det, lead, scaled, None if vc.post is None else frozenset(vc.post.items()))
+    hit = _DET_IMAGES.get(key)
+    if hit is None:
+        image = Substitution({v: sub.mapping[v] for v in (lead, *scaled) if v}).apply(det)
+        if vc.post is not None:
+            image = image.substitute(vc.post)
+        hit = _DET_IMAGES[key] = (image, image.min_exponent(EXC))
+    return hit
+
+
+def _check_one_chart(monos, det, names, vc, expected, child_mdeg) -> ChartCheck:
+    """Strict-transform one blow-up chart and compare with the expected child.
+
+    The chart's equation is ``monos = prod x - t * prod z^a`` with det(y),
+    whose variables are ``names``, multiplied into its t-carrying term.  The
+    chart map sends each monomial to a monomial, so ``monos`` is
+    strict-transformed once per chart; det(y) is pulled back once per key
+    (``_det_image``) and multiplied by the t-side monomial.  The t-free and
+    the t-carrying terms cannot cancel, so the rest of the exceptional power
+    is read from the parts, then divided out exactly.
+    """
     sub = {p: _canon({tuple(sorted([(prime(p), 1), (EXC, 1)])): 1}) for p in vc.scaled}
     sub[vc.lead] = Polynomial.variable(EXC)
-    g, k = strict_transform(f, Substitution(sub), EXC)
+    sub = Substitution(sub)
+    monos, k = strict_transform(monos, sub, EXC)
     if vc.post is not None:
         # Pivot maps are memoized and acyclic (a test runs Substitution's
         # check on each), so they skip that check here.
-        g = g.substitute(vc.post)
+        monos = monos.substitute(vc.post)
+    image, k_det = _det_image(det, names, vc, sub)
+    (t_free, c_free), (t_side, c_side) = monos.terms.items()
+    if Polynomial.exponent_of(t_free, "t"):
+        (t_free, c_free), (t_side, c_side) = (t_side, c_side), (t_free, c_free)
+    rest = min(Polynomial.exponent_of(t_free, EXC),
+               Polynomial.exponent_of(t_side, EXC) + k_det)
+    terms = _mul_terms({t_side: c_side}, image.terms)
+    terms[t_free] = c_free
+    g = _canon(terms).divide_out(EXC, rest)
     return ChartCheck(
-        vc.family, vc.detail, k,
+        vc.family, vc.detail, k + rest,
         _measure_t_side(g, EXC),
         True,
         _fiber_is_x_monomial(g, child_mdeg[0], EXC),
@@ -549,7 +597,8 @@ def verify_rule(app, chart, policy: str = "oracle") -> VerificationReport:
                 f"verify_rule caps divisor exponents at {VERIFY_MAX_EXPONENT} "
                 f"(got {a} on {div})")
 
-    f = cc.local_equation(chart)
+    lhs, rhs, det = cc.equation_parts(chart)
+    monos, names = lhs - rhs, det.variables()
     report = VerificationReport(rule=app.kind, chart=cc.chart_to_obj(chart),
                                 policy=policy)
     kids = cc.children(chart, app, policy=policy)
@@ -569,7 +618,7 @@ def verify_rule(app, chart, policy: str = "oracle") -> VerificationReport:
     for vc in charts:
         child_eq, child_mdeg = equations[vc.family]
         report.checks.append(_check_one_chart(
-            f, vc, _expected(child_eq, vc, new_var), child_mdeg))
+            monos, det, names, vc, _expected(child_eq, vc, new_var), child_mdeg))
     report.notes.extend(rule.notes(chart, policy, report.measured_exponents))
     return report
 

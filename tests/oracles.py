@@ -20,6 +20,7 @@ from sncresolve.chart_calculus import (ChartState, ChildChart, RuleApplication,
                                        exceptional_coefficient, mdeg)
 from sncresolve import dual_complex as dc
 from sncresolve.dual_complex import Cell, DualComplex, HomologyReport, Violation
+from sncresolve import poly_oracle as po
 from sncresolve.poly_oracle import Polynomial, ScaleError, generic_det
 from sncresolve.snc_model import SncVariety, from_index_sets
 
@@ -898,3 +899,58 @@ def reference_children(chart, app, policy="oracle"):
                 ChildChart(smooth_child, 1, "smooth")]
 
     raise RulePreconditionError(f"unknown rule kind {app.kind!r}")
+
+
+# --------------------------------------------------------------------------
+# Rule verification by whole-equation pull-backs
+# --------------------------------------------------------------------------
+
+def reference_check_one_chart(f, vc, expected, child_mdeg):
+    """``poly_oracle._check_one_chart`` as it pulled the whole local equation
+    ``f`` back through each chart and read the t = 0 fiber by substitution.
+
+    Reference for the library, which folds the equation's two monomials per
+    chart and pulls det(y) back once per key; both must give the same check.
+    """
+    var = Polynomial.variable
+    sub = {p: var(po.prime(p)) * var(po.EXC) for p in vc.scaled}
+    sub[vc.lead] = var(po.EXC)
+    g, k = po.strict_transform(f, po.Substitution(sub), po.EXC)
+    if vc.post is not None:
+        g = g.substitute(vc.post)
+    fiber = g.substitute({"t": Polynomial.constant(0)})
+    preimage_ok = False
+    if len(fiber.terms) == 1:
+        (mono, coeff), = fiber.terms.items()
+        preimage_ok = (abs(coeff) == 1 and all(e == 1 for _, e in mono)
+                       and all(v != po.EXC for v, _ in mono) and len(mono) == child_mdeg[0])
+    return po.ChartCheck(vc.family, vc.detail, k, po._measure_t_side(g, po.EXC), True,
+                         preimage_ok, g == expected, tuple(child_mdeg))
+
+
+def reference_verify_rule(app, chart, policy="oracle"):
+    """``poly_oracle.verify_rule`` with the whole-equation chart check above,
+    for charts within the verifier's caps."""
+    f = cc.local_equation(chart)
+    report = po.VerificationReport(rule=app.kind, chart=cc.chart_to_obj(chart), policy=policy)
+    kids = cc.children(chart, app, policy=policy)
+    rule = cc.RULES[app.kind]
+    charts = rule.charts(chart, app)
+    predicted = {k.family: k.multiplicity for k in kids}
+    verified = {}
+    for vc in charts:
+        verified[vc.family] = verified.get(vc.family, 0) + 1
+    if predicted != verified:
+        report.family_check_ok = False
+        report.notes.append(
+            f"family bookkeeping mismatch: rules record {predicted}, "
+            f"the verifier derived {verified}")
+        return report
+    equations = {k.family: (cc.local_equation(k.state), k.state.deg) for k in kids}
+    new_var = cc.z_var(app.new_divisor[0]) if app.new_divisor else None
+    for vc in charts:
+        child_eq, child_mdeg = equations[vc.family]
+        report.checks.append(reference_check_one_chart(
+            f, vc, po._expected(child_eq, vc, new_var), child_mdeg))
+    report.notes.extend(rule.notes(chart, policy, report.measured_exponents))
+    return report

@@ -68,6 +68,14 @@ def test_a_chart_outside_the_stated_form_is_refused(make):
         make()
 
 
+def test_chart_of_refuses_exponents_it_would_have_to_coerce():
+    # int() and str() would read these as a^2, a^1 and divisor "1"; ids of
+    # mixed types do not even sort.
+    for exponents in ({"a": 2.7}, {"a": True}, {1: 2}, {1: 2, "a": 1}):
+        with pytest.raises(ValueError):
+            ChartState.of(["E1", "E2"], 1, exponents)
+
+
 def test_a_derived_child_refuses_a_new_divisor_id_that_is_not_a_str():
     c = chart(["E1", "E2"], 0, {"f1": 3})
     app = RuleApplication("MON1", ("E1", "E2"), ("f1",), new_divisor=(7, 1))

@@ -1,15 +1,14 @@
 """Polynomial arithmetic, strict transforms, and rule verification."""
 
-from types import MappingProxyType
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sncresolve import chart_calculus as cc
+from sncresolve import cli
 from sncresolve import poly_oracle as po
 from sncresolve.poly_oracle import Polynomial, ScaleError, Substitution
 
-from oracles import ReferencePolynomial, reference_rename_variables
+from oracles import ReferencePolynomial, reference_rename_variables, reference_verify_rule
 
 V = Polynomial.variable
 C = Polynomial.constant
@@ -355,24 +354,27 @@ def test_verify_det_x_chart_flags_the_alternate_value():
 
 
 def test_verify_pulls_each_chart_back_once(monkeypatch):
-    applied, eliminations = [], []
+    # Each chart pulls its two monomials back once; det(y) is pulled back
+    # once per key (det, lead and scaled y-coordinates, pivot map) and
+    # process, so a second run pulls back no determinant at all.
+    applied = []
     original = Substitution.apply
     monkeypatch.setattr(Substitution, "apply",
                         lambda self, f: applied.append(f) or original(self, f))
-    substitute = Polynomial.substitute
-
-    def counting_substitute(self, mapping):
-        if isinstance(mapping, MappingProxyType):
-            eliminations.append(mapping)
-        return substitute(self, mapping)
-    monkeypatch.setattr(Polynomial, "substitute", counting_substitute)
-    report = po.verify_rule(det_app(2), cc.ChartState.of(["E1", "E2"], 2, {}))
-    assert report.passed
-    # One pull-back per chart, plus the pivot elimination on the 4 y-charts,
-    # which applies the memoized map directly.
-    assert len(report.checks) == 6
-    assert len(applied) == 6
-    assert len(eliminations) == 4
+    monkeypatch.setattr(po, "_DET_IMAGES", {})
+    chart = cc.ChartState.of(["E1", "E2"], 2, {})
+    det = cc._det_factor(2)
+    for run in range(2):
+        applied.clear()
+        report = po.verify_rule(det_app(2), chart)
+        assert report.passed and len(report.checks) == 6
+        monomial_parts = [f for f in applied if f != det]
+        assert len(monomial_parts) == 6
+        assert all(len(f.terms) == 2 for f in monomial_parts)
+        # The two x-charts scale every y-coordinate alike; the 4 y-charts
+        # differ in their pivot.
+        assert applied.count(det) == (5 if run == 0 else 0)
+    assert len(po._DET_IMAGES) == 5
 
 
 def test_every_pivot_elimination_passes_the_substitution_check():
@@ -407,6 +409,79 @@ def test_pivot_eliminations_are_shared_read_only():
     with pytest.raises(TypeError):
         del posts[0]["y22'"]
     assert dict(cc._pivot_elimination(3, 1, 1)) == before
+
+
+def _default_grid_reports():
+    return [po.verify_rule(app, chart, policy=policy).to_json()
+            for policy in cc.POLICIES for rule in ("det", "mon1", "mon2", "mon3", "bin")
+            for app, chart in cli._verify_grid(rule, [2, 3], [2, 3, 4], [2, 3, 4], policy)]
+
+
+def test_the_det_image_memo_is_bounded_by_the_det_size_cap(monkeypatch):
+    # Keys hold no x- or divisor name: DET keys one image per x-chart class
+    # and per pivot (1 + m^2 for m = 2, 3), MON3 and BIN two for m = 1 (y
+    # leads or is scaled), and MON1, MON2 and BIN one for det = 1: 18.
+    monkeypatch.setattr(po, "_DET_IMAGES", {})
+    first = _default_grid_reports()
+    assert len(po._DET_IMAGES) == 18
+    assert _default_grid_reports() == first
+    assert len(po._DET_IMAGES) == 18
+
+
+def test_a_warm_det_image_memo_still_catches_a_wrong_det_sign(monkeypatch):
+    # The memo keys det(y) by value, so a swapped determinant is pulled back
+    # afresh, and the true one's images serve again once it is restored.
+    grid = cli._verify_grid("det", [2], [2, 3, 4], [2], "oracle")
+    assert all(po.verify_rule(app, chart).passed for app, chart in grid)
+    det_factor = cc._det_factor
+    with monkeypatch.context() as patch:
+        patch.setattr(cc, "_det_factor",
+                      lambda m: -det_factor(m) if m == 2 else det_factor(m))
+        reports = [po.verify_rule(app, chart) for app, chart in grid]
+        assert not any(r.passed for r in reports)
+        assert ([r.to_json() for r in reports]
+                == [reference_verify_rule(app, chart).to_json() for app, chart in grid])
+    assert all(po.verify_rule(app, chart).passed for app, chart in grid)
+
+
+@st.composite
+def rule_applications(draw):
+    """A rule, a chart within the verifier's caps that meets its
+    precondition (m 0..3, deg_x 2..4, exponents 1..4), an application of it
+    and a policy."""
+    kind = draw(st.sampled_from(sorted(cc.RULES)))
+    policy = draw(st.sampled_from(cc.POLICIES))
+    xs = [f"E{i}" for i in range(1, draw(st.integers(min_value=2, max_value=4)) + 1)]
+    exps = st.integers(min_value=1, max_value=4)
+    rest = {f"g{i}": draw(exps) for i in range(1, draw(st.integers(min_value=0, max_value=2)) + 1)}
+    pair = tuple(draw(st.permutations(xs))[:2])
+    divisors = ()
+    if kind == "DET":
+        m, a = draw(st.integers(min_value=2, max_value=3)), rest
+    elif kind == "MON1":
+        m = draw(st.integers(min_value=0, max_value=3))
+        a, divisors = {"f1": draw(st.integers(min_value=2, max_value=4)), **rest}, ("f1",)
+    elif kind == "MON2":
+        m = draw(st.integers(min_value=0, max_value=3))
+        a, divisors = {"f1": 1, "f2": 1, **rest}, ("f1", "f2")
+    elif kind == "MON3":
+        m, a, divisors = 1, {"f1": 1}, ("f1",)
+    else:
+        m, a, pair = *draw(st.sampled_from([(1, {}), (0, {"f1": 1})])), pair[:1]
+    chart = cc.ChartState.of(xs, m, a)
+    e = cc.exceptional_coefficient(kind, det_size=m, divisor_exponent=a.get("f1"),
+                                   policy=policy)
+    app = cc.RuleApplication(kind, pair, divisors, m if kind == "DET" else None,
+                             ("w", e) if e > 0 else None)
+    return app, chart, policy
+
+
+@settings(max_examples=150, deadline=None)
+@given(rule_applications())
+def test_verify_rule_equals_the_whole_equation_reference(case):
+    app, chart, policy = case
+    assert (po.verify_rule(app, chart, policy).to_json()
+            == reference_verify_rule(app, chart, policy).to_json())
 
 
 def test_verify_det_report_is_the_same_when_built_twice():

@@ -5,17 +5,22 @@ complex), ``resolve`` (run the rewriting engine and write a trace),
 ``verify`` (exact re-derivation of rule grids), ``gen`` (random seed
 states for property testing).  Each command's flags, their
 ``SNCRESOLVE_`` environment mirrors (explicit flags win), its required flag
-and its output file are declared once, in ``_COMMANDS``; ``main`` reads
-the table to build the parser, refuse a missing required flag, probe the
-output file before any work and remove it again if the command fails.
+and its output file are declared once, in ``_COMMANDS``.
 
-Exit codes: 0 success, 2 input error, 3 invariant breach or failed
-verification, 4 scale or event ceiling.
+``main`` reads the table and is the one failure boundary.  It builds the
+parser, refuses a missing required flag, probes the output file, reads the
+``--input`` document for the handler, writes the handler's standard output,
+removes the probed file if the command fails, and maps every failure to an
+exit code: 0 success, 2 input error (also an input that cannot be read or
+decoded, or an output that cannot be written), 3 invariant breach or
+failed verification, 4 scale or event ceiling.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import random
@@ -75,11 +80,6 @@ def _parse_range(text: str) -> range:
     return values
 
 
-def _load_json(path: str):
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
-
-
 def _print_err(*parts):
     print(*parts, file=sys.stderr)
 
@@ -87,18 +87,6 @@ def _print_err(*parts):
 def _print_json(obj):
     re_.write_json(obj, sys.stdout.write)
     sys.stdout.write("\n")
-
-
-def _writable(path: str) -> bool:
-    """Whether an output file can be written, checked before the work (an
-    existing file is left as it is; ``main`` removes a file this creates
-    if the command then fails); one stderr line if not."""
-    try:
-        with open(path, "a", encoding="utf-8"):
-            return True
-    except OSError as err:
-        _print_err(f"cannot write {path}: {err}")
-        return False
 
 
 def _save_json(path: str, obj):
@@ -111,13 +99,7 @@ def _save_json(path: str, obj):
 # dualcomplex
 # --------------------------------------------------------------------------
 
-def cmd_dualcomplex(args) -> int:
-    try:
-        doc = _load_json(args.input)
-    except (OSError, json.JSONDecodeError) as err:
-        _print_err(f"cannot read {args.input}: {err}")
-        return EXIT_INPUT
-
+def cmd_dualcomplex(args, doc) -> int:
     try:
         if isinstance(doc, dict) and "cells" in doc:
             complex = dc.from_json_obj(doc)
@@ -176,7 +158,7 @@ def _seed_from_doc(doc) -> re_.ResolutionState:
                      "or {'snc': ..., 'coranks': ...}")
 
 
-def cmd_resolve(args) -> int:
+def cmd_resolve(args, doc) -> int:
     ordering = tuple(args.ordering.split(",")) if args.ordering else None
     try:
         config = re_.RunConfig(ordering, args.exponent_policy, args.ceiling)
@@ -184,23 +166,12 @@ def cmd_resolve(args) -> int:
         _print_err(f"bad config: {err}")
         return EXIT_INPUT
     try:
-        doc = _load_json(args.input)
         seed = _seed_from_doc(doc)
-    except (OSError, json.JSONDecodeError, ValueError, KeyError) as err:
+    except (ValueError, KeyError) as err:
         _print_err(f"invalid input: {err}")
         return EXIT_INPUT
 
-    try:
-        final, events = re_.run(seed, config)
-    except re_.CeilingExceeded as err:
-        _print_err(f"event ceiling: {err}")
-        return EXIT_SCALE
-    except re_.InvariantBreach as err:
-        _print_err(f"invariant breach: {err}")
-        if err.certificate is not None:
-            _print_err(f"offending certificate: {err.certificate}")
-        return EXIT_BREACH
-
+    final, events = re_.run(seed, config)
     print("events:", len(events))
     census = final.census()
     total = sum(n for n, _ in census.values())
@@ -240,7 +211,7 @@ def _verify_grid(rule: str, m_values, d_values, a_values, policy: str):
     return cells
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, _doc) -> int:
     rule, policy = args.rule.lower(), args.exponent_policy
     try:
         m_values = _parse_range(args.m)
@@ -288,7 +259,7 @@ def cmd_verify(args) -> int:
 # gen
 # --------------------------------------------------------------------------
 
-def cmd_gen(args) -> int:
+def cmd_gen(args, _doc) -> int:
     state = random_state(random.Random(args.seed))
     doc = re_.state_to_obj(state)
     if args.out:
@@ -306,7 +277,8 @@ def cmd_gen(args) -> int:
 # the command table
 # --------------------------------------------------------------------------
 
-# Each command: (handler, help, required flag, output flag, flags).  A flag
+# Each command: (handler, help, required flag, output flag, flags); ``main``
+# calls the handler with the parsed ``--input`` document, or None.  A flag
 # is (name, default, kind, help), ``kind`` being str, int, bool (a switch)
 # or a tuple of choices; ``_env_default`` mirrors its default.
 _COMMANDS = {
@@ -365,14 +337,40 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     out = getattr(args, output) if output else None
     fresh = bool(out) and not os.path.lexists(out)
-    if out and not _writable(out):
-        return EXIT_INPUT
-    code = EXIT_INPUT
+    code, doc, target = EXIT_INPUT, None, out
     try:
-        code = handler(args)
-    except po.ScaleError as err:
-        _print_err(f"scale ceiling: {err}")
+        if out:  # an existing file is left as it is
+            open(out, "a", encoding="utf-8").close()
+        if required == "input":
+            try:
+                with open(args.input, "r", encoding="utf-8") as handle:
+                    doc = json.load(handle)
+            except (OSError, ValueError, RecursionError) as err:
+                _print_err(f"cannot read {args.input}: {err}")
+                return EXIT_INPUT
+        # Standard output is collected and written once the handler returns,
+        # so a failed write to it is told apart from one to the output file.
+        with contextlib.redirect_stdout(io.StringIO()) as text:
+            code = handler(args, doc)
+        target = None
+        sys.stdout.write(text.getvalue())
+        sys.stdout.flush()
+    except (po.ScaleError, re_.CeilingExceeded) as err:
+        kind = "scale" if isinstance(err, po.ScaleError) else "event"
+        _print_err(f"{kind} ceiling: {err}")
         code = EXIT_SCALE
+    except re_.InvariantBreach as err:
+        _print_err(f"invariant breach: {err}")
+        if err.certificate is not None:
+            _print_err(f"offending certificate: {err.certificate}")
+        code = EXIT_BREACH
+    except OSError as err:
+        _print_err(f"cannot write {target or 'standard output'}: {err}")
+        code = EXIT_INPUT
+        if target is None and sys.stdout is sys.__stdout__:
+            # The interpreter flushes standard output again at exit; what
+            # it still holds goes to the null device, not into a traceback.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     finally:
         # A failing command removes an output file that the probe created.
         if fresh and code != EXIT_OK and os.path.lexists(out):

@@ -116,11 +116,19 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class DivisorRecord:
+    """A registered divisor, built only in form (ValueError otherwise): a
+    str id, an int coefficient >= 1 and an int or None birth."""
+
     id: str
     coeff: int
     birth: int | None  # event index, None for divisors present at seed time
 
     def __post_init__(self):
+        if not (type(self.id) is str and type(self.coeff) is int
+                and (self.birth is None or type(self.birth) is int)):
+            raise ValueError("a divisor record needs a str id, an int coefficient and "
+                             f"an int or None birth, got {self.id!r}, {self.coeff!r}, "
+                             f"{self.birth!r}")
         if self.coeff < 1:
             raise ValueError(f"divisor {self.id!r} registered with coefficient "
                              f"{self.coeff} < 1")
@@ -420,13 +428,15 @@ def with_initial_divisors(state: ResolutionState, divisors, placements) -> Resol
 
     ``divisors`` is a list of (id, coefficient); ``placements`` maps chart
     positions (index into state.charts) to lists of divisor ids carried by
-    that chart.  Used by the random instance generator.
+    that chart.  Used by the random instance generator.  Nothing is
+    coerced: an id that is not a ``str`` or a coefficient that is not an
+    ``int`` raises ValueError, as ``DivisorRecord`` does.
     """
     registry = list(state.registry)
     coeff = {}
     for div, a in divisors:
-        registry.append(DivisorRecord(str(div), int(a), None))
-        coeff[str(div)] = int(a)
+        registry.append(DivisorRecord(div, a, None))
+        coeff[div] = a
     charts = []
     for pos, (chart, n) in enumerate(state.charts):
         extra = {d: coeff[d] for d in placements.get(pos, ())}
@@ -839,7 +849,11 @@ class ReplayResult:
 def replay_trace(doc: dict) -> ReplayResult:
     """Re-run a trace from its recorded seed and config and compare the run's
     objects with the record type-strictly, which gives the verdict of a byte
-    comparison of their canonical JSON text; name the first differing event."""
+    comparison of their canonical JSON text; name the first differing event.
+    A document that is not an object with 'seed' and 'final' raises
+    ValueError before anything runs."""
+    if not (isinstance(doc, dict) and "seed" in doc and "final" in doc):
+        raise ValueError("a trace must be an object with 'seed' and 'final'")
     seed = state_from_obj(doc["seed"])
     config = RunConfig.from_json_obj(doc.get("config", {}))
     recorded = doc.get("events", [])

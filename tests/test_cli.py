@@ -1,9 +1,14 @@
 """Command-line surface: outputs, exit codes, env overrides, round trips."""
 
 import contextlib
+import errno
 import io
 import json
+import os
 import random
+import re
+import subprocess
+import sys
 import time
 
 import pytest
@@ -808,3 +813,153 @@ def test_emitted_json_reparses_to_equal_value(seed_file, tmp_path):
     seed = re_.state_from_obj(doc["seed"])
     assert canonical_dumps(re_.state_to_obj(seed)) \
         == canonical_dumps(doc["seed"])
+
+
+# --------------------------------------------------------------------------
+# the failure boundary: reading the input, writing files and standard output
+# --------------------------------------------------------------------------
+
+_UNDECODABLE = {
+    "non-utf8": b'{"cells": [\xff]}',
+    "long-integer": b'{"cells": [' + b"9" * 5000 + b"]}",
+    "deep-nesting": b"[" * 100_000 + b"]" * 100_000,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_UNDECODABLE))
+@pytest.mark.parametrize("command", ["dualcomplex", "resolve"])
+def test_an_undecodable_input_exits_2_with_one_line(tmp_path, capsys, command, kind):
+    path = tmp_path / "input.json"
+    path.write_bytes(_UNDECODABLE[kind])
+    assert cli.main([command, "--input", str(path)]) == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"cannot read {path}: ")
+    assert captured.err.count("\n") == 1
+
+
+class _FullFile(io.StringIO):
+    """A file on a full device: every write fails."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("existing", [None, "kept\n"])
+@pytest.mark.parametrize("command", ["gen", "resolve", "dualcomplex"])
+def test_a_write_failing_after_the_probe_exits_2(seed_file, triangle_file, tmp_path, capsys,
+                                                 monkeypatch, command, existing):
+    out = tmp_path / "out.txt"
+    if existing is not None:
+        out.write_text(existing)
+    argv = {"gen": ["gen", "--out", str(out)],
+            "resolve": ["resolve", "--input", seed_file, "--trace", str(out)],
+            "dualcomplex": ["dualcomplex", "--input", triangle_file, "--dot", str(out)]}
+    real_open = open
+
+    def full_device_open(path, mode="r", **kwargs):
+        # The probe appends and the input is read as usual; only the write fails.
+        return _FullFile() if mode == "w" else real_open(path, mode, **kwargs)
+
+    monkeypatch.setattr(cli, "open", full_device_open, raising=False)
+    assert cli.main(argv[command]) == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.err == f"cannot write {out}: [Errno 28] No space left on device\n"
+    if existing is None:
+        assert not out.exists()
+    else:
+        assert out.read_text() == existing
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("sink", ["/dev/full", "closed-pipe"])
+@pytest.mark.parametrize("argv", [["gen", "--seed", "5"], ["verify", "--rule", "bin"]],
+                         ids=["gen", "verify"])
+def test_a_failed_write_to_standard_output_exits_2(argv, sink, buffered):
+    # Buffered, the write fails at the final flush; unbuffered, in the handler.
+    if sink == "/dev/full" and not os.path.exists(sink):
+        pytest.skip("no /dev/full on this system")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": "" if buffered else "1"}
+    if sink == "closed-pipe":
+        read_end, stdout = os.pipe()
+        os.close(read_end)
+    else:
+        stdout = os.open(sink, os.O_WRONLY)
+    try:
+        done = subprocess.run([sys.executable, "-m", "sncresolve", *argv], stdout=stdout,
+                              stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(stdout)
+    err = done.stderr.decode()
+    assert done.returncode == cli.EXIT_INPUT, err
+    assert err.startswith("cannot write standard output: ") and err.count("\n") == 1, err
+
+
+class _ClosedPipe(io.StringIO):
+    """A standard output whose reader has gone: every write fails."""
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+
+def test_a_failed_write_to_a_replaced_standard_output_exits_2(capsys):
+    with contextlib.redirect_stdout(_ClosedPipe()):
+        code = cli.main(["gen", "--seed", "5"])
+    assert code == cli.EXIT_INPUT
+    assert capsys.readouterr().err == "cannot write standard output: [Errno 32] Broken pipe\n"
+
+
+def _boundary_texts():
+    """The documents whose text the read boundary is fuzzed with: ``gen``
+    states, the germ-3 variety and its complex document."""
+    germ = sm.coordinate_germ(3)
+    docs = [re_.state_to_obj(cli.random_state(random.Random(seed))) for seed in (0, 5, 14)]
+    docs += [sm.to_json_obj(germ), dc.to_json_obj(sm.dual_complex_of(germ))]
+    return [json.dumps(doc).encode() for doc in docs]
+
+
+# An integer literal: digits that do not continue an id or another number.
+_INTEGER = re.compile(rb'(?<![\w"])\d+')
+
+
+@st.composite
+def _corrupted_texts(draw):
+    """A document's text truncated, with a ``\\xff`` byte inserted, wrapped
+    in k arrays, or with one integer made 5000 digits long: no corruption
+    yields a number the decoder accepts, so no run grows."""
+    text = draw(st.sampled_from(_boundary_texts()))
+    kind = draw(st.sampled_from(["truncate", "xff", "wrap", "long-integer"]))
+    if kind == "truncate":
+        return text[:draw(st.integers(0, len(text)))]
+    if kind == "xff":
+        at = draw(st.integers(0, len(text)))
+        return text[:at] + b"\xff" + text[at:]
+    if kind == "wrap":
+        k = draw(st.integers(1, 3000))
+        return b"[" * k + text + b"]" * k
+    spans = [m.span() for m in _INTEGER.finditer(text)]
+    assume(spans)
+    lo, hi = draw(st.sampled_from(spans))
+    return text[:lo] + b"9" * 5000 + text[hi:]
+
+
+@settings(max_examples=80, deadline=None)
+@given(_corrupted_texts(), st.sampled_from(["dualcomplex", "resolve"]))
+@example(b"[" * 100_000 + b"]" * 100_000, "resolve")
+def test_the_read_boundary_maps_every_corruption_to_an_exit_code(tmp_path_factory, text,
+                                                                 command):
+    path = tmp_path_factory.mktemp("boundary") / "input.json"
+    path.write_bytes(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([command, "--input", str(path)])
+    assert code in (cli.EXIT_OK, cli.EXIT_INPUT, cli.EXIT_BREACH, cli.EXIT_SCALE)
+    assert (code == cli.EXIT_OK) == (err.getvalue() == "")
+    try:
+        json.loads(text.decode("utf-8"))
+    except (ValueError, RecursionError):
+        # main decodes deeper in the stack than this check, so it fails too.
+        assert code == cli.EXIT_INPUT and out.getvalue() == ""
+        assert err.getvalue().startswith(f"cannot read {path}: ")
+        assert err.getvalue().count("\n") == 1

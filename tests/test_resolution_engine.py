@@ -86,6 +86,26 @@ def test_select_mon1_targets_high_exponent_divisor():
     assert app.kind == "MON1" and app.divisors == ("f1",)
 
 
+@pytest.mark.parametrize("divisors", [[("f1", 2.5)], [("f1", True)], [(7, 2)]],
+                         ids=["float-coefficient", "bool-coefficient", "int-id"])
+def test_initial_divisors_are_not_coerced(divisors):
+    div = divisors[0][0]
+    with pytest.raises(ValueError, match="a divisor record needs a str id, an int coefficient"):
+        re_.with_initial_divisors(double_point_seed(), divisors, {0: [div]})
+
+
+@pytest.mark.parametrize("fields", [(3, True, None), ("f1", True, None), ("f1", 2.0, None),
+                                    (7, 2, None), ("f1", 2, 1.0), ("f1", 2, True)])
+def test_a_divisor_record_out_of_form_is_refused(fields):
+    with pytest.raises(ValueError, match="a divisor record needs a str id"):
+        re_.DivisorRecord(*fields)
+
+
+def test_a_divisor_record_below_coefficient_one_keeps_its_message():
+    with pytest.raises(ValueError, match="^divisor 'f1' registered with coefficient 0 < 1$"):
+        re_.DivisorRecord("f1", 0, None)
+
+
 def test_select_returns_none_when_resolved():
     state = double_point_seed()
     final, _ = re_.run(state)
@@ -628,7 +648,10 @@ def test_an_empty_ordering_runs_as_no_ordering():
     (lambda doc: doc["config"].update(ordering="E1"), "'ordering' must be null or a list"),
     (lambda doc: doc["config"].update(ordering=["E1", 2]), "'ordering' must be null or a list"),
     (lambda doc: doc.update(events={}), "'events' must be an array"),
-], ids=["ceiling-string", "config-null", "ordering-string", "ordering-non-id", "events-object"])
+    (lambda doc: doc.pop("seed"), "trace must be an object with 'seed' and 'final'"),
+    (lambda doc: doc.pop("final"), "trace must be an object with 'seed' and 'final'"),
+], ids=["ceiling-string", "config-null", "ordering-string", "ordering-non-id", "events-object",
+        "seed-missing", "final-missing"])
 def test_replay_refuses_an_ill_typed_trace_document(tamper, message):
     seed = double_point_seed()
     config = RunConfig()
@@ -636,6 +659,15 @@ def test_replay_refuses_an_ill_typed_trace_document(tamper, message):
     doc = json.loads(json.dumps(re_.trace_to_obj(seed, events, final, config)))
     tamper(doc)
     with pytest.raises(ValueError, match=message):
+        re_.replay_trace(doc)
+
+
+@pytest.mark.parametrize("doc", [[], None, "trace", {"seed": {}}])
+def test_replay_checks_the_trace_shape_before_running(monkeypatch, doc):
+    def no_run(*args):
+        raise AssertionError("replay ran the engine on an ill-shaped trace")
+    monkeypatch.setattr(re_, "run", no_run)
+    with pytest.raises(ValueError, match="trace must be an object with 'seed' and 'final'"):
         re_.replay_trace(doc)
 
 

@@ -7,19 +7,20 @@ states for property testing).  Each command's flags, their
 ``SNCRESOLVE_`` environment mirrors (explicit flags win), its required flag
 and its output file are declared once, in ``_COMMANDS``.
 
-``main`` reads the table and is the one failure boundary.  It builds the
-parser, refuses a missing required flag, probes the output file, reads the
-``--input`` document for the handler, writes the handler's standard output,
-removes the probed file if the command fails, and maps every failure to an
-exit code: 0 success, 2 input error (also an input that cannot be read or
-decoded, or an output that cannot be written), 3 invariant breach or
-failed verification, 4 scale or event ceiling.
+``main`` reads the table and is the one failure boundary.  It reuses one
+parser per environment, refuses a missing required flag, probes the output
+file, reads the ``--input`` document for the handler, writes the handler's
+standard output, removes the probed file if the command fails, and maps
+every failure to an exit code: 0 success, 2 input error (also an input that
+cannot be read or decoded, or an output that cannot be written), 3
+invariant breach or failed verification, 4 scale or event ceiling.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import io
 import json
 import os
@@ -310,17 +311,25 @@ _COMMANDS = {
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """One parser per tuple of environment defaults, read and checked each call."""
+    return _parser(tuple(_env_default(name, default, kind)
+                         for *_, flags in _COMMANDS.values()
+                         for name, default, kind, _ in flags))
+
+
+@functools.lru_cache(maxsize=1)
+def _parser(defaults: tuple) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sncresolve",
         description="dual complexes, blow-up charts, and verified resolution traces")
     sub = parser.add_subparsers(dest="command", required=True)
+    defaults = iter(defaults)
     for command, (_, summary, _, _, flags) in _COMMANDS.items():
         p_cmd = sub.add_parser(command, help=summary)
-        for name, default, kind, text in flags:
+        for name, _, kind, text in flags:
             check = ({"action": "store_true"} if kind is bool
                      else {"choices": kind} if isinstance(kind, tuple) else {"type": kind})
-            p_cmd.add_argument(f"--{name}", default=_env_default(name, default, kind),
-                               help=text, **check)
+            p_cmd.add_argument(f"--{name}", default=next(defaults), help=text, **check)
     return parser
 
 

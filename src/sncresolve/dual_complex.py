@@ -20,7 +20,7 @@ Smith normal form, which then sees little more than the torsion.
 output of ``snc_model.dual_complex_of``, and of ``remove_open_star`` on a
 complex known to be valid, is valid by construction and never checked.
 A cell or facet id that is not a str, or a dimension that is not an int,
-is a violation of its own, as ``Cell.of`` would have converted it.
+is a violation; ``Cell.of`` converts it and ``from_json_obj`` refuses it.
 """
 
 from __future__ import annotations
@@ -152,8 +152,8 @@ def _in_order(items) -> list:
 
 
 def _find_violations(complex: DualComplex) -> list:
-    # ``Cell.of`` turns ids into str, so only str ids keep their order and
-    # identity; the rules below sort and compare them as such.
+    # Only a hand-built cell can hold a non-str id (``Cell.of`` converts it,
+    # ``from_json_obj`` refuses it); the rules below sort and compare str ids.
     out = []
     cells = complex.cells
     for cell in cells.values():
@@ -529,19 +529,22 @@ def to_json_obj(complex: DualComplex) -> dict:
 
 
 def from_json_obj(obj: dict) -> DualComplex:
-    """Parse a complex document; an ill-shaped one raises ValueError."""
+    """Parse a complex document; an ill-shaped one, or a non-str id, raises ValueError."""
     if not isinstance(obj, dict) or not isinstance(obj.get("cells"), list):
         raise ValueError("complex document needs a 'cells' array")
     cells = []
     for entry in obj["cells"]:
         if not isinstance(entry, dict) or "id" not in entry or "dim" not in entry:
             raise ValueError(f"a cell must be an object with 'id' and 'dim', got {entry!r}")
-        facets, label = entry.get("facets", ()), entry.get("label")
+        cid, facets, label = entry["id"], entry.get("facets", ()), entry.get("label")
         if not isinstance(facets, (list, tuple)) or not isinstance(label, (list, type(None))):
-            raise ValueError(f"cell {entry['id']!r}: 'facets' and 'label' must be arrays")
+            raise ValueError(f"cell {cid!r}: 'facets' and 'label' must be arrays")
         if type(entry["dim"]) is not int:
-            raise ValueError(f"cell {entry['id']!r}: 'dim' must be an integer")
-        cells.append(Cell.of(entry["id"], entry["dim"], facets, label))
+            raise ValueError(f"cell {cid!r}: 'dim' must be an integer")
+        if not all(type(x) is str for x in (cid, *facets, *(label or ()))):
+            raise ValueError(f"cell {cid!r}: 'id', 'facets' and 'label' must hold strings")
+        cells.append(Cell(cid, entry["dim"], tuple(facets),
+                          None if label is None else frozenset(label)))
     return DualComplex(cells)
 
 

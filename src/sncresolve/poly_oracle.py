@@ -14,20 +14,24 @@ second normalisation.  Blow-up charts are monomial maps, so ``substitute``
 folds a one-term image into each term and multiplies out only images of
 several terms.  A local equation is  prod x - t * prod z^a * det(y), and a
 chart map sends each monomial to a monomial, so the verifier pulls back the
-two monomials once per chart and det(y) once per key, memoized read-only.
-Keys hold no x- or divisor name, so there are at most m^2 + 2 per det size
-m <= ``VERIFY_MAX_DET``.  The exceptional power is read from the two
-parts, which cannot cancel; ``divide_out`` is exact division (it raises
+two monomials once per chart and det(y) once per key.  Three read-only memos
+serve it: pivot maps, one per (m, r0, s0) with m <= ``VERIFY_MAX_DET``; det
+images, keyed by no x- or divisor name, so at most m^2 + 2 per m; and chart
+maps, checked for cycles once per (lead, scaled), whose keys hold names, so
+an LRU cache keeps 256.  The exceptional power is read from the two parts,
+which cannot cancel; ``divide_out`` is exact division (it raises
 unless the power divides every term), so nothing is multiplied back and
 ``remultiplication_ok`` holds by construction.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from collections import Counter
 from dataclasses import asdict, dataclass, field
+from types import MappingProxyType
 
 # Monomials are tuples of (variable, exponent) pairs, sorted by variable
 # name, with all exponents > 0.  The empty tuple is the constant monomial.
@@ -109,7 +113,7 @@ def _canon(terms: dict) -> "Polynomial":
 class Polynomial:
     """Immutable sparse polynomial with integer coefficients."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_hash")
 
     def __init__(self, terms=None):
         clean = {}
@@ -269,7 +273,9 @@ class Polynomial:
         return self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        if not hasattr(self, "_hash"):  # unset until the first call
+            object.__setattr__(self, "_hash", hash(frozenset(self.terms.items())))
+        return self._hash
 
     def __repr__(self):
         if not self.terms:
@@ -487,6 +493,16 @@ def _fiber_is_x_monomial(g: Polynomial, dx: int, exceptional: str) -> bool:
             and len(mono) == dx)
 
 
+@functools.lru_cache(maxsize=256)
+def _chart_map(lead: str, scaled: tuple) -> Substitution:
+    """The chart map lead -> u, p -> p'·u for each scaled p, read-only and
+    checked for cycles once per key.  The check fails, uncached, when say
+    components E1 and E1' make the lead x_E1' a factor of x_E1's image."""
+    images = {p: _canon({tuple(sorted([(prime(p), 1), (EXC, 1)])): 1}) for p in scaled}
+    images[lead] = Polynomial.variable(EXC)
+    return Substitution(MappingProxyType(images))
+
+
 # (image, exceptional power) of each pulled-back det(y) by the value key of
 # ``_det_image``, shared read-only (the CLI's default grids fill 18 keys).
 _DET_IMAGES = {}
@@ -503,7 +519,7 @@ def _det_image(det: Polynomial, names: set, vc, sub: Substitution) -> tuple:
     key = (det, lead, scaled, None if vc.post is None else frozenset(vc.post.items()))
     hit = _DET_IMAGES.get(key)
     if hit is None:
-        image = Substitution({v: sub.mapping[v] for v in (lead, *scaled) if v}).apply(det)
+        image = sub.apply(det)
         if vc.post is not None:
             image = image.substitute(vc.post)
         hit = _DET_IMAGES[key] = (image, image.min_exponent(EXC))
@@ -521,9 +537,7 @@ def _check_one_chart(monos, det, names, vc, expected, child_mdeg) -> ChartCheck:
     the t-carrying terms cannot cancel, so the rest of the exceptional power
     is read from the parts, then divided out exactly.
     """
-    sub = {p: _canon({tuple(sorted([(prime(p), 1), (EXC, 1)])): 1}) for p in vc.scaled}
-    sub[vc.lead] = Polynomial.variable(EXC)
-    sub = Substitution(sub)
+    sub = _chart_map(vc.lead, vc.scaled)
     monos, k = strict_transform(monos, sub, EXC)
     if vc.post is not None:
         # Pivot maps are memoized and acyclic (a test runs Substitution's
@@ -548,15 +562,14 @@ def _check_one_chart(monos, det, names, vc, expected, child_mdeg) -> ChartCheck:
     )
 
 
-def _expected(child_eq: Polynomial, vc, new_var) -> Polynomial:
-    """A representative child's equation renamed into one chart's coordinates:
-    the new divisor becomes the exceptional coordinate, scaled ones are
-    primed, and those the post-substitution introduces (``vc.kept``) keep
-    their names.  A representative that still has this chart's lead stands
-    for the sibling chart that led with the one scaled coordinate the
-    representative lacks.
+def _expected(child_eq: Polynomial, names: set, vc, new_var) -> Polynomial:
+    """A representative child's equation, whose variables are ``names``,
+    renamed into one chart's coordinates: the new divisor becomes the
+    exceptional coordinate, scaled ones are primed, and those the
+    post-substitution introduces (``vc.kept``) keep their names.  A
+    representative that still has this chart's lead stands for the sibling
+    chart that led with the one scaled coordinate the representative lacks.
     """
-    names = child_eq.variables()
     missing = [p for p in vc.scaled if p not in names]
     rename = {}
     for v in names - vc.kept:
@@ -613,12 +626,13 @@ def verify_rule(app, chart, policy: str = "oracle") -> VerificationReport:
             f"the verifier derived {verified}")
         return report
 
-    equations = {k.family: (cc.local_equation(k.state), k.state.deg) for k in kids}
+    equations = {k.family: (eq := cc.local_equation(k.state), eq.variables(), k.state.deg)
+                 for k in kids}
     new_var = cc.z_var(app.new_divisor[0]) if app.new_divisor else None
     for vc in charts:
-        child_eq, child_mdeg = equations[vc.family]
+        child_eq, child_names, child_mdeg = equations[vc.family]
         report.checks.append(_check_one_chart(
-            monos, det, names, vc, _expected(child_eq, vc, new_var), child_mdeg))
+            monos, det, names, vc, _expected(child_eq, child_names, vc, new_var), child_mdeg))
     report.notes.extend(rule.notes(chart, policy, report.measured_exponents))
     return report
 

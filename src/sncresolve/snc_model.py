@@ -73,9 +73,9 @@ def validate_snc(snc: SncVariety) -> list:
 
 
 def _find_violations(snc: SncVariety) -> list:
-    # ``Cell.of`` and ``SncVariety.of`` turn ids into str, so only str ids
-    # keep their order and identity; the rules below compare them as such.
-    # A non-str index or parent id is then an unknown component or parent,
+    # Only a hand-built variety holds a non-str id (``of`` converts it and
+    # ``from_json_obj`` refuses it); the rules below compare str ids.  A
+    # non-str index or parent id is then an unknown component or parent,
     # and index sets are sorted with ``_in_order``, which never compares
     # an int with a str.
     out = [f"component {c!r} is not a str"
@@ -338,18 +338,22 @@ def to_json_obj(snc: SncVariety) -> dict:
 
 
 def from_json_obj(obj: dict) -> SncVariety:
-    """Parse a variety document; an ill-shaped one raises ValueError."""
+    """Parse a variety document; an ill-shaped one, or a non-str id, raises ValueError."""
     if not isinstance(obj, dict) or "components" not in obj or "strata" not in obj:
         raise ValueError("variety document needs 'components' and 'strata'")
     if not isinstance(obj["components"], list) or not isinstance(obj["strata"], list):
         raise ValueError("'components' and 'strata' must be arrays")
+    if not all(type(c) is str for c in obj["components"]):
+        raise ValueError("'components' must hold strings")
     strata = []
     for e in obj["strata"]:
         if not isinstance(e, dict) or "id" not in e or "indices" not in e:
             raise ValueError(f"a stratum must be an object with 'id' and 'indices', got {e!r}")
-        parents = e.get("parents", {})
-        if not isinstance(e["indices"], list) or not isinstance(parents, dict):
-            raise ValueError(f"stratum {e['id']!r}: 'indices' must be an array "
+        sid, indices, parents = e["id"], e["indices"], e.get("parents", {})
+        if not isinstance(indices, list) or not isinstance(parents, dict):
+            raise ValueError(f"stratum {sid!r}: 'indices' must be an array "
                              "and 'parents' an object")
-        strata.append(Stratum.of(e["id"], e["indices"], parents))
-    return SncVariety.of(obj["components"], strata)
+        if not all(type(x) is str for x in (sid, *indices, *parents, *parents.values())):
+            raise ValueError(f"stratum {sid!r}: 'id', 'indices' and 'parents' must hold strings")
+        strata.append(Stratum(sid, frozenset(indices), tuple(sorted(parents.items()))))
+    return SncVariety(frozenset(obj["components"]), tuple(sorted(strata, key=lambda s: s.id)))

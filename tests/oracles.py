@@ -951,6 +951,6 @@ def reference_verify_rule(app, chart, policy="oracle"):
     for vc in charts:
         child_eq, child_mdeg = equations[vc.family]
         report.checks.append(reference_check_one_chart(
-            f, vc, po._expected(child_eq, vc, new_var), child_mdeg))
+            f, vc, po._expected(child_eq, child_eq.variables(), vc, new_var), child_mdeg))
     report.notes.extend(rule.notes(chart, policy, report.measured_exponents))
     return report

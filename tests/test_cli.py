@@ -2,6 +2,7 @@
 
 import contextlib
 import errno
+import hashlib
 import io
 import json
 import os
@@ -136,6 +137,21 @@ def test_dualcomplex_accepts_raw_complex_documents(tmp_path, capsys):
     assert "betti: 1" in capsys.readouterr().out
 
 
+# Complex documents whose ids are not all strings, once read by converting
+# each id with str().
+NON_STRING_COMPLEXES = [
+    {"cells": [{"id": 7, "dim": 0}, {"id": [1], "dim": 0},
+               {"id": "e", "dim": 1, "facets": [7, [1]]}]},
+    {"cells": [{"id": "v", "dim": 0}, {"id": "e", "dim": 1, "facets": ["v", 1]}]},
+    {"cells": [{"id": "v", "dim": 0, "label": [["A"]]}]},
+]
+
+
+def _one_invalid_input_line(capsys):
+    err = capsys.readouterr().err
+    return err.startswith("invalid input: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("doc", [
     {"cells": 5},
     {"cells": [5]},
@@ -143,12 +159,13 @@ def test_dualcomplex_accepts_raw_complex_documents(tmp_path, capsys):
     {"cells": [{"id": "v", "dim": 0, "facets": 3}]},
     {"cells": [{"id": "v", "dim": 0, "label": "v"}]},
     {"cells": [{"id": "v", "dim": [0]}]},
+    *NON_STRING_COMPLEXES,
 ])
 def test_dualcomplex_malformed_cells_exit_2(tmp_path, capsys, doc):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     assert cli.main(["dualcomplex", "--input", str(path)]) == cli.EXIT_INPUT
-    assert "invalid input" in capsys.readouterr().err
+    assert _one_invalid_input_line(capsys)
 
 
 def test_dualcomplex_rejects_a_json_array(tmp_path, capsys):
@@ -181,6 +198,13 @@ MALFORMED_VARIETIES = [
     _variety_with("indices", 5),
     _variety_with("components", 5),
     _variety_with("parents", [1]),
+    # ids that are not strings, once converted with str()
+    _variety_with("components", [1, "E2"]),
+    {"components": [1, "E2"], "strata": [{"id": "1", "indices": ["1"]},
+                                         {"id": "E2", "indices": ["E2"]}]},
+    {"components": ["E1"], "strata": [{"id": 5, "indices": ["E1"]}]},
+    _variety_with("indices", ["E1", 2]),
+    _variety_with("parents", {"E1": 2, "E2": "E1"}),
 ]
 
 
@@ -189,7 +213,7 @@ def test_dualcomplex_malformed_variety_exit_2(tmp_path, capsys, doc):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     assert cli.main(["dualcomplex", "--input", str(path)]) == cli.EXIT_INPUT
-    assert "invalid input" in capsys.readouterr().err
+    assert _one_invalid_input_line(capsys)
 
 
 @pytest.mark.parametrize("doc", MALFORMED_VARIETIES)
@@ -197,7 +221,7 @@ def test_resolve_malformed_variety_exit_2(tmp_path, capsys, doc):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"snc": doc, "coranks": {}}))
     assert cli.main(["resolve", "--input", str(path)]) == cli.EXIT_INPUT
-    assert "invalid input" in capsys.readouterr().err
+    assert _one_invalid_input_line(capsys)
 
 
 def test_resolve_coranks_not_an_object_exit_2(tmp_path, capsys):
@@ -465,6 +489,7 @@ def _state_doc_with_divisor():
     (("registry", 0), ["f1", 2]),
     (("registry",), {"f1": 2}),
     (("dual",), {"cells": 5}),
+    *((("dual",), doc) for doc in NON_STRING_COMPLEXES),
 ])
 def test_resolve_malformed_state_document_exit_2(tmp_path, capsys, path, value):
     doc = _state_doc_with_divisor()
@@ -476,7 +501,7 @@ def test_resolve_malformed_state_document_exit_2(tmp_path, capsys, path, value):
     file = tmp_path / "state.json"
     file.write_text(json.dumps(doc))
     assert cli.main(["resolve", "--input", str(file)]) == cli.EXIT_INPUT
-    assert "invalid input" in capsys.readouterr().err
+    assert _one_invalid_input_line(capsys)
 
 
 def test_resolve_accepts_generated_states(tmp_path, capsys):
@@ -767,6 +792,48 @@ def test_non_integer_environment_value_exit_2(monkeypatch, capsys, name):
     monkeypatch.setenv(name, "abc")
     assert cli.main(["gen"]) == cli.EXIT_INPUT
     assert f"{name}='abc'" in capsys.readouterr().err
+
+
+def test_the_parser_follows_the_environment_from_call_to_call(monkeypatch, capsys):
+    monkeypatch.setenv("SNCRESOLVE_EXPONENT_POLICY", "paper")
+    assert cli.main(["verify", "--rule", "det"]) == cli.EXIT_BREACH
+    monkeypatch.delenv("SNCRESOLVE_EXPONENT_POLICY")
+    assert cli.main(["verify", "--rule", "det"]) == cli.EXIT_OK
+    assert cli._build_parser() is cli._build_parser()
+    capsys.readouterr()
+    # A bad value set after a good parser was cached still fails first.
+    monkeypatch.setenv("SNCRESOLVE_EXPONENT_POLICY", "bogus")
+    assert cli.main(["verify", "--rule", "det"]) == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("bad environment value: SNCRESOLVE_EXPONENT_POLICY="
+                            "'bogus' is not one of oracle, paper\n")
+
+
+# sha256 of each --help text at 80 columns, recorded with Python 3.11 from
+# the parser that was built afresh on every call.
+HELP_SHA256 = {
+    (): "2e270fa906513861495e509b8f9718e6b11ff10efa07ec37fc6459972e6c8226",
+    ("dualcomplex",): "5109c49ac669348374306f9acb7b1422c990bbb85dfa78ec96b96cf9c1b2e3fc",
+    ("resolve",): "4898b97a1be18dc2e72fac6c2b1b386930c22d8fd97858627e3b55640524d103",
+    ("verify",): "36ce603c766c339cd40befce44eaff77fa409d8d6863efd5c0b9af5db31117b0",
+    ("gen",): "c38bb4023bc9a80774873f65453afa447488263c38071e85346f147b96315a14",
+}
+
+
+@pytest.mark.parametrize("command", sorted(HELP_SHA256))
+def test_help_is_the_same_from_a_fresh_and_a_cached_parser(monkeypatch, capsys, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    cli._parser.cache_clear()
+    texts = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main([*command, "--help"])
+        assert exit_.value.code == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1]
+    if sys.version_info[:2] == (3, 11):
+        assert hashlib.sha256(texts[0].encode("utf-8")).hexdigest() == HELP_SHA256[command]
 
 
 @pytest.mark.parametrize("argv", [["verify", "--rule", "det"],

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from sncresolve import chart_calculus as cc
 from sncresolve import cli
 from sncresolve import poly_oracle as po
+from sncresolve import resolution_engine as re_
 from sncresolve.poly_oracle import Polynomial, ScaleError, Substitution
 
 from oracles import ReferencePolynomial, reference_rename_variables, reference_verify_rule
@@ -23,6 +24,16 @@ def test_basic_arithmetic():
     assert f == V("x") ** 2 - V("y") ** 2
     assert (f - f).is_zero()
     assert (V("x") + 1) ** 3 == V("x") ** 3 + 3 * V("x") ** 2 + 3 * V("x") + 1
+
+
+def test_a_polynomial_keeps_its_hash():
+    f = po.generic_det(2)
+    assert not hasattr(f, "_hash")
+    assert hash(f) == hash(frozenset(f.terms.items())) == f._hash
+    g = Polynomial(dict(f.terms))
+    assert not hasattr(g, "_hash") and g == f and hash(g) == hash(f)
+    with pytest.raises(AttributeError):
+        f._hash = 0
 
 
 def test_zero_coefficients_never_stored():
@@ -411,10 +422,15 @@ def test_pivot_eliminations_are_shared_read_only():
     assert dict(cc._pivot_elimination(3, 1, 1)) == before
 
 
-def _default_grid_reports():
-    return [po.verify_rule(app, chart, policy=policy).to_json()
+def _default_grid_cells():
+    return [(app, chart, policy)
             for policy in cc.POLICIES for rule in ("det", "mon1", "mon2", "mon3", "bin")
             for app, chart in cli._verify_grid(rule, [2, 3], [2, 3, 4], [2, 3, 4], policy)]
+
+
+def _default_grid_reports():
+    return [po.verify_rule(app, chart, policy=policy).to_json()
+            for app, chart, policy in _default_grid_cells()]
 
 
 def test_the_det_image_memo_is_bounded_by_the_det_size_cap(monkeypatch):
@@ -442,6 +458,70 @@ def test_a_warm_det_image_memo_still_catches_a_wrong_det_sign(monkeypatch):
         assert ([r.to_json() for r in reports]
                 == [reference_verify_rule(app, chart).to_json() for app, chart in grid])
     assert all(po.verify_rule(app, chart).passed for app, chart in grid)
+
+
+def test_cold_and_warm_chart_map_memos_give_equal_reports(monkeypatch):
+    cells = _default_grid_cells()
+    runs = []
+    for order in (cells, cells[::-1]):
+        po._chart_map.cache_clear()
+        monkeypatch.setattr(po, "_DET_IMAGES", {})
+        cold = [po.verify_rule(app, chart, policy=p).to_json() for app, chart, p in order]
+        warm = [po.verify_rule(app, chart, policy=p).to_json()
+                for app, chart, p in order[::-1]][::-1]
+        assert warm == cold
+        runs.append(cold)
+    assert runs[1][::-1] == runs[0]
+
+
+def test_the_chart_map_memo_is_bounded():
+    # Keys hold x- and divisor names, so the default grids fill one key per
+    # (lead, scaled) they use, and other names evict the oldest keys.
+    po._chart_map.cache_clear()
+    for _ in range(2):
+        _default_grid_reports()
+        assert po._chart_map.cache_info().currsize == 32
+    bound = po._chart_map.cache_info().maxsize
+    assert bound == 256
+    for i in range(bound + 10):
+        po._chart_map(f"x_A{i}", (f"x_B{i}",))
+    assert po._chart_map.cache_info().currsize == bound
+    po._chart_map.cache_clear()
+
+
+def test_chart_maps_are_shared_read_only():
+    sub = po._chart_map("x_E1", ("x_E2", "y"))
+    assert po._chart_map("x_E1", ("x_E2", "y")) is sub
+    assert sub.mapping["x_E2"] == Polynomial.variable("x_E2'") * Polynomial.variable(po.EXC)
+    with pytest.raises(TypeError):
+        sub.mapping["x_E1"] = C(0)
+    with pytest.raises(TypeError):
+        del sub.mapping["y"]
+    assert dict(po._chart_map("x_E1", ("x_E2", "y")).mapping) == dict(sub.mapping)
+
+
+def test_the_chart_map_cycle_check_runs_once_per_key(monkeypatch):
+    checked = []
+    original = Substitution.__post_init__
+    monkeypatch.setattr(Substitution, "__post_init__",
+                        lambda self: checked.append(dict(self.mapping)) or original(self))
+    po._chart_map.cache_clear()
+    monkeypatch.setattr(po, "_DET_IMAGES", {})
+    for _ in range(2):
+        _default_grid_reports()
+    assert len(checked) == po._chart_map.cache_info().currsize == 32
+
+
+@pytest.mark.parametrize("m, exponents", [(2, {}), (0, {"f1": 2})])
+def test_a_chart_map_naming_a_substituted_variable_is_refused_every_time(m, exponents):
+    # With components E1 and E1', the x-chart that leads with x_E1' scales
+    # x_E1 to x_E1'*u, which mentions the substituted x_E1'.  The refusal is
+    # not memoized, so a second run refuses it again.
+    chart = cc.ChartState.of(["E1", "E1'"], m, exponents)
+    app = cc.application(cc.propose(chart, re_.RunConfig().key), chart, "oracle", "w")
+    for _ in range(2):
+        with pytest.raises(ValueError, match="cyclic substitution: image of 'x_E1'"):
+            po.verify_rule(app, chart)
 
 
 @st.composite

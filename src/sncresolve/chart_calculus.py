@@ -16,15 +16,17 @@ command line need to know about it.
 
 from __future__ import annotations
 
+import functools
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .poly_oracle import VERIFY_MAX_DET, Polynomial, ScaleError, generic_det, prime
+from . import poly_oracle as po
+from .dual_complex import _out_of_form
+from .poly_oracle import Polynomial, ScaleError, generic_det, prime
 
-# Caps for building exact local equations; the det-size cap is the verifier's.
-EQUATION_MAX_DET = VERIFY_MAX_DET
+# Local equations cap the total degree here and det size at the verifier's cap.
 EQUATION_MAX_TOTAL_DEGREE = 24
 
 # The exceptional-coefficient policies, which differ on the DET rule only.
@@ -74,7 +76,8 @@ class ChartState:
             raise ValueError("determinant size must be >= 0")
         if not (type(xs) is frozenset and all(type(i) is str for i in xs)
                 and type(m) is int and type(exps) is tuple):
-            raise ValueError(f"chart fields out of form: {xs!r}, {m!r}, {exps!r}")
+            raise _out_of_form("chart", "a frozenset of str x-indices, an int det size "
+                               "and a tuple of exponent pairs", xs, m, exps)
         dz = 0
         for i, pair in enumerate(exps):
             if not (type(pair) is tuple and len(pair) == 2 and type(pair[0]) is str
@@ -175,16 +178,14 @@ def chart_from_obj(obj: dict) -> ChartState:
     """Parse a chart document; an ill-typed field raises ValueError."""
     if not isinstance(obj, dict):
         raise ValueError(f"a chart must be an object, got {obj!r}")
-    xs, m, exps = obj.get("x"), obj.get("m"), obj.get("a", {})
+    xs, exps = obj.get("x"), obj.get("a", {})
     if not isinstance(xs, list) or not all(isinstance(i, str) for i in xs):
         raise ValueError(f"chart 'x' must be a list of ids, got {xs!r}")
     if len(set(xs)) != len(xs):
         raise ValueError(f"chart 'x' repeats an id, got {xs!r}")
-    if type(m) is not int:
-        raise ValueError(f"chart 'm' must be an integer, got {m!r}")
-    if not isinstance(exps, dict) or any(type(a) is not int for a in exps.values()):
-        raise ValueError(f"chart 'a' must map divisor ids to integers, got {exps!r}")
-    return ChartState.of(xs, m, exps)
+    if not isinstance(exps, dict):
+        raise ValueError(f"chart 'a' must be an object, got {exps!r}")
+    return ChartState.of(xs, obj.get("m"), exps)
 
 
 def mdeg(chart: ChartState) -> MultiDegree:
@@ -212,25 +213,20 @@ def z_var(divisor) -> str:
     return f"z_{divisor}"
 
 
-# Determinant factors by size, built once: Polynomial is immutable.
-_DET_FACTORS = {}
-
-
+@functools.cache
 def _det_factor(m: int) -> Polynomial:
-    """det(y) of an m x m block: 1 for m = 0, the variable y for m = 1."""
-    det = _DET_FACTORS.get(m)
-    if det is None:
-        det = _DET_FACTORS[m] = generic_det(m, name=lambda r, s: y_var(r, s, m))
-    return det
+    """det(y) of an m x m block, built once (Polynomial is immutable): 1
+    for m = 0, the variable y for m = 1."""
+    return generic_det(m, name=lambda r, s: y_var(r, s, m))
 
 
 def equation_parts(chart: ChartState) -> tuple[Polynomial, Polynomial, Polynomial]:
     """The parts (prod x_i, t * prod z_j^{a_j}, det(y)) of the chart's local
     equation  lhs - rhs * det:  two monomials, each built as one term, and
     the determinant factor.  ScaleError beyond the equation caps."""
-    if chart.det_size > EQUATION_MAX_DET:
+    if chart.det_size > po.VERIFY_MAX_DET:
         raise ScaleError(
-            f"local equations cap det size at {EQUATION_MAX_DET} (got {chart.det_size})")
+            f"local equations cap det size at {po.VERIFY_MAX_DET} (got {chart.det_size})")
     d = mdeg(chart)
     if d.dx + d.dy + d.dz + 1 > EQUATION_MAX_TOTAL_DEGREE:
         raise ScaleError("local equation exceeds the total-degree cap")
@@ -326,32 +322,25 @@ def _pair_center(app: RuleApplication) -> list:
     return [(x_var(i), "x", f"lead={i}") for i in app.pair]
 
 
-# Pivot eliminations by (m, r0, s0), built once and shared read-only, and
-# the names that each one's images introduce.
-_PIVOT_ELIMINATIONS = {}
-_PIVOT_NAMES = {}
-
-
-def _pivot_elimination(m: int, r0: int, s0: int) -> MappingProxyType:
-    """After the y-chart with pivot (r0, s0) the pivot entry is the unit 1;
-    y'_rs = y_ab + y'_r,s0 * y'_r0,s, with y_ab the entry of the child's
-    matrix, shrinks the determinant by one.  Moving the pivot to the corner
-    multiplies det(y) by its cofactor sign (-1)^(r0+s0), which t -> -t
-    absorbs when it is -1."""
-    post = _PIVOT_ELIMINATIONS.get((m, r0, s0))
-    if post is None:
-        var = Polynomial.variable
-        rows = [r for r in range(1, m + 1) if r != r0]
-        cols = [s for s in range(1, m + 1) if s != s0]
-        images = {
-            prime(y_var(r, s, m)): var(y_var(a, b, m - 1))
-                + var(prime(y_var(r, s0, m))) * var(prime(y_var(r0, s, m)))
-            for a, r in enumerate(rows, start=1) for b, s in enumerate(cols, start=1)}
-        if (r0 + s0) % 2:
-            images["t"] = -var("t")
-        post = _PIVOT_ELIMINATIONS[m, r0, s0] = MappingProxyType(images)
-        _PIVOT_NAMES[m, r0, s0] = frozenset().union(*(p.variables() for p in post.values()))
-    return post
+@functools.cache
+def _pivot_elimination(m: int, r0: int, s0: int) -> tuple:
+    """(post, kept), shared read-only: after the y-chart with pivot (r0, s0)
+    the pivot entry is the unit 1; post, y'_rs = y_ab + y'_r,s0 * y'_r0,s
+    with y_ab the entry of the child's matrix, shrinks the determinant by
+    one, and kept holds the names its images introduce.  Moving the pivot
+    to the corner multiplies det(y) by its cofactor sign (-1)^(r0+s0),
+    which t -> -t absorbs when it is -1."""
+    var = Polynomial.variable
+    rows = [r for r in range(1, m + 1) if r != r0]
+    cols = [s for s in range(1, m + 1) if s != s0]
+    images = {
+        prime(y_var(r, s, m)): var(y_var(a, b, m - 1))
+            + var(prime(y_var(r, s0, m))) * var(prime(y_var(r0, s, m)))
+        for a, r in enumerate(rows, start=1) for b, s in enumerate(cols, start=1)}
+    if (r0 + s0) % 2:
+        images["t"] = -var("t")
+    return (MappingProxyType(images),
+            frozenset().union(*(p.variables() for p in images.values())))
 
 
 class _Det(Rule):
@@ -388,10 +377,8 @@ class _Det(Rule):
 
     def charts(self, chart, app):
         m = chart.det_size
-        # _pivot_elimination, evaluated first, fills _PIVOT_NAMES.
         return _blowup(*_pair_center(app), *(
-            (y_var(r, s, m), "y", f"pivot=({r},{s})", _pivot_elimination(m, r, s),
-             _PIVOT_NAMES[m, r, s])
+            (y_var(r, s, m), "y", f"pivot=({r},{s})", *_pivot_elimination(m, r, s))
             for r in range(1, m + 1) for s in range(1, m + 1)))
 
     def notes(self, chart, policy, measured):

@@ -19,8 +19,6 @@ Smith normal form, which then sees little more than the torsion.
 ``validate`` checks a complex once and keeps the answer on it.  The
 output of ``snc_model.dual_complex_of``, and of ``remove_open_star`` on a
 complex known to be valid, is valid by construction and never checked.
-A cell or facet id that is not a str, or a dimension that is not an int,
-is a violation; ``Cell.of`` converts it and ``from_json_obj`` refuses it.
 """
 
 from __future__ import annotations
@@ -35,19 +33,45 @@ class InvalidComplexError(ValueError):
     """Operation requires a complex that passes validation."""
 
 
+# ``_STR.issuperset(map(type, items))``: every entry of ``items`` is a str.
+_STR = frozenset((str,))
+
+
+def _out_of_form(record: str, form: str, *fields) -> ValueError:
+    """The error for a record built out of form.  A set shows its entries
+    in the order of their reprs: the message never depends on hashing."""
+    shown = ("{" + ", ".join(sorted(map(repr, f))) + "}" if isinstance(f, (set, frozenset))
+             else repr(f) for f in fields)
+    return ValueError(f"a {record} needs {form}, got {', '.join(shown)}")
+
+
 @dataclass(frozen=True)
 class Cell:
-    """A single cell: k+1 ordered facets for a k-cell, none for a vertex."""
+    """A single cell: k+1 ordered facets for a k-cell, none for a vertex.
+    Built only in form (ValueError otherwise): a str id, an int dim, a
+    tuple of str facet ids, and a frozenset of str labels or None."""
 
     id: str
     dim: int
     facets: tuple = ()
     label: frozenset | None = None
 
+    def __post_init__(self):
+        label = self.label
+        if not (type(self.id) is str and type(self.dim) is int and type(self.facets) is tuple
+                and _STR.issuperset(map(type, self.facets)) and (label is None or (
+                    type(label) is frozenset and _STR.issuperset(map(type, label))))):
+            raise _out_of_form("cell", "a str id, an int dim, a tuple of str facets and "
+                               "a frozenset of str labels or None", *vars(self).values())
+
     @staticmethod
     def of(id, dim, facets=(), label=None) -> "Cell":
-        return Cell(str(id), int(dim), tuple(str(f) for f in facets),
-                    frozenset(str(x) for x in label) if label is not None else None)
+        """A cell from any iterables of facets and labels; coerces nothing."""
+        try:
+            return Cell(id, dim, tuple(facets), None if label is None else frozenset(label))
+        except TypeError:
+            raise _out_of_form("cell", "iterables of str facets and labels",
+                               id, facets, label) from None
 
 
 @dataclass(frozen=True)
@@ -141,32 +165,9 @@ def _known_valid(value):
     return value
 
 
-def _in_order(items) -> list:
-    """``sorted(items)``; values that do not compare (a hand-built id or
-    label mixing int and str) are grouped by type name first, so they too
-    sort the same way under every ``PYTHONHASHSEED``."""
-    try:
-        return sorted(items)
-    except TypeError:
-        return sorted(items, key=lambda x: (type(x).__name__, x))
-
-
 def _find_violations(complex: DualComplex) -> list:
-    # Only a hand-built cell can hold a non-str id (``Cell.of`` converts it,
-    # ``from_json_obj`` refuses it); the rules below sort and compare str ids.
     out = []
     cells = complex.cells
-    for cell in cells.values():
-        where = cell.id if type(cell.id) is str else None
-        if where is None:
-            out.append(Violation("cell id", None, f"{cell.id!r} is not a str"))
-        if type(cell.dim) is not int:
-            out.append(Violation("dimension", where, f"{cell.dim!r} is not an int"))
-        for fid in cell.facets:
-            if type(fid) is not str:
-                out.append(Violation("facet id", where, f"{fid!r} is not a str"))
-    if out:
-        return out
     for cell in sorted(cells.values(), key=lambda c: (c.dim, c.id)):
         if cell.dim < 0:
             out.append(Violation("dimension", cell.id, f"negative dimension {cell.dim}"))
@@ -204,7 +205,7 @@ def _find_violations(complex: DualComplex) -> list:
                             f"facets {i} then {j - 1} reach {fi[j - 1]!r}"))
         if cell.label is not None and cell.dim >= 1:
             if len(cell.label) == cell.dim + 1:
-                ordered = _in_order(cell.label)
+                ordered = sorted(cell.label)
                 for i, facet in enumerate(facets):
                     flabel = facet.label
                     # flabel == label - {ordered[i]}, without building it.
@@ -214,7 +215,7 @@ def _find_violations(complex: DualComplex) -> list:
                         out.append(Violation(
                             "label mismatch", cell.id,
                             f"facet {i} should drop {ordered[i]!r}, but carries "
-                            f"label {_in_order(flabel)}"))
+                            f"label {sorted(flabel)}"))
             else:
                 out.append(Violation(
                     "label size", cell.id,
@@ -523,13 +524,13 @@ def to_json_obj(complex: DualComplex) -> dict:
     for cell in sorted(complex.cells.values(), key=lambda c: (c.dim, c.id)):
         entry = {"id": cell.id, "dim": cell.dim, "facets": list(cell.facets)}
         if cell.label is not None:
-            entry["label"] = _in_order(cell.label)
+            entry["label"] = sorted(cell.label)
         cells.append(entry)
     return {"cells": cells}
 
 
 def from_json_obj(obj: dict) -> DualComplex:
-    """Parse a complex document; an ill-shaped one, or a non-str id, raises ValueError."""
+    """Parse a complex document; an ill-shaped one, or a cell out of form, raises ValueError."""
     if not isinstance(obj, dict) or not isinstance(obj.get("cells"), list):
         raise ValueError("complex document needs a 'cells' array")
     cells = []
@@ -539,12 +540,7 @@ def from_json_obj(obj: dict) -> DualComplex:
         cid, facets, label = entry["id"], entry.get("facets", ()), entry.get("label")
         if not isinstance(facets, (list, tuple)) or not isinstance(label, (list, type(None))):
             raise ValueError(f"cell {cid!r}: 'facets' and 'label' must be arrays")
-        if type(entry["dim"]) is not int:
-            raise ValueError(f"cell {cid!r}: 'dim' must be an integer")
-        if not all(type(x) is str for x in (cid, *facets, *(label or ()))):
-            raise ValueError(f"cell {cid!r}: 'id', 'facets' and 'label' must hold strings")
-        cells.append(Cell(cid, entry["dim"], tuple(facets),
-                          None if label is None else frozenset(label)))
+        cells.append(Cell.of(cid, entry["dim"], facets, label))
     return DualComplex(cells)
 
 
@@ -556,7 +552,7 @@ def to_dot(complex: DualComplex) -> str:
     """DOT rendering of the 1-skeleton (vertices and edges only)."""
     lines = ["graph skeleton {"]
     for cell in complex.cells_of_dim(0):
-        label = ",".join(map(str, _in_order(cell.label))) if cell.label else cell.id
+        label = ",".join(sorted(cell.label)) if cell.label else cell.id
         lines.append(f'  "{cell.id}" [label="{label}"];')
     for cell in complex.cells_of_dim(1):
         a, b = cell.facets

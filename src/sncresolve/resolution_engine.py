@@ -694,12 +694,9 @@ def _chart_items_from_obj(entries) -> tuple:
 
 
 def _record_from_obj(obj) -> DivisorRecord:
-    if not (isinstance(obj, dict) and isinstance(obj.get("id"), str)
-            and type(obj.get("coeff")) is int
-            and (obj.get("birth") is None or type(obj["birth"]) is int)):
-        raise ValueError("a registry entry needs a string 'id', an integer "
-                         f"'coeff' and an integer or null 'birth', got {obj!r}")
-    return DivisorRecord(obj["id"], obj["coeff"], obj.get("birth"))
+    if not isinstance(obj, dict):
+        raise ValueError(f"a registry entry must be an object, got {obj!r}")
+    return DivisorRecord(obj.get("id"), obj.get("coeff"), obj.get("birth"))
 
 
 def event_to_obj(event: BlowupEvent) -> dict:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .dual_complex import Cell, DualComplex, _in_order, _known_valid
+from .dual_complex import Cell, DualComplex, _STR, _known_valid, _out_of_form
 
 
 class IncidenceError(ValueError):
@@ -29,16 +29,32 @@ class IncidenceError(ValueError):
 
 @dataclass(frozen=True)
 class Stratum:
+    """Built only in form (ValueError otherwise): a str id, a frozenset of
+    str indices and a tuple of (str, str) parent pairs."""
+
     id: str
     indices: frozenset
     parents: tuple = ()  # sorted tuple of (dropped component id, stratum id)
     _cell: Cell = field(default=None, init=False, repr=False, compare=False)
 
+    def __post_init__(self):
+        pairs = self.parents
+        if not (type(self.id) is str and type(self.indices) is frozenset
+                and _STR.issuperset(map(type, self.indices)) and type(pairs) is tuple
+                and all(type(p) is tuple and len(p) == 2 and type(p[0]) is str
+                        and type(p[1]) is str for p in pairs)):
+            raise _out_of_form("stratum", "a str id, a frozenset of str indices and (str, str) "
+                               "parent pairs", self.id, self.indices, pairs)
+
     @staticmethod
     def of(id, indices, parents=None) -> "Stratum":
-        items = parents.items() if isinstance(parents, dict) else (parents or ())
-        return Stratum(str(id), frozenset(str(i) for i in indices),
-                       tuple(sorted((str(j), str(s)) for j, s in items)))
+        """From any iterable of indices and a map (or pairs) of parents; coerces nothing."""
+        try:
+            pairs = parents.items() if isinstance(parents, dict) else map(tuple, parents or ())
+            return Stratum(id, frozenset(indices), tuple(sorted(pairs)))
+        except TypeError:
+            raise _out_of_form("stratum", "iterables of str indices and parent pairs",
+                               id, indices, parents) from None
 
     def parent_map(self) -> dict:
         return dict(self.parents)
@@ -46,14 +62,28 @@ class Stratum:
 
 @dataclass(frozen=True)
 class SncVariety:
+    """Built only in form (ValueError otherwise): a frozenset of str
+    components and a tuple of ``Stratum`` records."""
+
     components: frozenset
     strata: tuple  # Stratum records, sorted by id
     _violations: tuple = field(default=None, init=False, repr=False, compare=False)
 
+    def __post_init__(self):
+        if not (type(self.components) is frozenset and _STR.issuperset(map(type, self.components))
+                and type(self.strata) is tuple and {Stratum}.issuperset(map(type, self.strata))):
+            # The strata are not shown: a variety may hold thousands.
+            raise _out_of_form("variety", "a frozenset of str components and a tuple of strata",
+                               self.components)
+
     @staticmethod
     def of(components, strata) -> "SncVariety":
-        return SncVariety(frozenset(str(c) for c in components),
-                          tuple(sorted(strata, key=lambda s: s.id)))
+        """From any iterables of components and strata, sorted by id; coerces nothing."""
+        try:
+            return SncVariety(frozenset(components), tuple(sorted(strata, key=lambda s: s.id)))
+        except (TypeError, AttributeError):
+            raise _out_of_form("variety", "iterables of str components and of strata",
+                               components) from None
 
     def stratum(self, stratum_id: str) -> Stratum:
         for s in self.strata:
@@ -73,16 +103,7 @@ def validate_snc(snc: SncVariety) -> list:
 
 
 def _find_violations(snc: SncVariety) -> list:
-    # Only a hand-built variety holds a non-str id (``of`` converts it and
-    # ``from_json_obj`` refuses it); the rules below compare str ids.  A
-    # non-str index or parent id is then an unknown component or parent,
-    # and index sets are sorted with ``_in_order``, which never compares
-    # an int with a str.
-    out = [f"component {c!r} is not a str"
-           for c in sorted(snc.components, key=repr) if type(c) is not str]
-    out += [f"stratum id {s.id!r} is not a str" for s in snc.strata if type(s.id) is not str]
-    if out:
-        return out
+    out = []
     by_id = {}
     for s in snc.strata:
         if s.id in by_id:
@@ -92,7 +113,7 @@ def _find_violations(snc: SncVariety) -> list:
             out.append(f"stratum {s.id!r} has an empty index set")
         unknown = s.indices - snc.components
         if unknown:
-            out.append(f"stratum {s.id!r} mentions unknown components {_in_order(unknown)}")
+            out.append(f"stratum {s.id!r} mentions unknown components {sorted(unknown)}")
 
     singletons = {}
     for s in snc.strata:
@@ -111,7 +132,7 @@ def _find_violations(snc: SncVariety) -> list:
             continue
         if set(parents) != set(s.indices):
             out.append(f"stratum {s.id!r}: parents must be designated for "
-                       f"exactly the indices {_in_order(s.indices)}")
+                       f"exactly the indices {sorted(s.indices)}")
             continue
         for j, pid in parents.items():
             parent = by_id.get(pid)
@@ -119,8 +140,8 @@ def _find_violations(snc: SncVariety) -> list:
                 out.append(f"stratum {s.id!r}: parent {pid!r} does not exist")
             elif parent.indices != s.indices - {j}:
                 out.append(f"stratum {s.id!r}: parent over {j!r} has index set "
-                           f"{_in_order(parent.indices)}, expected "
-                           f"{_in_order(s.indices - {j})}")
+                           f"{sorted(parent.indices)}, expected "
+                           f"{sorted(s.indices - {j})}")
 
     # Two-step coherence: dropping j then i must reach the same stratum as
     # dropping i then j.  This is what makes the dual complex attach
@@ -129,7 +150,7 @@ def _find_violations(snc: SncVariety) -> list:
     for s, parents in zip(snc.strata, maps):
         if len(s.indices) < 3:
             continue
-        ordered = _in_order(s.indices)
+        ordered = sorted(s.indices)
         for pos, i in enumerate(ordered):
             pi = parent_maps.get(parents.get(i, ""))
             if pi is None:
@@ -162,8 +183,7 @@ def dual_complex_of(snc: SncVariety) -> DualComplex:
     cells = []
     for s in snc.strata:
         if s._cell is None:
-            # Validation proved every id, index and parent id a str, and
-            # designated a parent over each index of a deeper stratum.
+            # Validation designated a parent over each index of a deeper stratum.
             ordered = sorted(s.indices)
             parents = s.parent_map()
             facets = tuple(parents[j] for j in ordered) if len(ordered) > 1 else ()
@@ -338,13 +358,11 @@ def to_json_obj(snc: SncVariety) -> dict:
 
 
 def from_json_obj(obj: dict) -> SncVariety:
-    """Parse a variety document; an ill-shaped one, or a non-str id, raises ValueError."""
+    """Parse a variety document; an ill-shaped one, or a record out of form, raises ValueError."""
     if not isinstance(obj, dict) or "components" not in obj or "strata" not in obj:
         raise ValueError("variety document needs 'components' and 'strata'")
     if not isinstance(obj["components"], list) or not isinstance(obj["strata"], list):
         raise ValueError("'components' and 'strata' must be arrays")
-    if not all(type(c) is str for c in obj["components"]):
-        raise ValueError("'components' must hold strings")
     strata = []
     for e in obj["strata"]:
         if not isinstance(e, dict) or "id" not in e or "indices" not in e:
@@ -353,7 +371,5 @@ def from_json_obj(obj: dict) -> SncVariety:
         if not isinstance(indices, list) or not isinstance(parents, dict):
             raise ValueError(f"stratum {sid!r}: 'indices' must be an array "
                              "and 'parents' an object")
-        if not all(type(x) is str for x in (sid, *indices, *parents, *parents.values())):
-            raise ValueError(f"stratum {sid!r}: 'id', 'indices' and 'parents' must hold strings")
-        strata.append(Stratum(sid, frozenset(indices), tuple(sorted(parents.items()))))
-    return SncVariety(frozenset(obj["components"]), tuple(sorted(strata, key=lambda s: s.id)))
+        strata.append(Stratum.of(sid, indices, parents))
+    return SncVariety.of(obj["components"], strata)

@@ -792,7 +792,7 @@ def reference_local_equation(chart):
     as one monomial each; both must give the same polynomial and raise
     ``ScaleError`` at the same charts.
     """
-    if chart.det_size > cc.EQUATION_MAX_DET:
+    if chart.det_size > po.VERIFY_MAX_DET:
         raise ScaleError("det size cap")
     d = mdeg(chart)
     if d.dx + d.dy + d.dz + 1 > cc.EQUATION_MAX_TOTAL_DEGREE:

@@ -4,6 +4,7 @@ import contextlib
 import errno
 import hashlib
 import io
+import itertools
 import json
 import os
 import random
@@ -502,6 +503,53 @@ def test_resolve_malformed_state_document_exit_2(tmp_path, capsys, path, value):
     file.write_text(json.dumps(doc))
     assert cli.main(["resolve", "--input", str(file)]) == cli.EXIT_INPUT
     assert _one_invalid_input_line(capsys)
+
+
+def _with(doc, path, value):
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+def _chart_doc_with_six_ids(m):
+    chart = {"x": [f"E{i}" for i in range(1, 7)], "m": m, "a": {}}
+    return _with(_state_doc_with_divisor(), ("charts", 0, "chart"), chart)
+
+
+def _variety_doc_with_an_int_index():
+    comps = ["E1", "E2", "E3"]
+    family = [set(s) for k in (1, 2, 3) for s in itertools.combinations(comps, k)]
+    doc = sm.to_json_obj(sm.from_index_sets(comps, family))
+    top = max(doc["strata"], key=lambda e: len(e["indices"]))
+    top["indices"][0] = 1
+    return doc
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("resolve", _chart_doc_with_six_ids(None)),
+    ("resolve", _chart_doc_with_six_ids(True)),
+    ("resolve", _chart_doc_with_six_ids("3")),
+    ("dualcomplex", _variety_doc_with_an_int_index()),
+    ("dualcomplex", {"cells": [{"id": "v", "dim": 0, "label": ["A", 1, "B", "C"]}]}),
+], ids=["m-null", "m-true", "m-str", "int-index", "int-label"])
+def test_a_record_out_of_form_prints_one_line_under_every_hash_seed(tmp_path, command, doc):
+    # Each record holds a set of ids whose iteration order differs under
+    # PYTHONHASHSEED 1 and 2; the message must not.
+    file = tmp_path / "doc.json"
+    file.write_text(json.dumps(doc))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    errs = set()
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}
+        done = subprocess.run([sys.executable, "-m", "sncresolve", command, "--input", str(file)],
+                              capture_output=True, env=env, timeout=120)
+        err = done.stderr.decode()
+        assert done.returncode == cli.EXIT_INPUT and done.stdout == b"", err
+        assert err.startswith("invalid input: ") and err.count("\n") == 1, err
+        errs.add(err)
+    assert len(errs) == 1, errs
 
 
 def test_resolve_accepts_generated_states(tmp_path, capsys):

@@ -83,32 +83,37 @@ def test_validate_checks_label_drop_order():
     assert any(v.rule == "label mismatch" for v in dc.validate(flipped))
 
 
-def test_mixed_type_ids_and_labels_are_violations_not_type_errors():
-    # Hand-built cells may carry ids, facets or labels that Cell.of would
-    # have turned into str.  A non-str id is a violation of its own; a
-    # label mixing int and str is ordered by type name first, so no sort
-    # compares an int with a str and nothing depends on string hashing.
-    ids = DualComplex([Cell("a", 0), Cell(2, 0), Cell("b", 0),
-                       Cell("e", 1, ("a", 2)), Cell("f", "1", ("a", "b"))])
+def test_mixed_type_ids_and_labels_are_refused_at_construction():
+    # A cell is built only in form: an int id or facet, a str dimension, or
+    # a label mixing int and str raises ValueError where the cell is built,
+    # from the constructor and from Cell.of alike, so no validator and no
+    # sort ever meets one.
+    for args in [(2, 0), ("e", 1, ("a", 2)), ("f", "1", ("a", "b")),
+                 ("a", 0, (), frozenset({1})), ("m", 0, (), frozenset({2, "x"})),
+                 ("ab", 1, ("a", "b"), frozenset({1, "x"}))]:
+        with pytest.raises(ValueError, match="a cell needs a str id"):
+            Cell(*args)
+        with pytest.raises(ValueError, match="a cell needs a str id"):
+            Cell.of(*args)
+    # With str ids and labels the same complexes build; a label is then
+    # ordered by plain ``sorted``.
+    ids = DualComplex([Cell("a", 0), Cell("2", 0), Cell("b", 0),
+                       Cell("e", 1, ("a", "2")), Cell("f", 1, ("a", "b"))])
     labels = DualComplex([
-        Cell("a", 0, (), frozenset({1})), Cell("b", 0, (), frozenset({"x"})),
-        Cell("m", 0, (), frozenset({2, "x"})), Cell("n", 0, (), frozenset({"p"})),
-        Cell("ab", 1, ("a", "b"), frozenset({1, "x"})),
-        Cell("ba", 1, ("b", "a"), frozenset({1, "x"})),
+        Cell("a", 0, (), frozenset({"1"})), Cell("b", 0, (), frozenset({"x"})),
+        Cell("m", 0, (), frozenset({"2", "x"})), Cell("n", 0, (), frozenset({"p"})),
+        Cell("ab", 1, ("a", "b"), frozenset({"1", "x"})),
+        Cell("ba", 1, ("b", "a"), frozenset({"1", "x"})),
         Cell("mn", 1, ("m", "n"), frozenset({"p", "q"}))])
-    cases = [
-        (ids, ["cell id: 2 is not a str", "facet id [e]: 2 is not a str",
-               "dimension [f]: '1' is not an int"]),
-        (labels, ["label mismatch [ab]: facet 0 should drop 1, but carries label [1]",
-                  "label mismatch [ab]: facet 1 should drop 'x', but carries label ['x']",
-                  "label mismatch [mn]: facet 0 should drop 'p', but carries "
-                  "label [2, 'x']"]),
-    ]
-    for complex, want in cases:
-        assert [str(v) for v in dc.validate(complex)] == want
-        with pytest.raises(dc.InvalidComplexError) as err:
-            dc.homology(complex)
-        assert str(err.value) == "; ".join(want)
+    assert dc.validate(ids) == []
+    want = ["label mismatch [ab]: facet 0 should drop '1', but carries label ['1']",
+            "label mismatch [ab]: facet 1 should drop 'x', but carries label ['x']",
+            "label mismatch [mn]: facet 0 should drop 'p', but carries "
+            "label ['2', 'x']"]
+    assert [str(v) for v in dc.validate(labels)] == want
+    with pytest.raises(dc.InvalidComplexError) as err:
+        dc.homology(labels)
+    assert str(err.value) == "; ".join(want)
 
 
 def _malformed(rng, complex):
@@ -587,41 +592,50 @@ def test_dot_export_lists_vertices_and_edges():
 @settings(max_examples=200, deadline=None)
 @given(st.randoms(use_true_random=False), st.booleans())
 def test_every_complex_that_validates_serializes(rng, keep_order):
-    # Hand-built cells may carry labels mixing int and str, which
-    # ``validate`` orders by type name first.  The first ``cut`` component
-    # names become ints; in the order of the sorted names (``keep_order``)
-    # that keeps every label's order, otherwise it may not.
+    # The first ``cut`` component names become the str names "8", "9",
+    # "10", ..., taken in the order of the sorted names (``keep_order``) or
+    # shuffled.  "10" sorts before "8", so even in order a relabelling may
+    # change a label's order; facet i drops the i-th smallest label, so the
+    # relabelled complex validates exactly when each label keeps its order.
+    # An int label is refused when the cell is built (see the test below).
     complex = sm.dual_complex_of(random_variety(rng))
     names = sorted({x for cell in complex.cells_of_dim(0) for x in cell.label})
     if not keep_order:
         rng.shuffle(names)
     cut = rng.randint(0, len(names))
-    relabel = {x: k if k < cut else x for k, x in enumerate(names)}
-    mixed = DualComplex(Cell(c.id, c.dim, c.facets, frozenset(map(relabel.get, c.label)))
-                        for c in complex.cells.values())
-    if dc.validate(mixed):
-        assert not keep_order
-        return
-    obj = dc.to_json_obj(mixed)
-    assert dc.canonical_json(mixed) == json.dumps(obj, sort_keys=True, separators=(",", ":"))
-    dot = dc.to_dot(mixed)
-    for cell in mixed.cells_of_dim(0):
+    relabel = {x: str(8 + k) if k < cut else x for k, x in enumerate(names)}
+    same = DualComplex(Cell(c.id, c.dim, c.facets, frozenset(map(relabel.get, c.label)))
+                       for c in complex.cells.values())
+    keeps_order = all(sorted(map(relabel.get, c.label)) == [relabel[x] for x in sorted(c.label)]
+                      for c in complex.cells.values())
+    assert (dc.validate(same) == []) == keeps_order
+    if cut == 0:
+        assert keeps_order and same == complex
+    obj = dc.to_json_obj(same)
+    assert dc.canonical_json(same) == json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    dot = dc.to_dot(same)
+    for cell in same.cells_of_dim(0):
         (x,) = cell.label
         assert f'  "{cell.id}" [label="{x}"];' in dot
-    if keep_order:
-        # The cell and facet order are those of the all-str complex.
-        want = dc.to_json_obj(complex)
-        for entry in want["cells"]:
-            entry["label"] = [relabel[x] for x in entry["label"]]
-        assert obj == want
+    # The cell and facet order are those of the original complex.
+    want = dc.to_json_obj(complex)
+    for entry in want["cells"]:
+        entry["label"] = sorted(relabel[x] for x in entry["label"])
+    assert obj == want
 
 
-def test_mixed_int_and_str_labels_serialize():
+def test_mixed_int_and_str_labels_are_refused_at_construction():
+    with pytest.raises(ValueError, match="a cell needs a str id"):
+        Cell("a", 0, (), frozenset({1}))
+    with pytest.raises(ValueError, match="a cell needs a str id"):
+        Cell("ab", 1, ("b", "a"), frozenset({1, "x"}))
+    # The same complex with the str label "1" serializes, "1" before "x".
     complex = DualComplex([
-        Cell("a", 0, (), frozenset({1})), Cell("b", 0, (), frozenset({"x"})),
-        Cell("ab", 1, ("b", "a"), frozenset({1, "x"}))])
+        Cell("a", 0, (), frozenset({"1"})), Cell("b", 0, (), frozenset({"x"})),
+        Cell("ab", 1, ("b", "a"), frozenset({"1", "x"}))])
     assert dc.validate(complex) == []
-    assert dc.to_json_obj(complex)["cells"][-1]["label"] == [1, "x"]
+    assert dc.to_json_obj(complex)["cells"][-1]["label"] == ["1", "x"]
     assert '"ab"' in dc.canonical_json(complex)
     assert dc.to_dot(complex).splitlines()[1:3] == ['  "a" [label="1"];',
                                                    '  "b" [label="x"];']
+

@@ -410,16 +410,17 @@ def test_every_pivot_elimination_passes_the_substitution_check():
 
 def test_pivot_eliminations_are_shared_read_only():
     chart = cc.ChartState.of(["E1", "E2"], 3, {})
-    posts = [vc.post for vc in cc.RULES["DET"].charts(chart, det_app(3))
-             if vc.post is not None]
+    charts = [vc for vc in cc.RULES["DET"].charts(chart, det_app(3)) if vc.post is not None]
+    posts = [vc.post for vc in charts]
     assert len(posts) == 9
-    assert posts[0] is cc._pivot_elimination(3, 1, 1)
+    post, kept = cc._pivot_elimination(3, 1, 1)
+    assert posts[0] is post and charts[0].kept is kept
     before = dict(posts[0])
     with pytest.raises(TypeError):
         posts[0]["y11'"] = C(0)
     with pytest.raises(TypeError):
         del posts[0]["y22'"]
-    assert dict(cc._pivot_elimination(3, 1, 1)) == before
+    assert dict(cc._pivot_elimination(3, 1, 1)[0]) == before
 
 
 def _default_grid_cells():

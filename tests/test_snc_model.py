@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from sncresolve import dual_complex as dc
 from sncresolve import snc_model as sm
-from sncresolve.dual_complex import DualComplex
+from sncresolve.dual_complex import Cell, DualComplex
 from sncresolve.snc_model import CenterDescriptor, SncVariety, Stratum
 
 from oracles import (cell_of_dual_complex, closure_rule_blowup, per_map_homology,
@@ -480,53 +480,126 @@ def test_mutated_varieties_are_never_carried_as_valid(seed):
 
 
 def test_non_str_ids_are_not_carried_as_valid():
-    # Cell.of and SncVariety.of turn ids into str: "10" sorts before "2",
-    # so the labels would no longer match the facet order, and the
-    # components of a blow-up would no longer contain the (int) indices.
-    # Such ids are an incidence violation, so neither constructor builds
-    # anything from them.
-    ints = SncVariety(frozenset({2, 10}), (
-        Stratum(2, frozenset({2})), Stratum(10, frozenset({10})),
-        Stratum(99, frozenset({2, 10}), ((2, 10), (10, 2)))))
-    want = ["component 10 is not a str", "component 2 is not a str",
-            "stratum id 2 is not a str", "stratum id 10 is not a str",
-            "stratum id 99 is not a str"]
-    assert sm.validate_snc(ints) == want
-    with pytest.raises(sm.IncidenceError) as err:
-        sm.dual_complex_of(ints)
-    assert str(err.value) == "; ".join(want)
-    # The blow-up's kept components come back as str, its stratum ids not.
-    with pytest.raises(sm.IncidenceError) as err:
-        sm.blowup_center(ints, _stratum(99))
-    assert str(err.value) == "stratum id 2 is not a str; stratum id 10 is not a str"
+    # Each record is built only in form, so int ids never reach validation,
+    # a dual cell or a blow-up: the constructors and ``of`` refuse them.
+    for build in (lambda: Stratum(2, frozenset({2})),
+                  lambda: Stratum("99", frozenset({"2", "10"}), ((2, 10), (10, 2))),
+                  lambda: Stratum.of(2, [2]),
+                  lambda: Stratum.of("99", ["2", "10"], {2: 10, 10: 2})):
+        with pytest.raises(ValueError, match="a stratum needs a str id"):
+            build()
+    for build in (lambda: SncVariety(frozenset({2, 10}), ()),
+                  lambda: SncVariety.of([2, 10], [])):
+        with pytest.raises(ValueError, match="a variety needs a frozenset of str"):
+            build()
+    # With str ids the variety is valid: "10" sorts before "2", so facet 0
+    # of the edge drops "10", and a blow-up keeps both components.
+    strs = SncVariety.of(["2", "10"], [
+        Stratum.of("2", ["2"]), Stratum.of("10", ["10"]),
+        Stratum.of("99", ["2", "10"], {"2": "10", "10": "2"})])
+    assert sm.validate_snc(strs) == []
+    assert sm.dual_complex_of(strs)["99"].facets == ("2", "10")
+    blown, complex = sm.blowup_center(strs, _stratum("99"))
+    assert blown.components == {"2", "10"} and len(complex) == 2
 
 
-def test_mixed_type_indices_are_violations_not_type_errors():
-    # A hand-built stratum may mix int and str indices (Stratum.of would
-    # turn them into str).  Each message lists them grouped by type name,
-    # so none compares an int with a str and the order does not depend on
-    # string hashing.
+def test_mixed_type_indices_are_refused_at_construction():
+    # A stratum mixing int and str indices is refused where it is built,
+    # by the constructor and by ``of`` alike, so no validator meets it.
+    for build in (lambda: Stratum("s", frozenset({1, "x", "y"})),
+                  lambda: Stratum("u", frozenset({3, "y", "z"}),
+                                  ((3, "yz"), ("y", "z"), ("z", "y"))),
+                  lambda: Stratum.of("s", [1, "x", "y"]),
+                  lambda: Stratum.of("u", [3, "y", "z"], {3: "yz", "y": "z", "z": "y"})):
+        with pytest.raises(ValueError, match="a stratum needs"):
+            build()
+    # With str indices the same variety's messages list them in plain
+    # sorted order.
     snc = SncVariety(frozenset({"y", "z"}), (
         Stratum("y", frozenset({"y"})), Stratum("z", frozenset({"z"})),
         Stratum("yz", frozenset({"y", "z"}), (("y", "z"), ("z", "y"))),
-        Stratum("s", frozenset({1, "x", "y"})),
-        Stratum("u", frozenset({3, "y", "z"}), ((3, "yz"), ("y", "z"), ("z", "y")))))
+        Stratum("s", frozenset({"1", "x", "y"})),
+        Stratum("u", frozenset({"3", "y", "z"}), (("3", "yz"), ("y", "z"), ("z", "y")))))
     want = [
-        "stratum 's' mentions unknown components [1, 'x']",
-        "stratum 'u' mentions unknown components [3]",
-        "stratum 's': parents must be designated for exactly the indices [1, 'x', 'y']",
-        "stratum 'u': parent over 'y' has index set ['z'], expected [3, 'z']",
-        "stratum 'u': parent over 'z' has index set ['y'], expected [3, 'y']",
-        "stratum 'u': incoherent parents, dropping 3 then 'y' reaches 'z' but "
-        "'y' then 3 reaches None",
-        "stratum 'u': incoherent parents, dropping 3 then 'z' reaches 'y' but "
-        "'z' then 3 reaches None",
+        "stratum 's' mentions unknown components ['1', 'x']",
+        "stratum 'u' mentions unknown components ['3']",
+        "stratum 's': parents must be designated for exactly the indices ['1', 'x', 'y']",
+        "stratum 'u': parent over 'y' has index set ['z'], expected ['3', 'z']",
+        "stratum 'u': parent over 'z' has index set ['y'], expected ['3', 'y']",
+        "stratum 'u': incoherent parents, dropping '3' then 'y' reaches 'z' but "
+        "'y' then '3' reaches None",
+        "stratum 'u': incoherent parents, dropping '3' then 'z' reaches 'y' but "
+        "'z' then '3' reaches None",
     ]
     assert sm.validate_snc(snc) == want
     with pytest.raises(sm.IncidenceError) as err:
         sm.dual_complex_of(snc)
     assert str(err.value) == "; ".join(want)
     assert all(s._cell is None for s in snc.strata)
+
+
+# Each record's constructor and ``of``, and fields in form for both.
+_IN_FORM = {
+    "Cell": (Cell, Cell.of, {"id": "e", "dim": 1, "facets": ("a", "b"),
+                             "label": frozenset({"A", "B"})}),
+    "Stratum": (Stratum, Stratum.of, {"id": "A+B", "indices": frozenset({"A", "B"}),
+                                      "parents": (("A", "B"), ("B", "A"))}),
+    "SncVariety": (SncVariety, SncVariety.of, {"components": frozenset({"A"}),
+                                               "strata": (Stratum("A", frozenset({"A"})),)}),
+}
+
+
+def _with_first_entry(value, bad):
+    """The container ``value`` as a list, its first entry (the parent id of
+    its first pair, for parent pairs) replaced by ``bad``."""
+    entries = list(value)
+    first = entries[0]
+    entries[0] = (first[0], bad) if type(first) is tuple else bad
+    return entries
+
+
+def _in_form(build, name, value, container) -> bool:
+    """Whether ``value`` given whole for the field ``name`` is in form
+    after all: None as a label or as ``Stratum.of``'s parents (no parents),
+    or a list given to ``of`` for a container field."""
+    return ((value is None and (name == "label" or build is Stratum.of and name == "parents"))
+            or (type(value) is list and container and build.__name__ == "of"))
+
+
+_BAD = {"int": 7, "bool": True, "None": None, "list": ["A"]}
+
+
+@pytest.mark.parametrize("record, name, bad", [
+    pytest.param(record, name, bad, id=f"{record}-{name}-{kind}")
+    for record, (_, _, fields) in _IN_FORM.items() for name in fields
+    for kind, bad in _BAD.items() if (name, kind) != ("dim", "int")])
+def test_a_field_out_of_form_raises_value_error_never_type_error(record, name, bad):
+    # ``bad`` goes in the field itself and, in a container field, in place
+    # of an entry; a constructor takes the entries in the field's own
+    # container (a frozenset cannot hold a list), ``of`` takes a list.
+    make, of, fields = _IN_FORM[record]
+    assert make(**fields) == of(**fields)
+    form = fields[name]
+    container = isinstance(form, (tuple, frozenset))
+    cases = [(build, bad) for build in (make, of)
+             if not _in_form(build, name, bad, container)]
+    if container:
+        entries = _with_first_entry(form, bad)
+        cases.append((of, entries))
+        if not (type(form) is frozenset and isinstance(bad, list)):
+            cases.append((make, type(form)(entries)))
+    assert cases
+    for build, value in cases:
+        with pytest.raises(ValueError):  # a TypeError would escape
+            build(**{**fields, name: value})
+
+
+@pytest.mark.parametrize("parents", [("AB", ("B", "A")), (("A", "B", "A+B"),),
+                                     (["A", "B"], ("B", "A"))])
+def test_a_parent_entry_that_is_not_a_pair_of_ids_is_refused(parents):
+    # A str or list of two ids would pass a check of the ids alone.
+    with pytest.raises(ValueError, match="a stratum needs a str id"):
+        Stratum("A+B", frozenset({"A", "B"}), parents)
 
 
 def test_the_validity_memo_is_invisible_on_varieties():

@@ -66,8 +66,10 @@ class Cell:
 
     @staticmethod
     def of(id, dim, facets=(), label=None) -> "Cell":
-        """A cell from any iterables of facets and labels; coerces nothing."""
+        """A cell from any iterables (a str is one id) of facets and labels; coerces nothing."""
         try:
+            if str in (type(facets), type(label)):
+                raise TypeError
             return Cell(id, dim, tuple(facets), None if label is None else frozenset(label))
         except TypeError:
             raise _out_of_form("cell", "iterables of str facets and labels",

@@ -29,8 +29,8 @@ class IncidenceError(ValueError):
 
 @dataclass(frozen=True)
 class Stratum:
-    """Built only in form (ValueError otherwise): a str id, a frozenset of
-    str indices and a tuple of (str, str) parent pairs."""
+    """Built only in form (ValueError otherwise): a str id, a frozenset of str
+    indices and a tuple of (str, str) parent pairs, one per index, sorted."""
 
     id: str
     indices: frozenset
@@ -42,14 +42,17 @@ class Stratum:
         if not (type(self.id) is str and type(self.indices) is frozenset
                 and _STR.issuperset(map(type, self.indices)) and type(pairs) is tuple
                 and all(type(p) is tuple and len(p) == 2 and type(p[0]) is str
-                        and type(p[1]) is str for p in pairs)):
+                        and type(p[1]) is str for p in pairs)
+                and all(p[0] < q[0] for p, q in zip(pairs, pairs[1:]))):
             raise _out_of_form("stratum", "a str id, a frozenset of str indices and (str, str) "
-                               "parent pairs", self.id, self.indices, pairs)
+                               "parent pairs, one per index, sorted", self.id, self.indices, pairs)
 
     @staticmethod
     def of(id, indices, parents=None) -> "Stratum":
-        """From any iterable of indices and a map (or pairs) of parents; coerces nothing."""
+        """From iterables of indices and parent pairs (or a map); a str is one id."""
         try:
+            if str in (type(indices), type(parents)):
+                raise TypeError
             pairs = parents.items() if isinstance(parents, dict) else map(tuple, parents or ())
             return Stratum(id, frozenset(indices), tuple(sorted(pairs)))
         except TypeError:
@@ -80,6 +83,8 @@ class SncVariety:
     def of(components, strata) -> "SncVariety":
         """From any iterables of components and strata, sorted by id; coerces nothing."""
         try:
+            if type(components) is str:
+                raise TypeError
             return SncVariety(frozenset(components), tuple(sorted(strata, key=lambda s: s.id)))
         except (TypeError, AttributeError):
             raise _out_of_form("variety", "iterables of str components and of strata",
@@ -111,8 +116,8 @@ def _find_violations(snc: SncVariety) -> list:
         by_id[s.id] = s
         if not s.indices:
             out.append(f"stratum {s.id!r} has an empty index set")
-        unknown = s.indices - snc.components
-        if unknown:
+        if not s.indices <= snc.components:
+            unknown = s.indices - snc.components
             out.append(f"stratum {s.id!r} mentions unknown components {sorted(unknown)}")
 
     singletons = {}
@@ -130,7 +135,7 @@ def _find_violations(snc: SncVariety) -> list:
             if s.parents:
                 out.append(f"stratum {s.id!r}: a singleton stratum has no parents")
             continue
-        if set(parents) != set(s.indices):
+        if parents.keys() != s.indices:
             out.append(f"stratum {s.id!r}: parents must be designated for "
                        f"exactly the indices {sorted(s.indices)}")
             continue
@@ -138,14 +143,19 @@ def _find_violations(snc: SncVariety) -> list:
             parent = by_id.get(pid)
             if parent is None:
                 out.append(f"stratum {s.id!r}: parent {pid!r} does not exist")
-            elif parent.indices != s.indices - {j}:
+            # j is in s.indices, so these three say parent.indices == s.indices - {j}.
+            elif not (len(parent.indices) == len(s.indices) - 1
+                      and j not in parent.indices and parent.indices < s.indices):
                 out.append(f"stratum {s.id!r}: parent over {j!r} has index set "
-                           f"{sorted(parent.indices)}, expected "
-                           f"{sorted(s.indices - {j})}")
+                           f"{sorted(parent.indices)}, expected {sorted(s.indices - {j})}")
 
     # Two-step coherence: dropping j then i must reach the same stratum as
     # dropping i then j.  This is what makes the dual complex attach
     # consistently.  A repeated id's parent lookups see its last record.
+    # If nothing failed and no index set repeats, ids are unique and each parent over j
+    # is over J - {j}: both descents of {i, j} reach the one stratum over J - {i, j}.
+    if not out and len({s.indices for s in snc.strata}) == len(snc.strata):
+        return out
     parent_maps = {s.id: m for s, m in zip(snc.strata, maps)}
     for s, parents in zip(snc.strata, maps):
         if len(s.indices) < 3:
@@ -172,10 +182,11 @@ def _find_violations(snc: SncVariety) -> list:
 def dual_complex_of(snc: SncVariety) -> DualComplex:
     """One (|J|-1)-cell per stratum; facet i drops the i-th smallest index.
 
-    Valid by construction: incidence validity gives every Delta-complex check.
-    Each stratum builds its cell on the first call and keeps it, so a later
-    call, or the complex of a blow-up, reuses it.  An invalid variety raises
-    before any cell is built.
+    The facets are the ids of the sorted parent pairs, whose dropped indices
+    validation proved are exactly the stratum's.  Valid by construction:
+    incidence validity gives every Delta-complex check.  Each stratum builds
+    its cell on the first call and keeps it, so a later call, or the complex
+    of a blow-up, reuses it.  An invalid variety raises before any cell is built.
     """
     violations = validate_snc(snc)
     if violations:
@@ -183,11 +194,8 @@ def dual_complex_of(snc: SncVariety) -> DualComplex:
     cells = []
     for s in snc.strata:
         if s._cell is None:
-            # Validation designated a parent over each index of a deeper stratum.
-            ordered = sorted(s.indices)
-            parents = s.parent_map()
-            facets = tuple(parents[j] for j in ordered) if len(ordered) > 1 else ()
-            object.__setattr__(s, "_cell", Cell(s.id, len(ordered) - 1, facets, s.indices))
+            facets = tuple([pid for _, pid in s.parents])
+            object.__setattr__(s, "_cell", Cell(s.id, len(s.indices) - 1, facets, s.indices))
         cells.append(s._cell)
     return _known_valid(DualComplex(cells))
 

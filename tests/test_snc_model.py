@@ -135,6 +135,17 @@ MALFORMED = {
         Stratum.of("AB", ["A", "B"], {"A": "B"})]),
     "wrong parent index set": (["A", "B", "C"], _singletons("A", "B", "C") + [
         Stratum.of("AB", ["A", "B"], {"A": "C", "B": "A"})]),
+    # ABC's parent over A lies over {A, C} (B dropped instead), then over {C} (two dropped).
+    "parent over another index": (["A", "B", "C"], _singletons("A", "B", "C") + [
+        Stratum.of("AB", ["A", "B"], {"A": "B", "B": "A"}),
+        Stratum.of("AC", ["A", "C"], {"A": "C", "C": "A"}),
+        Stratum.of("BC", ["B", "C"], {"B": "C", "C": "B"}),
+        Stratum.of("ABC", ["A", "B", "C"], {"A": "AC", "B": "AC", "C": "AB"})]),
+    "parent two indices down": (["A", "B", "C"], _singletons("A", "B", "C") + [
+        Stratum.of("AB", ["A", "B"], {"A": "B", "B": "A"}),
+        Stratum.of("AC", ["A", "C"], {"A": "C", "C": "A"}),
+        Stratum.of("BC", ["B", "C"], {"B": "C", "C": "B"}),
+        Stratum.of("ABC", ["A", "B", "C"], {"A": "C", "B": "AC", "C": "AB"})]),
     "ghost parent": (["A", "B"], _singletons("A", "B") + [
         Stratum.of("AB", ["A", "B"], {"A": "ghost", "B": "A"})]),
     "duplicate deep strata": (["A", "B", "C"], _singletons("A", "B", "C") + [
@@ -413,6 +424,62 @@ def test_validate_snc_builds_each_parent_map_once(monkeypatch):
     assert len(calls) == len(germ.strata)
 
 
+def test_dual_complex_of_builds_no_parent_map(monkeypatch):
+    # The facets come from the sorted parent pairs themselves.
+    germ = sm.coordinate_germ(10)
+    assert sm.validate_snc(germ) == []
+    calls = []
+    original = Stratum.parent_map
+    monkeypatch.setattr(Stratum, "parent_map",
+                        lambda self: calls.append(self.id) or original(self))
+    complex = sm.dual_complex_of(germ)
+    assert calls == []
+    assert list(complex.cells.values()) == list(cell_of_dual_complex(germ).cells.values())
+
+
+def _with_parallel_strata(rng, snc):
+    """The variety with a second stratum, under a fresh id and with the same
+    parents, over one to three of its index sets.  Half the time one
+    stratum's parent over an index is pointed at a copy of that parent:
+    every stratum that descends to it through another index then reaches
+    two strata over one index set, and is incoherent."""
+    strata = list(snc.strata)
+    copies = {}
+    for s in rng.sample(strata, rng.randint(1, min(3, len(strata)))):
+        copies[s.id] = Stratum.of(s.id + "#2", s.indices, s.parents)
+    strata.extend(copies.values())
+    deeper = [k for k, s in enumerate(strata) if any(pid in copies for _, pid in s.parents)]
+    if deeper and rng.random() < 0.5:
+        k = rng.choice(deeper)
+        s = strata[k]
+        j, pid = rng.choice([(j, pid) for j, pid in s.parents if pid in copies])
+        strata[k] = Stratum.of(s.id, s.indices, {**dict(s.parents), j: copies[pid].id})
+    return SncVariety.of(snc.components, strata)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_validate_snc_equals_both_references_on_parallel_strata(seed):
+    # Repeated index sets are where the coherence loop can report something.
+    rng = random.Random(seed)
+    snc = _with_parallel_strata(rng, random_variety(rng))
+    violations = sm.validate_snc(snc)
+    assert violations == per_pair_validate_snc(snc) == shared_map_validate_snc(snc)
+    if not violations:
+        got, want = sm.dual_complex_of(snc), cell_of_dual_complex(snc)
+        assert list(got.cells.values()) == list(want.cells.values())
+
+
+def test_parallel_strata_give_valid_and_incoherent_varieties():
+    seen = set()
+    for seed in range(200):
+        rng = random.Random(seed)
+        violations = sm.validate_snc(_with_parallel_strata(rng, random_variety(rng)))
+        assert all("incoherent parents" in v for v in violations)
+        seen.add(bool(violations))
+    assert seen == {False, True}
+
+
 def _assert_valid_when_rebuilt(snc, complex):
     assert snc._violations == () and complex._violations == ()
     fresh = SncVariety.of(snc.components, snc.strata)
@@ -566,24 +633,27 @@ def _in_form(build, name, value, container) -> bool:
             or (type(value) is list and container and build.__name__ == "of"))
 
 
-_BAD = {"int": 7, "bool": True, "None": None, "list": ["A"]}
+_BAD = {"int": 7, "bool": True, "None": None, "list": ["A"], "str": "AB"}
 
 
 @pytest.mark.parametrize("record, name, bad", [
     pytest.param(record, name, bad, id=f"{record}-{name}-{kind}")
     for record, (_, _, fields) in _IN_FORM.items() for name in fields
-    for kind, bad in _BAD.items() if (name, kind) != ("dim", "int")])
+    for kind, bad in _BAD.items() if (name, kind) not in {("dim", "int"), ("id", "str")}])
 def test_a_field_out_of_form_raises_value_error_never_type_error(record, name, bad):
     # ``bad`` goes in the field itself and, in a container field, in place
     # of an entry; a constructor takes the entries in the field's own
-    # container (a frozenset cannot hold a list), ``of`` takes a list.
+    # container (a frozenset cannot hold a list), ``of`` takes a list.  A
+    # str is one id: whole, it is no container of ids (``of`` would split
+    # it into characters), and as an entry of a container of ids it is in
+    # form.
     make, of, fields = _IN_FORM[record]
     assert make(**fields) == of(**fields)
     form = fields[name]
     container = isinstance(form, (tuple, frozenset))
     cases = [(build, bad) for build in (make, of)
              if not _in_form(build, name, bad, container)]
-    if container:
+    if container and (type(bad) is not str or name == "strata"):
         entries = _with_first_entry(form, bad)
         cases.append((of, entries))
         if not (type(form) is frozenset and isinstance(bad, list)):
@@ -600,6 +670,21 @@ def test_a_parent_entry_that_is_not_a_pair_of_ids_is_refused(parents):
     # A str or list of two ids would pass a check of the ids alone.
     with pytest.raises(ValueError, match="a stratum needs a str id"):
         Stratum("A+B", frozenset({"A", "B"}), parents)
+
+
+@pytest.mark.parametrize("parents", [(("B", "A"), ("A", "B")), (("A", "B"), ("A", "C")),
+                                     (("A", "B"), ("A", "B"), ("B", "A"))])
+def test_parent_pairs_out_of_order_or_over_one_index_twice_are_refused(parents):
+    # ``dual_complex_of`` reads a cell's facets from the pairs in order, so
+    # they are sorted by dropped index and drop each index once.  ``of``
+    # sorts the pairs, so it refuses only an index dropped twice.
+    with pytest.raises(ValueError, match="one per index, sorted"):
+        Stratum("A+B", frozenset({"A", "B"}), parents)
+    if len(parents) > 2 or parents[0][0] == parents[1][0]:
+        with pytest.raises(ValueError, match="one per index, sorted"):
+            Stratum.of("A+B", ["A", "B"], parents)
+    else:
+        assert Stratum.of("A+B", ["A", "B"], parents).parents == tuple(sorted(parents))
 
 
 def test_the_validity_memo_is_invisible_on_varieties():

@@ -570,9 +570,12 @@ def run(state: ResolutionState,
 # Serialization and replay
 # --------------------------------------------------------------------------
 
-# Pieces that write_json collects before handing them to ``write`` at once.
+# write_json hands its text to ``write`` once it holds more than _FLUSH_AT
+# pieces (mostly lines), and at once after each fragment, which can be as
+# large as a streamed trace's whole event.
 _FLUSH_AT = 1024
 _PLAIN = frozenset((str, int, type(None)))  # the scalar types the program writes
+_INT = frozenset((int,))
 
 
 class _Fragment(str):
@@ -586,12 +589,13 @@ def write_json(obj, write) -> None:
     machine-readable reports.  With ``indent`` set, the standard library
     leaves its C encoder and yields through one generator per nesting
     level; here a plain recursion appends whole lines to one list and
-    passes it to ``write`` once a container or fragment ends with more
-    than ``_FLUSH_AT`` pieces held, so the text held at once stays small;
-    the document itself is held only as far as ``obj`` holds it.  Strings
-    go through the C string encoder, which also raises ``TypeError`` for a
-    dict key that is not a ``str``; tuples and iterators are written as
-    lists, an iterator consumed as it is written.
+    passes it to ``write`` once a container ends with more than
+    ``_FLUSH_AT`` pieces held, and after each fragment, so the text held
+    at once stays small; the document itself is held only as far as
+    ``obj`` holds it.  Strings go through the C string encoder, which
+    also raises ``TypeError`` for a dict key that is not a ``str``; tuples
+    and iterators are written as lists, an iterator consumed as it is
+    written.
 
     A ``_Fragment`` (one piece) is written with the indentation of its
     place after each newline; this is exact, as the string encoder escapes
@@ -656,7 +660,7 @@ def _write_container(value, lead: str, newline: str, chunks: list, write) -> Non
                 chunks.append(sep + text)
             sep = comma
         chunks.append("]" if sep is inner else newline + "]")
-    if len(chunks) > _FLUSH_AT:
+    if len(chunks) > _FLUSH_AT or type(value) is _Fragment:
         write("".join(chunks))
         chunks.clear()
 
@@ -700,25 +704,16 @@ def _record_from_obj(obj) -> DivisorRecord:
 
 
 def event_to_obj(event: BlowupEvent) -> dict:
-    return _event_obj(event, _item_obj, _item_obj, _lex_obj)
-
-
-def _event_obj(event: BlowupEvent, child, parent, lex) -> dict:
-    """``child``, ``parent`` and ``lex`` lay out chart items and lex pairs."""
     return {
         "index": event.index,
         "phase": event.phase,
         "rule": rule_to_obj(event.rule),
-        "parents": list(starmap(parent, event.parents)),
-        "children": list(starmap(child, event.children)),
+        "parents": list(starmap(_item_obj, event.parents)),
+        "children": list(starmap(_item_obj, event.children)),
         "new_divisor": list(event.new_divisor) if event.new_divisor else None,
         "exceptional": event.exceptional,
-        "lex": [lex(pair) for pair in event.lex],
+        "lex": [[list(parent), list(child)] for parent, child in event.lex],
     }
-
-
-def _lex_obj(pair) -> list:
-    return [list(pair[0]), list(pair[1])]
 
 
 def event_from_obj(obj: dict) -> BlowupEvent:
@@ -765,47 +760,99 @@ def state_from_obj(obj: dict) -> ResolutionState:
 
 def trace_to_obj(seed: ResolutionState, events, final: ResolutionState,
                  config: RunConfig) -> dict:
-    return _trace_obj(seed, events, final, config, list, _item_obj, _item_obj, _lex_obj)
+    return {
+        "config": config.to_json_obj(),
+        "assumptions": list(MODEL_ASSUMPTIONS),
+        "seed": state_to_obj(seed),
+        "events": [event_to_obj(e) for e in events],
+        "final": state_to_obj(final),
+    }
 
 
 def trace_stream(seed: ResolutionState, events, final: ResolutionState,
                  config: RunConfig) -> dict:
     """``trace_to_obj`` with its event and chart arrays as one-shot
-    iterators: ``write_json`` builds each entry as it writes it and drops
-    it, so writing never holds the whole document.
+    iterators: ``write_json`` lays out each entry as it writes it and
+    drops it, so writing never holds the whole document.
 
-    Each chart item and lex pair is one ``_Fragment`` laid out directly,
-    and the bytes still equal ``json.dumps(trace_to_obj(...), indent=1,
-    sort_keys=True)``; a flush of ``_FLUSH_AT`` pieces may hold as many
-    charts.  A chart is laid out once while it is live: a child's text is
-    kept, reused and dropped at its last use, as a parent or in the final
-    state, and a seed chart's text is kept for the seed, written last.  So
-    streaming holds the text of the live and seed charts, not of the
-    trace; the bytes never depend on the memo.
+    Each event is one ``_Fragment`` and each chart item of the seed and
+    final state another, laid out directly from templates; the bytes still
+    equal ``json.dumps(trace_to_obj(...), indent=1, sort_keys=True)``.  A
+    chart is laid out once while it is live, in the form an event embeds
+    it: a child's text is kept, reused and dropped at its last use, as a
+    parent or in the final state, and a seed chart's text is kept for the
+    seed, written last.  So streaming holds the text of the live and seed
+    charts and of one event, not of the trace; the bytes never depend on
+    the memo.
     """
     texts, entries = {}, _Entries()
     in_seed = {chart for chart, _ in seed.charts}
 
-    def item(chart, count, keep=True):
+    def chart_text(chart, keep) -> str:
         text = texts.pop(chart, None) or _chart_text(chart, entries)
         if keep:
             texts[chart] = text
-        return _item_text(text, count)
+        return text
 
-    return _trace_obj(seed, events, final, config, iter, item,
-                      lambda chart, count: item(chart, count, chart in in_seed), _lex_text)
+    def event_text(e) -> _Fragment:
+        # Parents first: an event consumes its parents, then produces its children.
+        parents = [_ITEM % (chart_text(c, c in in_seed), _count(n)) for c, n in e.parents]
+        children = [_ITEM % (chart_text(c, True), _count(n)) for c, n in e.children]
+        rule = e.rule
+        return _Fragment(_EVENT % (
+            _array(children, " "), _leaf(e.exceptional), _leaf(e.index),
+            _array([_LEX % _ints((*p, *c)) for p, c in e.lex], " "),
+            _scalars(e.new_divisor, " "), _array(parents, " "), _leaf(e.phase),
+            _leaf(rule.det_size), _scalars(rule.divisors, "  ", "[]"), _leaf(rule.kind),
+            _scalars(rule.new_divisor, "  "), _scalars(rule.pair, "  ", "[]")))
 
+    def item(chart, count) -> _Fragment:
+        text = chart_text(chart, chart in in_seed).replace("\n   ", "\n ")
+        return _Fragment('{\n "chart": ' + text + ',\n "count": ' + _leaf(count) + "\n}")
 
-def _trace_obj(seed, events, final, config, seq, kept, last, lex) -> dict:
-    """The trace document; ``seq`` makes its event and chart arrays, and
-    ``kept``, ``last`` and ``lex`` lay out children, other uses and lex pairs."""
     return {
         "config": config.to_json_obj(),
         "assumptions": list(MODEL_ASSUMPTIONS),
-        "seed": _state_obj(seed, last, seq),
-        "events": seq(_event_obj(e, kept, last, lex) for e in events),
-        "final": _state_obj(final, last, seq),
+        "seed": _state_obj(seed, item, iter),
+        "events": map(event_text, events),
+        "final": _state_obj(final, item, iter),
     }
+
+
+# The templates of an event at depth 0 (keys sorted), of a chart item in
+# it and of a lex pair in it; the chart slot takes a chart's text indented
+# by three spaces.
+_EVENT = ('{\n "children": %s,\n "exceptional": %s,\n "index": %s,\n "lex": %s,\n'
+          ' "new_divisor": %s,\n "parents": %s,\n "phase": %s,\n "rule": {\n'
+          '  "det_size": %s,\n  "divisors": %s,\n  "kind": %s,\n'
+          '  "new_divisor": %s,\n  "pair": %s\n }\n}')
+_ITEM = '{\n   "chart": %s,\n   "count": %s\n  }'
+_LEX = "[\n   [\n    %s,\n    %s,\n    %s\n   ],\n   [\n    %s,\n    %s,\n    %s\n   ]\n  ]"
+
+
+def _array(texts: list, pad: str) -> str:
+    """The array of the laid-out ``texts`` whose closing bracket is
+    indented by ``pad``."""
+    if not texts:
+        return "[]"
+    inner = "\n " + pad
+    return "[" + inner + ("," + inner).join(texts) + "\n" + pad + "]"
+
+
+def _count(n):
+    """``n`` itself for a ``%s`` slot if it is an int, else its JSON text:
+    ``"%s" % True`` would write ``True``."""
+    return n if type(n) is int else _leaf(n)
+
+
+def _ints(values: tuple) -> tuple:
+    """``_count`` of each of ``values``, checked for all at once."""
+    return values if {*map(type, values)} == _INT else tuple(map(_leaf, values))
+
+
+def _scalars(values, pad: str, empty: str = "null") -> str:
+    """``_array`` of scalars, or ``empty`` for an empty or None ``values``."""
+    return _array(list(map(_leaf, values)), pad) if values else empty
 
 
 class _Entries(dict):
@@ -816,24 +863,13 @@ class _Entries(dict):
         return text
 
 
-def _chart_text(chart: ChartState, entries: _Entries) -> _Fragment:
-    """The text that ``write_json`` writes for ``cc.chart_to_obj(chart)``."""
+def _chart_text(chart: ChartState, entries: _Entries) -> str:
+    """The text of ``cc.chart_to_obj(chart)`` as ``_ITEM`` embeds it, at depth 3."""
     xs, exps = sorted(chart.x_indices), chart.exponents
-    a = "{\n  " + ",\n  ".join(map(entries.__getitem__, exps)) + "\n }" if exps else "{}"
-    return _Fragment('{\n "a": ' + a + ',\n "m": ' + int.__repr__(chart.det_size)
-                     + ',\n "x": [\n  ' + ",\n  ".join(map(_encode_str, xs)) + "\n ]\n}")
-
-
-def _item_text(chart: _Fragment, count) -> _Fragment:
-    """``{"chart": chart, "count": count}`` for the text of a chart."""
-    return _Fragment('{\n "chart": ' + chart.replace("\n", "\n ")
-                     + ',\n "count": ' + _leaf(count) + "\n}")
-
-
-def _lex_text(pair) -> _Fragment:
-    """The text of ``_lex_obj(pair)``."""
-    return _Fragment("[\n [\n  %s,\n  %s,\n  %s\n ],\n [\n  %s,\n  %s,\n  %s\n ]\n]"
-                     % tuple(map(_leaf, (*pair[0], *pair[1]))))
+    a = ("{\n     " + ",\n     ".join(map(entries.__getitem__, exps)) + "\n    }"
+         if exps else "{}")
+    return ('{\n    "a": ' + a + ',\n    "m": ' + int.__repr__(chart.det_size)
+            + ',\n    "x": [\n     ' + ",\n     ".join(map(_encode_str, xs)) + "\n    ]\n   }")
 
 
 @dataclass(frozen=True)

@@ -960,21 +960,52 @@ class _FullFile(io.StringIO):
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
 
+class _FullAfterOneWrite(io.StringIO):
+    """A file on a device that fills up once one write has gone through."""
+
+    def __init__(self):
+        super().__init__()
+        self.accepted = []
+
+    def write(self, text):
+        if self.accepted:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        self.accepted.append(text)
+        return len(text)
+
+
+@pytest.fixture()
+def double_point_file(tmp_path):
+    """The double point at corank 40, whose trace is streamed in many writes."""
+    snc = sm.from_index_sets(["E1", "E2"], [{"E1", "E2"}])
+    path = tmp_path / "double_point.json"
+    path.write_text(json.dumps({"snc": sm.to_json_obj(snc), "coranks": {"E1+E2": 40}}))
+    return str(path)
+
+
 @pytest.mark.parametrize("existing", [None, "kept\n"])
-@pytest.mark.parametrize("command", ["gen", "resolve", "dualcomplex"])
-def test_a_write_failing_after_the_probe_exits_2(seed_file, triangle_file, tmp_path, capsys,
-                                                 monkeypatch, command, existing):
+@pytest.mark.parametrize("command", ["gen", "resolve", "dualcomplex", "resolve-streamed"])
+def test_a_write_failing_after_the_probe_exits_2(seed_file, triangle_file, double_point_file,
+                                                 tmp_path, capsys, monkeypatch, command,
+                                                 existing):
     out = tmp_path / "out.txt"
     if existing is not None:
         out.write_text(existing)
     argv = {"gen": ["gen", "--out", str(out)],
             "resolve": ["resolve", "--input", seed_file, "--trace", str(out)],
-            "dualcomplex": ["dualcomplex", "--input", triangle_file, "--dot", str(out)]}
+            "dualcomplex": ["dualcomplex", "--input", triangle_file, "--dot", str(out)],
+            "resolve-streamed": ["resolve", "--input", double_point_file, "--trace", str(out)]}
+    # A streamed trace fails part way: its first write goes through.
+    device = _FullAfterOneWrite if command == "resolve-streamed" else _FullFile
+    opened = []
     real_open = open
 
     def full_device_open(path, mode="r", **kwargs):
         # The probe appends and the input is read as usual; only the write fails.
-        return _FullFile() if mode == "w" else real_open(path, mode, **kwargs)
+        if mode != "w":
+            return real_open(path, mode, **kwargs)
+        opened.append(device())
+        return opened[-1]
 
     monkeypatch.setattr(cli, "open", full_device_open, raising=False)
     assert cli.main(argv[command]) == cli.EXIT_INPUT
@@ -984,6 +1015,9 @@ def test_a_write_failing_after_the_probe_exits_2(seed_file, triangle_file, tmp_p
         assert not out.exists()
     else:
         assert out.read_text() == existing
+    if command == "resolve-streamed":
+        (handle,) = opened
+        assert handle.accepted[0].startswith('{\n "assumptions": [')
 
 
 @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])

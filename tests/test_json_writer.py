@@ -195,8 +195,8 @@ def test_a_chart_consumed_and_produced_again_streams_the_same_bytes(monkeypatch)
     # Event 1 reuses b and a, the final state a, b and c, the seed a.
 
 
-# The direct layouts of ``trace_stream`` against ``write_json`` of the dicts
-# and lists that ``trace_to_obj`` builds.
+# The event layout of ``trace_stream`` against ``write_json`` of the dict
+# that ``event_to_obj`` builds.
 
 chart_ids = st.text(st.one_of(st.characters(), st.sampled_from('"\\\né😀')), max_size=6)
 big_ints = st.integers(min_value=0, max_value=2 ** 200)
@@ -208,37 +208,73 @@ charts = st.builds(cc.ChartState.of, st.sets(chart_ids, min_size=1, max_size=4),
 values = st.one_of(st.integers(min_value=-2 ** 200, max_value=2 ** 200),
                    st.booleans(), st.floats())
 degrees = st.tuples(values, values, values)
+chart_items = st.lists(st.tuples(charts, values), max_size=3).map(tuple)
+maybe_divisor = st.one_of(st.none(), st.tuples(chart_ids, big_ints))
+rules = st.builds(cc.RuleApplication, st.sampled_from(sorted(cc.RULES)),
+                  st.lists(chart_ids, min_size=1, max_size=2).map(tuple),
+                  st.lists(chart_ids, max_size=3).map(tuple),
+                  st.one_of(st.none(), big_ints), maybe_divisor)
+events = st.builds(re_.BlowupEvent, big_ints, chart_ids, rules, chart_items, chart_items,
+                   maybe_divisor, st.one_of(st.none(), chart_ids),
+                   st.lists(st.tuples(degrees, degrees).filter(lambda p: p[1] < p[0]),
+                            max_size=3).map(tuple))
+ONE_CHART = sm.dual_complex_of(sm.from_index_sets(["E1", "E2"], [{"E1", "E2"}]))
 
 
-def direct_layouts(chart, count, pair, entries):
-    """(layout, the ``write_json`` text it must equal) for one chart, its
-    chart item and a lex pair."""
-    text = re_._chart_text(chart, entries)
-    return [(written(text), written(cc.chart_to_obj(chart))),
-            (written(re_._item_text(text, count)),
-             written({"chart": cc.chart_to_obj(chart), "count": count})),
-            (written(re_._lex_text(pair)), written(re_._lex_obj(pair)))]
+def event_layout(event) -> str:
+    """The one fragment ``trace_stream`` lays out for ``event``."""
+    state = re_.ResolutionState(ONE_CHART, (), ())
+    (text,) = re_.trace_stream(state, [event], state, re_.RunConfig())["events"]
+    assert type(text) is re_._Fragment
+    return text
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(charts, min_size=1, max_size=3), values, st.tuples(degrees, degrees))
-def test_direct_layouts_equal_the_writer(chart_list, count, pair):
-    entries = re_._Entries()  # shared, as within one stream
-    for chart in chart_list:
-        text = re_._chart_text(chart, entries)
-        assert type(text) is re_._Fragment
-        assert type(re_._item_text(text, count)) is re_._Fragment
-        for got, want in direct_layouts(chart, count, pair, entries):
-            assert got == want
-    assert type(re_._lex_text(pair)) is re_._Fragment
+@given(st.lists(events, min_size=1, max_size=3))
+def test_direct_layouts_equal_the_writer(event_list):
+    for event in event_list:
+        assert written(event_layout(event)) == written(re_.event_to_obj(event))
 
 
-def test_a_streamed_trace_with_a_bool_count_equals_the_standard_library():
+def _chart(m):
+    return cc.ChartState.of(["E1", "E2"], m, {"a": 2})
+
+
+def _det(index, parents, children, lex):
+    """A DET event with its determinant size and a new divisor."""
+    rule = cc.RuleApplication("DET", ("E1", "E2"), (), 3, ("w1", 1))
+    return re_.BlowupEvent(index, "A-det", rule, parents, children, ("w1", 1), "w1", lex)
+
+
+# Hand-built events at the edges of the layout; a True count is an input of
+# the bool count test below.
+EDGE_EVENTS = {
+    "empty children and lex": _blowup(0, ((_chart(2), 1),), ()),
+    "no divisor, a BIN pair of one": _blowup(0, ((_chart(2), 1),), ((_chart(1), 2),)),
+    "DET with det_size": _det(0, ((_chart(3), 1),), ((_chart(2), 2),),
+                              ((cc.MultiDegree(3, 1, 0), cc.MultiDegree(2, 1, 0)),)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_EVENTS))
+def test_an_edge_event_streams_the_standard_library_bytes(name):
+    event = EDGE_EVENTS[name]
+    seed = re_.ResolutionState(ONE_CHART, (), event.parents)
+    final = re_.ResolutionState(ONE_CHART, (), event.children)
+    config = re_.RunConfig()
+    assert written(event_layout(event)) == written(re_.event_to_obj(event))
+    want = reference(re_.trace_to_obj(seed, [event], final, config))
+    assert written(re_.trace_stream(seed, [event], final, config)) == want
+
+
+@pytest.mark.parametrize("where", ["seed", "parent", "child", "final"])
+def test_a_streamed_trace_with_a_bool_count_equals_the_standard_library(where):
     chart = cc.ChartState.of(["E1"], 1, {"a": 2})
-    dual = sm.dual_complex_of(sm.from_index_sets(["E1", "E2"], [{"E1", "E2"}]))
-    seed = re_.ResolutionState(dual, (), ((chart, True),))
-    events = [_blowup(0, ((chart, 1),), ((chart, 2),))]
-    final = re_.ResolutionState(dual, (), ((chart, 2),))
+    count = {name: True if name == where else n
+             for name, n in (("seed", 1), ("parent", 1), ("child", 2), ("final", 2))}
+    seed = re_.ResolutionState(ONE_CHART, (), ((chart, count["seed"]),))
+    events = [_blowup(0, ((chart, count["parent"]),), ((chart, count["child"]),))]
+    final = re_.ResolutionState(ONE_CHART, (), ((chart, count["final"]),))
     config = re_.RunConfig()
     want = reference(re_.trace_to_obj(seed, events, final, config))
     assert '"count": true' in want

@@ -14,6 +14,8 @@ import random
 import tracemalloc
 from pathlib import Path
 
+import pytest
+
 from sncresolve import chart_calculus as cc
 from sncresolve import cli
 from sncresolve import poly_oracle as po
@@ -64,10 +66,11 @@ def _written(doc) -> str:
     return "".join(parts)
 
 
-def test_streaming_a_trace_never_holds_the_document():
+@pytest.mark.parametrize("name", ["germ", "double_point"])
+def test_streaming_a_trace_never_holds_the_document(name):
     # ``resolve --trace`` streams the trace; writing the materialized
     # document holds all of it.  Allocations are deterministic.
-    doc = fx.germ_seed_doc(sm)
+    doc = fx.large_seed_docs(sm)[name]
     seed = re_.seed_from_snc(sm.from_json_obj(doc["snc"]), doc["coranks"])
     config = re_.RunConfig()
     final, events = re_.run(seed, config)

@@ -92,7 +92,8 @@ class DualComplex:
 
     Immutable: ``cells`` is a read-only mapping and no attribute can be
     set after construction, so a complex shared by many states cannot
-    drift.  ``_violations`` keeps ``validate``'s answer (None: unknown).
+    drift.  ``cells`` is in (dimension, id) order, whatever order the cells
+    come in.  ``_violations`` keeps ``validate``'s answer (None: unknown).
     """
 
     __slots__ = ("_cells", "_violations")
@@ -103,7 +104,8 @@ class DualComplex:
             if cell.id in by_id:
                 raise ValueError(f"duplicate cell id {cell.id!r}")
             by_id[cell.id] = cell
-        object.__setattr__(self, "_cells", MappingProxyType(by_id))
+        ordered = {c.id: c for c in sorted(by_id.values(), key=lambda c: (c.dim, c.id))}
+        object.__setattr__(self, "_cells", MappingProxyType(ordered))
         object.__setattr__(self, "_violations", None)
 
     def __setattr__(self, name, value):
@@ -137,8 +139,7 @@ class DualComplex:
         return max((c.dim for c in self._cells.values()), default=-1)
 
     def cells_of_dim(self, k: int) -> list:
-        return sorted((c for c in self._cells.values() if c.dim == k),
-                      key=lambda c: c.id)
+        return [c for c in self._cells.values() if c.dim == k]
 
     def cell_counts(self) -> list:
         by_dim = Counter(c.dim for c in self._cells.values())
@@ -170,7 +171,7 @@ def _known_valid(value):
 def _find_violations(complex: DualComplex) -> list:
     out = []
     cells = complex.cells
-    for cell in sorted(cells.values(), key=lambda c: (c.dim, c.id)):
+    for cell in cells.values():
         if cell.dim < 0:
             out.append(Violation("dimension", cell.id, f"negative dimension {cell.dim}"))
             continue
@@ -462,7 +463,7 @@ def homology(complex: DualComplex) -> HomologyReport:
     top = len(counts) - 1
     if top < 0:
         return HomologyReport((), (), 0)
-    cells = sorted(complex.cells.values(), key=lambda c: (c.dim, c.id))
+    cells = complex.cells.values()
     index = {c.id: i for i, c in enumerate(cells)}
     boundary = [{index[f]: x for f, x in _signed_facets(c).items()} for c in cells]
     components = _coreduce(boundary, counts[0])
@@ -523,7 +524,7 @@ def remove_open_star(complex: DualComplex, cell_id: str) -> DualComplex:
 
 def to_json_obj(complex: DualComplex) -> dict:
     cells = []
-    for cell in sorted(complex.cells.values(), key=lambda c: (c.dim, c.id)):
+    for cell in complex.cells.values():
         entry = {"id": cell.id, "dim": cell.dim, "facets": list(cell.facets)}
         if cell.label is not None:
             entry["label"] = sorted(cell.label)

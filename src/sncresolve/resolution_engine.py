@@ -729,12 +729,12 @@ def event_from_obj(obj: dict) -> BlowupEvent:
 
 
 def state_to_obj(state: ResolutionState) -> dict:
-    return _state_obj(state, _item_obj, list)
+    return _state_obj(state, dc.to_json_obj(state.dual), _item_obj, list)
 
 
-def _state_obj(state: ResolutionState, item, seq) -> dict:
+def _state_obj(state: ResolutionState, dual, item, seq) -> dict:
     return {
-        "dual": dc.to_json_obj(state.dual),
+        "dual": dual,
         "registry": [{"id": r.id, "coeff": r.coeff, "birth": r.birth}
                      for r in state.registry],
         "charts": seq(starmap(item, state.charts)),
@@ -783,7 +783,7 @@ def trace_stream(seed: ResolutionState, events, final: ResolutionState,
     parent or in the final state, and a seed chart's text is kept for the
     seed, written last.  So streaming holds the text of the live and seed
     charts and of one event, not of the trace; the bytes never depend on
-    the memo.
+    the memo.  A dual complex that both states share is laid out once.
     """
     texts, entries = {}, _Entries()
     in_seed = {chart for chart, _ in seed.charts}
@@ -810,12 +810,16 @@ def trace_stream(seed: ResolutionState, events, final: ResolutionState,
         text = chart_text(chart, chart in in_seed).replace("\n   ", "\n ")
         return _Fragment('{\n "chart": ' + text + ',\n "count": ' + _leaf(count) + "\n}")
 
+    chunks = []
+    write_json(dc.to_json_obj(seed.dual), chunks.append)
+    dual = _Fragment("".join(chunks))
     return {
         "config": config.to_json_obj(),
         "assumptions": list(MODEL_ASSUMPTIONS),
-        "seed": _state_obj(seed, item, iter),
+        "seed": _state_obj(seed, dual, item, iter),
         "events": map(event_text, events),
-        "final": _state_obj(final, item, iter),
+        "final": _state_obj(final, dual if final.dual is seed.dual
+                            else dc.to_json_obj(final.dual), item, iter),
     }
 
 

@@ -69,7 +69,7 @@ class SncVariety:
     components and a tuple of ``Stratum`` records."""
 
     components: frozenset
-    strata: tuple  # Stratum records, sorted by id
+    strata: tuple  # Stratum records; ``of`` sorts them by id, the constructor does not
     _violations: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -120,26 +120,20 @@ def _find_violations(snc: SncVariety) -> list:
             unknown = s.indices - snc.components
             out.append(f"stratum {s.id!r} mentions unknown components {sorted(unknown)}")
 
-    singletons = {}
-    for s in snc.strata:
-        if len(s.indices) == 1:
-            singletons.setdefault(next(iter(s.indices)), []).append(s.id)
-    for comp in sorted(snc.components):
-        if comp not in singletons:
-            out.append(f"component {comp!r} has no singleton stratum")
+    singletons = {next(iter(s.indices)) for s in snc.strata if len(s.indices) == 1}
+    for comp in sorted(snc.components - singletons):
+        out.append(f"component {comp!r} has no singleton stratum")
 
-    # Each stratum's own parent map, built once; a list, as ids may repeat.
-    maps = [s.parent_map() for s in snc.strata]
-    for s, parents in zip(snc.strata, maps):
+    for s in snc.strata:
         if len(s.indices) < 2:
             if s.parents:
                 out.append(f"stratum {s.id!r}: a singleton stratum has no parents")
             continue
-        if parents.keys() != s.indices:
+        if {j for j, _ in s.parents} != s.indices:  # the dropped ids are distinct
             out.append(f"stratum {s.id!r}: parents must be designated for "
                        f"exactly the indices {sorted(s.indices)}")
             continue
-        for j, pid in parents.items():
+        for j, pid in s.parents:
             parent = by_id.get(pid)
             if parent is None:
                 out.append(f"stratum {s.id!r}: parent {pid!r} does not exist")
@@ -151,11 +145,13 @@ def _find_violations(snc: SncVariety) -> list:
 
     # Two-step coherence: dropping j then i must reach the same stratum as
     # dropping i then j.  This is what makes the dual complex attach
-    # consistently.  A repeated id's parent lookups see its last record.
-    # If nothing failed and no index set repeats, ids are unique and each parent over j
-    # is over J - {j}: both descents of {i, j} reach the one stratum over J - {i, j}.
+    # consistently.  Each stratum reads its own parent map, but a repeated
+    # id's parent lookups see its last record.  If nothing failed and no index
+    # set repeats, ids are unique and each parent over j is over J - {j}: both
+    # descents of {i, j} reach the one stratum over J - {i, j}, and no map is built.
     if not out and len({s.indices for s in snc.strata}) == len(snc.strata):
         return out
+    maps = [s.parent_map() for s in snc.strata]
     parent_maps = {s.id: m for s, m in zip(snc.strata, maps)}
     for s, parents in zip(snc.strata, maps):
         if len(s.indices) < 3:
@@ -169,8 +165,7 @@ def _find_violations(snc: SncVariety) -> list:
                 pj = parent_maps.get(parents.get(j, ""))
                 if pj is None:
                     continue
-                via_i = pi.get(j)
-                via_j = pj.get(i)
+                via_i, via_j = pi.get(j), pj.get(i)
                 if via_i != via_j:
                     out.append(
                         f"stratum {s.id!r}: incoherent parents, dropping "

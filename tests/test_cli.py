@@ -1112,3 +1112,98 @@ def test_the_read_boundary_maps_every_corruption_to_an_exit_code(tmp_path_factor
         assert code == cli.EXIT_INPUT and out.getvalue() == ""
         assert err.getvalue().startswith(f"cannot read {path}: ")
         assert err.getvalue().count("\n") == 1
+
+
+def _dualcomplex_docs() -> list:
+    """The documents ``dualcomplex`` is fuzzed with: two varieties, the germ
+    of three planes and a chain of three components, and their complexes."""
+    varieties = [sm.coordinate_germ(3),
+                 sm.from_index_sets(["E1", "E2", "E3"], [{"E1", "E2"}, {"E2", "E3"}])]
+    return ([sm.to_json_obj(v) for v in varieties]
+            + [dc.to_json_obj(sm.dual_complex_of(v)) for v in varieties])
+
+
+# Mutations that change only the order of a document's records or keys:
+# a complex keeps its cells, and a variety its strata and parent pairs, in
+# one order whatever order they are read in.
+_REORDERINGS = ("shuffle", "reverse", "reverse parents")
+_WRONG_VALUES = [7, -1, "E1", "", None, True, 1.5, [], {}, ["E1"], [7], ["E1", "E1"],
+                 {"E1": "E2"}, {"E1": 7}]
+
+
+@st.composite
+def _mutated_documents(draw):
+    """(a ``_dualcomplex_docs`` document, a mutated copy, the mutation's
+    name).  The copy has its records shuffled or reversed, a stratum's
+    parent map reversed or inverted (a cell's facets reversed), a record's
+    id or the record itself repeated, or one field dropped or given a value
+    of another type."""
+    pick = draw(st.integers(0, 3))
+    original, doc = _dualcomplex_docs()[pick], _dualcomplex_docs()[pick]
+    key = "cells" if "cells" in doc else "strata"
+    records = doc[key]
+    kind = draw(st.sampled_from(_REORDERINGS + (
+        "invert parents", "repeat id", "repeat record", "drop", "retype")))
+    at = draw(st.integers(0, len(records) - 1))
+    record = records[at]
+    if kind == "shuffle":
+        draw(st.randoms(use_true_random=False)).shuffle(records)
+    elif kind == "reverse":
+        records.reverse()
+    elif kind in ("reverse parents", "invert parents"):
+        if key == "cells":  # a cell's facets stand in for a stratum's parents
+            record["facets"].reverse()
+            kind = "reverse facets"
+        else:
+            deep = [r for r in records if r["parents"]]
+            record = deep[at % len(deep)]
+            parents = record["parents"]
+            record["parents"] = (dict(reversed(parents.items())) if kind == "reverse parents"
+                                 else {pid: j for j, pid in parents.items()})
+    elif kind == "repeat id":
+        record["id"] = records[(at + 1) % len(records)]["id"]
+    elif kind == "repeat record":
+        records.append(dict(record))
+    else:
+        target = draw(st.sampled_from([doc, record]))
+        field = draw(st.sampled_from(sorted(target)))
+        if kind == "drop":
+            del target[field]
+        else:
+            target[field] = draw(st.sampled_from(_WRONG_VALUES))
+    return original, doc, kind
+
+
+def _dualcomplex_run(tmp_path, doc, options) -> tuple:
+    """(exit code, stdout, stderr, DOT text or None) of ``dualcomplex`` on ``doc``."""
+    path, dot = tmp_path / "input.json", tmp_path / "skeleton.dot"
+    path.write_text(json.dumps(doc))
+    argv = ["dualcomplex", "--input", str(path)] + [str(dot) if o == "DOT" else o
+                                                    for o in options]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    text = dot.read_text() if dot.exists() else None
+    return code, out.getvalue().replace(str(dot), "DOT"), err.getvalue(), text
+
+
+@settings(max_examples=120, deadline=None)
+@given(_mutated_documents(), st.sampled_from([[], ["--json"], ["--dot", "DOT"]]))
+def test_dualcomplex_never_crashes_on_a_mutated_document(tmp_path_factory, mutated, options):
+    original, doc, kind = mutated
+    code, out, err, dot = _dualcomplex_run(tmp_path_factory.mktemp("mutated"), doc, options)
+    assert code in (cli.EXIT_OK, cli.EXIT_INPUT), err
+    assert "Traceback" not in err
+    assert (code == cli.EXIT_OK) == (err == "")
+    if code == cli.EXIT_INPUT:
+        assert out == "" and dot is None
+        try:
+            # A complex document that parses but fails validation gets one
+            # line per violation; every other refusal is one line.
+            lines = [str(v) for v in dc.validate(dc.from_json_obj(doc))]
+        except ValueError:
+            lines = [err.rstrip("\n")]
+        assert err.splitlines() == lines and err.count("\n") == len(lines)
+    if kind in _REORDERINGS:
+        want = _dualcomplex_run(tmp_path_factory.mktemp("original"), original, options)
+        assert (code, out, err, dot) == want

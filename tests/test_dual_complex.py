@@ -152,6 +152,41 @@ def test_validate_equals_the_reference_on_malformed_complexes(seed):
                                  for k in range(bad.dimension() + 1)]
 
 
+def _dim_id(cell):
+    return cell.dim, cell.id
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_a_shuffled_cell_list_builds_the_same_complex(seed):
+    # A complex keeps its cells in (dimension, id) order whatever order they
+    # come in, so no reader depends on the order of the input.
+    rng = random.Random(seed)
+    complex = random_delta_complex(rng, max_cells=80)
+    for original in (complex, _malformed(rng, complex)):
+        cells = list(original.cells.values())
+        rng.shuffle(cells)
+        shuffled = DualComplex(cells)
+        assert list(shuffled.cells.values()) == sorted(cells, key=_dim_id)
+        assert list(shuffled.cells.values()) == list(original.cells.values())
+        assert dc.validate(shuffled) == dc.validate(original) == reference_validate(shuffled)
+        assert dc.to_json_obj(shuffled) == dc.to_json_obj(original)
+        for k in range(-1, original.dimension() + 2):
+            assert shuffled.cells_of_dim(k) == original.cells_of_dim(k)
+            assert shuffled.cells_of_dim(k) == sorted(
+                (c for c in cells if c.dim == k), key=_dim_id)
+    shuffled = DualComplex(rng.sample(list(complex.cells.values()), len(complex)))
+    assert dc.homology(shuffled) == dc.homology(complex) == per_map_homology(complex)
+    assert dc.to_dot(shuffled) == dc.to_dot(complex)
+
+
+def test_a_repeated_cell_id_is_named_in_the_given_order():
+    # The constructor checks ids before it sorts: the first repeat given is named.
+    cells = [Cell.of("b", 0), Cell.of("a", 0), Cell.of("b", 0), Cell.of("a", 0)]
+    with pytest.raises(ValueError, match="^duplicate cell id 'b'$"):
+        DualComplex(cells)
+
+
 # --------------------------------------------------------------------------
 # homology
 # --------------------------------------------------------------------------

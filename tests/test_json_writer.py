@@ -279,3 +279,19 @@ def test_a_streamed_trace_with_a_bool_count_equals_the_standard_library(where):
     want = reference(re_.trace_to_obj(seed, events, final, config))
     assert '"count": true' in want
     assert written(re_.trace_stream(seed, events, final, config)) == want
+
+
+@pytest.mark.parametrize("final_dual", [
+    sm.dual_complex_of(sm.from_index_sets(["E1", "E2"], [{"E1", "E2"}])),  # equal, not shared
+    sm.dual_complex_of(sm.coordinate_germ(3)),
+    sm.dual_complex_of(sm.from_index_sets(["E1"], [])),
+])
+def test_a_final_state_with_its_own_dual_complex_streams_its_own_bytes(final_dual):
+    # Only a dual complex that the seed and final state share is laid out once.
+    chart = cc.ChartState.of(["E1"], 1, {"a": 2})
+    seed = re_.ResolutionState(ONE_CHART, (), ((chart, 1),))
+    events = [_blowup(0, ((chart, 1),), ((chart, 2),))]
+    final = re_.ResolutionState(final_dual, (), ((chart, 2),))
+    config = re_.RunConfig()
+    want = reference(re_.trace_to_obj(seed, events, final, config))
+    assert written(re_.trace_stream(seed, events, final, config)) == want

@@ -133,6 +133,9 @@ MALFORMED = {
     "missing singleton": (["A", "B"], [Stratum.of("A", ["A"])]),
     "missing parent": (["A", "B"], _singletons("A", "B") + [
         Stratum.of("AB", ["A", "B"], {"A": "B"})]),
+    # As many parents as indices, but one drops C, which AB does not hold.
+    "parent over a foreign index": (["A", "B", "C"], _singletons("A", "B", "C") + [
+        Stratum.of("AB", ["A", "B"], {"A": "B", "C": "A"})]),
     "wrong parent index set": (["A", "B", "C"], _singletons("A", "B", "C") + [
         Stratum.of("AB", ["A", "B"], {"A": "C", "B": "A"})]),
     # ABC's parent over A lies over {A, C} (B dropped instead), then over {C} (two dropped).
@@ -413,15 +416,22 @@ def test_mutated_varieties_cover_every_kind_of_violation():
 
 
 def test_validate_snc_builds_each_parent_map_once(monkeypatch):
+    # A valid germ is checked from the sorted parent pairs alone; only the
+    # two-step coherence check builds maps, one per stratum.
     calls = []
     original = Stratum.parent_map
     monkeypatch.setattr(Stratum, "parent_map",
                         lambda self: calls.append(self.id) or original(self))
     germ = sm.coordinate_germ(10)
     assert sm.validate_snc(germ) == []
-    assert len(calls) == len(germ.strata)
-    assert sm.validate_snc(germ) == []  # answered from the memo
-    assert len(calls) == len(germ.strata)
+    assert calls == []
+    for name in ("incoherent", "duplicate deep strata"):
+        calls.clear()
+        snc = SncVariety.of(*MALFORMED[name])
+        violations = sm.validate_snc(snc)
+        assert sorted(calls) == sorted(s.id for s in snc.strata), name
+        assert sm.validate_snc(snc) == violations  # answered from the memo
+        assert len(calls) == len(snc.strata), name
 
 
 def test_dual_complex_of_builds_no_parent_map(monkeypatch):

@@ -86,14 +86,7 @@ def _print_err(*parts):
 
 
 def _print_json(obj):
-    re_.write_json(obj, sys.stdout.write)
-    sys.stdout.write("\n")
-
-
-def _save_json(path: str, obj):
-    with open(path, "w", encoding="utf-8") as handle:
-        re_.write_json(obj, handle.write)
-        handle.write("\n")
+    print(json.dumps(obj, indent=1, sort_keys=True))
 
 
 # --------------------------------------------------------------------------
@@ -183,7 +176,9 @@ def cmd_resolve(args, doc) -> int:
     # Every state of a run shares the seed's immutable dual complex.
     print("dual complex preserved: yes")
     if args.trace:
-        _save_json(args.trace, re_.trace_stream(seed, events, final, config))
+        with open(args.trace, "w", encoding="utf-8") as handle:
+            re_.write_trace(seed, events, final, config, handle.write)
+            handle.write("\n")
         print("trace written:", args.trace)
     return EXIT_OK
 
@@ -264,7 +259,8 @@ def cmd_gen(args, _doc) -> int:
     state = random_state(random.Random(args.seed))
     doc = re_.state_to_obj(state)
     if args.out:
-        _save_json(args.out, doc)
+        with open(args.out, "w", encoding="utf-8") as handle:
+            handle.write(json.dumps(doc, indent=1, sort_keys=True) + "\n")
         print(f"seed state written: {args.out} "
               f"(components={len(state.dual.cells_of_dim(0))}, "
               f"charts={sum(n for _, n in state.charts)}, "

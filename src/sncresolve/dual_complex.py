@@ -552,13 +552,18 @@ def canonical_json(complex: DualComplex) -> str:
 
 
 def to_dot(complex: DualComplex) -> str:
-    """DOT rendering of the 1-skeleton (vertices and edges only)."""
+    """DOT rendering of the 1-skeleton (vertices and edges only); each id
+    and label is a quoted string with its ``\\`` and ``"`` escaped."""
     lines = ["graph skeleton {"]
     for cell in complex.cells_of_dim(0):
         label = ",".join(sorted(cell.label)) if cell.label else cell.id
-        lines.append(f'  "{cell.id}" [label="{label}"];')
+        lines.append(f"  {_dot_str(cell.id)} [label={_dot_str(label)}];")
     for cell in complex.cells_of_dim(1):
         a, b = cell.facets
-        lines.append(f'  "{a}" -- "{b}" [label="{cell.id}"];')
+        lines.append(f"  {_dot_str(a)} -- {_dot_str(b)} [label={_dot_str(cell.id)}];")
     lines.append("}")
     return "\n".join(lines)
+
+
+def _dot_str(text: str) -> str:
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'

@@ -25,13 +25,17 @@ under it as its parents, checks only the children it produces, and
 updates the newest state in place, so its cost follows the charts it
 touches rather than the whole state (apart from one minimum over the
 distinct proposed rules).
+
+A trace is the plain object of ``trace_to_obj``, which ``replay_trace``
+reads back, or the text that ``write_trace`` lays out from templates and
+writes piece by piece; both give the bytes of
+``json.dumps(doc, indent=1, sort_keys=True)``.
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import starmap
 from json.encoder import encode_basestring_ascii as _encode_str
@@ -39,7 +43,7 @@ from json.encoder import encode_basestring_ascii as _encode_str
 from . import chart_calculus as cc
 from . import dual_complex as dc
 from . import snc_model as sm
-from .chart_calculus import ChartState, MultiDegree, RuleApplication
+from .chart_calculus import ChartState, RuleApplication
 
 
 class InvariantBreach(RuntimeError):
@@ -570,50 +574,14 @@ def run(state: ResolutionState,
 # Serialization and replay
 # --------------------------------------------------------------------------
 
-# write_json hands its text to ``write`` once it holds more than _FLUSH_AT
-# pieces (mostly lines), and at once after each fragment, which can be as
-# large as a streamed trace's whole event.
-_FLUSH_AT = 1024
 _PLAIN = frozenset((str, int, type(None)))  # the scalar types the program writes
 _INT = frozenset((int,))
 
 
-class _Fragment(str):
-    """JSON text as ``write_json`` lays it out at depth 0."""
-
-
-def write_json(obj, write) -> None:
-    """Write ``obj`` as ``json.dump(obj, fp, indent=1, sort_keys=True)`` does.
-
-    The program's one indented JSON format: traces, generated states and
-    machine-readable reports.  With ``indent`` set, the standard library
-    leaves its C encoder and yields through one generator per nesting
-    level; here a plain recursion appends whole lines to one list and
-    passes it to ``write`` once a container ends with more than
-    ``_FLUSH_AT`` pieces held, and after each fragment, so the text held
-    at once stays small; the document itself is held only as far as
-    ``obj`` holds it.  Strings go through the C string encoder, which
-    also raises ``TypeError`` for a dict key that is not a ``str``; tuples
-    and iterators are written as lists, an iterator consumed as it is
-    written.
-
-    A ``_Fragment`` (one piece) is written with the indentation of its
-    place after each newline; this is exact, as the string encoder escapes
-    every control character, so a fragment's only newlines are layout ones.
-    """
-    text = _leaf(obj)
-    if text is not None:
-        write(text)
-        return
-    chunks = []
-    _write_container(obj, "", "\n", chunks, write)
-    write("".join(chunks))
-
-
-def _leaf(value) -> str | None:
-    """The JSON text of a scalar, or None for a container or a fragment."""
+def _leaf(value) -> str:
+    """The JSON text of a scalar, as ``json.dumps`` writes it."""
     if isinstance(value, str):
-        return None if type(value) is _Fragment else _encode_str(value)
+        return _encode_str(value)
     if value is None:
         return "null"
     if value is True:
@@ -622,47 +590,7 @@ def _leaf(value) -> str | None:
         return "false"
     if isinstance(value, int):
         return int.__repr__(value)
-    if isinstance(value, (list, tuple, dict, Iterator)):
-        return None
     return json.dumps(value)
-
-
-def _write_container(value, lead: str, newline: str, chunks: list, write) -> None:
-    """Append ``lead`` and the JSON text of a list, tuple, iterator, dict
-    or fragment whose closing bracket goes after ``newline`` (a newline
-    and its indentation); an empty one is written as ``[]`` or ``{}``."""
-    inner = newline + " "
-    comma = "," + inner
-    sep = inner
-    if type(value) is _Fragment:
-        chunks.append(lead + value.replace("\n", newline))
-    elif isinstance(value, dict):
-        if not value:
-            chunks.append(lead + "{}")
-            return
-        chunks.append(lead + "{")
-        for key in sorted(value):
-            item = value[key]
-            text = _leaf(item)
-            if text is None:
-                _write_container(item, sep + _encode_str(key) + ": ", inner, chunks, write)
-            else:
-                chunks.append(sep + _encode_str(key) + ": " + text)
-            sep = comma
-        chunks.append(newline + "}")
-    else:
-        chunks.append(lead + "[")
-        for item in value:
-            text = _leaf(item)
-            if text is None:
-                _write_container(item, sep, inner, chunks, write)
-            else:
-                chunks.append(sep + text)
-            sep = comma
-        chunks.append("]" if sep is inner else newline + "]")
-    if len(chunks) > _FLUSH_AT or type(value) is _Fragment:
-        write("".join(chunks))
-        chunks.clear()
 
 
 def rule_to_obj(app: RuleApplication) -> dict:
@@ -670,14 +598,6 @@ def rule_to_obj(app: RuleApplication) -> dict:
             "divisors": list(app.divisors),
             "det_size": app.det_size,
             "new_divisor": list(app.new_divisor) if app.new_divisor else None}
-
-
-def rule_from_obj(obj: dict) -> RuleApplication:
-    nd = obj.get("new_divisor")
-    return RuleApplication(obj["kind"], tuple(obj["pair"]),
-                           tuple(obj.get("divisors", ())),
-                           obj.get("det_size"),
-                           (nd[0], nd[1]) if nd else None)
 
 
 def _item_obj(chart: ChartState, count) -> dict:
@@ -716,28 +636,12 @@ def event_to_obj(event: BlowupEvent) -> dict:
     }
 
 
-def event_from_obj(obj: dict) -> BlowupEvent:
-    nd = obj.get("new_divisor")
-    return BlowupEvent(
-        obj["index"], obj["phase"], rule_from_obj(obj["rule"]),
-        _chart_items_from_obj(obj["parents"]),
-        _chart_items_from_obj(obj["children"]),
-        (nd[0], nd[1]) if nd else None,
-        obj.get("exceptional"),
-        tuple((MultiDegree(*p), MultiDegree(*c)) for p, c in obj["lex"]),
-    )
-
-
 def state_to_obj(state: ResolutionState) -> dict:
-    return _state_obj(state, dc.to_json_obj(state.dual), _item_obj, list)
-
-
-def _state_obj(state: ResolutionState, dual, item, seq) -> dict:
     return {
-        "dual": dual,
+        "dual": dc.to_json_obj(state.dual),
         "registry": [{"id": r.id, "coeff": r.coeff, "birth": r.birth}
                      for r in state.registry],
-        "charts": seq(starmap(item, state.charts)),
+        "charts": list(starmap(_item_obj, state.charts)),
     }
 
 
@@ -769,19 +673,22 @@ def trace_to_obj(seed: ResolutionState, events, final: ResolutionState,
     }
 
 
-def trace_stream(seed: ResolutionState, events, final: ResolutionState,
-                 config: RunConfig) -> dict:
-    """``trace_to_obj`` with its event and chart arrays as one-shot
-    iterators: ``write_json`` lays out each entry as it writes it and
-    drops it, so writing never holds the whole document.
+def write_trace(seed: ResolutionState, events, final: ResolutionState,
+                config: RunConfig, write) -> None:
+    """Write ``json.dumps(trace_to_obj(seed, events, final, config),
+    indent=1, sort_keys=True)`` through ``write`` piece by piece, so
+    writing never holds the whole document; ``events`` may be a one-shot
+    iterator, each event handed to ``write`` as soon as it is laid out.
 
-    Each event is one ``_Fragment`` and each chart item of the seed and
-    final state another, laid out directly from templates; the bytes still
-    equal ``json.dumps(trace_to_obj(...), indent=1, sort_keys=True)``.  A
-    chart is laid out once while it is live, in the form an event embeds
+    The keys go in sorted order: ``assumptions`` and ``config``, laid out
+    by ``json.dumps``, then the events, ``final`` and ``seed``.  Each event, chart
+    item, dual cell and registry record is laid out from a template at its
+    final depth; the string encoder escapes every control character, so
+    the only newlines in a text are layout ones and re-indenting is exact.
+    A chart is laid out once while it is live, in the form an event embeds
     it: a child's text is kept, reused and dropped at its last use, as a
     parent or in the final state, and a seed chart's text is kept for the
-    seed, written last.  So streaming holds the text of the live and seed
+    seed, written last.  So writing holds the text of the live and seed
     charts and of one event, not of the trace; the bytes never depend on
     the memo.  A dual complex that both states share is laid out once.
     """
@@ -794,44 +701,71 @@ def trace_stream(seed: ResolutionState, events, final: ResolutionState,
             texts[chart] = text
         return text
 
-    def event_text(e) -> _Fragment:
+    def event_text(e) -> str:
         # Parents first: an event consumes its parents, then produces its children.
         parents = [_ITEM % (chart_text(c, c in in_seed), _count(n)) for c, n in e.parents]
         children = [_ITEM % (chart_text(c, True), _count(n)) for c, n in e.children]
         rule = e.rule
-        return _Fragment(_EVENT % (
-            _array(children, " "), _leaf(e.exceptional), _leaf(e.index),
-            _array([_LEX % _ints((*p, *c)) for p, c in e.lex], " "),
-            _scalars(e.new_divisor, " "), _array(parents, " "), _leaf(e.phase),
-            _leaf(rule.det_size), _scalars(rule.divisors, "  ", "[]"), _leaf(rule.kind),
-            _scalars(rule.new_divisor, "  "), _scalars(rule.pair, "  ", "[]")))
+        return _EVENT % (
+            _array(children, "   "), _leaf(e.exceptional), _leaf(e.index),
+            _array([_LEX % _ints((*p, *c)) for p, c in e.lex], "   "),
+            _scalars(e.new_divisor, "   "), _array(parents, "   "), _leaf(e.phase),
+            _leaf(rule.det_size), _scalars(rule.divisors, "    ", "[]"), _leaf(rule.kind),
+            _scalars(rule.new_divisor, "    "), _scalars(rule.pair, "    ", "[]"))
 
-    def item(chart, count) -> _Fragment:
-        text = chart_text(chart, chart in in_seed).replace("\n   ", "\n ")
-        return _Fragment('{\n "chart": ' + text + ',\n "count": ' + _leaf(count) + "\n}")
+    def write_state(state, dual: str) -> None:
+        write('{\n  "charts": ')
+        # A state's chart sits one level shallower than an event's.
+        _write_array(write, (_STATE_ITEM % (chart_text(c, c in in_seed).replace("\n ", "\n"),
+                                            _count(n)) for c, n in state.charts), "  ")
+        records = [_RECORD % (_leaf(r.birth), _leaf(r.coeff), _leaf(r.id))
+                   for r in state.registry]
+        write(',\n  "dual": ' + dual + ',\n  "registry": ' + _array(records, "  ") + "\n }")
 
-    chunks = []
-    write_json(dc.to_json_obj(seed.dual), chunks.append)
-    dual = _Fragment("".join(chunks))
-    return {
-        "config": config.to_json_obj(),
-        "assumptions": list(MODEL_ASSUMPTIONS),
-        "seed": _state_obj(seed, dual, item, iter),
-        "events": map(event_text, events),
-        "final": _state_obj(final, dual if final.dual is seed.dual
-                            else dc.to_json_obj(final.dual), item, iter),
-    }
+    dual = _dual_text(seed.dual)
+    head = {"assumptions": list(MODEL_ASSUMPTIONS), "config": config.to_json_obj()}
+    # The head's text without its closing "\n}", which the trace writes last.
+    write(json.dumps(head, indent=1, sort_keys=True)[:-2] + ',\n "events": ')
+    _write_array(write, map(event_text, events), " ")
+    write(',\n "final": ')
+    write_state(final, dual if final.dual is seed.dual else _dual_text(final.dual))
+    write(',\n "seed": ')
+    write_state(seed, dual)
+    write("\n}")
 
 
-# The templates of an event at depth 0 (keys sorted), of a chart item in
-# it and of a lex pair in it; the chart slot takes a chart's text indented
-# by three spaces.
-_EVENT = ('{\n "children": %s,\n "exceptional": %s,\n "index": %s,\n "lex": %s,\n'
-          ' "new_divisor": %s,\n "parents": %s,\n "phase": %s,\n "rule": {\n'
-          '  "det_size": %s,\n  "divisors": %s,\n  "kind": %s,\n'
-          '  "new_divisor": %s,\n  "pair": %s\n }\n}')
-_ITEM = '{\n   "chart": %s,\n   "count": %s\n  }'
-_LEX = "[\n   [\n    %s,\n    %s,\n    %s\n   ],\n   [\n    %s,\n    %s,\n    %s\n   ]\n  ]"
+# The templates of an event at depth 2 (keys sorted), of a chart item and a
+# lex pair in it, and of a state's chart item, dual cell and registry
+# record; a chart slot takes ``_chart_text``.
+_EVENT = ('{\n   "children": %s,\n   "exceptional": %s,\n   "index": %s,\n   "lex": %s,\n'
+          '   "new_divisor": %s,\n   "parents": %s,\n   "phase": %s,\n   "rule": {\n'
+          '    "det_size": %s,\n    "divisors": %s,\n    "kind": %s,\n'
+          '    "new_divisor": %s,\n    "pair": %s\n   }\n  }')
+_ITEM = '{\n     "chart": %s,\n     "count": %s\n    }'
+_LEX = ("[\n     [\n      %s,\n      %s,\n      %s\n     ],\n"
+        "     [\n      %s,\n      %s,\n      %s\n     ]\n    ]")
+_STATE_ITEM = '{\n    "chart": %s,\n    "count": %s\n   }'
+_CELL = '{\n     "dim": %d,\n     "facets": %s,\n     "id": %s%s\n    }'
+_RECORD = '{\n    "birth": %s,\n    "coeff": %s,\n    "id": %s\n   }'
+
+
+def _dual_text(dual: dc.DualComplex) -> str:
+    """The text of ``dc.to_json_obj(dual)`` as a state embeds it, at depth 2."""
+    pad = "     "
+    cells = [_CELL % (c.dim, _scalars(c.facets, pad, "[]"), _encode_str(c.id),
+                      "" if c.label is None
+                      else ',\n     "label": ' + _scalars(sorted(c.label), pad, "[]"))
+             for c in dual.cells.values()]
+    return '{\n   "cells": ' + _array(cells, "   ") + "\n  }"
+
+
+def _write_array(write, texts, pad: str) -> None:
+    """Write ``_array`` of ``texts``, each text as soon as it is made."""
+    lead = "[\n " + pad
+    for text in texts:
+        write(lead + text)
+        lead = ",\n " + pad
+    write("[]" if lead[0] == "[" else "\n" + pad + "]")
 
 
 def _array(texts: list, pad: str) -> str:
@@ -868,12 +802,13 @@ class _Entries(dict):
 
 
 def _chart_text(chart: ChartState, entries: _Entries) -> str:
-    """The text of ``cc.chart_to_obj(chart)`` as ``_ITEM`` embeds it, at depth 3."""
+    """The text of ``cc.chart_to_obj(chart)`` as ``_ITEM`` embeds it, at depth 5."""
     xs, exps = sorted(chart.x_indices), chart.exponents
-    a = ("{\n     " + ",\n     ".join(map(entries.__getitem__, exps)) + "\n    }"
+    a = ("{\n       " + ",\n       ".join(map(entries.__getitem__, exps)) + "\n      }"
          if exps else "{}")
-    return ('{\n    "a": ' + a + ',\n    "m": ' + int.__repr__(chart.det_size)
-            + ',\n    "x": [\n     ' + ",\n     ".join(map(_encode_str, xs)) + "\n    ]\n   }")
+    return ('{\n      "a": ' + a + ',\n      "m": ' + int.__repr__(chart.det_size)
+            + ',\n      "x": [\n       ' + ",\n       ".join(map(_encode_str, xs))
+            + "\n      ]\n     }")
 
 
 @dataclass(frozen=True)

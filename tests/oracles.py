@@ -600,6 +600,17 @@ def random_variety(rng) -> SncVariety:
     return from_index_sets(comps, family)
 
 
+# Component ids that JSON and DOT text must escape: a newline, a quote, a
+# backslash and a non-ASCII letter.
+ODD_IDS = ["E\n1", 'E"2', "E\\3é"]
+
+
+def odd_id_variety() -> SncVariety:
+    """The three ``ODD_IDS`` components, meeting pairwise and all at once."""
+    return from_index_sets(ODD_IDS, [set(ODD_IDS[:2]), set(ODD_IDS[1:]),
+                                     {ODD_IDS[0], ODD_IDS[2]}, set(ODD_IDS)])
+
+
 def closure_rule_blowup(snc: SncVariety, center_id: str) -> SncVariety:
     """The variety left by a stratum blow-up, by the definition: drop every
     stratum id from which iterated parents reach the center, and keep the

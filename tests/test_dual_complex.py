@@ -4,6 +4,7 @@ import itertools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +17,7 @@ from sncresolve import snc_model as sm
 from sncresolve.dual_complex import Cell, DualComplex
 
 from oracles import (boundary_complex, closure_rule_open_star,
-                     klein_bottle_complex, moore_space_complex,
+                     klein_bottle_complex, moore_space_complex, odd_id_variety,
                      per_map_homology, random_delta_complex, random_variety,
                      rational_betti, reference_validate, rp2_complex,
                      simplex_complex)
@@ -622,6 +623,21 @@ def test_dot_export_lists_vertices_and_edges():
     assert dot.startswith("graph")
     assert dot.count("--") == 3
     assert '"s0"' in dot
+
+
+QUOTED = r'"(?:[^"\\]|\\.)*"'
+
+
+def test_dot_escapes_quotes_and_backslashes_in_ids_and_labels():
+    complex = sm.dual_complex_of(odd_id_variety())
+    dot = dc.to_dot(complex)
+    # Outside its quoted strings, each statement is a vertex or an edge.
+    assert re.fullmatch(r"graph skeleton \{(\n  Q(?: -- Q)? \[label=Q\];)+\n\}",
+                        re.sub(QUOTED, "Q", dot))
+    want = [text for cell in complex.cells_of_dim(0) for text in (cell.id, *cell.label)]
+    want += [text for cell in complex.cells_of_dim(1) for text in (*cell.facets, cell.id)]
+    assert [re.sub(r"\\(.)", r"\1", text[1:-1]) for text in re.findall(QUOTED, dot)] == want
+    assert any('"' in text for text in want) and any("\\" in text for text in want)
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,7 +1,7 @@
-"""The streaming JSON writer against the standard library's indented encoder."""
+"""The trace writer and the CLI's documents against the standard library's
+indented encoder."""
 
 import json
-import math
 import random
 
 import pytest
@@ -9,72 +9,25 @@ from hypothesis import given, settings, strategies as st
 
 from sncresolve import chart_calculus as cc
 from sncresolve import cli
+from sncresolve import dual_complex as dc
 from sncresolve import resolution_engine as re_
 from sncresolve import snc_model as sm
+from sncresolve.dual_complex import Cell, DualComplex
 
-
-def written(obj) -> str:
-    parts = []
-    re_.write_json(obj, parts.append)
-    return "".join(parts)
+from oracles import ODD_IDS, odd_id_variety, random_delta_complex
 
 
 def reference(obj) -> str:
     return json.dumps(obj, indent=1, sort_keys=True)
 
 
-texts = st.text(st.one_of(st.characters(),
-                          st.sampled_from('"\\/\n\r\t\b\f\x00\x1f\x7f é€😀')),
-                max_size=8)
-leaves = st.one_of(
-    st.none(), st.booleans(), texts,
-    st.integers(), st.integers(min_value=-2 ** 200, max_value=2 ** 200),
-    st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e300]))
-documents = st.recursive(
-    leaves,
-    lambda inner: st.one_of(st.lists(inner, max_size=5),
-                            st.lists(inner, max_size=5).map(tuple),
-                            st.dictionaries(texts, inner, max_size=5)),
-    max_leaves=40)
-
-
-def one_shot(doc, pick=lambda: True):
-    """``doc`` with each list or tuple that ``pick()`` chooses swapped for
-    a one-shot iterator over the same (likewise swapped) items."""
-    if isinstance(doc, dict):
-        return {key: one_shot(value, pick) for key, value in doc.items()}
-    if isinstance(doc, (list, tuple)):
-        items = [one_shot(item, pick) for item in doc]
-        return iter(items) if pick() else items
-    return doc
-
-
-@settings(max_examples=400, deadline=None)
-@given(documents, st.randoms(use_true_random=False))
-def test_writer_equals_the_standard_library(doc, rng):
-    want = reference(doc)
-    assert written(doc) == want
-    assert written(one_shot(doc, lambda: rng.random() < 0.5)) == want
-    assert written(one_shot(doc)) == want
-
-
-@pytest.mark.parametrize("doc", [[], {}, (), [[]], {"a": {}}, [(), {}, [[]]],
-                                 {"": [{"": None}]}, "\x00\ud800", 7, None])
-def test_writer_on_empty_and_edge_documents(doc):
-    assert written(doc) == reference(doc)
-    assert written(one_shot(doc)) == reference(doc)
-
-
-@pytest.mark.parametrize("make, want", [
-    (lambda: iter([]), []),
-    (lambda: (x for x in ()), []),
-    (lambda: map(str, []), []),
-    (lambda: {"a": iter([]), "b": [iter([])]}, {"a": [], "b": [[]]}),
-    (lambda: iter([iter([]), iter([iter([]), 1]), {"k": iter([None])}]),
-     [[], [[], 1], {"k": [None]}]),
-])
-def test_empty_and_nested_iterators(make, want):
-    assert written(make()) == reference(want)
+def assert_trace_bytes(seed, events, final, config=re_.RunConfig()) -> str:
+    """``write_trace`` of a trace against ``json.dumps`` of ``trace_to_obj``."""
+    parts = []
+    re_.write_trace(seed, events, final, config, parts.append)
+    want = reference(re_.trace_to_obj(seed, events, final, config))
+    assert "".join(parts) == want
+    return want
 
 
 def test_gen_output_equals_the_standard_library(tmp_path, capsys):
@@ -88,65 +41,41 @@ def test_gen_output_equals_the_standard_library(tmp_path, capsys):
         assert capsys.readouterr().out.startswith(f"seed state written: {out} ")
 
 
-def _event(i):
-    return {"index": i, "pair": ["E1", f"E{i}"], "new": None}
+def _blowup(index, parents, children):
+    return re_.BlowupEvent(index, "C-bin", cc.RuleApplication("BIN", ("E1",)),
+                           parents, children, None, None, ())
 
 
-def test_a_large_document_reaches_write_in_several_calls():
-    doc = {"events": [_event(i) for i in range(3 * re_._FLUSH_AT)]}
-    calls = []
-    re_.write_json(doc, calls.append)
-    assert len(calls) > 1
-    assert "".join(calls) == reference(doc)
-
-
-def test_a_long_array_of_fragments_reaches_write_in_several_calls():
-    # A streamed trace's chart arrays hold one fragment per chart item.
-    items = [re_._Fragment('{\n "count": %d\n}' % i) for i in range(3 * re_._FLUSH_AT)]
-    calls = []
-    re_.write_json({"charts": items}, calls.append)
-    text = "".join(calls)
-    assert text == reference({"charts": [{"count": i} for i in range(len(items))]})
-    # The array is handed on while it is written, not once it ends.
-    assert max(map(len, calls)) < len(text) / 2
+ONE_CHART = sm.dual_complex_of(sm.from_index_sets(["E1", "E2"], [{"E1", "E2"}]))
 
 
 def test_a_stream_of_events_is_written_as_it_is_consumed():
-    n = 3 * re_._FLUSH_AT + 1
-    built = []
-    calls = []
+    n = 200
+    chart = cc.ChartState.of(["E1"], 1, {"a": 2})
+    state = re_.ResolutionState(ONE_CHART, (), ((chart, 1),))
+    built, calls = [], []
 
     def events():
         for i in range(n):
             built.append(i)
-            yield _event(i)
+            yield _blowup(i, ((chart, 1),), ((chart, 1),))
 
     def write(text):
         calls.append((len(built), text))
 
-    re_.write_json({"events": events(), "n": n}, write)
-    assert len(calls) > 3
-    # Text reaches ``write`` while most events are still to be built.
-    assert calls[0][0] < n // 2
-    assert "".join(text for _, text in calls) == reference(
-        {"events": [_event(i) for i in range(n)], "n": n})
+    config = re_.RunConfig()
+    re_.write_trace(state, events(), state, config, write)
+    # Each event reaches ``write`` before the next one is built.
+    assert [k for k, text in calls if '"index": ' in text] == list(range(1, n + 1))
+    assert "".join(text for _, text in calls) == reference(re_.trace_to_obj(
+        state, [_blowup(i, ((chart, 1),), ((chart, 1),)) for i in range(n)], state, config))
 
 
-@pytest.mark.parametrize("doc", [{1: "a"}, {"a": [{"b": 1, None: 2}]}, {(1, 2): 3}])
-def test_a_key_that_is_not_a_string_raises(doc):
-    with pytest.raises(TypeError):
-        written(doc)
-
-
-# A trace streamed by ``trace_stream`` reuses the text of each live chart
-# (a fragment laid out at depth 0 and indented where it is written).
-
-ODD_IDS = ["E\n1", 'E"2', "E\\3é"]
-
+# ``write_trace`` reuses the text of each live chart, laid out as an event
+# embeds it and re-indented for a state.
 
 def test_a_streamed_trace_with_escaped_ids_equals_the_standard_library():
-    snc = sm.from_index_sets(ODD_IDS, [set(ODD_IDS[:2]), set(ODD_IDS[1:]),
-                                       {ODD_IDS[0], ODD_IDS[2]}, set(ODD_IDS)])
+    snc = odd_id_variety()
     seed = re_.seed_from_snc(snc, {s.id: len(s.indices) - 1
                                    for s in snc.strata if len(s.indices) >= 2})
     divisor = 'f\n"\\é'
@@ -154,26 +83,17 @@ def test_a_streamed_trace_with_escaped_ids_equals_the_standard_library():
     config = re_.RunConfig()
     final, events = re_.run(seed, config)
     assert len(events) > 3
-    want = reference(re_.trace_to_obj(seed, events, final, config))
+    want = assert_trace_bytes(seed, events, final, config)
     assert divisor in json.loads(want)["seed"]["charts"][0]["chart"]["a"]
-    assert written(re_.trace_stream(seed, events, final, config)) == want
-
-
-def _blowup(index, parents, children):
-    return re_.BlowupEvent(index, "C-bin", cc.RuleApplication("BIN", ("E1",)),
-                           parents, children, None, None, ())
 
 
 def test_a_chart_consumed_and_produced_again_streams_the_same_bytes(monkeypatch):
     a, b, c, d = (cc.ChartState.of(["E1", "E2"], m, {}) for m in (4, 3, 2, 1))
-    dual = sm.dual_complex_of(sm.from_index_sets(["E1", "E2"], [{"E1", "E2"}]))
-    seed = re_.ResolutionState(dual, (), ((a, 1),))
+    seed = re_.ResolutionState(ONE_CHART, (), ((a, 1),))
     events = [_blowup(0, ((a, 1),), ((b, 1), (c, 1))),
               _blowup(1, ((b, 1),), ((a, 2),)),         # a produced again
               _blowup(2, ((d, 1),), ((b, 1),))]         # d never written before
-    final = re_.ResolutionState(dual, (), ((a, 2), (b, 1), (c, 1)))
-    config = re_.RunConfig()
-    want = reference(re_.trace_to_obj(seed, events, final, config))
+    final = re_.ResolutionState(ONE_CHART, (), ((a, 2), (b, 1), (c, 1)))
 
     laid_out = []
     chart_text = re_._chart_text
@@ -183,7 +103,7 @@ def test_a_chart_consumed_and_produced_again_streams_the_same_bytes(monkeypatch)
         return chart_text(chart, entries)
 
     monkeypatch.setattr(re_, "_chart_text", counted)
-    assert written(re_.trace_stream(seed, events, final, config)) == want
+    assert_trace_bytes(seed, events, final)
     # Keys are written sorted: the events, then the final state, then the
     # seed.  Each chart is laid out once while it is live: a parent or a
     # final chart reuses the text kept when it was produced, and a seed
@@ -195,7 +115,7 @@ def test_a_chart_consumed_and_produced_again_streams_the_same_bytes(monkeypatch)
     # Event 1 reuses b and a, the final state a, b and c, the seed a.
 
 
-# The event layout of ``trace_stream`` against ``write_json`` of the dict
+# The event layout of ``write_trace`` against ``json.dumps`` of the dict
 # that ``event_to_obj`` builds.
 
 chart_ids = st.text(st.one_of(st.characters(), st.sampled_from('"\\\né😀')), max_size=6)
@@ -218,22 +138,13 @@ events = st.builds(re_.BlowupEvent, big_ints, chart_ids, rules, chart_items, cha
                    maybe_divisor, st.one_of(st.none(), chart_ids),
                    st.lists(st.tuples(degrees, degrees).filter(lambda p: p[1] < p[0]),
                             max_size=3).map(tuple))
-ONE_CHART = sm.dual_complex_of(sm.from_index_sets(["E1", "E2"], [{"E1", "E2"}]))
-
-
-def event_layout(event) -> str:
-    """The one fragment ``trace_stream`` lays out for ``event``."""
-    state = re_.ResolutionState(ONE_CHART, (), ())
-    (text,) = re_.trace_stream(state, [event], state, re_.RunConfig())["events"]
-    assert type(text) is re_._Fragment
-    return text
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(events, min_size=1, max_size=3))
 def test_direct_layouts_equal_the_writer(event_list):
-    for event in event_list:
-        assert written(event_layout(event)) == written(re_.event_to_obj(event))
+    state = re_.ResolutionState(ONE_CHART, (), ())
+    assert_trace_bytes(state, event_list, state)
 
 
 def _chart(m):
@@ -261,10 +172,7 @@ def test_an_edge_event_streams_the_standard_library_bytes(name):
     event = EDGE_EVENTS[name]
     seed = re_.ResolutionState(ONE_CHART, (), event.parents)
     final = re_.ResolutionState(ONE_CHART, (), event.children)
-    config = re_.RunConfig()
-    assert written(event_layout(event)) == written(re_.event_to_obj(event))
-    want = reference(re_.trace_to_obj(seed, [event], final, config))
-    assert written(re_.trace_stream(seed, [event], final, config)) == want
+    assert_trace_bytes(seed, [event], final)
 
 
 @pytest.mark.parametrize("where", ["seed", "parent", "child", "final"])
@@ -275,23 +183,61 @@ def test_a_streamed_trace_with_a_bool_count_equals_the_standard_library(where):
     seed = re_.ResolutionState(ONE_CHART, (), ((chart, count["seed"]),))
     events = [_blowup(0, ((chart, count["parent"]),), ((chart, count["child"]),))]
     final = re_.ResolutionState(ONE_CHART, (), ((chart, count["final"]),))
-    config = re_.RunConfig()
-    want = reference(re_.trace_to_obj(seed, events, final, config))
-    assert '"count": true' in want
-    assert written(re_.trace_stream(seed, events, final, config)) == want
+    assert '"count": true' in assert_trace_bytes(seed, events, final)
 
 
-@pytest.mark.parametrize("final_dual", [
-    sm.dual_complex_of(sm.from_index_sets(["E1", "E2"], [{"E1", "E2"}])),  # equal, not shared
-    sm.dual_complex_of(sm.coordinate_germ(3)),
-    sm.dual_complex_of(sm.from_index_sets(["E1"], [])),
-])
-def test_a_final_state_with_its_own_dual_complex_streams_its_own_bytes(final_dual):
-    # Only a dual complex that the seed and final state share is laid out once.
+# The dual cells and registry records of a state against ``json.dumps``.
+# The registry holds a seed divisor (birth None) and one born at an event.
+
+REGISTRY = (re_.DivisorRecord("w1", 2, None), re_.DivisorRecord('w"\\\né', 3, 7))
+
+
+def assert_states_bytes(seed_dual: DualComplex, final_dual: DualComplex) -> str:
     chart = cc.ChartState.of(["E1"], 1, {"a": 2})
-    seed = re_.ResolutionState(ONE_CHART, (), ((chart, 1),))
-    events = [_blowup(0, ((chart, 1),), ((chart, 2),))]
-    final = re_.ResolutionState(final_dual, (), ((chart, 2),))
-    config = re_.RunConfig()
-    want = reference(re_.trace_to_obj(seed, events, final, config))
-    assert written(re_.trace_stream(seed, events, final, config)) == want
+    seed = re_.ResolutionState(seed_dual, REGISTRY, ((chart, 1),))
+    final = re_.ResolutionState(final_dual, REGISTRY[::-1], ((chart, 2),))
+    return assert_trace_bytes(seed, [_blowup(0, ((chart, 1),), ((chart, 2),))], final)
+
+
+EMPTY_LABEL = DualComplex([Cell.of("v", 0, (), ())])
+ODD_COMPLEX = sm.dual_complex_of(odd_id_variety())
+# (seed dual, final dual): one object where the two states share it.
+DUALS = {
+    "a vertex with an empty label": (EMPTY_LABEL, EMPTY_LABEL),
+    "the empty complex": (DualComplex(), DualComplex()),
+    "odd ids": (ODD_COMPLEX, ODD_COMPLEX),
+    "an equal final dual, not shared": (ONE_CHART, sm.dual_complex_of(
+        sm.from_index_sets(["E1", "E2"], [{"E1", "E2"}]))),
+    "a final dual of its own": (ONE_CHART, sm.dual_complex_of(sm.coordinate_germ(3))),
+    "a final dual of one vertex": (ODD_COMPLEX, sm.dual_complex_of(
+        sm.from_index_sets(["E1"], []))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DUALS))
+def test_cells_and_records_are_written_as_the_standard_library_writes_them(name):
+    seed_dual, final_dual = DUALS[name]
+    assert dc.validate(seed_dual) == dc.validate(final_dual) == []
+    want = json.loads(assert_states_bytes(seed_dual, final_dual))
+    assert [r["birth"] for r in want["seed"]["registry"]] == [None, 7]
+    if name == "a vertex with an empty label":
+        assert want["seed"]["dual"]["cells"][0]["label"] == []
+    if name == "odd ids":
+        assert {x for c in want["seed"]["dual"]["cells"] for x in c["label"]} == set(ODD_IDS)
+
+
+labels = st.one_of(st.none(), st.frozensets(chart_ids, max_size=3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False), st.lists(labels, min_size=1, max_size=8),
+       st.booleans())
+def test_random_complexes_are_written_as_the_standard_library_writes_them(rng, drawn, shared):
+    def labelled(complex):
+        # Labels cycled over the cells: none, empty, or odd ids.
+        return DualComplex(Cell(c.id, c.dim, c.facets, drawn[k % len(drawn)])
+                           for k, c in enumerate(complex.cells.values()))
+
+    seed_dual = labelled(random_delta_complex(rng, max_cells=60))
+    final_dual = seed_dual if shared else labelled(random_delta_complex(rng, max_cells=30))
+    assert_states_bytes(seed_dual, final_dual)

@@ -688,15 +688,6 @@ def test_replay_respects_recorded_policy():
     assert re_.replay_trace(doc).ok
 
 
-def test_event_serialization_round_trip():
-    seed = triangle_seed()
-    _, events = re_.run(seed)
-    for event in events:
-        again = re_.event_from_obj(json.loads(json.dumps(re_.event_to_obj(event))))
-        assert canonical_dumps(re_.event_to_obj(again)) \
-            == canonical_dumps(re_.event_to_obj(event))
-
-
 def test_trace_header_documents_the_model_assumptions():
     seed = double_point_seed()
     config = RunConfig()

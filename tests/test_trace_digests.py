@@ -3,8 +3,8 @@
 The reference sha256 digests of traces live in ``benchmarks/frozen.json``;
 this file only reads it.  The batch traces are serialized with the
 benchmark's own ``trace_bytes`` (the standard library's indented encoder),
-and the program's ``write_json`` must give the same bytes, also when it
-streams the trace as ``sncresolve resolve --trace`` does.
+and the program's ``write_trace``, which ``sncresolve resolve --trace``
+runs, must give the same bytes.
 """
 
 import hashlib
@@ -40,46 +40,37 @@ FROZEN = fx.load_frozen()
 def test_batch_trace_digests_match_the_frozen_reference():
     want = FROZEN["batch_trace_sha256"]
     got = {}
-    written_differs, streamed_differs = [], []
+    written_differs = []
     for state_seed in range(fx.BATCH_SEEDS):
         state = cli.random_state(random.Random(state_seed))
         for policy in fx.BATCH_POLICIES:
             config = re_.RunConfig(exponent_policy=policy, event_ceiling=fx.BATCH_CEILING)
             final, events = re_.run(state, config)
-            doc = re_.trace_to_obj(state, events, final, config)
-            data = fx.trace_bytes(doc)
+            data = fx.trace_bytes(re_.trace_to_obj(state, events, final, config))
             got[f"{state_seed}:{policy}"] = hashlib.sha256(data).hexdigest()
-            text = _written(doc)
-            if (text + "\n").encode("utf-8") != data:
+            parts = []
+            re_.write_trace(state, events, final, config, parts.append)
+            if ("".join(parts) + "\n").encode("utf-8") != data:
                 written_differs.append(f"{state_seed}:{policy}")
-            if _written(re_.trace_stream(state, events, final, config)) != text:
-                streamed_differs.append(f"{state_seed}:{policy}")
     assert len(want) == 2 * fx.BATCH_SEEDS
     assert [key for key in want if got[key] != want[key]] == []
     assert written_differs == []
-    assert streamed_differs == []
-
-
-def _written(doc) -> str:
-    parts = []
-    re_.write_json(doc, parts.append)
-    return "".join(parts)
 
 
 @pytest.mark.parametrize("name", ["germ", "double_point"])
 def test_streaming_a_trace_never_holds_the_document(name):
-    # ``resolve --trace`` streams the trace; writing the materialized
-    # document holds all of it.  Allocations are deterministic.
+    # ``resolve --trace`` writes the trace piece by piece; building the
+    # document alone holds all of it.  Allocations are deterministic.
     doc = fx.large_seed_docs(sm)[name]
     seed = re_.seed_from_snc(sm.from_json_obj(doc["snc"]), doc["coranks"])
     config = re_.RunConfig()
     final, events = re_.run(seed, config)
     final.census()  # the CLI reads the final charts before it writes
 
-    def peak(write_trace) -> int:
+    def peak(make) -> int:
         tracemalloc.start()
         try:
-            write_trace()
+            make()
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -87,10 +78,8 @@ def test_streaming_a_trace_never_holds_the_document(name):
     def discard(text):
         pass
 
-    streamed = peak(lambda: re_.write_json(
-        re_.trace_stream(seed, events, final, config), discard))
-    materialized = peak(lambda: re_.write_json(
-        re_.trace_to_obj(seed, events, final, config), discard))
+    streamed = peak(lambda: re_.write_trace(seed, events, final, config, discard))
+    materialized = peak(lambda: re_.trace_to_obj(seed, events, final, config))
     assert streamed * 4 <= materialized, (streamed, materialized)
 
 

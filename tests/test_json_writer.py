@@ -2,6 +2,7 @@
 indented encoder."""
 
 import json
+import math
 import random
 
 import pytest
@@ -241,3 +242,96 @@ def test_random_complexes_are_written_as_the_standard_library_writes_them(rng, d
     seed_dual = labelled(random_delta_complex(rng, max_cells=60))
     final_dual = seed_dual if shared else labelled(random_delta_complex(rng, max_cells=30))
     assert_states_bytes(seed_dual, final_dual)
+
+
+# The scalar text of the templates against ``json.dumps``.
+
+texts = st.text(st.one_of(st.characters(),
+                          st.sampled_from('"\\/\n\r\t\b\f\x00\x1f\x7f é€😀')),
+                max_size=8)
+leaves = st.one_of(
+    st.none(), st.booleans(), texts,
+    st.integers(), st.integers(min_value=-2 ** 200, max_value=2 ** 200),
+    st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e300]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(leaves)
+def test_a_leaf_equals_the_standard_library(value):
+    assert re_._leaf(value) == json.dumps(value)
+
+
+# Empty and edge traces.  Each case gives (seed, make_events, final, config);
+# ``make_events()`` may return a one-shot iterable, so the writer and the
+# reference each get their own.
+
+def _item(m=1, count=1):
+    return (cc.ChartState.of(["E1"], m, {"a": 2}), count)
+
+
+def _plain(charts=(_item(),), registry=(), dual=ONE_CHART):
+    return re_.ResolutionState(dual, registry, charts)
+
+
+def _some_events():
+    return (_blowup(i, (_item(i + 1),), (_item(i + 2),)) for i in range(3))
+
+
+def _text_everywhere(s):
+    """A trace with ``s`` in every string slot that the templates fill."""
+    chart = cc.ChartState.of([s, s + "x"], 1, {s: 2})
+    dual = DualComplex([Cell.of(s, 0, (), (s, "")), Cell.of(s + "y", 0, (), ())])
+    registry = (re_.DivisorRecord(s, 1, None), re_.DivisorRecord(s + "z", 2, 0))
+    rule = cc.RuleApplication("MON1", (s, s + "x"), (s,), None, (s + "z", 2))
+    event = re_.BlowupEvent(0, s, rule, ((chart, 1),), ((chart, 2),), (s + "z", 2), s, ())
+    return (_plain(((chart, 1),), registry[:1], dual), lambda: [event],
+            _plain(((chart, 2),), registry, dual), re_.RunConfig(ordering=(s, "")))
+
+
+EDGE_TEXTS = {"empty": "", "a NUL and a lone surrogate": "\x00\ud800",
+              "a quote, a backslash and a slash": '"\\/',
+              "control characters": "\n\r\t\b\f\x1f\x7f", "non-ASCII": " é€😀"}
+EDGE_TRACES = {
+    "no events, as a list": lambda: (_plain(), list, _plain(), re_.RunConfig()),
+    "no events, as a one-shot iterator": lambda: (
+        _plain(), lambda: iter(()), _plain(), re_.RunConfig()),
+    "no events, from a generator": lambda: (
+        _plain(), lambda: (e for e in ()), _plain(), re_.RunConfig()),
+    "events as a tuple": lambda: (
+        _plain(), lambda: tuple(_some_events()), _plain(), re_.RunConfig()),
+    "events from a map": lambda: (
+        _plain(), lambda: map(lambda e: e, _some_events()), _plain(), re_.RunConfig()),
+    "states with no charts, records or cells": lambda: (
+        _plain((), (), DualComplex()), list, _plain((), (), DualComplex()), re_.RunConfig()),
+    "a final state with no charts": lambda: (
+        _plain(), lambda: [_blowup(0, (_item(),), ())], _plain(()), re_.RunConfig()),
+    "a chart with no exponents": lambda: (
+        _plain(((cc.ChartState.of(["E1", "E2"], 0, {}), 1),)), list,
+        _plain(((cc.ChartState.of(["E2"], 0, {}), 3),)), re_.RunConfig()),
+    "an event with no parents or children": lambda: (
+        _plain(), lambda: [_blowup(0, (), ())], _plain(), re_.RunConfig()),
+    "an event index of 2**200": lambda: (
+        _plain(), lambda: [_blowup(2 ** 200, (_item(),), (_item(2),))],
+        _plain((_item(2),)), re_.RunConfig()),
+    "counts of 2**200": lambda: (
+        _plain((_item(1, 2 ** 200),)),
+        lambda: [_blowup(0, (_item(1, 2 ** 200),), (_item(2, 2 ** 200 + 1),))],
+        _plain((_item(2, 2 ** 200 + 1),)), re_.RunConfig()),
+    "a coefficient of 2**200 and a birth of 0": lambda: (
+        _plain(registry=(re_.DivisorRecord("w", 2 ** 200, 0),)), list,
+        _plain(registry=(re_.DivisorRecord("w", 2 ** 200, 0),)), re_.RunConfig()),
+    "a config with an ordering and a ceiling": lambda: (
+        _plain(), _some_events, _plain(),
+        re_.RunConfig(("E2", "E1"), "paper", 1)),
+    **{f"{name} text in every slot": (lambda s=s: _text_everywhere(s))
+       for name, s in EDGE_TEXTS.items()},
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_TRACES))
+def test_an_empty_or_edge_trace_equals_the_standard_library(name):
+    seed, make_events, final, config = EDGE_TRACES[name]()
+    parts = []
+    re_.write_trace(seed, make_events(), final, config, parts.append)
+    want = reference(re_.trace_to_obj(seed, list(make_events()), final, config))
+    assert "".join(parts) == want

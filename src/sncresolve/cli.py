@@ -147,7 +147,7 @@ def _seed_from_doc(doc) -> re_.ResolutionState:
         coranks = doc.get("coranks", {})
         if not isinstance(coranks, dict):
             raise ValueError("'coranks' must be an object")
-        return re_.seed_from_snc(snc, {str(k): v for k, v in coranks.items()})
+        return re_.seed_from_snc(snc, coranks)
     raise ValueError("resolve input must be a state document ('dual'/'charts') "
                      "or {'snc': ..., 'coranks': ...}")
 

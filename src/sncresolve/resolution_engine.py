@@ -26,10 +26,11 @@ updates the newest state in place, so its cost follows the charts it
 touches rather than the whole state (apart from one minimum over the
 distinct proposed rules).
 
-A trace is the plain object of ``trace_to_obj``, which ``replay_trace``
-reads back, or the text that ``write_trace`` lays out from templates and
-writes piece by piece; both give the bytes of
-``json.dumps(doc, indent=1, sort_keys=True)``.
+A trace is the plain object of ``trace_to_obj`` or the text that
+``write_trace`` lays out from what ``run`` makes (ints, strs and None);
+both give the bytes of ``json.dumps(doc, indent=1, sort_keys=True)``.
+``replay_trace`` checks a trace's head, events and final state with the
+verdict of a byte comparison; the seed is read, not compared.
 """
 
 from __future__ import annotations
@@ -575,22 +576,13 @@ def run(state: ResolutionState,
 # --------------------------------------------------------------------------
 
 _PLAIN = frozenset((str, int, type(None)))  # the scalar types the program writes
-_INT = frozenset((int,))
 
 
 def _leaf(value) -> str:
-    """The JSON text of a scalar, as ``json.dumps`` writes it."""
+    """The JSON text of a str, an int or None, as ``json.dumps`` writes it."""
     if isinstance(value, str):
         return _encode_str(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    return json.dumps(value)
+    return "null" if value is None else int.__repr__(value)
 
 
 def rule_to_obj(app: RuleApplication) -> dict:
@@ -679,6 +671,8 @@ def write_trace(seed: ResolutionState, events, final: ResolutionState,
     indent=1, sort_keys=True)`` through ``write`` piece by piece, so
     writing never holds the whole document; ``events`` may be a one-shot
     iterator, each event handed to ``write`` as soon as it is laid out.
+    The input is what ``run`` makes, ints, strs and None: an int fills its
+    template slot as it is, a str goes through the string encoder.
 
     The keys go in sorted order: ``assumptions`` and ``config``, laid out
     by ``json.dumps``, then the events, ``final`` and ``seed``.  Each event, chart
@@ -703,22 +697,22 @@ def write_trace(seed: ResolutionState, events, final: ResolutionState,
 
     def event_text(e) -> str:
         # Parents first: an event consumes its parents, then produces its children.
-        parents = [_ITEM % (chart_text(c, c in in_seed), _count(n)) for c, n in e.parents]
-        children = [_ITEM % (chart_text(c, True), _count(n)) for c, n in e.children]
+        parents = [_ITEM % (chart_text(c, c in in_seed), n) for c, n in e.parents]
+        children = [_ITEM % (chart_text(c, True), n) for c, n in e.children]
         rule = e.rule
         return _EVENT % (
-            _array(children, "   "), _leaf(e.exceptional), _leaf(e.index),
-            _array([_LEX % _ints((*p, *c)) for p, c in e.lex], "   "),
-            _scalars(e.new_divisor, "   "), _array(parents, "   "), _leaf(e.phase),
-            _leaf(rule.det_size), _scalars(rule.divisors, "    ", "[]"), _leaf(rule.kind),
+            _array(children, "   "), _leaf(e.exceptional), e.index,
+            _array([_LEX % (*p, *c) for p, c in e.lex], "   "),
+            _scalars(e.new_divisor, "   "), _array(parents, "   "), _encode_str(e.phase),
+            _leaf(rule.det_size), _scalars(rule.divisors, "    ", "[]"), _encode_str(rule.kind),
             _scalars(rule.new_divisor, "    "), _scalars(rule.pair, "    ", "[]"))
 
     def write_state(state, dual: str) -> None:
         write('{\n  "charts": ')
         # A state's chart sits one level shallower than an event's.
         _write_array(write, (_STATE_ITEM % (chart_text(c, c in in_seed).replace("\n ", "\n"),
-                                            _count(n)) for c, n in state.charts), "  ")
-        records = [_RECORD % (_leaf(r.birth), _leaf(r.coeff), _leaf(r.id))
+                                            n) for c, n in state.charts), "  ")
+        records = [_RECORD % (_leaf(r.birth), r.coeff, _encode_str(r.id))
                    for r in state.registry]
         write(',\n  "dual": ' + dual + ',\n  "registry": ' + _array(records, "  ") + "\n }")
 
@@ -777,17 +771,6 @@ def _array(texts: list, pad: str) -> str:
     return "[" + inner + ("," + inner).join(texts) + "\n" + pad + "]"
 
 
-def _count(n):
-    """``n`` itself for a ``%s`` slot if it is an int, else its JSON text:
-    ``"%s" % True`` would write ``True``."""
-    return n if type(n) is int else _leaf(n)
-
-
-def _ints(values: tuple) -> tuple:
-    """``_count`` of each of ``values``, checked for all at once."""
-    return values if {*map(type, values)} == _INT else tuple(map(_leaf, values))
-
-
 def _scalars(values, pad: str, empty: str = "null") -> str:
     """``_array`` of scalars, or ``empty`` for an empty or None ``values``."""
     return _array(list(map(_leaf, values)), pad) if values else empty
@@ -820,18 +803,29 @@ class ReplayResult:
 
 def replay_trace(doc: dict) -> ReplayResult:
     """Re-run a trace from its recorded seed and config and compare the run's
-    objects with the record type-strictly, which gives the verdict of a byte
-    comparison of their canonical JSON text; name the first differing event.
-    A document that is not an object with 'seed' and 'final' raises
-    ValueError before anything runs."""
+    head, events and final state with the record type-strictly, which gives
+    the verdict of a byte comparison of their canonical JSON text; name the
+    part that differs.  The seed is read, not compared.  A document that is
+    not an object with all five keys raises ValueError before anything runs."""
     if not (isinstance(doc, dict) and "seed" in doc and "final" in doc):
         raise ValueError("a trace must be an object with 'seed' and 'final'")
+    for key in ("assumptions", "config", "events"):
+        if key not in doc:
+            raise ValueError(f"a trace must have {key!r}")
     seed = state_from_obj(doc["seed"])
-    config = RunConfig.from_json_obj(doc.get("config", {}))
-    recorded = doc.get("events", [])
+    config = RunConfig.from_json_obj(doc["config"])
+    recorded = doc["events"]
     if not isinstance(recorded, list):
         raise ValueError(f"trace 'events' must be an array, got {recorded!r}")
     final, events = run(seed, config)
+    extra = [k for k in doc if k not in ("assumptions", "config", "events", "final", "seed")]
+    if extra:
+        return ReplayResult(False, final, f"trace key {extra[0]!r} is not part of a trace")
+    if doc["assumptions"] != list(MODEL_ASSUMPTIONS):
+        return ReplayResult(False, final, "assumptions differ from the model's")
+    # RunConfig refuses a value out of type, so == is type-strict here.
+    if doc["config"] != config.to_json_obj():
+        return ReplayResult(False, final, "config differs from the record")
     if len(events) != len(recorded):
         return ReplayResult(False, final, f"event count {len(events)} != recorded {len(recorded)}")
     if state_to_obj(final) != doc["final"] or not _strict(doc["final"]):

@@ -2,7 +2,6 @@
 indented encoder."""
 
 import json
-import math
 import random
 
 import pytest
@@ -124,10 +123,8 @@ big_ints = st.integers(min_value=0, max_value=2 ** 200)
 charts = st.builds(cc.ChartState.of, st.sets(chart_ids, min_size=1, max_size=4),
                    st.one_of(st.just(0), big_ints),
                    st.dictionaries(chart_ids, big_ints.map(lambda n: n + 1), max_size=5))
-# Counts and lex values as the writer takes them: a bool or a float is
-# written as ``json.dumps`` writes it.
-values = st.one_of(st.integers(min_value=-2 ** 200, max_value=2 ** 200),
-                   st.booleans(), st.floats())
+# Counts and lex values: the engine makes only ints.
+values = st.integers(min_value=-2 ** 200, max_value=2 ** 200)
 degrees = st.tuples(values, values, values)
 chart_items = st.lists(st.tuples(charts, values), max_size=3).map(tuple)
 maybe_divisor = st.one_of(st.none(), st.tuples(chart_ids, big_ints))
@@ -158,8 +155,7 @@ def _det(index, parents, children, lex):
     return re_.BlowupEvent(index, "A-det", rule, parents, children, ("w1", 1), "w1", lex)
 
 
-# Hand-built events at the edges of the layout; a True count is an input of
-# the bool count test below.
+# Hand-built events at the edges of the layout.
 EDGE_EVENTS = {
     "empty children and lex": _blowup(0, ((_chart(2), 1),), ()),
     "no divisor, a BIN pair of one": _blowup(0, ((_chart(2), 1),), ((_chart(1), 2),)),
@@ -174,17 +170,6 @@ def test_an_edge_event_streams_the_standard_library_bytes(name):
     seed = re_.ResolutionState(ONE_CHART, (), event.parents)
     final = re_.ResolutionState(ONE_CHART, (), event.children)
     assert_trace_bytes(seed, [event], final)
-
-
-@pytest.mark.parametrize("where", ["seed", "parent", "child", "final"])
-def test_a_streamed_trace_with_a_bool_count_equals_the_standard_library(where):
-    chart = cc.ChartState.of(["E1"], 1, {"a": 2})
-    count = {name: True if name == where else n
-             for name, n in (("seed", 1), ("parent", 1), ("child", 2), ("final", 2))}
-    seed = re_.ResolutionState(ONE_CHART, (), ((chart, count["seed"]),))
-    events = [_blowup(0, ((chart, count["parent"]),), ((chart, count["child"]),))]
-    final = re_.ResolutionState(ONE_CHART, (), ((chart, count["final"]),))
-    assert '"count": true' in assert_trace_bytes(seed, events, final)
 
 
 # The dual cells and registry records of a state against ``json.dumps``.
@@ -244,15 +229,14 @@ def test_random_complexes_are_written_as_the_standard_library_writes_them(rng, d
     assert_states_bytes(seed_dual, final_dual)
 
 
-# The scalar text of the templates against ``json.dumps``.
+# The scalar text of the templates against ``json.dumps``, over the
+# scalars the engine makes: strs, ints and None.
 
 texts = st.text(st.one_of(st.characters(),
                           st.sampled_from('"\\/\n\r\t\b\f\x00\x1f\x7f é€😀')),
                 max_size=8)
-leaves = st.one_of(
-    st.none(), st.booleans(), texts,
-    st.integers(), st.integers(min_value=-2 ** 200, max_value=2 ** 200),
-    st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e300]))
+leaves = st.one_of(st.none(), texts, st.integers(),
+                   st.integers(min_value=-2 ** 200, max_value=2 ** 200))
 
 
 @settings(max_examples=400, deadline=None)

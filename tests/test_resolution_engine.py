@@ -577,6 +577,27 @@ def test_replay_names_what_differs_in_the_event_log(tamper, detail):
     assert detail in result.detail
 
 
+@pytest.mark.parametrize("tamper, detail", [
+    pytest.param(lambda doc: doc["assumptions"].append("an edited assumption"),
+                 "assumptions differ", id="assumptions-edited"),
+    pytest.param(lambda doc: doc.update(note="an extra key"),
+                 "trace key 'note' is not part of a trace", id="extra-key"),
+    # Read with the default ceiling, the run itself is the same.
+    pytest.param(lambda doc: doc["config"].pop("event_ceiling"),
+                 "config differs", id="config-ceiling-dropped"),
+])
+def test_replay_names_what_differs_in_the_head(tamper, detail):
+    state = random_state(random.Random(3))
+    config = RunConfig()
+    final, events = re_.run(state, config)
+    doc = json.loads(json.dumps(re_.trace_to_obj(state, events, final, config)))
+    assert re_.replay_trace(doc).ok
+    tamper(doc)
+    result = re_.replay_trace(doc)
+    assert not result.ok
+    assert detail in result.detail
+
+
 def _int_places(value, path=()):
     """The paths to every int in a JSON value."""
     if isinstance(value, dict):
@@ -650,8 +671,12 @@ def test_an_empty_ordering_runs_as_no_ordering():
     (lambda doc: doc.update(events={}), "'events' must be an array"),
     (lambda doc: doc.pop("seed"), "trace must be an object with 'seed' and 'final'"),
     (lambda doc: doc.pop("final"), "trace must be an object with 'seed' and 'final'"),
+    (lambda doc: doc.pop("assumptions"), "a trace must have 'assumptions'"),
+    (lambda doc: doc.pop("config"), "a trace must have 'config'"),
+    (lambda doc: doc.pop("events"), "a trace must have 'events'"),
 ], ids=["ceiling-string", "config-null", "ordering-string", "ordering-non-id", "events-object",
-        "seed-missing", "final-missing"])
+        "seed-missing", "final-missing", "assumptions-missing", "config-missing",
+        "events-missing"])
 def test_replay_refuses_an_ill_typed_trace_document(tamper, message):
     seed = double_point_seed()
     config = RunConfig()

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import functools
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from operator import itemgetter
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -52,6 +53,12 @@ class MultiDegree(NamedTuple):
     dz: int
 
 
+# A MultiDegree from a tuple in one C call: the generated __new__ of a
+# NamedTuple is Python, and every chart makes one.
+_degree = functools.partial(tuple.__new__, MultiDegree)
+_set = object.__setattr__
+
+
 @dataclass(frozen=True)
 class ChartState:
     """One local normal form, up to permutation of coordinates within a group.
@@ -59,13 +66,15 @@ class ChartState:
     Built only in form (ValueError otherwise): a non-empty frozenset of str
     x-indices, an int det size >= 0, and a tuple of (str id, int exponent
     >= 1) pairs with strictly increasing ids.  ``deg`` (the invariant
-    ``mdeg``) and the hash are computed once: wide charts sit in many sets.
+    ``mdeg``), ``xs`` (the sorted x-indices) and the hash are computed
+    once: wide charts sit in many sets and are sorted and written often.
     """
 
     x_indices: frozenset
     det_size: int
     exponents: tuple
     deg: MultiDegree = field(init=False, repr=False, compare=False)
+    xs: tuple = field(init=False, repr=False, compare=False)
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -86,13 +95,17 @@ class ChartState:
             if pair[1] < 1:
                 raise ValueError(f"divisor {pair[0]!r} carries exponent {pair[1]} < 1")
             dz += pair[1]
-        self._fill(xs, m, exps, dz)
+        self._fill(xs, m, exps, dz, tuple(sorted(xs)))
 
-    def _fill(self, x_indices, det_size, exponents, dz: int) -> "ChartState":
-        """Set the fields of a chart in form whose exponents sum to ``dz``."""
-        vars(self).update(x_indices=x_indices, det_size=det_size, exponents=exponents,
-                          deg=MultiDegree(len(x_indices), det_size, dz),
-                          _hash=hash((x_indices, det_size, exponents)))
+    def _fill(self, x_indices, det_size, exponents, dz: int, xs: tuple) -> "ChartState":
+        """Set the fields of a chart in form: exponents sum to ``dz``, x-indices
+        sort to ``xs``.  One by one: ``vars(self)`` would give each chart a dict."""
+        _set(self, "x_indices", x_indices)
+        _set(self, "det_size", det_size)
+        _set(self, "exponents", exponents)
+        _set(self, "deg", _degree((len(x_indices), det_size, dz)))
+        _set(self, "xs", xs)
+        _set(self, "_hash", hash((x_indices, det_size, exponents)))
         return self
 
     def __hash__(self):
@@ -129,16 +142,27 @@ class ChartState:
             if pos < len(exps) and exps[pos][0] == add[0]:
                 dz, end = dz - exps[pos][1], pos + 1
             exps, dz = exps[:pos] + (add,) + exps[end:], dz + add[1]
-        return object.__new__(ChartState)._fill(x_indices, det_size, exps, dz)
+        xs = self.xs if x_indices is self.x_indices else tuple(sorted(x_indices))
+        return object.__new__(ChartState)._fill(x_indices, det_size, exps, dz, xs)
+
+    def _bare(self, det_size: int) -> "ChartState":
+        """A chart on this one's x-indices with ``det_size`` (>= 0) and no divisor."""
+        return object.__new__(ChartState)._fill(self.x_indices, det_size, (), 0, self.xs)
 
     def exponent_map(self) -> dict:
         return dict(self.exponents)
 
+    def exponent(self, ident: str) -> int | None:
+        """The exponent of divisor ``ident`` on this chart, None if it has none."""
+        exps = self.exponents
+        pos = bisect_left(exps, (ident,))
+        return exps[pos][1] if pos < len(exps) and exps[pos][0] == ident else None
+
     def sort_key(self):
-        return (tuple(sorted(self.x_indices)), self.det_size, self.exponents)
+        return (self.xs, self.det_size, self.exponents)
 
     def __repr__(self):
-        xs = ",".join(sorted(self.x_indices))
+        xs = ",".join(self.xs)
         zs = ",".join(f"{d}^{a}" for d, a in self.exponents)
         return f"Chart[x:{xs}|m:{self.det_size}|z:{zs}]"
 
@@ -170,7 +194,7 @@ class ChildChart(NamedTuple):
 
 
 def chart_to_obj(chart: ChartState) -> dict:
-    return {"x": sorted(chart.x_indices), "m": chart.det_size,
+    return {"x": list(chart.xs), "m": chart.det_size,
             "a": {d: a for d, a in chart.exponents}}
 
 
@@ -298,15 +322,16 @@ class Rule:
         return []
 
 
-def _require(cond: bool, rule: str, message: str):
+def _require(cond: bool, rule: str, message: str, *args):
+    """RulePreconditionError unless ``cond``; only then is ``message`` formatted with ``args``."""
     if not cond:
-        raise RulePreconditionError(f"{rule}: {message}")
+        raise RulePreconditionError(f"{rule}: " + (message.format(*args) if args else message))
 
 
 def _pair(chart: ChartState, app: RuleApplication, kind: str):
     i1, i2 = app.pair
     _require(i1 in chart.x_indices and i2 in chart.x_indices and i1 != i2,
-             kind, f"pair ({i1},{i2}) must be two distinct x-indices of the chart")
+             kind, "pair ({},{}) must be two distinct x-indices of the chart", i1, i2)
 
 
 def _blowup(*center) -> list:
@@ -354,10 +379,10 @@ class _Det(Rule):
 
     def children(self, chart, app, policy):
         m = chart.det_size
-        _require(m >= 2, "DET", f"needs det size >= 2, chart has {m}")
+        _require(m >= 2, "DET", "needs det size >= 2, chart has {}", m)
         if app.det_size is not None:
-            _require(app.det_size == m, "DET",
-                     f"targets det size {app.det_size}, chart has {m}")
+            _require(app.det_size == m, "DET", "targets det size {}, chart has {}",
+                     app.det_size, m)
         _pair(chart, app, "DET")
         e = self.coefficient(m, None, policy)
         extra = None
@@ -365,7 +390,7 @@ class _Det(Rule):
             _require(app.new_divisor is not None, "DET",
                      "a new divisor id is required when the exceptional coefficient is positive")
             _require(app.new_divisor[1] == e, "DET",
-                     f"new divisor coefficient {app.new_divisor[1]} != policy value {e}")
+                     "new divisor coefficient {} != policy value {}", app.new_divisor[1], e)
             extra = (app.new_divisor[0], e)
         x_child = chart._derive(chart.x_indices - {min(app.pair)}, m, add=extra)
         y_child = chart._derive(chart.x_indices, m - 1, add=extra)
@@ -399,21 +424,22 @@ class _Mon1(Rule):
     grid = ("a", 2, lambda comps, a: [ChartState.of(comps, 0, {"f1": a})])
 
     def propose(self, chart, xs, pk, key):
-        neg_a, kd, d = min((-a, key(d), d) for d, a in chart.exponents if a >= 2)
-        return (1, neg_a, kd, pk, "MON1", (xs[0], xs[1]), (d,), None)
+        exps = chart.exponents
+        top = max(exps, key=itemgetter(1))[1]  # >= 2 when MON1 is proposed
+        kd, d = min((key(d), d) for d, a in exps if a == top)
+        return (1, -top, kd, pk, "MON1", (xs[0], xs[1]), (d,), None)
 
     def children(self, chart, app, policy):
         (j1,) = app.divisors
         _pair(chart, app, "MON1")
-        exps = chart.exponent_map()
-        _require(j1 in exps, "MON1", f"divisor {j1!r} absent from the chart")
-        a = exps[j1]
-        _require(a >= 2, "MON1", f"divisor {j1!r} has exponent {a} < 2")
+        a = chart.exponent(j1)
+        _require(a is not None, "MON1", "divisor {!r} absent from the chart", j1)
+        _require(a >= 2, "MON1", "divisor {!r} has exponent {} < 2", j1, a)
         e = self.coefficient(None, a, policy)
         extra = None
         if e > 0:
             _require(app.new_divisor is not None and app.new_divisor[1] == e, "MON1",
-                     f"new divisor with coefficient {e} required")
+                     "new divisor with coefficient {} required", e)
             extra = (app.new_divisor[0], e)
         x_child = chart._derive(chart.x_indices - {min(app.pair)}, chart.det_size, add=extra)
         z_child = chart._derive(chart.x_indices, chart.det_size, drop=j1, add=extra)
@@ -442,9 +468,8 @@ class _Mon2(Rule):
     def children(self, chart, app, policy):
         j1, j2 = app.divisors
         _pair(chart, app, "MON2")
-        exps = chart.exponent_map()
-        _require(j1 != j2 and exps.get(j1) == 1 and exps.get(j2) == 1, "MON2",
-                 f"divisors ({j1!r},{j2!r}) must both carry exponent 1")
+        _require(j1 != j2 and chart.exponent(j1) == 1 and chart.exponent(j2) == 1, "MON2",
+                 "divisors ({!r},{!r}) must both carry exponent 1", j1, j2)
         x_child = chart._derive(chart.x_indices - {min(app.pair)}, chart.det_size)
         z_child = chart._derive(chart.x_indices, chart.det_size, drop=min(j1, j2))
         return [ChildChart(x_child, 2, "x"), ChildChart(z_child, 2, "z")]
@@ -464,11 +489,11 @@ class _Mon3(Rule):
         d = chart.deg
         _pair(chart, app, "MON3")
         _require(d.dy == 1 and d.dz == 1, "MON3",
-                 f"needs (deg_y, deg_z) = (1, 1), chart has ({d.dy},{d.dz})")
+                 "needs (deg_y, deg_z) = (1, 1), chart has ({},{})", d.dy, d.dz)
         x_child = chart._derive(chart.x_indices - {min(app.pair)}, 1)
         # Both single-factor children take the same form once the leftover
         # divisor coordinate is renamed into the y-slot.
-        yz_child = ChartState(chart.x_indices, 1, ())
+        yz_child = chart._bare(1)
         return [ChildChart(x_child, 2, "x"), ChildChart(yz_child, 2, "yz")]
 
     def charts(self, chart, app):
@@ -491,12 +516,12 @@ class _Bin(Rule):
     def children(self, chart, app, policy):
         d = chart.deg
         (i1,) = app.pair
-        _require(i1 in chart.x_indices, "BIN", f"{i1!r} is not an x-index of the chart")
+        _require(i1 in chart.x_indices, "BIN", "{!r} is not an x-index of the chart", i1)
         _require(d.dx >= 2, "BIN", "needs at least two x-factors")
         _require(d.dy + d.dz == 1, "BIN",
-                 f"needs a single degree-one factor, chart has (dy,dz)=({d.dy},{d.dz})")
+                 "needs a single degree-one factor, chart has (dy,dz)=({},{})", d.dy, d.dz)
         factor_child = chart._derive(chart.x_indices - {i1}, chart.det_size)
-        smooth_child = ChartState(chart.x_indices, 0, ())
+        smooth_child = chart._bare(0)
         return [ChildChart(factor_child, 1, "factor"),
                 ChildChart(smooth_child, 1, "smooth")]
 
@@ -532,7 +557,7 @@ def propose(chart: ChartState, key) -> tuple:
         kind = "MON3"
     else:
         kind = "BIN"
-    xs = sorted(chart.x_indices, key=key)
+    xs = sorted(chart.xs, key=key)
     return RULES[kind].propose(chart, xs, (key(xs[0]), key(xs[1])), key)
 
 
@@ -549,11 +574,11 @@ def application(rank: tuple, chart: ChartState, policy: str,
     """The application a rank from ``propose`` names, registering divisor
     ``new_id`` when its coefficient on ``chart``, a chart it rewrites, is
     positive."""
-    app = RuleApplication(*rank[-4:])
-    a = chart.exponent_map().get(app.divisors[0]) if app.divisors else None
-    e = exceptional_coefficient(app.kind, det_size=chart.det_size,
+    kind, pair, divisors, det_size = rank[-4:]
+    a = chart.exponent(divisors[0]) if divisors else None
+    e = exceptional_coefficient(kind, det_size=chart.det_size,
                                 divisor_exponent=a, policy=policy)
-    return replace(app, new_divisor=(new_id, e)) if e > 0 else app
+    return RuleApplication(kind, pair, divisors, det_size, (new_id, e) if e > 0 else None)
 
 
 def children(chart: ChartState, app: RuleApplication,

@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 from collections import Counter, deque
 from dataclasses import asdict, dataclass
+from operator import attrgetter
 from types import MappingProxyType
 
 
@@ -104,7 +105,7 @@ class DualComplex:
             if cell.id in by_id:
                 raise ValueError(f"duplicate cell id {cell.id!r}")
             by_id[cell.id] = cell
-        ordered = {c.id: c for c in sorted(by_id.values(), key=lambda c: (c.dim, c.id))}
+        ordered = {c.id: c for c in sorted(by_id.values(), key=attrgetter("dim", "id"))}
         object.__setattr__(self, "_cells", MappingProxyType(ordered))
         object.__setattr__(self, "_violations", None)
 

@@ -267,9 +267,11 @@ class _Book:
     state, which ``step`` advances in place: ``active`` and ``resolved``
     split its chart multiset (no rule matches a resolved chart, so that
     part is an inert sink), ``coeff`` maps its registered divisors to
-    their coefficients and ``labels`` holds the vertex and cell labels.
-    Once ``rank_by`` has named an id ordering, ``rank`` maps each active
-    chart to its ``cc.propose`` rank and ``groups`` each rank to its charts.
+    their coefficients, ``pairs`` holds the same (id, coefficient) pairs
+    as a set, and ``labels`` holds the vertex and cell labels.  Once
+    ``rank_by`` has named an id ordering, ``key`` reads its ``RunConfig.key``
+    through a memo of this book and ``groups`` maps each ``cc.propose``
+    rank of an active chart to the charts that propose it.
 
     The least rank is the center ``select_center`` picks, and its charts
     are exactly those the rule matches: a chart that contains the selected
@@ -285,26 +287,23 @@ class _Book:
         self.registry = registry
         self.charts = charts
         self.coeff = {r.id: r.coeff for r in registry}
+        self.pairs = set(self.coeff.items())
         self.labels = _labels(dual)
         self.key = self.ordering = None
-        self.active, self.resolved, self.rank, self.groups = {}, {}, {}, {}
+        self.active, self.resolved, self.groups = {}, {}, {}
         for chart, count in charts:
             self.add(chart, count)
 
     def rank_by(self, config: RunConfig) -> None:
         """File the active charts under their ranks for ``config``'s ordering."""
         if self.key is None or self.ordering != config.ordering:
-            self.ordering, self.key = config.ordering, config.key
-            self.rank, self.groups = {}, {}
+            self.ordering, self.key = config.ordering, _Keys(config.key).__getitem__
+            self.groups = {}
             for chart in self.active:
                 self._file(chart)
 
     def _file(self, chart: ChartState):
-        rank = self.rank[chart] = cc.propose(chart, self.key)
-        group = self.groups.get(rank)
-        if group is None:
-            group = self.groups[rank] = set()
-        group.add(chart)
+        self.groups.setdefault(cc.propose(chart, self.key), set()).add(chart)
 
     def add(self, chart: ChartState, count: int):
         """Add ``count`` copies of a chart, filing it if it is new and active."""
@@ -317,14 +316,21 @@ class _Book:
             if self.key is not None:
                 self._file(chart)
 
-    def remove(self, chart: ChartState):
-        """Drop an active chart, all its copies."""
-        del self.active[chart]
-        rank = self.rank.pop(chart)
-        group = self.groups[rank]
-        group.remove(chart)
-        if not group:
-            del self.groups[rank]
+    def drop(self, rank: tuple):
+        """Drop the active charts filed under ``rank``, all their copies."""
+        for chart in self.groups.pop(rank):
+            del self.active[chart]
+
+
+class _Keys(dict):
+    """The values of the id ordering ``key``, each computed once."""
+
+    def __init__(self, key):
+        self.key = key
+
+    def __missing__(self, ident):
+        value = self[ident] = self.key(ident)
+        return value
 
 
 def _multiset(items) -> dict:
@@ -335,8 +341,7 @@ def _multiset(items) -> dict:
 
 
 def _sorted_chart_items(multiset: dict) -> tuple:
-    return tuple(sorted(((c, n) for c, n in multiset.items() if n),
-                        key=lambda item: item[0].sort_key()))
+    return tuple(sorted(multiset.items(), key=lambda item: item[0].sort_key()))
 
 
 def _labels(dual: dc.DualComplex) -> tuple:
@@ -350,13 +355,21 @@ def _labels(dual: dc.DualComplex) -> tuple:
     return vertices, spans
 
 
-def _chart_problems(chart: ChartState, count, labels: tuple, coeff: dict,
-                    fresh=None) -> list:
+def _misfits(items, labels: tuple, pairs: set) -> list:
+    """The (chart, count) items in which ``_chart_problems`` finds something
+    wrong, each tested in C-level passes; ``pairs`` holds the registered
+    (id, coefficient) pairs."""
+    vertices, spans = labels
+    return [(chart, count) for chart, count in items
+            if not (type(count) is int and count >= 1 and chart.x_indices <= vertices
+                    and chart.x_indices in spans and pairs.issuperset(chart.exponents))]
+
+
+def _chart_problems(chart: ChartState, count, labels: tuple, coeff: dict) -> list:
     """What is wrong with one (chart, count) item.
 
     ``labels`` is ``_labels`` of the dual complex; ``coeff`` maps each
-    registered divisor id to its coefficient; the pair ``fresh``, if
-    given, is one more (id, coefficient).
+    registered divisor id to its coefficient.
     """
     out = []
     if type(count) is not int or count < 1:
@@ -369,9 +382,8 @@ def _chart_problems(chart: ChartState, count, labels: tuple, coeff: dict,
     elif chart.x_indices not in spans:
         out.append(f"chart {chart!r} uses x-indices {sorted(chart.x_indices)} "
                    f"that span no cell of the dual complex")
-    new, e = fresh or (None, None)
     for div, a in chart.exponents:
-        c = e if div == new else coeff.get(div)
+        c = coeff.get(div)
         if c is None:
             out.append(f"chart {chart!r} references unregistered divisor {div!r}")
         elif c != a:
@@ -388,7 +400,7 @@ def validate_state(state: ResolutionState) -> list:
            for div in sorted(counts) if counts[div] > 1]
     labels = _labels(state.dual)
     coeff = {r.id: r.coeff for r in state.registry}
-    return out + [problem for chart, count in state.charts
+    return out + [problem for chart, count in _misfits(state.charts, labels, set(coeff.items()))
                   for problem in _chart_problems(chart, count, labels, coeff)]
 
 
@@ -500,8 +512,8 @@ def step(state: ResolutionState,
         raise NoApplicableRule("every chart is resolved")
     rule = cc.RULES[rank[-4]]
     # Every chart filed under the least rank proposes exactly this rule.
-    matched = sorted(((c, book.active[c]) for c in book.groups[rank]),
-                     key=lambda item: item[0].sort_key())
+    active = book.active
+    matched = [(c, active[c]) for c in sorted(book.groups[rank], key=ChartState.sort_key)]
 
     index = len(book.events)
     exc_name = None
@@ -515,12 +527,12 @@ def step(state: ResolutionState,
 
     certificates = set()
     produced = {}
+    children, policy = cc.children, config.exponent_policy
     for chart, count in matched:
         parent_deg = chart.deg
-        for child in cc.children(chart, app, policy=config.exponent_policy):
-            certificates.add((parent_deg, child.state.deg))
-            total = count * child.multiplicity
-            produced[child.state] = produced.get(child.state, 0) + total
+        for child, multiplicity, _ in children(chart, app, policy=policy):
+            certificates.add((parent_deg, child.deg))
+            produced[child] = produced.get(child, 0) + count * multiplicity
 
     event = BlowupEvent(
         index=index,
@@ -533,16 +545,20 @@ def step(state: ResolutionState,
         lex=tuple(sorted(certificates)),
     )
 
-    # The new divisor counts as registered; the book registers it once the
-    # children pass.
-    problems = [problem for chart, count in produced.items()
-                for problem in _chart_problems(chart, count, book.labels, book.coeff,
-                                               new_divisor)]
-    if problems:
-        raise InvariantBreach("state invariants broken: " + "; ".join(problems))
+    # The new divisor counts as registered while the children are checked;
+    # the book keeps it only if they pass.
+    labels, pairs = book.labels, book.pairs
+    if new_divisor:
+        pairs.add(new_divisor)
+    failed = _misfits(produced.items(), labels, pairs)
+    if failed:
+        coeff = dict(pairs)  # the registry with the new divisor: its ids are distinct
+        pairs.discard(new_divisor)
+        raise InvariantBreach("state invariants broken: " + "; ".join(
+            problem for chart, count in failed
+            for problem in _chart_problems(chart, count, labels, coeff)))
 
-    for chart, _ in matched:
-        book.remove(chart)
+    book.drop(rank)
     for chart, count in produced.items():
         book.add(chart, count)
     if new_divisor:
@@ -638,10 +654,14 @@ def state_to_obj(state: ResolutionState) -> dict:
 
 
 def state_from_obj(obj: dict) -> ResolutionState:
-    """Parse a state document; ValueError if it is malformed, its dual
-    complex is invalid or the state is inconsistent."""
+    """Parse a state document; ValueError if it is malformed (a key other
+    than 'dual', 'registry' and 'charts' included), its dual complex is
+    invalid or the state is inconsistent."""
     if not isinstance(obj, dict) or "dual" not in obj or "charts" not in obj:
         raise ValueError("state document needs 'dual' and 'charts'")
+    extra = [k for k in obj if k not in ("dual", "registry", "charts")]
+    if extra:
+        raise ValueError(f"state key {extra[0]!r} is not part of a state document")
     registry = obj.get("registry", [])
     if not isinstance(registry, list):
         raise ValueError(f"state 'registry' must be an array, got {registry!r}")
@@ -786,7 +806,7 @@ class _Entries(dict):
 
 def _chart_text(chart: ChartState, entries: _Entries) -> str:
     """The text of ``cc.chart_to_obj(chart)`` as ``_ITEM`` embeds it, at depth 5."""
-    xs, exps = sorted(chart.x_indices), chart.exponents
+    xs, exps = chart.xs, chart.exponents
     a = ("{\n       " + ",\n       ".join(map(entries.__getitem__, exps)) + "\n      }"
          if exps else "{}")
     return ('{\n      "a": ' + a + ',\n      "m": ' + int.__repr__(chart.det_size)

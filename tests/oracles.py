@@ -10,6 +10,7 @@ which the tests check against the dense Smith normal form on its own.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 from fractions import Fraction
@@ -816,6 +817,45 @@ def reference_local_equation(chart):
     for div, a in chart.exponents:
         rhs = rhs * Polynomial.variable(cc.z_var(div)) ** a
     return lhs - rhs
+
+
+# --------------------------------------------------------------------------
+# Rule ranks by re-sorting and whole-map lookups
+# --------------------------------------------------------------------------
+
+def reference_propose(chart, key) -> tuple:
+    """``chart_calculus.propose`` as it sorted the x-indices on every call
+    and ranked MON1 by calling ``key`` on every divisor of exponent >= 2.
+
+    Reference for the library, which sorts the chart's stored x-tuple and
+    calls ``key`` only on the divisors tied at the top exponent; both must
+    give the same rank for every unresolved chart and id ordering.
+    """
+    _, dy, dz = chart.deg
+    xs = sorted(chart.x_indices, key=key)
+    pair, pk = (xs[0], xs[1]), (key(xs[0]), key(xs[1]))
+    if dy >= 2:
+        return (0, -chart.det_size, pk, "DET", pair, (), chart.det_size)
+    if dz > len(chart.exponents):
+        neg_a, kd, d = min((-a, key(d), d) for d, a in chart.exponents if a >= 2)
+        return (1, neg_a, kd, pk, "MON1", pair, (d,), None)
+    if dz >= 2:
+        j1, j2 = sorted((d for d, _ in chart.exponents), key=key)[:2]
+        return (2, key(j1), key(j2), pk, "MON2", pair, (j1, j2), None)
+    if dy + dz == 2:
+        ((j, _),) = chart.exponents
+        return (3, key(j), pk, "MON3", pair, (j,), None)
+    return (4, key(xs[0]), "BIN", (xs[0],), (), None)
+
+
+def reference_application(rank, chart, policy, new_id) -> RuleApplication:
+    """``chart_calculus.application`` as it read the exponent from a whole
+    exponent map and set the new divisor with ``dataclasses.replace``."""
+    app = RuleApplication(*rank[-4:])
+    a = chart.exponent_map().get(app.divisors[0]) if app.divisors else None
+    e = exceptional_coefficient(app.kind, det_size=chart.det_size,
+                                divisor_exponent=a, policy=policy)
+    return dataclasses.replace(app, new_divisor=(new_id, e)) if e > 0 else app
 
 
 # --------------------------------------------------------------------------

@@ -5,10 +5,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from sncresolve import chart_calculus as cc
 from sncresolve import poly_oracle as po
+from sncresolve import resolution_engine as re_
 from sncresolve.chart_calculus import (ChartState, MultiDegree,
                                        RuleApplication, RulePreconditionError)
+from sncresolve.resolution_engine import RunConfig
 
-from oracles import reference_children, reference_local_equation
+from oracles import (reference_application, reference_children, reference_local_equation,
+                     reference_propose)
 
 
 def chart(xs, m, a=None):
@@ -342,6 +345,46 @@ def test_children_equal_the_resorting_reference(case):
         s = child.state
         rebuilt = ChartState(s.x_indices, s.det_size, s.exponents)
         assert (s.deg, hash(s)) == (rebuilt.deg, hash(rebuilt))
+
+
+# --------------------------------------------------------------------------
+# ranks and applications against the re-sorting reference (tests/oracles.py)
+# --------------------------------------------------------------------------
+
+RANK_IDS = ["E1", "E2", "E3", "E4", "E5"]
+RANK_DIVISORS = ["f1", "f2", "w1", "w2", "w10"]
+
+
+@st.composite
+def unresolved_chart_and_ordering(draw):
+    xs = draw(st.lists(st.sampled_from(RANK_IDS), min_size=2, max_size=5, unique=True))
+    m = draw(st.integers(min_value=0, max_value=4))
+    # Few exponent values, so that divisors often tie at the top one.
+    exps = draw(st.dictionaries(st.sampled_from(RANK_DIVISORS),
+                                st.sampled_from([1, 2, 2, 3, 3]), max_size=5))
+    if not (m or exps):
+        exps = {"f1": 1}
+    # Orderings repeat ids and name ids no chart carries.
+    ordering = draw(st.none() | st.lists(st.sampled_from(RANK_IDS + RANK_DIVISORS + ["E9"]),
+                                         max_size=10).map(tuple))
+    return chart(xs, m, exps), ordering
+
+
+@settings(max_examples=400, deadline=None)
+@given(unresolved_chart_and_ordering(), st.sampled_from(cc.POLICIES))
+@example((chart(["E1", "E2", "E3"], 0, {"f1": 3, "f2": 3, "w1": 3, "w2": 1}),
+          ("w1", "E3", "f2", "w1")), "oracle")
+@example((chart(["E1", "E2"], 1, {"w1": 2, "w10": 2}), ("w10", "w10", "E2")), "paper")
+def test_propose_and_application_equal_the_reference(case, policy):
+    c, ordering = case
+    config = RunConfig(ordering)
+    want = reference_propose(c, config.key)
+    # The engine ranks through its book's memo of the key.
+    for key in (config.key, re_._Keys(config.key).__getitem__):
+        assert cc.propose(c, key) == want
+    for new_id in ("w7", None):
+        assert cc.application(want, c, policy, new_id) \
+            == reference_application(want, c, policy, new_id)
 
 
 # --------------------------------------------------------------------------

@@ -505,6 +505,16 @@ def test_resolve_malformed_state_document_exit_2(tmp_path, capsys, path, value):
     assert _one_invalid_input_line(capsys)
 
 
+def test_resolve_a_state_document_with_a_stray_key_exit_2(tmp_path, capsys):
+    doc = _state_doc_with_divisor()
+    doc["extra"] = 1
+    file = tmp_path / "state.json"
+    file.write_text(json.dumps(doc))
+    assert cli.main(["resolve", "--input", str(file)]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err \
+        == "invalid input: state key 'extra' is not part of a state document\n"
+
+
 def _with(doc, path, value):
     target = doc
     for key in path[:-1]:

@@ -4,6 +4,7 @@ import json
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from sncresolve import chart_calculus as cc
 from sncresolve import resolution_engine as re_
@@ -308,6 +309,35 @@ def test_state_validation_catches_x_indices_spanning_no_cell():
         re_.run(bad)
 
 
+# E1-E2-E3 is a path: {E1, E3} and {E1, E2, E3} label no cell, E9 no vertex.
+PATH_LABELS = re_._labels(sm.dual_complex_of(
+    sm.from_index_sets(["E1", "E2", "E3"], [{"E1", "E2"}, {"E2", "E3"}])))
+REGISTRY_COEFF = {"f1": 2, "f2": 1, "w3": 1}
+
+
+@st.composite
+def chart_item_and_fresh_pair(draw):
+    xs = draw(st.sets(st.sampled_from(["E1", "E2", "E3", "E9"]), min_size=1))
+    # "ghost" and "w9" are absent from the registry; "w9" is the fresh id.
+    exps = draw(st.dictionaries(st.sampled_from(["f1", "f2", "w3", "ghost", "w9"]),
+                                st.integers(min_value=1, max_value=3), max_size=4))
+    count = draw(st.sampled_from([1, 1, 2, 7, 0, -1, True, 1.0]))
+    fresh = draw(st.none() | st.tuples(st.just("w9"), st.integers(min_value=1, max_value=3)))
+    return cc.ChartState.of(xs, draw(st.integers(min_value=0, max_value=2)), exps), count, fresh
+
+
+@settings(max_examples=500, deadline=None)
+@given(chart_item_and_fresh_pair())
+@example((cc.ChartState.of(["E1", "E2"], 1, {"f1": 2, "w9": 1}), 1, ("w9", 1)))
+@example((cc.ChartState.of(["E1", "E2"], 1, {"f1": 1}), 1, None))
+def test_the_child_predicate_accepts_exactly_the_items_without_problems(case):
+    chart, count, fresh = case
+    pairs = set(REGISTRY_COEFF.items()) | ({fresh} if fresh else set())
+    problems = re_._chart_problems(chart, count, PATH_LABELS, dict(pairs))
+    misfits = re_._misfits([(chart, count)], PATH_LABELS, pairs)
+    assert misfits == ([] if not problems else [(chart, count)])
+
+
 def test_hand_built_states_are_checked_in_full_before_their_first_event():
     # The alien chart is resolved, so no event would ever touch it.
     state = double_point_seed()
@@ -380,6 +410,17 @@ def test_a_corrupted_child_raises_from_step_and_run(monkeypatch, corrupt, messag
     assert event.new_divisor == ("w1", 2)
     assert re_.event_to_obj(event) == re_.event_to_obj(clean_event)
     assert state.charts == clean_state.charts
+
+
+def test_a_failed_event_takes_its_new_divisor_out_of_the_registry_pairs(monkeypatch):
+    # The children are checked against the registry pairs with the new
+    # divisor added; a failing event must not leave it there.
+    config = RunConfig(exponent_policy="paper")
+    seed = triangle_seed()
+    _corrupt_children(monkeypatch, _with_ghost_divisor)
+    with pytest.raises(re_.InvariantBreach, match="unregistered divisor 'ghost'"):
+        re_.step(seed, config)
+    assert seed._book.coeff == {} and seed._book.pairs == set()
 
 
 def test_older_states_keep_their_view_and_can_step_again():
@@ -596,6 +637,17 @@ def test_replay_names_what_differs_in_the_head(tamper, detail):
     result = re_.replay_trace(doc)
     assert not result.ok
     assert detail in result.detail
+
+
+def test_replay_refuses_a_seed_with_a_key_outside_a_state():
+    state = random_state(random.Random(0))
+    config = RunConfig()
+    final, events = re_.run(state, config)
+    doc = json.loads(json.dumps(re_.trace_to_obj(state, events, final, config)))
+    assert re_.replay_trace(doc).ok
+    doc["seed"]["extra"] = 1
+    with pytest.raises(ValueError, match="state key 'extra' is not part of a state document"):
+        re_.replay_trace(doc)
 
 
 def _int_places(value, path=()):

@@ -193,6 +193,10 @@ class ChildChart(NamedTuple):
     family: str
 
 
+# A ChildChart in one C call, as ``_degree`` makes a MultiDegree.
+_child = functools.partial(tuple.__new__, ChildChart)
+
+
 def chart_to_obj(chart: ChartState) -> dict:
     return {"x": list(chart.xs), "m": chart.det_size,
             "a": {d: a for d, a in chart.exponents}}
@@ -394,7 +398,7 @@ class _Det(Rule):
             extra = (app.new_divisor[0], e)
         x_child = chart._derive(chart.x_indices - {min(app.pair)}, m, add=extra)
         y_child = chart._derive(chart.x_indices, m - 1, add=extra)
-        return [ChildChart(x_child, 2, "x"), ChildChart(y_child, m * m, "y")]
+        return [_child((x_child, 2, "x")), _child((y_child, m * m, "y"))]
 
     def coefficient(self, det_size, divisor_exponent, policy):
         m = det_size
@@ -443,7 +447,7 @@ class _Mon1(Rule):
             extra = (app.new_divisor[0], e)
         x_child = chart._derive(chart.x_indices - {min(app.pair)}, chart.det_size, add=extra)
         z_child = chart._derive(chart.x_indices, chart.det_size, drop=j1, add=extra)
-        return [ChildChart(x_child, 2, "x"), ChildChart(z_child, 1, "z")]
+        return [_child((x_child, 2, "x")), _child((z_child, 1, "z"))]
 
     def coefficient(self, det_size, divisor_exponent, policy):
         return divisor_exponent - 2
@@ -472,7 +476,7 @@ class _Mon2(Rule):
                  "divisors ({!r},{!r}) must both carry exponent 1", j1, j2)
         x_child = chart._derive(chart.x_indices - {min(app.pair)}, chart.det_size)
         z_child = chart._derive(chart.x_indices, chart.det_size, drop=min(j1, j2))
-        return [ChildChart(x_child, 2, "x"), ChildChart(z_child, 2, "z")]
+        return [_child((x_child, 2, "x")), _child((z_child, 2, "z"))]
 
 
 class _Mon3(Rule):
@@ -494,7 +498,7 @@ class _Mon3(Rule):
         # Both single-factor children take the same form once the leftover
         # divisor coordinate is renamed into the y-slot.
         yz_child = chart._bare(1)
-        return [ChildChart(x_child, 2, "x"), ChildChart(yz_child, 2, "yz")]
+        return [_child((x_child, 2, "x")), _child((yz_child, 2, "yz"))]
 
     def charts(self, chart, app):
         ((j1, _),) = chart.exponents
@@ -522,8 +526,7 @@ class _Bin(Rule):
                  "needs a single degree-one factor, chart has (dy,dz)=({},{})", d.dy, d.dz)
         factor_child = chart._derive(chart.x_indices - {i1}, chart.det_size)
         smooth_child = chart._bare(0)
-        return [ChildChart(factor_child, 1, "factor"),
-                ChildChart(smooth_child, 1, "smooth")]
+        return [_child((factor_child, 1, "factor")), _child((smooth_child, 1, "smooth"))]
 
     def charts(self, chart, app):
         (i1,) = app.pair

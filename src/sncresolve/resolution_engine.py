@@ -23,14 +23,13 @@ is filed under the one rule that would rewrite it, ranked by phase and
 tie-break.  An event takes the least-ranked rule and the charts filed
 under it as its parents, checks only the children it produces, and
 updates the newest state in place, so its cost follows the charts it
-touches rather than the whole state (apart from one minimum over the
-distinct proposed rules).
+touches rather than the whole state.
 
 A trace is the plain object of ``trace_to_obj`` or the text that
 ``write_trace`` lays out from what ``run`` makes (ints, strs and None);
 both give the bytes of ``json.dumps(doc, indent=1, sort_keys=True)``.
-``replay_trace`` checks a trace's head, events and final state with the
-verdict of a byte comparison; the seed is read, not compared.
+``replay_trace`` checks a trace's head, the chart items of its seed,
+its events and its final state with the verdict of a byte comparison.
 """
 
 from __future__ import annotations
@@ -38,6 +37,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from itertools import starmap
 from json.encoder import encode_basestring_ascii as _encode_str
 
@@ -190,9 +190,14 @@ class ResolutionState:
         state._fill(book.dual, book, n, True, None, None, None)
         return state
 
-    def _fill(self, *values):
-        for name, value in zip(self.__slots__, values, strict=True):
-            _set(self, name, value)
+    def _fill(self, dual, book, n, valid, registry, charts, trace):
+        _set(self, "dual", dual)
+        _set(self, "_book", book)
+        _set(self, "_n", n)
+        _set(self, "_valid", valid)
+        _set(self, "_registry", registry)
+        _set(self, "_charts", charts)
+        _set(self, "_trace", trace)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"ResolutionState is immutable; cannot set {name!r}")
@@ -270,8 +275,9 @@ class _Book:
     their coefficients, ``pairs`` holds the same (id, coefficient) pairs
     as a set, and ``labels`` holds the vertex and cell labels.  Once
     ``rank_by`` has named an id ordering, ``key`` reads its ``RunConfig.key``
-    through a memo of this book and ``groups`` maps each ``cc.propose``
-    rank of an active chart to the charts that propose it.
+    through a memo of this book, ``groups`` maps each ``cc.propose``
+    rank of an active chart to the charts that propose it, and ``heap``
+    holds those ranks, pushed as a group opens and popped by ``drop``.
 
     The least rank is the center ``select_center`` picks, and its charts
     are exactly those the rule matches: a chart that contains the selected
@@ -290,7 +296,7 @@ class _Book:
         self.pairs = set(self.coeff.items())
         self.labels = _labels(dual)
         self.key = self.ordering = None
-        self.active, self.resolved, self.groups = {}, {}, {}
+        self.active, self.resolved, self.groups, self.heap = {}, {}, {}, []
         for chart, count in charts:
             self.add(chart, count)
 
@@ -298,12 +304,16 @@ class _Book:
         """File the active charts under their ranks for ``config``'s ordering."""
         if self.key is None or self.ordering != config.ordering:
             self.ordering, self.key = config.ordering, _Keys(config.key).__getitem__
-            self.groups = {}
+            self.groups, self.heap = {}, []
             for chart in self.active:
                 self._file(chart)
 
     def _file(self, chart: ChartState):
-        self.groups.setdefault(cc.propose(chart, self.key), set()).add(chart)
+        rank = cc.propose(chart, self.key)
+        group = self.groups.setdefault(rank, set())
+        if not group:
+            heappush(self.heap, rank)
+        group.add(chart)
 
     def add(self, chart: ChartState, count: int):
         """Add ``count`` copies of a chart, filing it if it is new and active."""
@@ -316,9 +326,9 @@ class _Book:
             if self.key is not None:
                 self._file(chart)
 
-    def drop(self, rank: tuple):
-        """Drop the active charts filed under ``rank``, all their copies."""
-        for chart in self.groups.pop(rank):
+    def drop(self):
+        """Drop the active charts filed under the least rank, all their copies."""
+        for chart in self.groups.pop(heappop(self.heap)):
             del self.active[chart]
 
 
@@ -341,7 +351,8 @@ def _multiset(items) -> dict:
 
 
 def _sorted_chart_items(multiset: dict) -> tuple:
-    return tuple(sorted(multiset.items(), key=lambda item: item[0].sort_key()))
+    charts = sorted(multiset, key=ChartState.sort_key)
+    return tuple(zip(charts, map(multiset.__getitem__, charts)))
 
 
 def _labels(dual: dc.DualComplex) -> tuple:
@@ -491,7 +502,7 @@ def _center(state: ResolutionState, config: RunConfig) -> tuple:
         _validated(state, InvariantBreach, "state invariants broken: ")
     book = state._own()
     book.rank_by(config)
-    return book, min(book.groups, default=None)
+    return book, book.heap[0] if book.heap else None
 
 
 def step(state: ResolutionState,
@@ -530,7 +541,7 @@ def step(state: ResolutionState,
     children, policy = cc.children, config.exponent_policy
     for chart, count in matched:
         parent_deg = chart.deg
-        for child, multiplicity, _ in children(chart, app, policy=policy):
+        for child, multiplicity, _ in children(chart, app, policy):
             certificates.add((parent_deg, child.deg))
             produced[child] = produced.get(child, 0) + count * multiplicity
 
@@ -558,7 +569,7 @@ def step(state: ResolutionState,
             problem for chart, count in failed
             for problem in _chart_problems(chart, count, labels, coeff)))
 
-    book.drop(rank)
+    book.drop()
     for chart, count in produced.items():
         book.add(chart, count)
     if new_divisor:
@@ -700,38 +711,38 @@ def write_trace(seed: ResolutionState, events, final: ResolutionState,
     final depth; the string encoder escapes every control character, so
     the only newlines in a text are layout ones and re-indenting is exact.
     A chart is laid out once while it is live, in the form an event embeds
-    it: a child's text is kept, reused and dropped at its last use, as a
-    parent or in the final state, and a seed chart's text is kept for the
+    it: a child's text is kept, reused by the final state and dropped when
+    an event consumes the child, and a seed chart's text is kept for the
     seed, written last.  So writing holds the text of the live and seed
     charts and of one event, not of the trace; the bytes never depend on
     the memo.  A dual complex that both states share is laid out once.
     """
     texts, entries = {}, _Entries()
+    get, keep, pop = texts.get, texts.setdefault, texts.pop
     in_seed = {chart for chart, _ in seed.charts}
 
-    def chart_text(chart, keep) -> str:
-        text = texts.pop(chart, None) or _chart_text(chart, entries)
-        if keep:
-            texts[chart] = text
-        return text
-
     def event_text(e) -> str:
-        # Parents first: an event consumes its parents, then produces its children.
-        parents = [_ITEM % (chart_text(c, c in in_seed), n) for c, n in e.parents]
-        children = [_ITEM % (chart_text(c, True), n) for c, n in e.children]
+        # Parents first: an event consumes its parents, then produces its
+        # children.  A consumed chart's text is dropped unless it is a seed chart.
+        parents = [_ITEM % (get(c) or keep(c, _chart_text(c, entries)) if c in in_seed
+                            else pop(c, None) or _chart_text(c, entries), n)
+                   for c, n in e.parents]
+        children = [_ITEM % (get(c) or keep(c, _chart_text(c, entries)), n) for c, n in e.children]
         rule = e.rule
         return _EVENT % (
             _array(children, "   "), _leaf(e.exceptional), e.index,
             _array([_LEX % (*p, *c) for p, c in e.lex], "   "),
             _scalars(e.new_divisor, "   "), _array(parents, "   "), _encode_str(e.phase),
-            _leaf(rule.det_size), _scalars(rule.divisors, "    ", "[]"), _encode_str(rule.kind),
-            _scalars(rule.new_divisor, "    "), _scalars(rule.pair, "    ", "[]"))
+            _leaf(rule.det_size), _array(list(map(_encode_str, rule.divisors)), "    "),
+            _encode_str(rule.kind), _scalars(rule.new_divisor, "    "),
+            _array(list(map(_encode_str, rule.pair)), "    "))
 
     def write_state(state, dual: str) -> None:
         write('{\n  "charts": ')
         # A state's chart sits one level shallower than an event's.
-        _write_array(write, (_STATE_ITEM % (chart_text(c, c in in_seed).replace("\n ", "\n"),
-                                            n) for c, n in state.charts), "  ")
+        _write_array(write, (_STATE_ITEM % ((get(c) or keep(c, _chart_text(c, entries)))
+                                            .replace("\n ", "\n"), n)
+                             for c, n in state.charts), "  ")
         records = [_RECORD % (_leaf(r.birth), r.coeff, _encode_str(r.id))
                    for r in state.registry]
         write(',\n  "dual": ' + dual + ',\n  "registry": ' + _array(records, "  ") + "\n }")
@@ -749,8 +760,8 @@ def write_trace(seed: ResolutionState, events, final: ResolutionState,
 
 
 # The templates of an event at depth 2 (keys sorted), of a chart item and a
-# lex pair in it, and of a state's chart item, dual cell and registry
-# record; a chart slot takes ``_chart_text``.
+# lex pair in it, of a chart in a chart item, and of a state's chart item,
+# dual cell and registry record; a chart slot takes ``_chart_text``.
 _EVENT = ('{\n   "children": %s,\n   "exceptional": %s,\n   "index": %s,\n   "lex": %s,\n'
           '   "new_divisor": %s,\n   "parents": %s,\n   "phase": %s,\n   "rule": {\n'
           '    "det_size": %s,\n    "divisors": %s,\n    "kind": %s,\n'
@@ -758,6 +769,7 @@ _EVENT = ('{\n   "children": %s,\n   "exceptional": %s,\n   "index": %s,\n   "le
 _ITEM = '{\n     "chart": %s,\n     "count": %s\n    }'
 _LEX = ("[\n     [\n      %s,\n      %s,\n      %s\n     ],\n"
         "     [\n      %s,\n      %s,\n      %s\n     ]\n    ]")
+_CHART = '{\n      "a": %s,\n      "m": %d,\n      "x": [\n       %s\n      ]\n     }'
 _STATE_ITEM = '{\n    "chart": %s,\n    "count": %s\n   }'
 _CELL = '{\n     "dim": %d,\n     "facets": %s,\n     "id": %s%s\n    }'
 _RECORD = '{\n    "birth": %s,\n    "coeff": %s,\n    "id": %s\n   }'
@@ -806,12 +818,9 @@ class _Entries(dict):
 
 def _chart_text(chart: ChartState, entries: _Entries) -> str:
     """The text of ``cc.chart_to_obj(chart)`` as ``_ITEM`` embeds it, at depth 5."""
-    xs, exps = chart.xs, chart.exponents
-    a = ("{\n       " + ",\n       ".join(map(entries.__getitem__, exps)) + "\n      }"
-         if exps else "{}")
-    return ('{\n      "a": ' + a + ',\n      "m": ' + int.__repr__(chart.det_size)
-            + ',\n      "x": [\n       ' + ",\n       ".join(map(_encode_str, xs))
-            + "\n      ]\n     }")
+    exps = ",\n       ".join(map(entries.__getitem__, chart.exponents))
+    return _CHART % ("{\n       %s\n      }" % exps if exps else "{}", chart.det_size,
+                     ",\n       ".join(map(_encode_str, chart.xs)))
 
 
 @dataclass(frozen=True)
@@ -825,8 +834,8 @@ def replay_trace(doc: dict) -> ReplayResult:
     """Re-run a trace from its recorded seed and config and compare the run's
     head, events and final state with the record type-strictly, which gives
     the verdict of a byte comparison of their canonical JSON text; name the
-    part that differs.  The seed is read, not compared.  A document that is
-    not an object with all five keys raises ValueError before anything runs."""
+    part that differs, seed chart items included.  A document that is not
+    an object with all five keys raises ValueError before anything runs."""
     if not (isinstance(doc, dict) and "seed" in doc and "final" in doc):
         raise ValueError("a trace must be an object with 'seed' and 'final'")
     for key in ("assumptions", "config", "events"):
@@ -846,6 +855,9 @@ def replay_trace(doc: dict) -> ReplayResult:
     # RunConfig refuses a value out of type, so == is type-strict here.
     if doc["config"] != config.to_json_obj():
         return ReplayResult(False, final, "config differs from the record")
+    # The chart reader refuses a number that is not an int, so == is type-strict here.
+    if doc["seed"]["charts"] != list(starmap(_item_obj, seed.charts)):
+        return ReplayResult(False, final, "seed chart items differ from the state they parse to")
     if len(events) != len(recorded):
         return ReplayResult(False, final, f"event count {len(events)} != recorded {len(recorded)}")
     if state_to_obj(final) != doc["final"] or not _strict(doc["final"]):

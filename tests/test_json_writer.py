@@ -115,14 +115,32 @@ def test_a_chart_consumed_and_produced_again_streams_the_same_bytes(monkeypatch)
     # Event 1 reuses b and a, the final state a, b and c, the seed a.
 
 
+def test_a_seed_chart_left_to_the_final_state_is_laid_out_once(monkeypatch):
+    a, b, r = (cc.ChartState.of(["E1", "E2"], m, {}) for m in (3, 2, 1))
+    seed = re_.ResolutionState(ONE_CHART, (), ((a, 1), (r, 1)))
+    final = re_.ResolutionState(ONE_CHART, (), ((b, 1), (r, 1)))
+    laid_out = []
+    chart_text = re_._chart_text
+
+    def counted(chart, entries):
+        laid_out.append(chart)
+        return chart_text(chart, entries)
+
+    monkeypatch.setattr(re_, "_chart_text", counted)
+    assert_trace_bytes(seed, [_blowup(0, ((a, 1),), ((b, 1),))], final)
+    # r is never consumed: the final state lays it out and the seed reuses it.
+    assert laid_out == [a, b, r]
+
+
 # The event layout of ``write_trace`` against ``json.dumps`` of the dict
-# that ``event_to_obj`` builds.
+# that ``event_to_obj`` builds, on charts up to 48 exponents wide: the
+# corank-40 double point's charts carry up to 39.
 
 chart_ids = st.text(st.one_of(st.characters(), st.sampled_from('"\\\né😀')), max_size=6)
 big_ints = st.integers(min_value=0, max_value=2 ** 200)
 charts = st.builds(cc.ChartState.of, st.sets(chart_ids, min_size=1, max_size=4),
                    st.one_of(st.just(0), big_ints),
-                   st.dictionaries(chart_ids, big_ints.map(lambda n: n + 1), max_size=5))
+                   st.dictionaries(chart_ids, big_ints.map(lambda n: n + 1), max_size=48))
 # Counts and lex values: the engine makes only ints.
 values = st.integers(min_value=-2 ** 200, max_value=2 ** 200)
 degrees = st.tuples(values, values, values)

@@ -476,6 +476,36 @@ def test_select_center_and_parents_equal_the_whole_state_reference():
     assert checked > 2 * BATCH_SEEDS
 
 
+def _orderings(state) -> list:
+    """Id orderings of a state: its components in reverse, and a partial one
+    that lists every other component from the last and two divisor ids."""
+    ids = sorted({i for cell in state.dual.cells.values() if cell.dim == 0 for i in cell.label})
+    return [tuple(reversed(ids)), tuple(ids[::-2]) + ("f2", "w2")]
+
+
+def test_select_center_and_parents_equal_the_whole_state_reference_under_orderings():
+    # Under each ordering alone, and with the two swapped every three events,
+    # so the book files its active charts again on the state it has reached.
+    checked = 0
+    for seed_value in range(0, BATCH_SEEDS, 4):
+        reverse, partial = _orderings(random_state(random.Random(seed_value)))
+        policy = ("oracle", "paper")[seed_value % 8 // 4]
+        for schedule in ((reverse,), (partial,), (reverse, partial)):
+            state, n = random_state(random.Random(seed_value)), 0
+            while True:
+                config = RunConfig(schedule[n // 3 % len(schedule)], policy)
+                app = re_.select_center(state, config)
+                assert app == whole_state_select_center(state, config)
+                if app is None:
+                    break
+                expected_parents = tuple((chart, k) for chart, k in state.charts
+                                         if rule_matches(chart, app))
+                state, event = re_.step(state, config)
+                assert event.parents == expected_parents
+                n, checked = n + 1, checked + 1
+    assert checked > BATCH_SEEDS
+
+
 def _applications_near(chart):
     """Rule applications over the chart's own ids, plus one alien x and divisor."""
     xs = sorted(chart.x_indices) + ["E99"]
@@ -648,6 +678,40 @@ def test_replay_refuses_a_seed_with_a_key_outside_a_state():
     doc["seed"]["extra"] = 1
     with pytest.raises(ValueError, match="state key 'extra' is not part of a state document"):
         re_.replay_trace(doc)
+
+
+def _replayed_trace(state):
+    """The JSON document of a run's trace from ``state``, which replays."""
+    final, events = re_.run(state, RunConfig())
+    doc = json.loads(json.dumps(re_.trace_to_obj(state, events, final, RunConfig())))
+    assert re_.replay_trace(doc).ok
+    return doc
+
+
+def test_replay_refuses_a_seed_whose_chart_items_are_reversed():
+    state = random_state(random.Random(0))
+    doc = _replayed_trace(state)
+    doc["seed"]["charts"].reverse()
+    # A state document takes its chart items in any order.
+    assert re_.state_from_obj(doc["seed"]).charts == state.charts
+    result = re_.replay_trace(doc)
+    assert not result.ok
+    assert result.detail == "seed chart items differ from the state they parse to"
+
+
+def test_replay_refuses_a_seed_whose_chart_item_is_split():
+    # Seed 0 has one item per chart, each of count 1: count its first chart
+    # twice, then split that item into two of count 1, which sum back to it.
+    state = random_state(random.Random(0))
+    (chart, count), *rest = state.charts
+    assert count == 1
+    doc = _replayed_trace(re_.ResolutionState(state.dual, state.registry, ((chart, 2), *rest)))
+    item = doc["seed"]["charts"][0]
+    doc["seed"]["charts"][:1] = [dict(item, count=1), dict(item, count=1)]
+    assert re_.state_from_obj(doc["seed"]).charts == ((chart, 2), *rest)
+    result = re_.replay_trace(doc)
+    assert not result.ok
+    assert result.detail == "seed chart items differ from the state they parse to"
 
 
 def _int_places(value, path=()):

@@ -544,7 +544,9 @@ def from_json_obj(obj: dict) -> DualComplex:
         cid, facets, label = entry["id"], entry.get("facets", ()), entry.get("label")
         if not isinstance(facets, (list, tuple)) or not isinstance(label, (list, type(None))):
             raise ValueError(f"cell {cid!r}: 'facets' and 'label' must be arrays")
-        cells.append(Cell.of(cid, entry["dim"], facets, label))
+        cells.append(cell := Cell.of(cid, entry["dim"], facets, label))
+        if label is not None and len(cell.label) != len(label):
+            raise ValueError(f"cell {cid!r}: 'label' repeats a label, got {label!r}")
     return DualComplex(cells)
 
 

@@ -28,8 +28,7 @@ touches rather than the whole state.
 A trace is the plain object of ``trace_to_obj`` or the text that
 ``write_trace`` lays out from what ``run`` makes (ints, strs and None);
 both give the bytes of ``json.dumps(doc, indent=1, sort_keys=True)``.
-``replay_trace`` checks a trace's head, the chart items of its seed,
-its events and its final state with the verdict of a byte comparison.
+``replay_trace`` passes a trace iff it is ``trace_to_obj`` of its re-run.
 """
 
 from __future__ import annotations
@@ -831,11 +830,12 @@ class ReplayResult:
 
 
 def replay_trace(doc: dict) -> ReplayResult:
-    """Re-run a trace from its recorded seed and config and compare the run's
-    head, events and final state with the record type-strictly, which gives
-    the verdict of a byte comparison of their canonical JSON text; name the
-    part that differs, seed chart items included.  A document that is not
-    an object with all five keys raises ValueError before anything runs."""
+    """Re-run a trace from its recorded seed and config; it replays iff it
+    is ``trace_to_obj`` of the re-run, compared type-strictly, which is the
+    verdict of a byte comparison of their canonical JSON text.  The first
+    part that differs, in key order and event by event, is named.  A
+    document that is not an object with all five keys raises ValueError
+    before anything runs."""
     if not (isinstance(doc, dict) and "seed" in doc and "final" in doc):
         raise ValueError("a trace must be an object with 'seed' and 'final'")
     for key in ("assumptions", "config", "events"):
@@ -847,25 +847,18 @@ def replay_trace(doc: dict) -> ReplayResult:
     if not isinstance(recorded, list):
         raise ValueError(f"trace 'events' must be an array, got {recorded!r}")
     final, events = run(seed, config)
-    extra = [k for k in doc if k not in ("assumptions", "config", "events", "final", "seed")]
+    made = trace_to_obj(seed, events, final, config)
+    extra = [k for k in doc if k not in made]
     if extra:
         return ReplayResult(False, final, f"trace key {extra[0]!r} is not part of a trace")
-    if doc["assumptions"] != list(MODEL_ASSUMPTIONS):
-        return ReplayResult(False, final, "assumptions differ from the model's")
-    # RunConfig refuses a value out of type, so == is type-strict here.
-    if doc["config"] != config.to_json_obj():
-        return ReplayResult(False, final, "config differs from the record")
-    # The chart reader refuses a number that is not an int, so == is type-strict here.
-    if doc["seed"]["charts"] != list(starmap(_item_obj, seed.charts)):
-        return ReplayResult(False, final, "seed chart items differ from the state they parse to")
     if len(events) != len(recorded):
         return ReplayResult(False, final, f"event count {len(events)} != recorded {len(recorded)}")
-    if state_to_obj(final) != doc["final"] or not _strict(doc["final"]):
-        return ReplayResult(False, final, "final state differs from the record")
-    for event, want in zip(events, recorded):
-        if event_to_obj(event) != want or not _strict(want):
-            return ReplayResult(False, final,
-                                f"event log differs from the record at event {event.index}")
+    for key in sorted(made):
+        parts = (zip(made[key], recorded, (f"event {e.index}" for e in events))
+                 if key == "events" else [(made[key], doc[key], key)])
+        for part, want, name in parts:
+            if part != want or not _strict(want):
+                return ReplayResult(False, final, f"{name} differs from the re-run")
     return ReplayResult(True, final, "replay reproduced the trace")
 
 

@@ -374,5 +374,7 @@ def from_json_obj(obj: dict) -> SncVariety:
         if not isinstance(indices, list) or not isinstance(parents, dict):
             raise ValueError(f"stratum {sid!r}: 'indices' must be an array "
                              "and 'parents' an object")
-        strata.append(Stratum.of(sid, indices, parents))
+        strata.append(stratum := Stratum.of(sid, indices, parents))
+        if len(stratum.indices) != len(indices):
+            raise ValueError(f"stratum {sid!r}: 'indices' repeats an index, got {indices!r}")
     return SncVariety.of(obj["components"], strata)

@@ -161,6 +161,10 @@ def _one_invalid_input_line(capsys):
     {"cells": [{"id": "v", "dim": 0, "label": "v"}]},
     {"cells": [{"id": "v", "dim": [0]}]},
     *NON_STRING_COMPLEXES,
+    # A 1-cell listing three labels, two of them equal: read as a set, it
+    # would pass the label-size check with two.
+    {"cells": [{"id": "E1", "dim": 0, "label": ["E1"]}, {"id": "E2", "dim": 0, "label": ["E2"]},
+               {"id": "E1+E2", "dim": 1, "facets": ["E1", "E2"], "label": ["E1", "E2", "E1"]}]},
 ])
 def test_dualcomplex_malformed_cells_exit_2(tmp_path, capsys, doc):
     path = tmp_path / "bad.json"
@@ -206,6 +210,8 @@ MALFORMED_VARIETIES = [
     {"components": ["E1"], "strata": [{"id": 5, "indices": ["E1"]}]},
     _variety_with("indices", ["E1", 2]),
     _variety_with("parents", {"E1": 2, "E2": "E1"}),
+    # an index listed twice, which a set of indices would hide
+    _variety_with("indices", ["E2", "E2"]),
 ]
 
 

@@ -623,17 +623,18 @@ def test_replay_detects_tampering():
 
 @pytest.mark.parametrize("tamper, detail", [
     (lambda doc: doc["events"].pop(), "event count"),
-    (lambda doc: doc["events"][0].update(phase="tampered"), "event log differs"),
+    pytest.param(lambda doc: doc["events"][0].update(phase="tampered"),
+                 "event 0 differs from the re-run", id="first-event"),
     # Each value below equals the recorded int under ``==``, but its JSON
     # text differs, so replay refuses it.
     pytest.param(lambda doc: doc["final"]["charts"][0].update(count=1.0),
-                 "final state differs", id="final-count-float"),
+                 "final differs from the re-run", id="final-count-float"),
     pytest.param(lambda doc: doc["events"][0]["parents"][0].update(count=True),
-                 "event log differs from the record at event 0", id="parent-count-bool"),
+                 "event 0 differs from the re-run", id="parent-count-bool"),
     pytest.param(lambda doc: doc["events"][0].update(index=0.0),
-                 "event log differs from the record at event 0", id="index-float"),
+                 "event 0 differs from the re-run", id="index-float"),
     pytest.param(lambda doc: doc["events"][2].update(phase="tampered"),
-                 "event log differs from the record at event 2", id="later-event"),
+                 "event 2 differs from the re-run", id="later-event"),
 ])
 def test_replay_names_what_differs_in_the_event_log(tamper, detail):
     seed = triangle_seed()
@@ -656,6 +657,19 @@ def test_replay_names_what_differs_in_the_event_log(tamper, detail):
     # Read with the default ceiling, the run itself is the same.
     pytest.param(lambda doc: doc["config"].pop("event_ceiling"),
                  "config differs", id="config-ceiling-dropped"),
+    # Both states are checked whole.  Each edit below leaves the run as it
+    # was (a seed edit parses to the same state), but write_trace never
+    # writes it.
+    pytest.param(lambda doc: doc["seed"]["dual"]["cells"].reverse(),
+                 "seed differs from the re-run", id="seed-dual-cells-reversed"),
+    pytest.param(lambda doc: doc["seed"]["registry"][0].update(note=1),
+                 "seed differs from the re-run", id="seed-registry-note"),
+    pytest.param(lambda doc: doc["seed"]["dual"]["cells"][-1]["label"].reverse(),
+                 "seed differs from the re-run", id="seed-label-unsorted"),
+    pytest.param(lambda doc: doc["final"]["dual"]["cells"].reverse(),
+                 "final differs from the re-run", id="final-dual-cells-reversed"),
+    pytest.param(lambda doc: doc["final"]["registry"][0].update(note=1),
+                 "final differs from the re-run", id="final-registry-note"),
 ])
 def test_replay_names_what_differs_in_the_head(tamper, detail):
     state = random_state(random.Random(3))
@@ -696,7 +710,7 @@ def test_replay_refuses_a_seed_whose_chart_items_are_reversed():
     assert re_.state_from_obj(doc["seed"]).charts == state.charts
     result = re_.replay_trace(doc)
     assert not result.ok
-    assert result.detail == "seed chart items differ from the state they parse to"
+    assert result.detail == "seed differs from the re-run"
 
 
 def test_replay_refuses_a_seed_whose_chart_item_is_split():
@@ -711,7 +725,7 @@ def test_replay_refuses_a_seed_whose_chart_item_is_split():
     assert re_.state_from_obj(doc["seed"]).charts == ((chart, 2), *rest)
     result = re_.replay_trace(doc)
     assert not result.ok
-    assert result.detail == "seed chart items differ from the state they parse to"
+    assert result.detail == "seed differs from the re-run"
 
 
 def _int_places(value, path=()):

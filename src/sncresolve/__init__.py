@@ -35,8 +35,6 @@ from .chart_calculus import (
 from .poly_oracle import (
     Polynomial,
     Substitution,
-    det_reduction_check,
-    multiplicity_at_origin,
     strict_transform,
     verify_rule,
 )
@@ -58,8 +56,7 @@ __all__ = [
     "check_center", "dual_complex_of",
     "ChartState", "MultiDegree", "RuleApplication", "children",
     "is_resolved", "local_equation", "mdeg",
-    "Polynomial", "Substitution", "det_reduction_check",
-    "multiplicity_at_origin", "strict_transform", "verify_rule",
+    "Polynomial", "Substitution", "strict_transform", "verify_rule",
     "ResolutionState", "RunConfig", "run", "seed_from_snc",
     "select_center", "step",
     "__version__",

@@ -12,8 +12,9 @@ parser per environment, refuses a missing required flag, probes the output
 file, reads the ``--input`` document for the handler, writes the handler's
 standard output, removes the probed file if the command fails, and maps
 every failure to an exit code: 0 success, 2 input error (also an input that
-cannot be read or decoded, or an output that cannot be written), 3
-invariant breach or failed verification, 4 scale or event ceiling.
+cannot be read or decoded, an object in it that repeats a key, or an output
+that cannot be written), 3 invariant breach or failed verification, 4 scale
+or event ceiling.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import json
 import os
 import random
 import sys
+from collections import Counter
 
 from . import chart_calculus as cc
 from . import dual_complex as dc
@@ -79,6 +81,16 @@ def _parse_range(text: str) -> range:
     if not values:
         raise ValueError(f"{text!r} is an empty range")
     return values
+
+
+def _unique_keys(pairs) -> dict:
+    """A JSON object's dict; ValueError names a key that the object repeats,
+    where ``json`` would keep only its last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        (key, _), = Counter(key for key, _ in pairs).most_common(1)
+        raise ValueError(f"an object repeats the key {key!r}")
+    return obj
 
 
 def _print_err(*parts):
@@ -143,6 +155,9 @@ def _seed_from_doc(doc) -> re_.ResolutionState:
     if isinstance(doc, dict) and "dual" in doc:
         return re_.state_from_obj(doc)
     if isinstance(doc, dict) and "snc" in doc:
+        extra = [k for k in doc if k not in ("snc", "coranks")]
+        if extra:
+            raise ValueError(f"key {extra[0]!r} is not part of an {{snc, coranks}} document")
         snc = sm.from_json_obj(doc["snc"])
         coranks = doc.get("coranks", {})
         if not isinstance(coranks, dict):
@@ -349,7 +364,7 @@ def main(argv=None) -> int:
         if required == "input":
             try:
                 with open(args.input, "r", encoding="utf-8") as handle:
-                    doc = json.load(handle)
+                    doc = json.load(handle, object_pairs_hook=_unique_keys)
             except (OSError, ValueError, RecursionError) as err:
                 _print_err(f"cannot read {args.input}: {err}")
                 return EXIT_INPUT

@@ -337,60 +337,17 @@ def strict_transform(f: Polynomial, sub: Substitution, exceptional: str):
     return pulled.divide_out(exceptional, k), k
 
 
-def multiplicity_at_origin(f: Polynomial) -> int:
-    """Minimum total degree over the terms of a nonzero polynomial."""
-    if f.is_zero():
-        raise ValueError("multiplicity of the zero polynomial")
-    return min(sum(e for _, e in mono) for mono in f.terms)
-
-
-def det_of(entries) -> Polynomial:
-    """Determinant of a square matrix of polynomials (Leibniz expansion)."""
-    m = len(entries)
+def generic_det(m: int, name=lambda r, s: f"y{r}{s}") -> Polynomial:
+    """Determinant of the generic m x m matrix of m^2 distinct named
+    variables: one Leibniz monomial per permutation, signed by parity."""
     if m > 5:
         raise ScaleError("determinant expansion capped at 5x5")
-    total = Polynomial.zero()
-    for perm in itertools.permutations(range(m)):
-        sign = 1
-        for i in range(m):
-            for j in range(i + 1, m):
-                if perm[i] > perm[j]:
-                    sign = -sign
-        term = Polynomial.constant(sign)
-        for r in range(m):
-            entry = entries[r][perm[r]]
-            entry = entry if isinstance(entry, Polynomial) else Polynomial.constant(entry)
-            term = term * entry
-        total = total + term
-    return total
-
-
-def generic_det(m: int, name=lambda r, s: f"y{r}{s}") -> Polynomial:
-    """Determinant of the generic m x m matrix of named variables."""
-    if m == 0:
-        return Polynomial.constant(1)
-    rows = [[Polynomial.variable(name(r, s)) for s in range(1, m + 1)]
-            for r in range(1, m + 1)]
-    return det_of(rows)
-
-
-def det_reduction_check(m: int) -> bool:
-    """Check the pivot-elimination identity used after a determinant blow-up.
-
-    For the generic m x m matrix with the (m, m) entry set to 1, the
-    determinant equals the determinant of the (m-1) x (m-1) matrix with
-    entries y_rs - y_rm * y_ms.
-    """
-    if m < 2:
-        raise ValueError("identity needs m >= 2")
-    if m > 4:
-        raise ScaleError("det_reduction_check capped at m = 4")
-    var = lambda r, s: Polynomial.variable(f"y{r}{s}")
-    full = [[var(r, s) if (r, s) != (m, m) else Polynomial.constant(1)
-             for s in range(1, m + 1)] for r in range(1, m + 1)]
-    reduced = [[var(r, s) - var(r, m) * var(m, s)
-                for s in range(1, m)] for r in range(1, m)]
-    return det_of(full) == det_of(reduced)
+    terms = {}
+    for perm in itertools.permutations(range(1, m + 1)):
+        inversions = sum(p > q for p, q in itertools.combinations(perm, 2))
+        mono = tuple(sorted((name(r, s), 1) for r, s in enumerate(perm, 1)))
+        terms[mono] = -1 if inversions & 1 else 1
+    return _canon(terms)
 
 
 def rename_variables(f: Polynomial, mapping: dict) -> Polynomial:

@@ -62,8 +62,6 @@ class NoApplicableRule(RuntimeError):
     """step() was called on a fully resolved state."""
 
 
-PHASE_ORDER = [rule.phase for rule in cc.RULES.values()]
-
 MODEL_ASSUMPTIONS = (
     "descriptor-level bookkeeping: one descriptor stands for every point "
     "of a (stratum, det-size) class, so blow-up centers over distinct "

@@ -820,6 +820,62 @@ def reference_local_equation(chart):
 
 
 # --------------------------------------------------------------------------
+# Determinants by products of polynomial entries
+# --------------------------------------------------------------------------
+
+def det_of(entries) -> Polynomial:
+    """Determinant of a square matrix of polynomials (Leibniz expansion).
+
+    Reference for ``poly_oracle.generic_det``, which writes each signed
+    monomial directly: on named entries both give the same terms in the
+    same order, and both refuse a matrix larger than 5 x 5.
+    """
+    m = len(entries)
+    if m > 5:
+        raise ScaleError("determinant expansion capped at 5x5")
+    total = Polynomial.zero()
+    for perm in itertools.permutations(range(m)):
+        sign = 1
+        for i in range(m):
+            for j in range(i + 1, m):
+                if perm[i] > perm[j]:
+                    sign = -sign
+        term = Polynomial.constant(sign)
+        for r in range(m):
+            entry = entries[r][perm[r]]
+            entry = entry if isinstance(entry, Polynomial) else Polynomial.constant(entry)
+            term = term * entry
+        total = total + term
+    return total
+
+
+def det_reduction_check(m: int) -> bool:
+    """Check the pivot-elimination identity used after a determinant blow-up.
+
+    For the generic m x m matrix with the (m, m) entry set to 1, the
+    determinant equals the determinant of the (m-1) x (m-1) matrix with
+    entries y_rs - y_rm * y_ms.
+    """
+    if m < 2:
+        raise ValueError("identity needs m >= 2")
+    if m > 4:
+        raise ScaleError("det_reduction_check capped at m = 4")
+    var = lambda r, s: Polynomial.variable(f"y{r}{s}")
+    full = [[var(r, s) if (r, s) != (m, m) else Polynomial.constant(1)
+             for s in range(1, m + 1)] for r in range(1, m + 1)]
+    reduced = [[var(r, s) - var(r, m) * var(m, s)
+                for s in range(1, m)] for r in range(1, m)]
+    return det_of(full) == det_of(reduced)
+
+
+def multiplicity_at_origin(f: Polynomial) -> int:
+    """Minimum total degree over the terms of a nonzero polynomial."""
+    if f.is_zero():
+        raise ValueError("multiplicity of the zero polynomial")
+    return min(sum(e for _, e in mono) for mono in f.terms)
+
+
+# --------------------------------------------------------------------------
 # Rule ranks by re-sorting and whole-map lookups
 # --------------------------------------------------------------------------
 

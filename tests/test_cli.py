@@ -239,6 +239,17 @@ def test_resolve_coranks_not_an_object_exit_2(tmp_path, capsys):
     assert "invalid input" in capsys.readouterr().err
 
 
+def test_resolve_an_snc_document_with_a_stray_key_exit_2(seed_file, capsys):
+    with open(seed_file, encoding="utf-8") as handle:
+        doc = json.load(handle)
+    doc["note"] = 1
+    with open(seed_file, "w", encoding="utf-8") as handle:
+        json.dump(doc, handle)
+    assert cli.main(["resolve", "--input", seed_file]) == cli.EXIT_INPUT
+    assert capsys.readouterr() == (
+        "", "invalid input: key 'note' is not part of an {snc, coranks} document\n")
+
+
 def test_dualcomplex_json_triangle(triangle_file, tmp_path, capsys):
     text_dot, json_dot = tmp_path / "text.dot", tmp_path / "json.dot"
     assert cli.main(["dualcomplex", "--input", triangle_file, "--dot", str(text_dot)]) == 0
@@ -967,6 +978,29 @@ def test_an_undecodable_input_exits_2_with_one_line(tmp_path, capsys, command, k
     assert captured.out == ""
     assert captured.err.startswith(f"cannot read {path}: ")
     assert captured.err.count("\n") == 1
+
+
+def _state_text_repeating_an_id():
+    """A state document whose chart's 'a' map lists divisor f1 twice; its
+    last value is the registry's coefficient, so json alone reads a valid
+    state."""
+    text = json.dumps(_state_doc_with_divisor())
+    assert text.count('"a": {"f1": 2}') == 1
+    return text.replace('"a": {"f1": 2}', '"a": {"f1": 3, "f1": 2}')
+
+
+@pytest.mark.parametrize("command, text, key", [
+    ("dualcomplex", '{"cells": [{"id": "v", "dim": 0, "id": "w"}]}', "id"),
+    ("resolve", _state_text_repeating_an_id(), "f1"),
+])
+def test_an_object_repeating_a_key_exits_2_with_one_line(tmp_path, capsys, command, text,
+                                                         key):
+    # json alone would keep the last value and run on it.
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    assert cli.main([command, "--input", str(path)]) == cli.EXIT_INPUT
+    assert capsys.readouterr() == (
+        "", f"cannot read {path}: an object repeats the key {key!r}\n")
 
 
 class _FullFile(io.StringIO):

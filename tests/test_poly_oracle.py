@@ -9,7 +9,8 @@ from sncresolve import poly_oracle as po
 from sncresolve import resolution_engine as re_
 from sncresolve.poly_oracle import Polynomial, ScaleError, Substitution
 
-from oracles import ReferencePolynomial, reference_rename_variables, reference_verify_rule
+from oracles import (ReferencePolynomial, det_of, det_reduction_check, multiplicity_at_origin,
+                     reference_rename_variables, reference_verify_rule)
 
 V = Polynomial.variable
 C = Polynomial.constant
@@ -76,17 +77,17 @@ def test_substitution_is_a_ring_homomorphism(f, g):
 def test_multiplicity_is_additive(f, g):
     if f.is_zero() or g.is_zero():
         return
-    assert (po.multiplicity_at_origin(f * g)
-            == po.multiplicity_at_origin(f) + po.multiplicity_at_origin(g))
+    assert (multiplicity_at_origin(f * g)
+            == multiplicity_at_origin(f) + multiplicity_at_origin(g))
 
 
 def test_multiplicity_examples():
-    assert po.multiplicity_at_origin(po.generic_det(2)) == 2
-    assert po.multiplicity_at_origin(po.generic_det(3)) == 3
-    assert po.multiplicity_at_origin(po.generic_det(4)) == 4
-    assert po.multiplicity_at_origin(V("x") + V("y") * V("z")) == 1
+    assert multiplicity_at_origin(po.generic_det(2)) == 2
+    assert multiplicity_at_origin(po.generic_det(3)) == 3
+    assert multiplicity_at_origin(po.generic_det(4)) == 4
+    assert multiplicity_at_origin(V("x") + V("y") * V("z")) == 1
     with pytest.raises(ValueError):
-        po.multiplicity_at_origin(Polynomial.zero())
+        multiplicity_at_origin(Polynomial.zero())
 
 
 # --------------------------------------------------------------------------
@@ -325,18 +326,18 @@ def test_remultiplication_identity(f):
 # --------------------------------------------------------------------------
 
 def test_det_reduction_identity():
-    assert po.det_reduction_check(2)
-    assert po.det_reduction_check(3)
-    assert po.det_reduction_check(4)
+    assert det_reduction_check(2)
+    assert det_reduction_check(3)
+    assert det_reduction_check(4)
     with pytest.raises(ValueError):
-        po.det_reduction_check(1)
+        det_reduction_check(1)
     with pytest.raises(ScaleError):
-        po.det_reduction_check(5)
+        det_reduction_check(5)
 
 
 def test_det_reduction_m2_by_hand():
     # det [[a, b], [c, 1]] = a - b*c.
-    lhs = po.det_of([[V("a"), V("b")], [V("c"), C(1)]])
+    lhs = det_of([[V("a"), V("b")], [V("c"), C(1)]])
     assert lhs == V("a") - V("b") * V("c")
 
 
@@ -344,6 +345,24 @@ def test_generic_det_term_counts():
     assert len(po.generic_det(2).terms) == 2
     assert len(po.generic_det(3).terms) == 6
     assert len(po.generic_det(4).terms) == 24
+
+
+@pytest.mark.parametrize("naming", ["default", "y_var"])
+@pytest.mark.parametrize("m", range(6))
+def test_generic_det_matches_the_product_expansion_term_for_term(m, naming):
+    # The same terms in the same insertion order as multiplying out the
+    # matrix of variables, under either naming of its entries.
+    name = (lambda r, s: f"y{r}{s}") if naming == "default" else (
+        lambda r, s: cc.y_var(r, s, m))
+    det = po.generic_det(m) if naming == "default" else po.generic_det(m, name=name)
+    reference = det_of([[V(name(r, s)) for s in range(1, m + 1)] for r in range(1, m + 1)])
+    assert list(det.terms.items()) == list(reference.terms.items())
+
+
+def test_generic_det_is_capped_at_5x5():
+    for build in (lambda: po.generic_det(6), lambda: det_of([[V("y")] * 6] * 6)):
+        with pytest.raises(ScaleError, match=r"^determinant expansion capped at 5x5$"):
+            build()
 
 
 # --------------------------------------------------------------------------

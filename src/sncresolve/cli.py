@@ -11,10 +11,12 @@ and its output file are declared once, in ``_COMMANDS``.
 parser per environment, refuses a missing required flag, probes the output
 file, reads the ``--input`` document for the handler, writes the handler's
 standard output, removes the probed file if the command fails, and maps
-every failure to an exit code: 0 success, 2 input error (also an input that
-cannot be read or decoded, an object in it that repeats a key, or an output
-that cannot be written), 3 invariant breach or failed verification, 4 scale
-or event ceiling.
+every exception to an exit code: 2 for an input error (ValueError or
+KeyError, one stderr line ``invalid input: ...``; also an input that cannot
+be read or decoded, an object in it that repeats a key, or an output that
+cannot be written), 3 for an invariant breach, 4 for a scale or event
+ceiling.  A handler raises and returns only its verdict: 0 success, 3 a
+failed verification, 2 once it has listed a complex's violations.
 """
 
 from __future__ import annotations
@@ -106,23 +108,18 @@ def _print_json(obj):
 # --------------------------------------------------------------------------
 
 def cmd_dualcomplex(args, doc) -> int:
-    try:
-        if isinstance(doc, dict) and "cells" in doc:
-            complex = dc.from_json_obj(doc)
-            violations = dc.validate(complex)
-            if violations:
-                for v in violations:
-                    _print_err(str(v))
-                return EXIT_INPUT
-        elif isinstance(doc, dict) and "components" in doc:
-            complex = sm.dual_complex_of(sm.from_json_obj(doc))
-        else:
-            _print_err("input must be a variety document ('components'/'strata') "
-                       "or a complex document ('cells')")
+    if isinstance(doc, dict) and "cells" in doc:
+        complex = dc.from_json_obj(doc)
+        violations = dc.validate(complex)
+        if violations:
+            for v in violations:
+                _print_err(str(v))
             return EXIT_INPUT
-    except (ValueError, KeyError) as err:
-        _print_err(f"invalid input: {err}")
-        return EXIT_INPUT
+    elif isinstance(doc, dict) and "components" in doc:
+        complex = sm.dual_complex_of(sm.from_json_obj(doc))
+    else:
+        raise ValueError("the document must be a variety document ('components'/'strata') "
+                         "or a complex document ('cells')")
 
     report = dc.homology(complex)
     counts = complex.cell_counts()
@@ -169,16 +166,8 @@ def _seed_from_doc(doc) -> re_.ResolutionState:
 
 def cmd_resolve(args, doc) -> int:
     ordering = tuple(args.ordering.split(",")) if args.ordering else None
-    try:
-        config = re_.RunConfig(ordering, args.exponent_policy, args.ceiling)
-    except ValueError as err:
-        _print_err(f"bad config: {err}")
-        return EXIT_INPUT
-    try:
-        seed = _seed_from_doc(doc)
-    except (ValueError, KeyError) as err:
-        _print_err(f"invalid input: {err}")
-        return EXIT_INPUT
+    config = re_.RunConfig(ordering, args.exponent_policy, args.ceiling)
+    seed = _seed_from_doc(doc)
 
     final, events = re_.run(seed, config)
     print("events:", len(events))
@@ -224,34 +213,20 @@ def _verify_grid(rule: str, m_values, d_values, a_values, policy: str):
 
 def cmd_verify(args, _doc) -> int:
     rule, policy = args.rule.lower(), args.exponent_policy
-    try:
-        m_values = _parse_range(args.m)
-        d_values = _parse_range(args.d)
-        a_values = _parse_range(args.a)
-    except ValueError as err:
-        _print_err(f"bad range: {err}")
-        return EXIT_INPUT
+    m_values, d_values, a_values = map(_parse_range, (args.m, args.d, args.a))
     spec = _RULES_BY_NAME.get(rule)
     if spec is None:
         *names, last = _RULES_BY_NAME
-        _print_err(f"unknown rule {rule!r}; pick {', '.join(names)} or {last}")
-        return EXIT_INPUT
+        raise ValueError(f"unknown rule {rule!r}; pick {', '.join(names)} or {last}")
     # deg_x is in every grid; m and a only in the grid that names them.  The
     # ranges ascend, so [0] and [-1] are their least and greatest values.
     param, least, _ = spec.grid
-    for name, cap, values, used in (
-            ("det size", po.VERIFY_MAX_DET, m_values, param == "m"),
-            ("deg_x", po.VERIFY_MAX_DX, d_values, True),
-            ("divisor exponents", po.VERIFY_MAX_EXPONENT, a_values, param == "a")):
-        if used and values[-1] > cap:
-            _print_err(f"{name} capped at {cap} (requested {values[-1]})")
-            return EXIT_SCALE
+    po.check_scale(d_values[-1], m_values[-1] if param == "m" else 0,
+                   a_values[-1] if param == "a" else 0)
     if param and {"m": m_values, "a": a_values}[param][0] < least:
-        _print_err(f"{rule} rule needs {param} >= {least}")
-        return EXIT_INPUT
+        raise ValueError(f"{rule} rule needs {param} >= {least}")
     if d_values[0] < 2:
-        _print_err("rules need at least two x-factors")
-        return EXIT_INPUT
+        raise ValueError("rules need at least two x-factors")
 
     reports = [po.verify_rule(app, chart, policy=policy)
                for app, chart in _verify_grid(rule, m_values, d_values,
@@ -345,20 +320,15 @@ def _parser(defaults: tuple) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    code, doc, out, target, fresh = EXIT_INPUT, None, None, None, False
     try:
-        parser = _build_parser()
-    except ValueError as err:
-        _print_err(f"bad environment value: {err}")
-        return EXIT_INPUT
-    args = parser.parse_args(argv)
-    handler, _, required, output, _ = _COMMANDS[args.command]
-    if required and not getattr(args, required):
-        _print_err(f"{args.command} needs --{required}")
-        return EXIT_INPUT
-    out = getattr(args, output) if output else None
-    fresh = bool(out) and not os.path.lexists(out)
-    code, doc, target = EXIT_INPUT, None, out
-    try:
+        args = _build_parser().parse_args(argv)
+        handler, _, required, output, _ = _COMMANDS[args.command]
+        if required and not getattr(args, required):
+            _print_err(f"{args.command} needs --{required}")
+            return EXIT_INPUT
+        out = target = getattr(args, output) if output else None
+        fresh = bool(out) and not os.path.lexists(out)
         if out:  # an existing file is left as it is
             open(out, "a", encoding="utf-8").close()
         if required == "input":
@@ -384,6 +354,9 @@ def main(argv=None) -> int:
         if err.certificate is not None:
             _print_err(f"offending certificate: {err.certificate}")
         code = EXIT_BREACH
+    except (ValueError, KeyError) as err:  # ScaleError, a ValueError, is caught above
+        _print_err(f"invalid input: {err}")
+        code = EXIT_INPUT
     except OSError as err:
         _print_err(f"cannot write {target or 'standard output'}: {err}")
         code = EXIT_INPUT

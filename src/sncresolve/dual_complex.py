@@ -136,9 +136,6 @@ class DualComplex:
     def __hash__(self):
         return hash(frozenset(self._cells.items()))
 
-    def dimension(self) -> int:
-        return max((c.dim for c in self._cells.values()), default=-1)
-
     def cells_of_dim(self, k: int) -> list:
         return [c for c in self._cells.values() if c.dim == k]
 

@@ -135,10 +135,6 @@ class Polynomial:
         raise AttributeError("Polynomial is immutable")
 
     @staticmethod
-    def zero() -> "Polynomial":
-        return _canon({})
-
-    @staticmethod
     def constant(c: int) -> "Polynomial":
         return Polynomial({(): c})
 
@@ -373,6 +369,17 @@ VERIFY_MAX_DX = 4
 VERIFY_MAX_DET = 3
 VERIFY_MAX_EXPONENT = 4
 
+
+def check_scale(dx: int, det_size: int, exponent: int) -> None:
+    """ScaleError unless deg_x, the det size and the largest divisor
+    exponent are all within the ``verify_rule`` caps."""
+    for name, cap, value in (("det size", VERIFY_MAX_DET, det_size),
+                             ("deg_x", VERIFY_MAX_DX, dx),
+                             ("divisor exponents", VERIFY_MAX_EXPONENT, exponent)):
+        if value > cap:
+            raise ScaleError(f"{name} capped at {cap} (got {value})")
+
+
 EXC = "u"  # name of the exceptional coordinate in verification charts
 
 
@@ -555,17 +562,8 @@ def verify_rule(app, chart, policy: str = "oracle") -> VerificationReport:
     """
     from . import chart_calculus as cc
 
-    dx = len(chart.x_indices)
-    if dx > VERIFY_MAX_DX:
-        raise ScaleError(f"verify_rule caps deg_x at {VERIFY_MAX_DX} (got {dx})")
-    if chart.det_size > VERIFY_MAX_DET:
-        raise ScaleError(
-            f"verify_rule caps det size at {VERIFY_MAX_DET} (got {chart.det_size})")
-    for div, a in chart.exponent_map().items():
-        if a > VERIFY_MAX_EXPONENT:
-            raise ScaleError(
-                f"verify_rule caps divisor exponents at {VERIFY_MAX_EXPONENT} "
-                f"(got {a} on {div})")
+    check_scale(len(chart.x_indices), chart.det_size,
+                max((a for _, a in chart.exponents), default=0))
 
     lhs, rhs, det = cc.equation_parts(chart)
     monos, names = lhs - rhs, det.variables()

@@ -412,11 +412,17 @@ def validate_state(state: ResolutionState) -> list:
                   for problem in _chart_problems(chart, count, labels, coeff)]
 
 
-def _validated(state: ResolutionState, error=ValueError, prefix="") -> ResolutionState:
-    """Check a state in full; ``error`` if it is inconsistent."""
+def _breach(problems) -> InvariantBreach:
+    """The error for a state, or an event's children, that ``problems`` find inconsistent."""
+    return InvariantBreach("state invariants broken: " + "; ".join(problems))
+
+
+def _validated(state: ResolutionState, breach=False) -> ResolutionState:
+    """Check a state in full; ValueError, or with ``breach`` InvariantBreach,
+    if it is inconsistent."""
     problems = validate_state(state)
     if problems:
-        raise error(prefix + "; ".join(problems))
+        raise _breach(problems) if breach else ValueError("; ".join(problems))
     _set(state, "_valid", True)
     return state
 
@@ -496,7 +502,7 @@ def select_center(state: ResolutionState,
 def _center(state: ResolutionState, config: RunConfig) -> tuple:
     """(book, least rank) of a state; the rank is None once resolved."""
     if not state._valid:
-        _validated(state, InvariantBreach, "state invariants broken: ")
+        _validated(state, breach=True)
     book = state._own()
     book.rank_by(config)
     return book, book.heap[0] if book.heap else None
@@ -562,9 +568,8 @@ def step(state: ResolutionState,
     if failed:
         coeff = dict(pairs)  # the registry with the new divisor: its ids are distinct
         pairs.discard(new_divisor)
-        raise InvariantBreach("state invariants broken: " + "; ".join(
-            problem for chart, count in failed
-            for problem in _chart_problems(chart, count, labels, coeff)))
+        raise _breach(problem for chart, count in failed
+                      for problem in _chart_problems(chart, count, labels, coeff))
 
     book.drop()
     for chart, count in produced.items():

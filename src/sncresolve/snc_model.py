@@ -340,9 +340,9 @@ def from_index_sets(components, index_sets) -> SncVariety:
     return SncVariety.of({str(c) for c in components}, strata)
 
 
-def coordinate_germ(n: int, prefix: str = "E") -> SncVariety:
-    """The germ of n coordinate hyperplanes: every subset is a stratum."""
-    components = [f"{prefix}{i}" for i in range(1, n + 1)]
+def coordinate_germ(n: int) -> SncVariety:
+    """The germ of n coordinate hyperplanes E1..En: every subset is a stratum."""
+    components = [f"E{i}" for i in range(1, n + 1)]
     subsets = []
     for mask in range(1, 1 << n):
         subsets.append({components[i] for i in range(n) if mask >> i & 1})

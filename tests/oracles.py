@@ -833,7 +833,7 @@ def det_of(entries) -> Polynomial:
     m = len(entries)
     if m > 5:
         raise ScaleError("determinant expansion capped at 5x5")
-    total = Polynomial.zero()
+    total = Polynomial()
     for perm in itertools.permutations(range(m)):
         sign = 1
         for i in range(m):

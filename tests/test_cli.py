@@ -434,7 +434,7 @@ def test_resolve_invariant_breach_exit_3_leaves_no_trace(seed_file, tmp_path, ca
 def test_resolve_bad_config_exit_2(seed_file, capsys):
     assert cli.main(["resolve", "--input", seed_file,
                      "--ceiling", "0"]) == cli.EXIT_INPUT
-    assert capsys.readouterr().err.startswith("bad config")
+    assert capsys.readouterr().err == "invalid input: event ceiling must be an int >= 1, got 0\n"
 
 
 @pytest.mark.parametrize("argv, flag", [(["resolve"], "--input"),
@@ -803,7 +803,7 @@ def test_verify_catches_a_wrong_det_sign(monkeypatch, capsys):
 
 def test_verify_reversed_range_exit_2(capsys):
     assert cli.main(["verify", "--rule", "det", "--m", "3..2"]) == cli.EXIT_INPUT
-    assert "bad range" in capsys.readouterr().err
+    assert capsys.readouterr().err == "invalid input: '3..2' is an empty range\n"
 
 
 def test_verify_unknown_rule(capsys):
@@ -881,7 +881,7 @@ def test_the_parser_follows_the_environment_from_call_to_call(monkeypatch, capsy
     assert cli.main(["verify", "--rule", "det"]) == cli.EXIT_INPUT
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("bad environment value: SNCRESOLVE_EXPONENT_POLICY="
+    assert captured.err == ("invalid input: SNCRESOLVE_EXPONENT_POLICY="
                             "'bogus' is not one of oracle, paper\n")
 
 
@@ -919,7 +919,7 @@ def test_unknown_environment_policy_exit_2(monkeypatch, capsys, argv):
     assert cli.main(argv) == cli.EXIT_INPUT
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("bad environment value: SNCRESOLVE_EXPONENT_POLICY="
+    assert captured.err == ("invalid input: SNCRESOLVE_EXPONENT_POLICY="
                             "'bogus' is not one of oracle, paper\n")
 
 

@@ -54,7 +54,7 @@ names = st.sampled_from(["x", "y", "z", "w"])
 @st.composite
 def polynomials(draw, max_terms=4):
     n = draw(st.integers(min_value=0, max_value=max_terms))
-    total = Polynomial.zero()
+    total = Polynomial()
     for _ in range(n):
         coeff = draw(st.integers(min_value=-5, max_value=5))
         term = C(coeff)
@@ -87,7 +87,7 @@ def test_multiplicity_examples():
     assert multiplicity_at_origin(po.generic_det(4)) == 4
     assert multiplicity_at_origin(V("x") + V("y") * V("z")) == 1
     with pytest.raises(ValueError):
-        multiplicity_at_origin(Polynomial.zero())
+        multiplicity_at_origin(Polynomial())
 
 
 # --------------------------------------------------------------------------
@@ -152,7 +152,7 @@ def test_constructor_merges_a_repeated_variable():
                                    max_size=6),
                           st.integers(min_value=-4, max_value=4)), max_size=4))
 def test_constructor_on_repeated_variables_equals_the_product_of_powers(raw):
-    want = Polynomial.zero()
+    want = Polynomial()
     for mono, coeff in raw:
         term = C(coeff)
         for var, exp in mono:
@@ -306,7 +306,7 @@ def test_strict_transform_det_chart_measures_m_minus_2():
 
 def test_strict_transform_rejects_zero():
     with pytest.raises(ValueError):
-        po.strict_transform(Polynomial.zero(), Substitution({}), "u")
+        po.strict_transform(Polynomial(), Substitution({}), "u")
 
 
 @settings(max_examples=60, deadline=None)

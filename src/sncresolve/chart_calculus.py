@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import functools
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from operator import itemgetter
 from types import MappingProxyType
 from typing import NamedTuple
 
 from . import poly_oracle as po
-from .dual_complex import _out_of_form
+from .dual_complex import _Record, _out_of_form, _set
 from .poly_oracle import Polynomial, ScaleError, generic_det, prime
 
 # Local equations cap the total degree here and det size at the verifier's cap.
@@ -56,29 +55,24 @@ class MultiDegree(NamedTuple):
 # A MultiDegree from a tuple in one C call: the generated __new__ of a
 # NamedTuple is Python, and every chart makes one.
 _degree = functools.partial(tuple.__new__, MultiDegree)
-_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class ChartState:
+class ChartState(_Record):
     """One local normal form, up to permutation of coordinates within a group.
 
     Built only in form (ValueError otherwise): a non-empty frozenset of str
     x-indices, an int det size >= 0, and a tuple of (str id, int exponent
     >= 1) pairs with strictly increasing ids.  ``deg`` (the invariant
     ``mdeg``), ``xs`` (the sorted x-indices) and the hash are computed
-    once: wide charts sit in many sets and are sorted and written often.
+    once, and equality compares the hashes before the fields: wide charts
+    sit in many sets and dicts and are sorted and written often.
     """
 
-    x_indices: frozenset
-    det_size: int
-    exponents: tuple
-    deg: MultiDegree = field(init=False, repr=False, compare=False)
-    xs: tuple = field(init=False, repr=False, compare=False)
-    _hash: int = field(init=False, repr=False, compare=False)
+    _fields = ("x_indices", "det_size", "exponents")
+    __slots__ = _fields + ("deg", "xs", "_hash")
 
-    def __post_init__(self):
-        xs, m, exps = self.x_indices, self.det_size, self.exponents
+    def __init__(self, x_indices: frozenset, det_size: int, exponents: tuple):
+        xs, m, exps = x_indices, det_size, exponents
         if not xs:
             raise ValueError("a chart needs at least one x-factor")
         if type(m) is int and m < 0:
@@ -99,7 +93,7 @@ class ChartState:
 
     def _fill(self, x_indices, det_size, exponents, dz: int, xs: tuple) -> "ChartState":
         """Set the fields of a chart in form: exponents sum to ``dz``, x-indices
-        sort to ``xs``.  One by one: ``vars(self)`` would give each chart a dict."""
+        sort to ``xs``."""
         _set(self, "x_indices", x_indices)
         _set(self, "det_size", det_size)
         _set(self, "exponents", exponents)
@@ -107,6 +101,14 @@ class ChartState:
         _set(self, "xs", xs)
         _set(self, "_hash", hash((x_indices, det_size, exponents)))
         return self
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not ChartState:
+            return NotImplemented
+        return (self._hash == other._hash and self.x_indices == other.x_indices
+                and self.det_size == other.det_size and self.exponents == other.exponents)
 
     def __hash__(self):
         return self._hash
@@ -167,8 +169,7 @@ class ChartState:
         return f"Chart[x:{xs}|m:{self.det_size}|z:{zs}]"
 
 
-@dataclass(frozen=True)
-class RuleApplication:
+class RuleApplication(_Record):
     """A rewriting rule with its index data.
 
     kind is one of DET, MON1, MON2, MON3, BIN.  ``pair`` holds the two
@@ -178,11 +179,15 @@ class RuleApplication:
     coefficient of the freshly created divisor when one is registered.
     """
 
-    kind: str
-    pair: tuple
-    divisors: tuple = ()
-    det_size: int | None = None
-    new_divisor: tuple | None = None
+    __slots__ = _fields = ("kind", "pair", "divisors", "det_size", "new_divisor")
+
+    def __init__(self, kind: str, pair: tuple, divisors: tuple = (), det_size: int | None = None,
+                 new_divisor: tuple | None = None):
+        _set(self, "kind", kind)
+        _set(self, "pair", pair)
+        _set(self, "divisors", divisors)
+        _set(self, "det_size", det_size)
+        _set(self, "new_divisor", new_divisor)
 
 
 class ChildChart(NamedTuple):

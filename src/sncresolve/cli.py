@@ -74,14 +74,17 @@ def _env_default(flag: str, default, kind):
     return value
 
 
-def _parse_range(text: str) -> range:
-    """'2..4' -> range(2, 5); '3' -> range(3, 4); an empty range raises
-    ValueError.  Nothing is enumerated, so a huge range costs nothing
-    until the caps have looked at its ends."""
+def _parse_range(flag: str, text: str) -> range:
+    """'2..4' -> range(2, 5); '3' -> range(3, 4); a non-integer or empty
+    range raises a ValueError that names ``--flag``.  Nothing is enumerated,
+    so a huge range costs nothing until the caps have looked at its ends."""
     lo, dots, hi = text.partition("..")
-    values = range(int(lo), int(hi if dots else lo) + 1)
+    try:
+        values = range(int(lo), int(hi if dots else lo) + 1)
+    except ValueError:
+        raise ValueError(f"--{flag}: {text!r} is not an integer range") from None
     if not values:
-        raise ValueError(f"{text!r} is an empty range")
+        raise ValueError(f"--{flag}: {text!r} is an empty range")
     return values
 
 
@@ -213,7 +216,7 @@ def _verify_grid(rule: str, m_values, d_values, a_values, policy: str):
 
 def cmd_verify(args, _doc) -> int:
     rule, policy = args.rule.lower(), args.exponent_policy
-    m_values, d_values, a_values = map(_parse_range, (args.m, args.d, args.a))
+    m_values, d_values, a_values = map(_parse_range, "mda", (args.m, args.d, args.a))
     spec = _RULES_BY_NAME.get(rule)
     if spec is None:
         *names, last = _RULES_BY_NAME
@@ -278,15 +281,15 @@ _COMMANDS = {
         ("input", None, str, None),
         ("trace", None, str, "write the full trace JSON here"),
         ("ordering", None, str, "comma-separated id priority, e.g. E2,E1"),
-        ("exponent-policy", re_.RunConfig.exponent_policy, cc.POLICIES, None),
-        ("ceiling", re_.RunConfig.event_ceiling, int, None),
+        ("exponent-policy", re_.DEFAULT_POLICY, cc.POLICIES, None),
+        ("ceiling", re_.DEFAULT_CEILING, int, None),
     )),
     "verify": (cmd_verify, "re-derive rule grids exactly", "rule", None, (
         ("rule", None, str, None),
         ("m", "2..3", str, "det sizes, e.g. 2..3"),
         ("d", "2..4", str, "x-factor counts, e.g. 2..4"),
         ("a", "2..4", str, "divisor exponents, e.g. 2..4"),
-        ("exponent-policy", re_.RunConfig.exponent_policy, cc.POLICIES, None),
+        ("exponent-policy", re_.DEFAULT_POLICY, cc.POLICIES, None),
         ("json", False, bool, "print the reports as one JSON array instead of a table"),
     )),
     "gen": (cmd_gen, "generate a random seed state", None, "out", (

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import json
 from collections import Counter, deque
-from dataclasses import asdict, dataclass
 from operator import attrgetter
 from types import MappingProxyType
 
@@ -36,6 +35,40 @@ class InvalidComplexError(ValueError):
 
 # ``_STR.issuperset(map(type, items))``: every entry of ``items`` is a str.
 _STR = frozenset((str,))
+_set = object.__setattr__
+
+
+def _refuse(self, name, value=None):
+    """The ``__setattr__`` and ``__delattr__`` of every immutable object."""
+    raise AttributeError(f"{type(self).__name__} is immutable; cannot change {name!r}")
+
+
+class _Record:
+    """A record compared, hashed, shown, copied and pickled by the fields
+    that ``_fields`` names.  Its ``__init__`` sets its slots with ``_set``;
+    a write after that is refused, unless the class allows it and drops
+    its hash, as the two verification reports do."""
+
+    __slots__ = ()
+    __setattr__ = __delattr__ = _refuse
+
+    def __init_subclass__(cls):
+        cls._values = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({shown})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
 
 
 def _out_of_form(record: str, form: str, *fields) -> ValueError:
@@ -46,24 +79,23 @@ def _out_of_form(record: str, form: str, *fields) -> ValueError:
     return ValueError(f"a {record} needs {form}, got {', '.join(shown)}")
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(_Record):
     """A single cell: k+1 ordered facets for a k-cell, none for a vertex.
     Built only in form (ValueError otherwise): a str id, an int dim, a
     tuple of str facet ids, and a frozenset of str labels or None."""
 
-    id: str
-    dim: int
-    facets: tuple = ()
-    label: frozenset | None = None
+    __slots__ = _fields = ("id", "dim", "facets", "label")
 
-    def __post_init__(self):
-        label = self.label
-        if not (type(self.id) is str and type(self.dim) is int and type(self.facets) is tuple
-                and _STR.issuperset(map(type, self.facets)) and (label is None or (
+    def __init__(self, id: str, dim: int, facets: tuple = (), label: frozenset | None = None):
+        if not (type(id) is str and type(dim) is int and type(facets) is tuple
+                and _STR.issuperset(map(type, facets)) and (label is None or (
                     type(label) is frozenset and _STR.issuperset(map(type, label))))):
             raise _out_of_form("cell", "a str id, an int dim, a tuple of str facets and "
-                               "a frozenset of str labels or None", *vars(self).values())
+                               "a frozenset of str labels or None", id, dim, facets, label)
+        _set(self, "id", id)
+        _set(self, "dim", dim)
+        _set(self, "facets", facets)
+        _set(self, "label", label)
 
     @staticmethod
     def of(id, dim, facets=(), label=None) -> "Cell":
@@ -77,11 +109,13 @@ class Cell:
                                id, facets, label) from None
 
 
-@dataclass(frozen=True)
-class Violation:
-    rule: str
-    cell: str | None
-    detail: str
+class Violation(_Record):
+    __slots__ = _fields = ("rule", "cell", "detail")
+
+    def __init__(self, rule: str, cell: str | None, detail: str):
+        _set(self, "rule", rule)
+        _set(self, "cell", cell)
+        _set(self, "detail", detail)
 
     def __str__(self):
         where = f" [{self.cell}]" if self.cell else ""
@@ -106,14 +140,10 @@ class DualComplex:
                 raise ValueError(f"duplicate cell id {cell.id!r}")
             by_id[cell.id] = cell
         ordered = {c.id: c for c in sorted(by_id.values(), key=attrgetter("dim", "id"))}
-        object.__setattr__(self, "_cells", MappingProxyType(ordered))
-        object.__setattr__(self, "_violations", None)
+        _set(self, "_cells", MappingProxyType(ordered))
+        _set(self, "_violations", None)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"DualComplex is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"DualComplex is immutable; cannot delete {name!r}")
+    __setattr__ = __delattr__ = _refuse
 
     @property
     def cells(self) -> MappingProxyType:
@@ -156,13 +186,13 @@ def validate(complex: DualComplex) -> list:
     The checks run once per complex; every call returns a new list.
     """
     if complex._violations is None:
-        object.__setattr__(complex, "_violations", tuple(_find_violations(complex)))
+        _set(complex, "_violations", tuple(_find_violations(complex)))
     return list(complex._violations)
 
 
 def _known_valid(value):
     """Mark a complex or variety valid, for constructors that keep validity."""
-    object.__setattr__(value, "_violations", ())
+    _set(value, "_violations", ())
     return value
 
 
@@ -377,22 +407,21 @@ def smith_invariant_factors(matrix: list) -> list:
     return factors
 
 
-@dataclass(frozen=True)
-class HomologyReport:
+class HomologyReport(_Record):
     """Betti numbers, torsion coefficients per dimension, Euler characteristic."""
 
-    betti: tuple
-    torsion: tuple  # per dimension, tuple of invariant factors > 1
-    euler: int
+    __slots__ = _fields = ("betti", "torsion", "euler")
 
-    def __post_init__(self):
-        alt = sum((-1) ** k * b for k, b in enumerate(self.betti))
-        if alt != self.euler:
-            raise ValueError(
-                f"euler {self.euler} != alternating betti sum {alt}")
+    def __init__(self, betti: tuple, torsion: tuple, euler: int):
+        alt = sum((-1) ** k * b for k, b in enumerate(betti))
+        if alt != euler:
+            raise ValueError(f"euler {euler} != alternating betti sum {alt}")
+        _set(self, "betti", betti)
+        _set(self, "torsion", torsion)  # per dimension, tuple of invariant factors > 1
+        _set(self, "euler", euler)
 
     def to_json_obj(self) -> dict:
-        return asdict(self)
+        return dict(zip(self._fields, self._values(self)))
 
 
 def _coreduce(boundary: list, nverts: int) -> int:

@@ -30,8 +30,9 @@ import functools
 import itertools
 import json
 from collections import Counter
-from dataclasses import asdict, dataclass, field
 from types import MappingProxyType
+
+from .dual_complex import _Record, _refuse, _set
 
 # Monomials are tuples of (variable, exponent) pairs, sorted by variable
 # name, with all exponents > 0.  The empty tuple is the constant monomial.
@@ -106,7 +107,7 @@ def _canon(terms: dict) -> "Polynomial":
     such maps, so it skips the public constructor's normalisation.
     """
     poly = object.__new__(Polynomial)
-    object.__setattr__(poly, "terms", terms)
+    _set(poly, "terms", terms)
     return poly
 
 
@@ -129,10 +130,9 @@ class Polynomial:
                         clean[mono] = c
                     elif mono in clean:
                         del clean[mono]
-        object.__setattr__(self, "terms", clean)
+        _set(self, "terms", clean)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
+    __setattr__ = __delattr__ = _refuse
 
     @staticmethod
     def constant(c: int) -> "Polynomial":
@@ -270,7 +270,7 @@ class Polynomial:
 
     def __hash__(self):
         if not hasattr(self, "_hash"):  # unset until the first call
-            object.__setattr__(self, "_hash", hash(frozenset(self.terms.items())))
+            _set(self, "_hash", hash(frozenset(self.terms.items())))
         return self._hash
 
     def __repr__(self):
@@ -290,8 +290,7 @@ class Polynomial:
         return " ".join(bits)
 
 
-@dataclass(frozen=True)
-class Substitution:
+class Substitution(_Record):
     """A simultaneous coordinate change, variable -> polynomial.
 
     Images may mention a substituted variable only as its own (identity)
@@ -300,18 +299,19 @@ class Substitution:
     this restriction costs nothing.
     """
 
-    mapping: dict
+    __slots__ = _fields = ("mapping",)
 
-    def __post_init__(self):
-        for var, image in self.mapping.items():
+    def __init__(self, mapping: dict):
+        for var, image in mapping.items():
             image = image if isinstance(image, Polynomial) else Polynomial.constant(image)
             for other in image.variables():
                 if other == var:
                     continue
-                rival = self.mapping.get(other)
+                rival = mapping.get(other)
                 if rival is not None and rival != Polynomial.variable(other):
                     raise ValueError(
                         f"cyclic substitution: image of {var!r} mentions substituted {other!r}")
+        _set(self, "mapping", mapping)
 
     def apply(self, f: Polynomial) -> Polynomial:
         return f.substitute(self.mapping)
@@ -388,32 +388,42 @@ def prime(name: str) -> str:
     return name + "'"
 
 
-@dataclass
-class ChartCheck:
+class ChartCheck(_Record):
     """Outcome of checking one blow-up chart against its predicted child."""
 
-    family: str
-    detail: str
-    divided_power: int
-    exc_exponent: int            # exceptional exponent left on the t-side
-    remultiplication_ok: bool    # g * u**k is the pull-back: true by exact division
-    preimage_ok: bool            # t=0 fiber is the child's x-monomial
-    child_matches: bool
-    child_mdeg: tuple
+    __slots__ = _fields = ("family", "detail", "divided_power", "exc_exponent",
+                           "remultiplication_ok", "preimage_ok", "child_matches", "child_mdeg")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(self, family: str, detail: str, divided_power: int, exc_exponent: int,
+                 remultiplication_ok: bool, preimage_ok: bool, child_matches: bool,
+                 child_mdeg: tuple):
+        self.family = family
+        self.detail = detail
+        self.divided_power = divided_power
+        self.exc_exponent = exc_exponent  # exceptional exponent left on the t-side
+        self.remultiplication_ok = remultiplication_ok  # g * u**k is the pull-back, exactly
+        self.preimage_ok = preimage_ok  # t=0 fiber is the child's x-monomial
+        self.child_matches = child_matches
+        self.child_mdeg = child_mdeg
 
     @property
     def passed(self) -> bool:
         return self.remultiplication_ok and self.preimage_ok and self.child_matches
 
 
-@dataclass
-class VerificationReport:
-    rule: str
-    chart: dict
-    policy: str
-    checks: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
-    family_check_ok: bool = True
+class VerificationReport(_Record):
+    __slots__ = _fields = ("rule", "chart", "policy", "checks", "notes", "family_check_ok")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(self, rule: str, chart: dict, policy: str, checks: list | None = None,
+                 notes: list | None = None, family_check_ok: bool = True):
+        self.rule = rule
+        self.chart = chart
+        self.policy = policy
+        self.checks = [] if checks is None else checks
+        self.notes = [] if notes is None else notes
+        self.family_check_ok = family_check_ok
 
     @property
     def passed(self) -> bool:
@@ -426,10 +436,9 @@ class VerificationReport:
 
     def to_json_obj(self) -> dict:
         """The report's fields, with ``passed`` on it and on each check."""
-        obj = asdict(self)
+        obj = dict(zip(self._fields, self._values(self)))
+        obj["checks"] = [dict(zip(c._fields, c._values(c)), passed=c.passed) for c in self.checks]
         obj["passed"] = self.passed
-        for check, c in zip(obj["checks"], self.checks):
-            check["passed"] = c.passed
         return obj
 
     def to_json(self) -> str:

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import starmap
 from json.encoder import encode_basestring_ascii as _encode_str
@@ -44,6 +43,7 @@ from . import chart_calculus as cc
 from . import dual_complex as dc
 from . import snc_model as sm
 from .chart_calculus import ChartState, RuleApplication
+from .dual_complex import _Record, _refuse, _set
 
 
 class InvariantBreach(RuntimeError):
@@ -73,25 +73,30 @@ MODEL_ASSUMPTIONS = (
 )
 
 
-@dataclass(frozen=True)
-class RunConfig:
+DEFAULT_POLICY = "oracle"
+DEFAULT_CEILING = 10_000
+
+
+class RunConfig(_Record):
     """Ordering, exceptional-exponent policy, and the event ceiling."""
 
-    ordering: tuple | None = None
-    exponent_policy: str = "oracle"
-    event_ceiling: int = 10_000
-    _position: dict = field(init=False, repr=False, compare=False)
+    _fields = ("ordering", "exponent_policy", "event_ceiling")
+    __slots__ = _fields + ("_position",)
 
-    def __post_init__(self):
-        cc.check_policy(self.exponent_policy)
-        if type(self.event_ceiling) is not int or self.event_ceiling < 1:
-            raise ValueError(f"event ceiling must be an int >= 1, got {self.event_ceiling!r}")
-        if not (self.ordering is None or isinstance(self.ordering, tuple)
-                and all(isinstance(i, str) for i in self.ordering)):
-            raise ValueError(f"ordering must be None or a tuple of ids, got {self.ordering!r}")
+    def __init__(self, ordering: tuple | None = None, exponent_policy: str = DEFAULT_POLICY,
+                 event_ceiling: int = DEFAULT_CEILING):
+        cc.check_policy(exponent_policy)
+        if type(event_ceiling) is not int or event_ceiling < 1:
+            raise ValueError(f"event ceiling must be an int >= 1, got {event_ceiling!r}")
+        if not (ordering is None or isinstance(ordering, tuple)
+                and all(isinstance(i, str) for i in ordering)):
+            raise ValueError(f"ordering must be None or a tuple of ids, got {ordering!r}")
+        _set(self, "ordering", ordering)
+        _set(self, "exponent_policy", exponent_policy)
+        _set(self, "event_ceiling", event_ceiling)
         # Read backwards, so a repeated id keeps its first place, as with tuple.index.
-        position = {ident: i for i, ident in reversed(list(enumerate(self.ordering or ())))}
-        object.__setattr__(self, "_position", position)
+        position = {ident: i for i, ident in reversed(list(enumerate(ordering or ())))}
+        _set(self, "_position", position)
 
     def key(self, ident: str):
         """Total order on ids: explicit ordering first, then lexicographic."""
@@ -112,51 +117,48 @@ class RunConfig:
                 and all(isinstance(i, str) for i in ordering)):
             raise ValueError(f"'ordering' must be null or a list of ids, got {ordering!r}")
         return RunConfig(tuple(ordering) if ordering else None,
-                         obj.get("exponent_policy", RunConfig.exponent_policy),
-                         obj.get("event_ceiling", RunConfig.event_ceiling))
+                         obj.get("exponent_policy", DEFAULT_POLICY),
+                         obj.get("event_ceiling", DEFAULT_CEILING))
 
 
-@dataclass(frozen=True)
-class DivisorRecord:
+class DivisorRecord(_Record):
     """A registered divisor, built only in form (ValueError otherwise): a
     str id, an int coefficient >= 1 and an int or None birth."""
 
-    id: str
-    coeff: int
-    birth: int | None  # event index, None for divisors present at seed time
+    __slots__ = _fields = ("id", "coeff", "birth")
 
-    def __post_init__(self):
-        if not (type(self.id) is str and type(self.coeff) is int
-                and (self.birth is None or type(self.birth) is int)):
+    def __init__(self, id: str, coeff: int, birth: int | None):
+        if not (type(id) is str and type(coeff) is int and (birth is None or type(birth) is int)):
             raise ValueError("a divisor record needs a str id, an int coefficient and "
-                             f"an int or None birth, got {self.id!r}, {self.coeff!r}, "
-                             f"{self.birth!r}")
-        if self.coeff < 1:
-            raise ValueError(f"divisor {self.id!r} registered with coefficient "
-                             f"{self.coeff} < 1")
+                             f"an int or None birth, got {id!r}, {coeff!r}, {birth!r}")
+        if coeff < 1:
+            raise ValueError(f"divisor {id!r} registered with coefficient {coeff} < 1")
+        _set(self, "id", id)
+        _set(self, "coeff", coeff)
+        _set(self, "birth", birth)  # event index, None for divisors present at seed time
 
 
-@dataclass(frozen=True)
-class BlowupEvent:
-    index: int
-    phase: str
-    rule: RuleApplication
-    parents: tuple   # ((ChartState, count), ...)
-    children: tuple  # ((ChartState, count), ...)
-    new_divisor: tuple | None
-    exceptional: str | None
-    lex: tuple       # ((parent mdeg, child mdeg), ...), all strictly decreasing
+class BlowupEvent(_Record):
+    __slots__ = _fields = ("index", "phase", "rule", "parents", "children", "new_divisor",
+                           "exceptional", "lex")
 
-    def __post_init__(self):
-        for parent_deg, child_deg in self.lex:
+    def __init__(self, index: int, phase: str, rule: RuleApplication, parents: tuple,
+                 children: tuple, new_divisor: tuple | None, exceptional: str | None,
+                 lex: tuple):
+        for parent_deg, child_deg in lex:
             if not tuple(child_deg) < tuple(parent_deg):
                 raise InvariantBreach(
-                    f"lex certificate violated at event {self.index}: "
+                    f"lex certificate violated at event {index}: "
                     f"{tuple(parent_deg)} -> {tuple(child_deg)}",
                     certificate=(parent_deg, child_deg))
-
-
-_set = object.__setattr__
+        _set(self, "index", index)
+        _set(self, "phase", phase)
+        _set(self, "rule", rule)
+        _set(self, "parents", parents)  # ((ChartState, count), ...)
+        _set(self, "children", children)  # ((ChartState, count), ...)
+        _set(self, "new_divisor", new_divisor)
+        _set(self, "exceptional", exceptional)
+        _set(self, "lex", lex)  # ((parent mdeg, child mdeg), ...), all strictly decreasing
 
 
 class ResolutionState:
@@ -196,8 +198,7 @@ class ResolutionState:
         _set(self, "_charts", charts)
         _set(self, "_trace", trace)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"ResolutionState is immutable; cannot set {name!r}")
+    __setattr__ = __delattr__ = _refuse
 
     @property
     def registry(self) -> tuple:
@@ -825,11 +826,13 @@ def _chart_text(chart: ChartState, entries: _Entries) -> str:
                      ",\n       ".join(map(_encode_str, chart.xs)))
 
 
-@dataclass(frozen=True)
-class ReplayResult:
-    ok: bool
-    final: ResolutionState
-    detail: str
+class ReplayResult(_Record):
+    __slots__ = _fields = ("ok", "final", "detail")
+
+    def __init__(self, ok: bool, final: ResolutionState, detail: str):
+        _set(self, "ok", ok)
+        _set(self, "final", final)
+        _set(self, "detail", detail)
 
 
 def replay_trace(doc: dict) -> ReplayResult:

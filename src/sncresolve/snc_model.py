@@ -18,34 +18,32 @@ complex shares their cells instead of building them again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .dual_complex import Cell, DualComplex, _STR, _known_valid, _out_of_form
+from .dual_complex import Cell, DualComplex, _Record, _STR, _known_valid, _out_of_form, _set
 
 
 class IncidenceError(ValueError):
     """The stratum family violates the incidence axioms."""
 
 
-@dataclass(frozen=True)
-class Stratum:
+class Stratum(_Record):
     """Built only in form (ValueError otherwise): a str id, a frozenset of str
     indices and a tuple of (str, str) parent pairs, one per index, sorted."""
 
-    id: str
-    indices: frozenset
-    parents: tuple = ()  # sorted tuple of (dropped component id, stratum id)
-    _cell: Cell = field(default=None, init=False, repr=False, compare=False)
+    _fields = ("id", "indices", "parents")
+    __slots__ = _fields + ("_cell",)
 
-    def __post_init__(self):
-        pairs = self.parents
-        if not (type(self.id) is str and type(self.indices) is frozenset
-                and _STR.issuperset(map(type, self.indices)) and type(pairs) is tuple
+    def __init__(self, id: str, indices: frozenset, parents: tuple = ()):
+        if not (type(id) is str and type(indices) is frozenset
+                and _STR.issuperset(map(type, indices)) and type(parents) is tuple
                 and all(type(p) is tuple and len(p) == 2 and type(p[0]) is str
-                        and type(p[1]) is str for p in pairs)
-                and all(p[0] < q[0] for p, q in zip(pairs, pairs[1:]))):
+                        and type(p[1]) is str for p in parents)
+                and all(p[0] < q[0] for p, q in zip(parents, parents[1:]))):
             raise _out_of_form("stratum", "a str id, a frozenset of str indices and (str, str) "
-                               "parent pairs, one per index, sorted", self.id, self.indices, pairs)
+                               "parent pairs, one per index, sorted", id, indices, parents)
+        _set(self, "id", id)
+        _set(self, "indices", indices)
+        _set(self, "parents", parents)  # (dropped component id, stratum id) pairs
+        _set(self, "_cell", None)  # the dual cell, built once
 
     @staticmethod
     def of(id, indices, parents=None) -> "Stratum":
@@ -63,21 +61,22 @@ class Stratum:
         return dict(self.parents)
 
 
-@dataclass(frozen=True)
-class SncVariety:
+class SncVariety(_Record):
     """Built only in form (ValueError otherwise): a frozenset of str
     components and a tuple of ``Stratum`` records."""
 
-    components: frozenset
-    strata: tuple  # Stratum records; ``of`` sorts them by id, the constructor does not
-    _violations: tuple = field(default=None, init=False, repr=False, compare=False)
+    _fields = ("components", "strata")
+    __slots__ = _fields + ("_violations",)
 
-    def __post_init__(self):
-        if not (type(self.components) is frozenset and _STR.issuperset(map(type, self.components))
-                and type(self.strata) is tuple and {Stratum}.issuperset(map(type, self.strata))):
+    def __init__(self, components: frozenset, strata: tuple):
+        if not (type(components) is frozenset and _STR.issuperset(map(type, components))
+                and type(strata) is tuple and {Stratum}.issuperset(map(type, strata))):
             # The strata are not shown: a variety may hold thousands.
             raise _out_of_form("variety", "a frozenset of str components and a tuple of strata",
-                               self.components)
+                               components)
+        _set(self, "components", components)
+        _set(self, "strata", strata)  # ``of`` sorts them by id, the constructor does not
+        _set(self, "_violations", None)  # ``validate_snc``'s answer, once known
 
     @staticmethod
     def of(components, strata) -> "SncVariety":
@@ -103,7 +102,7 @@ def validate_snc(snc: SncVariety) -> list:
     The checks run once per variety; every call returns a new list.
     """
     if snc._violations is None:
-        object.__setattr__(snc, "_violations", tuple(_find_violations(snc)))
+        _set(snc, "_violations", tuple(_find_violations(snc)))
     return list(snc._violations)
 
 
@@ -190,7 +189,7 @@ def dual_complex_of(snc: SncVariety) -> DualComplex:
     for s in snc.strata:
         if s._cell is None:
             facets = tuple([pid for _, pid in s.parents])
-            object.__setattr__(s, "_cell", Cell(s.id, len(s.indices) - 1, facets, s.indices))
+            _set(s, "_cell", Cell(s.id, len(s.indices) - 1, facets, s.indices))
         cells.append(s._cell)
     return _known_valid(DualComplex(cells))
 
@@ -199,8 +198,7 @@ def dual_complex_of(snc: SncVariety) -> DualComplex:
 # Blow-up centers
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CenterDescriptor:
+class CenterDescriptor(_Record):
     """A blow-up center: either a stratum, or a subvariety of one.
 
     Non-stratum centers carry a caller-asserted ``transversal`` flag; the
@@ -209,30 +207,34 @@ class CenterDescriptor:
     records as an assumption.
     """
 
-    kind: str                       # "stratum" | "nonstratum"
-    stratum_id: str | None = None   # for kind == "stratum"
-    host_stratum: str | None = None  # for kind == "nonstratum"
-    codim_in_host: int | None = None
-    transversal: bool = False
+    __slots__ = _fields = ("kind", "stratum_id", "host_stratum", "codim_in_host", "transversal")
 
-    def __post_init__(self):
-        if self.kind not in ("stratum", "nonstratum"):
-            raise ValueError(f"unknown center kind {self.kind!r}")
-        if self.kind == "stratum" and not self.stratum_id:
+    def __init__(self, kind: str, stratum_id: str | None = None, host_stratum: str | None = None,
+                 codim_in_host: int | None = None, transversal: bool = False):
+        if kind not in ("stratum", "nonstratum"):
+            raise ValueError(f"unknown center kind {kind!r}")
+        if kind == "stratum" and not stratum_id:
             raise ValueError("stratum center needs a stratum id")
-        if self.kind == "nonstratum":
-            if not self.host_stratum:
+        if kind == "nonstratum":
+            if not host_stratum:
                 raise ValueError("nonstratum center needs a host stratum")
-            if self.codim_in_host is None or self.codim_in_host < 1:
+            if codim_in_host is None or codim_in_host < 1:
                 raise ValueError("nonstratum center needs codimension >= 1 in its host")
+        _set(self, "kind", kind)  # "stratum" | "nonstratum"
+        _set(self, "stratum_id", stratum_id)  # for kind == "stratum"
+        _set(self, "host_stratum", host_stratum)  # for kind == "nonstratum"
+        _set(self, "codim_in_host", codim_in_host)
+        _set(self, "transversal", transversal)
 
 
-@dataclass(frozen=True)
-class CenterCheck:
-    compatible: bool
-    kind: str
-    reasons: tuple = ()
-    assumptions: tuple = ()
+class CenterCheck(_Record):
+    __slots__ = _fields = ("compatible", "kind", "reasons", "assumptions")
+
+    def __init__(self, compatible: bool, kind: str, reasons: tuple = (), assumptions: tuple = ()):
+        _set(self, "compatible", compatible)
+        _set(self, "kind", kind)
+        _set(self, "reasons", reasons)
+        _set(self, "assumptions", assumptions)
 
     def __bool__(self):
         return self.compatible

@@ -10,7 +10,6 @@ which the tests check against the dense Smith normal form on its own.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import json
 from fractions import Fraction
@@ -906,12 +905,12 @@ def reference_propose(chart, key) -> tuple:
 
 def reference_application(rank, chart, policy, new_id) -> RuleApplication:
     """``chart_calculus.application`` as it read the exponent from a whole
-    exponent map and set the new divisor with ``dataclasses.replace``."""
+    exponent map and built the application again to set its new divisor."""
     app = RuleApplication(*rank[-4:])
     a = chart.exponent_map().get(app.divisors[0]) if app.divisors else None
     e = exceptional_coefficient(app.kind, det_size=chart.det_size,
                                 divisor_exponent=a, policy=policy)
-    return dataclasses.replace(app, new_divisor=(new_id, e)) if e > 0 else app
+    return RuleApplication(*rank[-4:], new_divisor=(new_id, e)) if e > 0 else app
 
 
 # --------------------------------------------------------------------------

@@ -86,6 +86,12 @@ def test_a_derived_child_refuses_a_new_divisor_id_that_is_not_a_str():
         cc.children(c, app)
 
 
+def test_charts_are_equal_by_their_fields_not_their_hashes():
+    a, b = chart(["E1", "E2"], 0, {"f1": 3}), chart(["E1", "E2"], 0, {"f1": 2})
+    object.__setattr__(b, "_hash", a._hash)  # a hash collision
+    assert a != b and a == chart(["E1", "E2"], 0, {"f1": 3})
+
+
 # --------------------------------------------------------------------------
 # children
 # --------------------------------------------------------------------------

@@ -579,6 +579,18 @@ def test_a_record_out_of_form_prints_one_line_under_every_hash_seed(tmp_path, co
     assert len(errs) == 1, errs
 
 
+STARTUP_CHECK = ("import sncresolve.cli, sys; "
+                 "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+
+
+def test_importing_the_command_line_loads_neither_dataclasses_nor_inspect():
+    # pytest itself imports both, so only a fresh interpreter can tell.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    done = subprocess.run([sys.executable, "-c", STARTUP_CHECK], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert done.returncode == 0 and done.stdout == "[]\n", done.stderr
+
+
 def test_resolve_accepts_generated_states(tmp_path, capsys):
     state = cli.random_state(random.Random(5))
     path = tmp_path / "state.json"
@@ -801,9 +813,18 @@ def test_verify_catches_a_wrong_det_sign(monkeypatch, capsys):
     assert cli.main(["verify", "--rule", "det", "--m", "2"]) == cli.EXIT_BREACH
 
 
-def test_verify_reversed_range_exit_2(capsys):
-    assert cli.main(["verify", "--rule", "det", "--m", "3..2"]) == cli.EXIT_INPUT
-    assert capsys.readouterr().err == "invalid input: '3..2' is an empty range\n"
+@pytest.mark.parametrize("flag", ["m", "d", "a"])
+def test_verify_reversed_range_exit_2(capsys, flag):
+    assert cli.main(["verify", "--rule", "det", f"--{flag}", "3..2"]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == f"invalid input: --{flag}: '3..2' is an empty range\n"
+
+
+@pytest.mark.parametrize("flag", ["m", "d", "a"])
+@pytest.mark.parametrize("text", ["x", "2..x", "2..", "1.5", ""])
+def test_verify_non_integer_range_exit_2(capsys, flag, text):
+    assert cli.main(["verify", "--rule", "det", f"--{flag}", text]) == cli.EXIT_INPUT
+    assert (capsys.readouterr().err
+            == f"invalid input: --{flag}: {text!r} is not an integer range\n")
 
 
 def test_verify_unknown_rule(capsys):

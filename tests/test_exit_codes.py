@@ -20,17 +20,14 @@ SRC = Path(cli.__file__).resolve().parent
 EXIT_CODES = {ValueError: 2, KeyError: 2, OSError: 2, re_.InvariantBreach: 3,
               po.ScaleError: 4, re_.CeilingExceeded: 4}
 
-IMMUTABLE = "an immutable object refuses a write, which only code, never an input, attempts"
 SENTINEL = "a sentinel that the same function catches and turns into a ValueError"
 
 # (module, enclosing definition, class) of each raise whose class ``main``
 # does not map, with the reason.  The check fails on any other such raise,
 # and on an entry here that no raise matches any more.
 UNMAPPED = {
-    ("dual_complex.py", "DualComplex.__setattr__", "AttributeError"): IMMUTABLE,
-    ("dual_complex.py", "DualComplex.__delattr__", "AttributeError"): IMMUTABLE,
-    ("poly_oracle.py", "Polynomial.__setattr__", "AttributeError"): IMMUTABLE,
-    ("resolution_engine.py", "ResolutionState.__setattr__", "AttributeError"): IMMUTABLE,
+    ("dual_complex.py", "_refuse", "AttributeError"):
+        "an immutable object refuses a write, which only code, never an input, attempts",
     ("dual_complex.py", "Cell.of", "TypeError"): SENTINEL,
     ("snc_model.py", "Stratum.of", "TypeError"): SENTINEL,
     ("snc_model.py", "SncVariety.of", "TypeError"): SENTINEL,

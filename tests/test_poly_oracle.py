@@ -522,9 +522,9 @@ def test_chart_maps_are_shared_read_only():
 
 def test_the_chart_map_cycle_check_runs_once_per_key(monkeypatch):
     checked = []
-    original = Substitution.__post_init__
-    monkeypatch.setattr(Substitution, "__post_init__",
-                        lambda self: checked.append(dict(self.mapping)) or original(self))
+    original = Substitution.__init__
+    monkeypatch.setattr(Substitution, "__init__", lambda self, mapping: (
+        checked.append(dict(mapping)) or original(self, mapping)))
     po._chart_map.cache_clear()
     monkeypatch.setattr(po, "_DET_IMAGES", {})
     for _ in range(2):

@@ -13,10 +13,10 @@ file, reads the ``--input`` document for the handler, writes the handler's
 standard output, removes the probed file if the command fails, and maps
 every exception to an exit code: 2 for an input error (ValueError or
 KeyError, one stderr line ``invalid input: ...``; also an input that cannot
-be read or decoded, an object in it that repeats a key, or an output that
-cannot be written), 3 for an invariant breach, 4 for a scale or event
-ceiling.  A handler raises and returns only its verdict: 0 success, 3 a
-failed verification, 2 once it has listed a complex's violations.
+be read, decoded or held in ``_INPUT_CAP`` characters, a repeated key, or an
+output that cannot be written), 3 for an invariant breach, 4 for a scale or
+event ceiling.  A handler raises and returns only its verdict: 0 success, 3
+a failed verification, 2 once it has listed a complex's violations.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ EXIT_BREACH = 3
 EXIT_SCALE = 4
 
 ENV_PREFIX = "SNCRESOLVE_"
+_INPUT_CAP = 1 << 26  # the most --input characters: 4.6 x germ 15's indented variety document
 
 
 def _env_default(flag: str, default, kind):
@@ -337,7 +338,10 @@ def main(argv=None) -> int:
         if required == "input":
             try:
                 with open(args.input, "r", encoding="utf-8") as handle:
-                    doc = json.load(handle, object_pairs_hook=_unique_keys)
+                    text = handle.read(_INPUT_CAP + 1)
+                if len(text) > _INPUT_CAP:
+                    raise ValueError(f"the document is longer than {_INPUT_CAP} characters")
+                doc = json.loads(text, object_pairs_hook=_unique_keys)
             except (OSError, ValueError, RecursionError) as err:
                 _print_err(f"cannot read {args.input}: {err}")
                 return EXIT_INPUT

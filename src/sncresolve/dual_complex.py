@@ -122,7 +122,7 @@ class Violation(_Record):
         return f"{self.rule}{where}: {self.detail}"
 
 
-class DualComplex:
+class DualComplex(_Record):
     """A finite unordered Delta-complex, indexed by cell id.
 
     Immutable: ``cells`` is a read-only mapping and no attribute can be
@@ -131,7 +131,8 @@ class DualComplex:
     come in.  ``_violations`` keeps ``validate``'s answer (None: unknown).
     """
 
-    __slots__ = ("_cells", "_violations")
+    _fields = ("_cells",)
+    __slots__ = _fields + ("_violations",)
 
     def __init__(self, cells=()):
         by_id = {}
@@ -142,8 +143,6 @@ class DualComplex:
         ordered = {c.id: c for c in sorted(by_id.values(), key=attrgetter("dim", "id"))}
         _set(self, "_cells", MappingProxyType(ordered))
         _set(self, "_violations", None)
-
-    __setattr__ = __delattr__ = _refuse
 
     @property
     def cells(self) -> MappingProxyType:
@@ -158,13 +157,11 @@ class DualComplex:
     def __len__(self) -> int:
         return len(self._cells)
 
-    def __eq__(self, other):
-        if not isinstance(other, DualComplex):
-            return NotImplemented
-        return self._cells == other._cells
-
     def __hash__(self):
         return hash(frozenset(self._cells.items()))
+
+    def __reduce__(self):  # a copy checks its cells anew
+        return DualComplex, (tuple(self._cells.values()),)
 
     def cells_of_dim(self, k: int) -> list:
         return [c for c in self._cells.values() if c.dim == k]

@@ -32,7 +32,7 @@ import json
 from collections import Counter
 from types import MappingProxyType
 
-from .dual_complex import _Record, _refuse, _set
+from .dual_complex import _Record, _set
 
 # Monomials are tuples of (variable, exponent) pairs, sorted by variable
 # name, with all exponents > 0.  The empty tuple is the constant monomial.
@@ -111,10 +111,11 @@ def _canon(terms: dict) -> "Polynomial":
     return poly
 
 
-class Polynomial:
+class Polynomial(_Record):
     """Immutable sparse polynomial with integer coefficients."""
 
-    __slots__ = ("terms", "_hash")
+    _fields = ("terms",)
+    __slots__ = _fields + ("_hash",)
 
     def __init__(self, terms=None):
         clean = {}
@@ -131,8 +132,6 @@ class Polynomial:
                     elif mono in clean:
                         del clean[mono]
         _set(self, "terms", clean)
-
-    __setattr__ = __delattr__ = _refuse
 
     @staticmethod
     def constant(c: int) -> "Polynomial":
@@ -263,11 +262,6 @@ class Polynomial:
             raise ValueError("exponent must be a non-negative integer")
         return _canon(_pow_terms(self.terms, n))
 
-    def __eq__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self.terms == other.terms
-
     def __hash__(self):
         if not hasattr(self, "_hash"):  # unset until the first call
             _set(self, "_hash", hash(frozenset(self.terms.items())))
@@ -312,6 +306,9 @@ class Substitution(_Record):
                     raise ValueError(
                         f"cyclic substitution: image of {var!r} mentions substituted {other!r}")
         _set(self, "mapping", mapping)
+
+    def __reduce__(self):  # a read-only mapping does not pickle
+        return Substitution, (dict(self.mapping),)
 
     def apply(self, f: Polynomial) -> Polynomial:
         return f.substitute(self.mapping)

@@ -200,6 +200,9 @@ class ResolutionState:
 
     __setattr__ = __delattr__ = _refuse
 
+    def __reduce__(self):  # a copy is a state built by hand
+        return ResolutionState, (self.dual, self.registry, self.charts, self.trace)
+
     @property
     def registry(self) -> tuple:
         if self._registry is None:

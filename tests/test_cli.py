@@ -1001,6 +1001,26 @@ def test_an_undecodable_input_exits_2_with_one_line(tmp_path, capsys, command, k
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["dualcomplex", "resolve"])
+def test_an_endless_input_exits_2_with_one_line(capsys, command):
+    if not os.path.exists("/dev/zero"):
+        pytest.skip("no /dev/zero on this system")
+    assert cli.main([command, "--input", "/dev/zero"]) == cli.EXIT_INPUT
+    assert capsys.readouterr() == ("", "cannot read /dev/zero: the document is longer "
+                                       f"than {cli._INPUT_CAP} characters\n")
+
+
+def test_an_input_at_the_cap_is_read(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(sm.to_json_obj(sm.coordinate_germ(3))))
+    monkeypatch.setattr(cli, "_INPUT_CAP", len(path.read_text()))
+    assert cli.main(["dualcomplex", "--input", str(path)]) == cli.EXIT_OK
+    monkeypatch.setattr(cli, "_INPUT_CAP", cli._INPUT_CAP - 1)
+    assert cli.main(["dualcomplex", "--input", str(path)]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == (f"cannot read {path}: the document is longer "
+                                       f"than {cli._INPUT_CAP} characters\n")
+
+
 def _state_text_repeating_an_id():
     """A state document whose chart's 'a' map lists divisor f1 twice; its
     last value is the registry's coefficient, so json alone reads a valid
@@ -1278,3 +1298,74 @@ def test_dualcomplex_never_crashes_on_a_mutated_document(tmp_path_factory, mutat
     if kind in _REORDERINGS:
         want = _dualcomplex_run(tmp_path_factory.mktemp("original"), original, options)
         assert (code, out, err, dot) == want
+
+
+# --------------------------------------------------------------------------
+# every command of the table under drawn flags and environment values
+# --------------------------------------------------------------------------
+
+_RANGES = ["2", "3", "2..3", "3..2", "1..2", "x", "2..1000000000000"]
+
+
+def _flag_pools(tmp_path) -> dict:
+    """The values each flag of ``cli._COMMANDS`` is drawn from, by name, or
+    by kind for an int and for a switch's environment mirror.  The one
+    runnable ``resolve`` input is the ``gen --seed 3`` state."""
+    state, germ = tmp_path / "state.json", tmp_path / "germ.json"
+    state.write_text(json.dumps(re_.state_to_obj(cli.random_state(random.Random(3)))))
+    germ.write_text(json.dumps(sm.to_json_obj(sm.coordinate_germ(3))))
+    missing = str(tmp_path / "missing" / "file")
+    outputs = [str(tmp_path / "out.txt"), missing, str(tmp_path), os.devnull]
+    outputs += ["/dev/full"] if os.path.exists("/dev/full") else []
+    return {"input": [str(state), str(germ), missing, str(tmp_path), os.devnull],
+            "dot": outputs, "trace": outputs, "out": outputs,
+            "ordering": ["E1,E2", "E2,E1", "E3", ","],
+            "rule": ["det", "DET", "mon1", "mon2", "mon3", "bin", "bogus"],
+            "m": _RANGES, "d": _RANGES, "a": _RANGES,
+            int: [1, 3, 10 ** 20, 0, -1, "x"], bool: ["1", "0", "yes", "maybe", ""]}
+
+
+def _drawn_case(rng, pools, command, flags):
+    """(argv, environment) of one ``command`` run: each flag absent, given on
+    the command line, or given as its ``SNCRESOLVE_`` mirror."""
+    argv, env = [command], {}
+    for name, _, kind, _ in flags:
+        how = rng.choice(["absent", "absent", "flag", "environment"])
+        if how == "absent":
+            continue
+        pool = (list(kind) + ["bogus"] if isinstance(kind, tuple)
+                else pools[kind] if kind in (int, bool) else pools[name])
+        value = str(rng.choice(pool))
+        if how == "environment":
+            env[cli.ENV_PREFIX + name.replace("-", "_").upper()] = value
+        else:
+            argv += [f"--{name}"] if kind is bool else [f"--{name}", value]
+    return argv, env
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_every_command_maps_drawn_flags_and_environment_to_an_exit_code(tmp_path, monkeypatch,
+                                                                         command):
+    pools, rng = _flag_pools(tmp_path), random.Random(command)
+    for name in [name for name in os.environ if name.startswith(cli.ENV_PREFIX)]:
+        monkeypatch.delenv(name)
+    seen = set()
+    for _ in range(400):
+        argv, env = _drawn_case(rng, pools, command, cli._COMMANDS[command][-1])
+        out, err = io.StringIO(), io.StringIO()
+        with monkeypatch.context() as patch:
+            for name, value in env.items():
+                patch.setenv(name, value)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = cli.main(argv)
+                except SystemExit as exc:  # argparse refuses a flag value
+                    assert exc.code == cli.EXIT_INPUT, (argv, env)
+                    code = None
+        text = err.getvalue()
+        assert "Traceback" not in text, (argv, env, text)
+        assert code in (None, cli.EXIT_OK, cli.EXIT_INPUT, cli.EXIT_BREACH, cli.EXIT_SCALE)
+        if code in (cli.EXIT_INPUT, cli.EXIT_SCALE):
+            assert text.count("\n") == 1 and text.endswith("\n"), (argv, env, text)
+        seen.add(code)
+    assert {cli.EXIT_OK, cli.EXIT_INPUT} <= seen  # the draws reach the handler

@@ -2,10 +2,12 @@
 from its defaults, shows its fields in its repr, equals and hashes like a
 twin by value, differs when one field does, copies and pickles, and refuses
 writes, except the two verification reports, which may be filled in and are
-unhashable.  Every immutable object refuses a write with one message."""
+unhashable.  A polynomial and a dual complex keep the same contract through
+cases of their own.  Every immutable object refuses a write with one message."""
 
 import copy
 import pickle
+from types import MappingProxyType
 
 import pytest
 
@@ -119,13 +121,33 @@ RECORDS = {
 
 MUTABLE = {po.ChartCheck, po.VerificationReport}
 
+# The values that are not built from their fields: a polynomial from a term
+# map that it normalizes, a complex from its cells.  Each hashes through a
+# frozenset of its field's items.  class: (sample, a twin built otherwise,
+# another value, the field).
+X, Y = po.Polynomial.variable("x"), po.Polynomial.variable("y")
+GERM = sm.dual_complex_of(sm.coordinate_germ(3))
+VALUES = {
+    po.Polynomial: (
+        (X + 1) ** 2,
+        po.Polynomial([((), 1), ((("x", 1),), 3), ((("x", 1),), -1), ((("x", 1), ("x", 1)), 1)]),
+        (X + 1) * (Y + 1), "terms"),
+    dc.DualComplex: (
+        GERM, dc.DualComplex(reversed(GERM.cells.values())),
+        dc.DualComplex(c for c in GERM.cells.values() if c.dim < 2), "_cells"),
+}
+
+
+def copies(value) -> list:
+    return [copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))]
+
 
 def test_every_record_class_is_covered():
     records = {cls for module in (dc, sm, cc, po, re_) for cls in vars(module).values()
                if isinstance(cls, type) and cls.__module__ == module.__name__
                and not cls.__name__.startswith("_") and cls.__eq__ is not object.__eq__
                and not issubclass(cls, (BaseException, tuple))}
-    assert records - {dc.DualComplex, po.Polynomial} == set(RECORDS)
+    assert records == set(RECORDS) | set(VALUES)
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
@@ -151,9 +173,8 @@ def test_record_contract(cls):
         changed = cls(**{**values, name: other})
         assert changed != sample and not changed == sample, name
 
-    assert copy.copy(sample) == sample
-    if cls is not po.Substitution:  # a Polynomial does not pickle
-        assert pickle.loads(pickle.dumps(sample)) == sample
+    for copied in copies(sample):
+        assert type(copied) is cls and copied == sample and repr(copied) == shown
 
     if cls in MUTABLE:
         assert cls.__hash__ is None
@@ -180,6 +201,38 @@ def test_record_contract(cls):
         with pytest.raises(AttributeError):
             delattr(sample, name)
         assert getattr(sample, name) == values[name]
+
+
+@pytest.mark.parametrize("cls", VALUES, ids=lambda cls: cls.__name__)
+def test_value_contract(cls):
+    sample, twin, other, name = VALUES[cls]
+    assert twin is not sample and twin == sample and not twin != sample
+    assert hash(twin) == hash(sample) == hash(frozenset(getattr(sample, name).items()))
+    assert other != sample and not other == sample
+    assert sample.__eq__(getattr(sample, name)) is NotImplemented
+    assert sample.__eq__(E1) is NotImplemented
+    for copied in copies(sample):
+        assert type(copied) is cls and copied == sample and hash(copied) == hash(sample)
+        assert repr(copied) == repr(sample)
+    with pytest.raises(AttributeError):
+        setattr(sample, name, getattr(other, name))
+    with pytest.raises(AttributeError):
+        delattr(sample, name)
+    assert sample == twin
+
+
+def test_a_copied_complex_checks_its_cells_anew():
+    assert dc.validate(GERM) == []
+    for copied in copies(GERM):
+        assert copied._violations is None and dc.validate(copied) == []
+
+
+def test_a_read_only_chart_map_copies_and_pickles():
+    sub = po._chart_map("x_E1", ("x_E2",))
+    assert type(sub.mapping) is MappingProxyType
+    f = X * X + Y
+    for copied in copies(sub):
+        assert copied == sub and copied.apply(f) == sub.apply(f)
 
 
 @pytest.mark.parametrize("value, name", [

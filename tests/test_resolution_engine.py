@@ -1,6 +1,9 @@
 """Seeding, center selection, stepping, full runs, traces, replay."""
 
+import copy
+import io
 import json
+import pickle
 import random
 
 import pytest
@@ -548,6 +551,23 @@ def test_state_json_round_trip():
     again = re_.state_from_obj(doc)
     assert canonical_dumps(re_.state_to_obj(again)) \
         == canonical_dumps(re_.state_to_obj(state))
+
+
+@pytest.mark.parametrize("seed_value", [0, 4])
+def test_a_pickled_or_copied_state_runs_to_the_same_trace(seed_value):
+    # A copy is a state built by hand: it is checked on its first step.
+    config = RunConfig(exponent_policy="paper")
+    state = random_state(random.Random(seed_value))
+    for _ in range(3):
+        state, _ = re_.step(state, config)
+    runs = []
+    for start in (state, pickle.loads(pickle.dumps(state)), copy.deepcopy(state),
+                  copy.copy(state)):
+        final, events = re_.run(start, config)
+        text = io.StringIO()
+        re_.write_trace(start, events, final, config, text.write)
+        runs.append(([re_.event_to_obj(e) for e in events], text.getvalue()))
+    assert runs[0][0] and all(run == runs[0] for run in runs)
 
 
 def test_state_document_sums_repeated_chart_entries():

@@ -10,7 +10,9 @@ Betti numbers and torsion coefficients are exact.
 It removes one base vertex per connected component, then runs
 coreductions (Mrozek and Batko, 2009) to exhaustion: a cell whose
 remaining boundary is a single face with coefficient +-1 leaves together
-with that face, which keeps the homology.  Only the surviving cells reach
+with that face, which keeps the homology.  Each cell's boundary is built
+in C from its facets' indices and alternating signs; only a cell that
+repeats a facet sums its signs in Python.  Only the surviving cells reach
 the boundary maps.  Each map is eliminated sparsely: its unit pivots
 (entries +-1) go first, row by row, each giving an invariant factor 1,
 and only the core left without a unit entry is handed to the dense
@@ -18,7 +20,10 @@ Smith normal form, which then sees little more than the torsion.
 
 ``validate`` checks a complex once and keeps the answer on it.  The
 output of ``snc_model.dual_complex_of``, and of ``remove_open_star`` on a
-complex known to be valid, is valid by construction and never checked.
+complex known to be valid, is valid by construction and never checked;
+``dual_complex_of`` builds its cells in form without ``Cell``'s checks.
+A complex puts its cells in (dimension, id) order by two stable sorts on
+C keys, by id and then by dimension, so no key tuple is built or compared.
 """
 
 from __future__ import annotations
@@ -92,10 +97,15 @@ class Cell(_Record):
                     type(label) is frozenset and _STR.issuperset(map(type, label))))):
             raise _out_of_form("cell", "a str id, an int dim, a tuple of str facets and "
                                "a frozenset of str labels or None", id, dim, facets, label)
+        self._fill(id, dim, facets, label)
+
+    def _fill(self, id, dim, facets, label) -> "Cell":
+        """Set the fields; ``object.__new__(Cell)._fill`` skips the checks."""
         _set(self, "id", id)
         _set(self, "dim", dim)
         _set(self, "facets", facets)
         _set(self, "label", label)
+        return self
 
     @staticmethod
     def of(id, dim, facets=(), label=None) -> "Cell":
@@ -122,6 +132,9 @@ class Violation(_Record):
         return f"{self.rule}{where}: {self.detail}"
 
 
+_id, _dim = attrgetter("id"), attrgetter("dim")
+
+
 class DualComplex(_Record):
     """A finite unordered Delta-complex, indexed by cell id.
 
@@ -135,13 +148,14 @@ class DualComplex(_Record):
     __slots__ = _fields + ("_violations",)
 
     def __init__(self, cells=()):
-        by_id = {}
-        for cell in cells:
-            if cell.id in by_id:
-                raise ValueError(f"duplicate cell id {cell.id!r}")
-            by_id[cell.id] = cell
-        ordered = {c.id: c for c in sorted(by_id.values(), key=attrgetter("dim", "id"))}
-        _set(self, "_cells", MappingProxyType(ordered))
+        cells = tuple(cells)
+        ordered = sorted(sorted(cells, key=_id), key=_dim)
+        by_id = dict(zip(map(_id, ordered), ordered))
+        if len(by_id) < len(cells):  # name the first repeat given
+            seen = set()
+            cid = next(cid for cid in map(_id, cells) if cid in seen or seen.add(cid))
+            raise ValueError(f"duplicate cell id {cid!r}")
+        _set(self, "_cells", MappingProxyType(by_id))
         _set(self, "_violations", None)
 
     @property
@@ -452,26 +466,26 @@ def _coreduce(boundary: list, nverts: int) -> int:
                             reached[w] = True
                             stack.append(w)
 
-    queue = deque()
-
-    def remove(i):
-        boundary[i] = None
-        for c in cofaces[i]:
-            if boundary[c] is not None:
-                del boundary[c][i]
-                queue.append(c)
-
-    for v in bases:
-        remove(v)
-    queue.extend(range(nverts, len(boundary)))
-    while queue:
-        i = queue.popleft()
+    # The queue is a list read in order while removals append to it.
+    queue = []
+    for v in bases:  # their cofaces are edges, none removed yet
+        boundary[v] = None
+        for c in cofaces[v]:
+            del boundary[c][v]
+            queue.append(c)
+    queue += range(nverts, len(boundary))
+    for i in queue:
         faces = boundary[i]
         if faces is not None and len(faces) == 1:
             (face, value), = faces.items()
             if value in (1, -1):
-                remove(i)
-                remove(face)
+                for dead in (i, face):
+                    boundary[dead] = None
+                    for c in cofaces[dead]:
+                        faces = boundary[c]
+                        if faces is not None:
+                            del faces[dead]
+                            queue.append(c)
     return len(bases)
 
 
@@ -488,8 +502,14 @@ def homology(complex: DualComplex) -> HomologyReport:
     if top < 0:
         return HomologyReport((), (), 0)
     cells = complex.cells.values()
-    index = {c.id: i for i, c in enumerate(cells)}
-    boundary = [{index[f]: x for f, x in _signed_facets(c).items()} for c in cells]
+    index = dict(zip(complex.cells, range(len(cells))))
+    get, signs = index.__getitem__, (1, -1) * (top // 2 + 1)
+    boundary = []
+    for c in cells:
+        faces = dict(zip(map(get, c.facets), signs))
+        if len(faces) < len(c.facets):  # a repeated facet: sum its signs
+            faces = {get(f): x for f, x in _signed_facets(c).items()}
+        boundary.append(faces)
     components = _coreduce(boundary, counts[0])
     survivors = [[] for _ in counts]
     for i, cell in enumerate(cells):

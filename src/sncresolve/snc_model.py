@@ -14,11 +14,17 @@ once, in the first ``dual_complex_of`` of a valid variety holding it, and
 keeps it (a private field that takes no part in equality, hashing or
 ``repr``).  A stratum blow-up keeps the other strata as they are, so its
 complex shares their cells instead of building them again.
+
+Records known to be in form skip their constructor's checks (``_fill``):
+the cells of ``dual_complex_of``, the strata of ``from_index_sets``, and
+each stratum of ``from_json_obj`` whose id, indices and parent keys and
+values are all str, since the sorted items of a dict are then in form.
+Any other stratum entry goes through ``Stratum.of``, whose error names it.
 """
 
 from __future__ import annotations
 
-from .dual_complex import Cell, DualComplex, _Record, _STR, _known_valid, _out_of_form, _set
+from .dual_complex import Cell, DualComplex, _Record, _STR, _id, _known_valid, _out_of_form, _set
 
 
 class IncidenceError(ValueError):
@@ -40,10 +46,15 @@ class Stratum(_Record):
                 and all(p[0] < q[0] for p, q in zip(parents, parents[1:]))):
             raise _out_of_form("stratum", "a str id, a frozenset of str indices and (str, str) "
                                "parent pairs, one per index, sorted", id, indices, parents)
+        self._fill(id, indices, parents)
+
+    def _fill(self, id, indices, parents) -> "Stratum":
+        """Set the fields; ``object.__new__(Stratum)._fill`` skips the checks."""
         _set(self, "id", id)
         _set(self, "indices", indices)
         _set(self, "parents", parents)  # (dropped component id, stratum id) pairs
         _set(self, "_cell", None)  # the dual cell, built once
+        return self
 
     @staticmethod
     def of(id, indices, parents=None) -> "Stratum":
@@ -84,7 +95,7 @@ class SncVariety(_Record):
         try:
             if type(components) is str:
                 raise TypeError
-            return SncVariety(frozenset(components), tuple(sorted(strata, key=lambda s: s.id)))
+            return SncVariety(frozenset(components), tuple(sorted(strata, key=_id)))
         except (TypeError, AttributeError):
             raise _out_of_form("variety", "iterables of str components and of strata",
                                components) from None
@@ -189,7 +200,8 @@ def dual_complex_of(snc: SncVariety) -> DualComplex:
     for s in snc.strata:
         if s._cell is None:
             facets = tuple([pid for _, pid in s.parents])
-            _set(s, "_cell", Cell(s.id, len(s.indices) - 1, facets, s.indices))
+            cell = object.__new__(Cell)._fill(s.id, len(s.indices) - 1, facets, s.indices)
+            _set(s, "_cell", cell)
         cells.append(s._cell)
     return _known_valid(DualComplex(cells))
 
@@ -321,24 +333,23 @@ def from_index_sets(components, index_sets) -> SncVariety:
     """Build a variety with one stratum per given index set.
 
     The family must be downward closed (every one-smaller subset of a
-    given set must also be present); parents are then canonical.
+    given set must also be present); parents are then canonical.  If it is
+    not, IncidenceError names the least missing set, as a sorted list.
     """
     sets = {frozenset(str(i) for i in s) for s in index_sets}
     sets.update(frozenset([str(c)]) for c in components)
+    ids = {indices: subset_id(indices) for indices in sets}
     strata = []
-    for indices in sets:
-        if len(indices) == 1:
-            strata.append(Stratum.of(subset_id(indices), indices))
-            continue
-        parents = {}
-        for j in indices:
-            smaller = indices - {j}
-            if smaller not in sets:
-                raise IncidenceError(
-                    f"index family not downward closed: {sorted(smaller)} "
-                    f"missing below {sorted(indices)}")
-            parents[j] = subset_id(smaller)
-        strata.append(Stratum.of(subset_id(indices), indices, parents))
+    try:
+        for indices, sid in ids.items():
+            parents = () if len(indices) < 2 else sorted(
+                (j, ids[indices - {j}]) for j in indices)
+            strata.append(object.__new__(Stratum)._fill(sid, indices, tuple(parents)))
+    except KeyError:  # in a fixed order, whatever the order of the set
+        smaller, indices = min((sorted(s - {j}), sorted(s)) for s in sets for j in s
+                               if len(s) > 1 and s - {j} not in sets)
+        raise IncidenceError(f"index family not downward closed: {smaller} "
+                             f"missing below {indices}") from None
     return SncVariety.of({str(c) for c in components}, strata)
 
 
@@ -376,7 +387,14 @@ def from_json_obj(obj: dict) -> SncVariety:
         if not isinstance(indices, list) or not isinstance(parents, dict):
             raise ValueError(f"stratum {sid!r}: 'indices' must be an array "
                              "and 'parents' an object")
-        strata.append(stratum := Stratum.of(sid, indices, parents))
+        if (type(sid) is str and _STR.issuperset(map(type, indices))
+                and _STR.issuperset(map(type, parents))
+                and _STR.issuperset(map(type, parents.values()))):
+            stratum = object.__new__(Stratum)._fill(sid, frozenset(indices),
+                                                     tuple(sorted(parents.items())))
+        else:
+            stratum = Stratum.of(sid, indices, parents)
+        strata.append(stratum)
         if len(stratum.indices) != len(indices):
             raise ValueError(f"stratum {sid!r}: 'indices' repeats an index, got {indices!r}")
     return SncVariety.of(obj["components"], strata)

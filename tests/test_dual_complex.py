@@ -181,11 +181,33 @@ def test_a_shuffled_cell_list_builds_the_same_complex(seed):
     assert dc.to_dot(shuffled) == dc.to_dot(complex)
 
 
-def test_a_repeated_cell_id_is_named_in_the_given_order():
-    # The constructor checks ids before it sorts: the first repeat given is named.
-    cells = [Cell.of("b", 0), Cell.of("a", 0), Cell.of("b", 0), Cell.of("a", 0)]
-    with pytest.raises(ValueError, match="^duplicate cell id 'b'$"):
-        DualComplex(cells)
+@pytest.mark.parametrize("cells, named", [
+    ([Cell.of("b", 0), Cell.of("a", 0), Cell.of("b", 0), Cell.of("a", 0)], "b"),
+    ([Cell.of("x", 1, ("v", "v")), Cell.of("v", 0), Cell.of("x", 0)], "x"),
+    ([Cell.of("c", 0), Cell.of("a", 0), Cell.of("b", 0), Cell.of("a", 0), Cell.of("c", 0)], "a"),
+    ([Cell.of("v", 0)] * 2, "v"),
+], ids=["first of two repeats", "across dimensions", "a later repeat of a lesser id",
+        "one cell twice"])
+def test_a_repeated_cell_id_is_named_in_the_given_order(cells, named):
+    # The first repeat given is named, whatever the sorted order would say.
+    for given in (cells, iter(cells)):
+        with pytest.raises(ValueError, match=f"^duplicate cell id '{named}'$"):
+            DualComplex(given)
+
+
+def test_reversed_or_shuffled_cells_keep_dimension_then_id_order():
+    # Upper-case 2-cells and the germ's strata ids sort before cells of
+    # lower dimension by id alone.
+    rng = random.Random(5)
+    for complex in (rp2_complex(), klein_bottle_complex(), _repeated_facet_complex(_NET_ONE),
+                    sm.dual_complex_of(sm.coordinate_germ(5))):
+        cells = list(complex.cells.values())
+        assert cells == sorted(cells, key=_dim_id)
+        assert [c.id for c in cells] != sorted(complex.cells)
+        for given in (cells[::-1], rng.sample(cells, len(cells)), iter(cells[::-1])):
+            again = DualComplex(given)
+            assert list(again.cells.values()) == cells
+            assert list(again.cells) == [c.id for c in cells]
 
 
 # --------------------------------------------------------------------------
@@ -264,6 +286,43 @@ def test_homology_of_two_disjoint_triangle_boundaries():
     assert report.betti == (2, 2)
     assert report.torsion == ((), ())
     assert report.euler == 0
+
+
+# A vertex, a loop ``m`` on it, and two 2-cells ``A`` and ``B`` that run
+# round ``m`` three times, so each has boundary m; then one 3-cell on them.
+# In (A, B, A, A) the facet A occurs three times, with net sign +1: the
+# boundary is A - B.  In (A, A, B, B) the repeats cancel: the boundary is 0.
+_NET_ONE, _NET_ZERO = ("A", "B", "A", "A"), ("A", "A", "B", "B")
+
+
+def _repeated_facet_complex(top):
+    return DualComplex([Cell.of("v", 0), Cell.of("m", 1, ("v", "v")),
+                        Cell.of("A", 2, ("m", "m", "m")), Cell.of("B", 2, ("m", "m", "m")),
+                        Cell.of("T", 3, top)])
+
+
+@pytest.mark.parametrize("top, betti", [(_NET_ONE, (1, 0, 0, 0)), (_NET_ZERO, (1, 0, 1, 1))],
+                         ids=["net one", "net zero"])
+def test_homology_sums_the_signs_of_a_repeated_facet(top, betti):
+    complex = _repeated_facet_complex(top)
+    assert dc.validate(complex) == []
+    report = dc.homology(complex)
+    assert report == per_map_homology(complex)
+    assert list(report.betti) == rational_betti(complex) == list(betti)
+    assert report.torsion == ((),) * 4 and report.euler == 1
+
+
+def test_only_a_cell_with_a_repeated_facet_sums_its_signs(monkeypatch):
+    summed = []
+    signed = dc._signed_facets
+    monkeypatch.setattr(dc, "_signed_facets", lambda cell: summed.append(cell.id)
+                        or signed(cell))
+    dc.homology(sm.dual_complex_of(sm.coordinate_germ(6)))
+    dc.homology(klein_bottle_complex())
+    assert summed == ["a", "b", "c"]  # the Klein bottle's loops
+    summed.clear()
+    dc.homology(_repeated_facet_complex(_NET_ONE))
+    assert summed == ["m", "A", "B", "T"]
 
 
 @settings(max_examples=80, deadline=None)

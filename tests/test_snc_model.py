@@ -1,8 +1,11 @@
 """Incidence model, dual complex construction, combinatorial blow-ups."""
 
 import json
+import os
 import random
-
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -331,6 +334,39 @@ def test_stratum_blowup_strictly_decreases_cells():
 def test_from_index_sets_requires_downward_closure():
     with pytest.raises(sm.IncidenceError):
         sm.from_index_sets(["A", "B", "C"], [{"A", "B", "C"}])
+
+
+_NOT_CLOSED = "index family not downward closed: ['a', 'b'] missing below ['a', 'b', 'c']"
+_NOT_CLOSED_SCRIPT = """
+from sncresolve import snc_model as sm
+try:
+    sm.from_index_sets(["a", "b", "c", "d"], [{"a", "b", "c"}, {"b", "c", "d"}])
+except sm.IncidenceError as err:
+    print(err)
+"""
+
+
+def test_a_family_not_downward_closed_names_its_least_missing_set():
+    # Six sets are missing, below two sets; the least, as sorted lists, is
+    # named under every hash seed.
+    with pytest.raises(sm.IncidenceError) as err:
+        sm.from_index_sets(["a", "b", "c", "d"], [{"a", "b", "c"}, {"b", "c", "d"}])
+    assert str(err.value) == _NOT_CLOSED
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    for hash_seed in "12345":
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed)
+        done = subprocess.run([sys.executable, "-c", _NOT_CLOSED_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=60, check=True)
+        assert done.stdout == _NOT_CLOSED + "\n"
+
+
+def test_from_index_sets_names_each_index_set_once(monkeypatch):
+    names = []
+    subset_id = sm.subset_id
+    monkeypatch.setattr(sm, "subset_id", lambda indices: names.append(indices)
+                        or subset_id(indices))
+    germ = sm.coordinate_germ(5)
+    assert len(names) == len(set(names)) == len(germ.strata) == 31
 
 
 def test_json_round_trip():
@@ -782,3 +818,107 @@ def test_invalid_varieties_store_no_cells(seed):
     with pytest.raises(sm.IncidenceError):
         sm.dual_complex_of(bad)
     assert all(s._cell is None for s in bad.strata)
+
+
+# --------------------------------------------------------------------------
+# strata and cells built without their checks
+# --------------------------------------------------------------------------
+
+def _same_record(got, want):
+    """Equal field by field, each field of the same type, and in form: the
+    checked constructor accepts ``got``'s fields."""
+    assert type(got) is type(want)
+    for name in want._fields:
+        assert getattr(got, name) == getattr(want, name), name
+        assert type(getattr(got, name)) is type(getattr(want, name)), name
+    assert type(got)(*got._values(got)) == got
+
+
+def _trusted_paths_agree(snc):
+    """``from_json_obj``'s strata equal ``Stratum.of``'s, and
+    ``dual_complex_of``'s cells equal ``Cell``'s."""
+    doc = json.loads(json.dumps(sm.to_json_obj(snc)))
+    parsed = sm.from_json_obj(doc)
+    assert len(parsed.strata) == len(doc["strata"])
+    for got, entry in zip(parsed.strata, doc["strata"]):
+        _same_record(got, Stratum.of(entry["id"], entry["indices"], entry["parents"]))
+    for variety in (snc, parsed):
+        complex = sm.dual_complex_of(variety)
+        for s in variety.strata:
+            facets = tuple(pid for _, pid in s.parents)
+            _same_record(complex[s.id], Cell(s.id, len(s.indices) - 1, facets, s.indices))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_trusted_strata_and_cells_equal_the_checked_ones_on_germs(n):
+    _trusted_paths_agree(sm.coordinate_germ(n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_trusted_strata_and_cells_equal_the_checked_ones_along_blowups(seed):
+    rng = random.Random(seed)
+    for snc, _ in _chain(rng, random_variety(rng)):
+        _trusted_paths_agree(snc)
+
+
+_NEEDS_FORM = ("a stratum needs a str id, a frozenset of str indices and (str, str) "
+               "parent pairs, one per index, sorted, got ")
+_NEEDS_ITERABLES = "a stratum needs iterables of str indices and parent pairs, got "
+_AB = {"id": "A+B", "indices": ["A", "B"]}
+
+# Each stratum entry out of form and its message, as the checked
+# constructors word it.  A Python dict with a non-str key reaches
+# ``from_json_obj`` only from a caller, never from a JSON document.
+MALFORMED_STRATA = {
+    "int id": ({"id": 7, "indices": ["A"]}, _NEEDS_FORM + "7, {'A'}, ()"),
+    "bool id": ({"id": True, "indices": ["A"]}, _NEEDS_FORM + "True, {'A'}, ()"),
+    "None id": ({"id": None, "indices": ["A"]}, _NEEDS_FORM + "None, {'A'}, ()"),
+    "list id": ({"id": ["A"], "indices": ["A"]}, _NEEDS_FORM + "['A'], {'A'}, ()"),
+    "int index": ({"id": "A", "indices": [1]}, _NEEDS_FORM + "'A', {1}, ()"),
+    "bool index": ({"id": "A", "indices": [True]}, _NEEDS_FORM + "'A', {True}, ()"),
+    "None index": ({"id": "A", "indices": [None]}, _NEEDS_FORM + "'A', {None}, ()"),
+    "list index": ({"id": "A", "indices": [["A"]]}, _NEEDS_ITERABLES + "'A', [['A']], {}"),
+    "mixed indices": ({**_AB, "indices": ["A", 2], "parents": {"A": "B", 2: "A"}},
+                      _NEEDS_ITERABLES + "'A+B', ['A', 2], {'A': 'B', 2: 'A'}"),
+    "repeated index": ({"id": "A", "indices": ["A", "A"]},
+                       "stratum 'A': 'indices' repeats an index, got ['A', 'A']"),
+    "int parent key": ({**_AB, "parents": {1: "B", "B": "A"}},
+                       _NEEDS_ITERABLES + "'A+B', ['A', 'B'], {1: 'B', 'B': 'A'}"),
+    "bool parent key": ({**_AB, "parents": {True: "B"}},
+                        _NEEDS_FORM + "'A+B', {'A', 'B'}, ((True, 'B'),)"),
+    "None parent key": ({**_AB, "parents": {None: "B", "B": "A"}},
+                        _NEEDS_ITERABLES + "'A+B', ['A', 'B'], {None: 'B', 'B': 'A'}"),
+    "tuple parent key": ({**_AB, "parents": {("A",): "B"}},
+                         _NEEDS_FORM + "'A+B', {'A', 'B'}, ((('A',), 'B'),)"),
+    "int parent keys only": ({**_AB, "parents": {2: "B", 1: "A"}},
+                             _NEEDS_FORM + "'A+B', {'A', 'B'}, ((1, 'A'), (2, 'B'))"),
+    "int parent value": ({**_AB, "parents": {"A": 2, "B": "A"}},
+                         _NEEDS_FORM + "'A+B', {'A', 'B'}, (('A', 2), ('B', 'A'))"),
+    "None parent value": ({**_AB, "parents": {"A": None}},
+                          _NEEDS_FORM + "'A+B', {'A', 'B'}, (('A', None),)"),
+    "list parent value": ({**_AB, "parents": {"A": ["B"]}},
+                          _NEEDS_FORM + "'A+B', {'A', 'B'}, (('A', ['B']),)"),
+    "dict parent value": ({**_AB, "parents": {"A": {"B": "A"}}},
+                          _NEEDS_FORM + "'A+B', {'A', 'B'}, (('A', {'B': 'A'}),)"),
+    "str indices": ({"id": "A", "indices": "A"},
+                    "stratum 'A': 'indices' must be an array and 'parents' an object"),
+    "list parents": ({**_AB, "parents": [["A", "B"]]},
+                     "stratum 'A+B': 'indices' must be an array and 'parents' an object"),
+    "null parents": ({"id": "A", "indices": ["A"], "parents": None},
+                     "stratum 'A': 'indices' must be an array and 'parents' an object"),
+    "no indices": ({"id": "A"},
+                   "a stratum must be an object with 'id' and 'indices', got {'id': 'A'}"),
+    "no id": ({"indices": ["A"]},
+              "a stratum must be an object with 'id' and 'indices', got {'indices': ['A']}"),
+    "not an object": (["A"], "a stratum must be an object with 'id' and 'indices', got ['A']"),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_STRATA)
+def test_a_malformed_stratum_entry_keeps_its_message(name):
+    entry, message = MALFORMED_STRATA[name]
+    with pytest.raises(ValueError) as err:
+        sm.from_json_obj({"components": ["A", "B"], "strata": [entry]})
+    assert type(err.value) is ValueError
+    assert str(err.value) == message

@@ -45,6 +45,7 @@ EXIT_SCALE = 4
 
 ENV_PREFIX = "SNCRESOLVE_"
 _INPUT_CAP = 1 << 26  # the most --input characters: 4.6 x germ 15's indented variety document
+_READ_CHUNK = 1 << 20  # --input is read in parts of at most this many characters
 
 
 def _env_default(flag: str, default, kind):
@@ -337,11 +338,15 @@ def main(argv=None) -> int:
             open(out, "a", encoding="utf-8").close()
         if required == "input":
             try:
+                # One read of the whole cap would reserve all of it up front.
+                parts, size = [], 0
                 with open(args.input, "r", encoding="utf-8") as handle:
-                    text = handle.read(_INPUT_CAP + 1)
-                if len(text) > _INPUT_CAP:
+                    while size <= _INPUT_CAP and (part := handle.read(_READ_CHUNK)):
+                        parts.append(part)
+                        size += len(part)
+                if size > _INPUT_CAP:
                     raise ValueError(f"the document is longer than {_INPUT_CAP} characters")
-                doc = json.loads(text, object_pairs_hook=_unique_keys)
+                doc = json.loads("".join(parts), object_pairs_hook=_unique_keys)
             except (OSError, ValueError, RecursionError) as err:
                 _print_err(f"cannot read {args.input}: {err}")
                 return EXIT_INPUT

@@ -335,10 +335,19 @@ def from_index_sets(components, index_sets) -> SncVariety:
     The family must be downward closed (every one-smaller subset of a
     given set must also be present); parents are then canonical.  If it is
     not, IncidenceError names the least missing set, as a sorted list.
+    Two sets that ``subset_id`` names alike (a component id holding "+")
+    raise a ValueError that names the least such id and its sets.
     """
     sets = {frozenset(str(i) for i in s) for s in index_sets}
     sets.update(frozenset([str(c)]) for c in components)
     ids = {indices: subset_id(indices) for indices in sets}
+    if len(set(ids.values())) < len(ids):  # in a fixed order, whatever the order of the set
+        named = {}
+        for indices, sid in ids.items():
+            named.setdefault(sid, []).append(sorted(indices))
+        sid = min(sid for sid, shared in named.items() if len(shared) > 1)
+        raise ValueError(f"index sets {' and '.join(map(str, sorted(named[sid])))} "
+                         f"share the stratum id {sid!r}")
     strata = []
     try:
         for indices, sid in ids.items():

@@ -360,6 +360,30 @@ def test_a_family_not_downward_closed_names_its_least_missing_set():
         assert done.stdout == _NOT_CLOSED + "\n"
 
 
+_SHARED_ID = "index sets ['a', 'b'] and ['a+b'] share the stratum id 'a+b'"
+_SHARED_ID_SCRIPT = """
+from sncresolve import snc_model as sm
+try:
+    sm.from_index_sets(["a+b", "a", "b"], [{"a", "b"}])
+except ValueError as err:
+    print(err)
+"""
+
+
+def test_two_index_sets_with_one_id_are_refused_under_every_hash_seed():
+    # {'a+b'} and {'a', 'b'} both get the id 'a+b'; built, the two strata
+    # would come in an order that follows the hash seed.
+    with pytest.raises(ValueError) as err:
+        sm.from_index_sets(["a+b", "a", "b"], [{"a", "b"}])
+    assert str(err.value) == _SHARED_ID
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    for hash_seed in "12345":
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed)
+        done = subprocess.run([sys.executable, "-c", _SHARED_ID_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=60, check=True)
+        assert done.stdout == _SHARED_ID + "\n"
+
+
 def test_from_index_sets_names_each_index_set_once(monkeypatch):
     names = []
     subset_id = sm.subset_id

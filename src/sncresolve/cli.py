@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import gc
 import io
 import json
 import os
@@ -326,6 +327,10 @@ def _parser(defaults: tuple) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     code, doc, out, target, fresh = EXIT_INPUT, None, None, None, False
+    # A command's data are acyclic: the cycle collector would only walk them
+    # again and again.  The caller's setting comes back on the way out.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         args = _build_parser().parse_args(argv)
         handler, _, required, output, _ = _COMMANDS[args.command]
@@ -377,6 +382,8 @@ def main(argv=None) -> int:
             # it still holds goes to the null device, not into a traceback.
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     finally:
+        if collecting:
+            gc.enable()
         # A failing command removes an output file that the probe created.
         if fresh and code != EXIT_OK and os.path.lexists(out):
             os.remove(out)

@@ -6,9 +6,12 @@ components.  A stratum over index set J designates, for every j in J, the
 unique stratum over J minus {j} containing it; that designation is exactly
 the attaching data of the dual complex.
 
-``validate_snc`` checks a variety once and keeps the answer on it.  The
-complex ``dual_complex_of`` builds, and the stratum ``blowup_center`` of a
-variety known to be valid, are valid by construction and never checked.
+``validate_snc`` checks a variety once and keeps the answer on it.  A
+one-pass proof comes first (index sets read as bit masks over the
+components); only a variety that it cannot prove valid runs the checks
+that name each violation, in their fixed order.  The complex
+``dual_complex_of`` builds, and the stratum ``blowup_center`` of a variety
+known to be valid, are valid by construction and never checked.
 A dual cell depends only on its stratum, so each stratum builds its cell
 once, in the first ``dual_complex_of`` of a valid variety holding it, and
 keeps it (a private field that takes no part in equality, hashing or
@@ -17,12 +20,17 @@ complex shares their cells instead of building them again.
 
 Records known to be in form skip their constructor's checks (``_fill``):
 the cells of ``dual_complex_of``, the strata of ``from_index_sets``, and
-each stratum of ``from_json_obj`` whose id, indices and parent keys and
-values are all str, since the sorted items of a dict are then in form.
-Any other stratum entry goes through ``Stratum.of``, whose error names it.
+those of ``from_json_obj`` once C-level passes over the document, a part at
+a time, found every id, index and parent key and value a str and no index
+repeated.
+Otherwise each entry goes through ``Stratum.of`` in turn, so the error
+names the first entry out of form.
 """
 
 from __future__ import annotations
+
+from itertools import chain, repeat
+from operator import attrgetter, itemgetter
 
 from .dual_complex import Cell, DualComplex, _Record, _STR, _id, _known_valid, _out_of_form, _set
 
@@ -117,7 +125,43 @@ def validate_snc(snc: SncVariety) -> list:
     return list(snc._violations)
 
 
+_MASK_WIDTH = 1024  # past this many components a mask could outweigh a stratum's frozenset
+
+
+def _proved_valid(snc: SncVariety) -> bool:
+    """True only if ``snc`` has no violation; False leaves it to the checks.
+
+    Index sets are read as bit masks over the components.  Ids and masks are
+    unique, none is 0 and each component has its singleton.  Each pair
+    (j, pid) must give pid the stratum's mask less j's bit; no singleton can
+    have such a pair and dropped ids are distinct, so the count makes them
+    one per index of each deeper stratum.  Both descents of {i, j} then
+    reach the one stratum over J - {i, j}: the parents are coherent.
+    """
+    strata, components = snc.strata, snc.components
+    index_sets = list(map(attrgetter("indices"), strata))
+    if len(components) > _MASK_WIDTH or not components.issuperset(
+            chain.from_iterable(index_sets)):
+        return False
+    bit = {c: 1 << k for k, c in enumerate(components)}
+    masks = [sum(map(bit.__getitem__, indices)) for indices in index_sets]
+    mask_of, distinct = dict(zip(map(_id, strata), masks)), set(masks)
+    parents = list(map(attrgetter("parents"), strata))
+    if not (len(mask_of) == len(distinct) == len(strata) and 0 not in distinct
+            and distinct.issuperset(bit.values())
+            and sum(map(len, parents)) == sum(map(len, index_sets)) - len(components)):
+        return False
+    get, bit_of = mask_of.get, bit.get
+    for mask, pairs in zip(masks, parents):
+        for j, pid in pairs:
+            if not get(pid) == mask ^ bit_of(j, 0) < mask:  # j's bit is set in mask
+                return False
+    return True
+
+
 def _find_violations(snc: SncVariety) -> list:
+    if _proved_valid(snc):
+        return []
     out = []
     by_id = {}
     for s in snc.strata:
@@ -156,11 +200,7 @@ def _find_violations(snc: SncVariety) -> list:
     # Two-step coherence: dropping j then i must reach the same stratum as
     # dropping i then j.  This is what makes the dual complex attach
     # consistently.  Each stratum reads its own parent map, but a repeated
-    # id's parent lookups see its last record.  If nothing failed and no index
-    # set repeats, ids are unique and each parent over j is over J - {j}: both
-    # descents of {i, j} reach the one stratum over J - {i, j}, and no map is built.
-    if not out and len({s.indices for s in snc.strata}) == len(snc.strata):
-        return out
+    # id's parent lookups see its last record.
     maps = [s.parent_map() for s in snc.strata]
     parent_maps = {s.id: m for s, m in zip(snc.strata, maps)}
     for s, parents in zip(snc.strata, maps):
@@ -382,28 +422,58 @@ def to_json_obj(snc: SncVariety) -> dict:
     }
 
 
+_DICT, _LIST = frozenset((dict,)), frozenset((list,))
+_PART = 1024  # entries per round of passes: a part's objects stay in the cache
+
+
+def _strata_in_form(entries: list):
+    """The strata of ``entries`` if each is an object with a str id, str indices
+    that do not repeat, and str parent keys and values; else None.  Each check
+    is one C-level pass over a part of the document.  An object may be a dict
+    subclass, as ``from_json_obj``'s own loop allows."""
+    strata = []
+    for start in range(0, len(entries), _PART):
+        part = entries[start:start + _PART]
+        try:  # an entry that is not an object, or lacks "id" or "indices", raises
+            ids = list(map(itemgetter("id"), part))
+            index_lists = list(map(itemgetter("indices"), part))
+            parent_maps = list(map(dict.get, part, repeat("parents"), repeat({})))
+        except (KeyError, TypeError):
+            return None
+        strs = chain(ids, chain.from_iterable(index_lists), chain.from_iterable(parent_maps),
+                     chain.from_iterable(map(dict.values, parent_maps)))
+        if not (_LIST.issuperset(map(type, index_lists))
+                and _DICT.issuperset(map(type, parent_maps)) and _STR.issuperset(map(type, strs))):
+            return None
+        index_sets = list(map(frozenset, index_lists))
+        if sum(map(len, index_sets)) != sum(map(len, index_lists)):  # an index repeats
+            return None
+        strata += [object.__new__(Stratum)._fill(sid, indices, tuple(sorted(parents.items())))
+                   for sid, indices, parents in zip(ids, index_sets, parent_maps)]
+    return strata
+
+
 def from_json_obj(obj: dict) -> SncVariety:
     """Parse a variety document; an ill-shaped one, or a record out of form, raises ValueError."""
     if not isinstance(obj, dict) or "components" not in obj or "strata" not in obj:
         raise ValueError("variety document needs 'components' and 'strata'")
     if not isinstance(obj["components"], list) or not isinstance(obj["strata"], list):
         raise ValueError("'components' and 'strata' must be arrays")
-    strata = []
-    for e in obj["strata"]:
-        if not isinstance(e, dict) or "id" not in e or "indices" not in e:
-            raise ValueError(f"a stratum must be an object with 'id' and 'indices', got {e!r}")
-        sid, indices, parents = e["id"], e["indices"], e.get("parents", {})
-        if not isinstance(indices, list) or not isinstance(parents, dict):
-            raise ValueError(f"stratum {sid!r}: 'indices' must be an array "
-                             "and 'parents' an object")
-        if (type(sid) is str and _STR.issuperset(map(type, indices))
-                and _STR.issuperset(map(type, parents))
-                and _STR.issuperset(map(type, parents.values()))):
-            stratum = object.__new__(Stratum)._fill(sid, frozenset(indices),
-                                                     tuple(sorted(parents.items())))
-        else:
+    strata = _strata_in_form(obj["strata"])
+    if strata is None:  # some entry is out of form: name the first one
+        strata = []
+        for e in obj["strata"]:
+            if not isinstance(e, dict) or "id" not in e or "indices" not in e:
+                raise ValueError(f"a stratum must be an object with 'id' and 'indices', got {e!r}")
+            sid, indices, parents = e["id"], e["indices"], e.get("parents", {})
+            if not isinstance(indices, list) or not isinstance(parents, dict):
+                raise ValueError(f"stratum {sid!r}: 'indices' must be an array "
+                                 "and 'parents' an object")
             stratum = Stratum.of(sid, indices, parents)
-        strata.append(stratum)
-        if len(stratum.indices) != len(indices):
-            raise ValueError(f"stratum {sid!r}: 'indices' repeats an index, got {indices!r}")
-    return SncVariety.of(obj["components"], strata)
+            if len(stratum.indices) != len(indices):
+                raise ValueError(f"stratum {sid!r}: 'indices' repeats an index, got {indices!r}")
+            strata.append(stratum)
+    snc = SncVariety.of(obj["components"], strata)
+    if len(snc.components) != len(obj["components"]):
+        raise ValueError(f"'components' repeats a component, got {obj['components']!r}")
+    return snc

@@ -19,10 +19,10 @@ from sncresolve.chart_calculus import (ChartState, ChildChart, RuleApplication,
                                        RulePreconditionError, _require,
                                        exceptional_coefficient, mdeg)
 from sncresolve import dual_complex as dc
-from sncresolve.dual_complex import Cell, DualComplex, HomologyReport, Violation
+from sncresolve.dual_complex import _STR, Cell, DualComplex, HomologyReport, Violation
 from sncresolve import poly_oracle as po
 from sncresolve.poly_oracle import Polynomial, ScaleError, generic_det
-from sncresolve.snc_model import SncVariety, from_index_sets
+from sncresolve.snc_model import SncVariety, Stratum, from_index_sets
 
 
 def rational_rank(matrix) -> int:
@@ -582,6 +582,43 @@ def shared_map_validate_snc(snc):
                         f"{i!r} then {j!r} reaches {via_i!r} but {j!r} then "
                         f"{i!r} reaches {via_j!r}")
     return out
+
+
+def reference_variety_from_json_obj(obj: dict) -> SncVariety:
+    """``snc_model.from_json_obj`` as it was before the whole document was
+    checked at once: one stratum entry at a time, each all-str entry built
+    without its constructor's checks and any other sent to ``Stratum.of``.
+    A repeated component is refused after the strata, as the library does.
+
+    Reference for the library; both must return equal varieties, or raise
+    the same error with the same text.
+    """
+    if not isinstance(obj, dict) or "components" not in obj or "strata" not in obj:
+        raise ValueError("variety document needs 'components' and 'strata'")
+    if not isinstance(obj["components"], list) or not isinstance(obj["strata"], list):
+        raise ValueError("'components' and 'strata' must be arrays")
+    strata = []
+    for e in obj["strata"]:
+        if not isinstance(e, dict) or "id" not in e or "indices" not in e:
+            raise ValueError(f"a stratum must be an object with 'id' and 'indices', got {e!r}")
+        sid, indices, parents = e["id"], e["indices"], e.get("parents", {})
+        if not isinstance(indices, list) or not isinstance(parents, dict):
+            raise ValueError(f"stratum {sid!r}: 'indices' must be an array "
+                             "and 'parents' an object")
+        if (type(sid) is str and _STR.issuperset(map(type, indices))
+                and _STR.issuperset(map(type, parents))
+                and _STR.issuperset(map(type, parents.values()))):
+            stratum = object.__new__(Stratum)._fill(sid, frozenset(indices),
+                                                     tuple(sorted(parents.items())))
+        else:
+            stratum = Stratum.of(sid, indices, parents)
+        strata.append(stratum)
+        if len(stratum.indices) != len(indices):
+            raise ValueError(f"stratum {sid!r}: 'indices' repeats an index, got {indices!r}")
+    snc = SncVariety.of(obj["components"], strata)
+    if len(snc.components) != len(obj["components"]):
+        raise ValueError(f"'components' repeats a component, got {obj['components']!r}")
+    return snc
 
 
 # --------------------------------------------------------------------------

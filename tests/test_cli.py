@@ -2,6 +2,7 @@
 
 import contextlib
 import errno
+import gc
 import hashlib
 import io
 import itertools
@@ -1085,6 +1086,87 @@ def test_a_failed_write_to_a_replaced_standard_output_exits_2(capsys):
         code = cli.main(["gen", "--seed", "5"])
     assert code == cli.EXIT_INPUT
     assert capsys.readouterr().err == "cannot write standard output: [Errno 32] Broken pipe\n"
+
+
+# --------------------------------------------------------------------------
+# the cycle collector
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("collecting", [True, False])
+@pytest.mark.parametrize("case", ["exit 0", "exit 2", "exit 3", "exit 4", "help",
+                                  "failing write", "escaping error"])
+def test_main_leaves_the_collector_as_it_found_it(seed_file, triangle_file, capsys, monkeypatch,
+                                                  collecting, case):
+    argv, code = {
+        "exit 0": (["dualcomplex", "--input", triangle_file], cli.EXIT_OK),
+        "exit 2": (["dualcomplex", "--input", seed_file], cli.EXIT_INPUT),
+        "exit 3": (["verify", "--rule", "det", "--exponent-policy", "paper"], cli.EXIT_BREACH),
+        "exit 4": (["resolve", "--input", seed_file, "--ceiling", "1"], cli.EXIT_SCALE),
+        "help": (["--help"], SystemExit),
+        "failing write": (["gen", "--seed", "5"], cli.EXIT_INPUT),
+        "escaping error": (["dualcomplex", "--input", triangle_file], RuntimeError),
+    }[case]
+    if case == "failing write":
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    if case == "escaping error":
+        monkeypatch.setattr(dc, "homology", _crash)
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        if isinstance(code, int):
+            assert cli.main(argv) == code
+        else:
+            with pytest.raises(code):
+                cli.main(argv)
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_main_holds_the_collector_off_while_a_command_runs(triangle_file, capsys, monkeypatch):
+    seen, parse = [], sm.from_json_obj
+    monkeypatch.setattr(sm, "from_json_obj", lambda doc: seen.append(gc.isenabled()) or parse(doc))
+    collecting = gc.isenabled()
+    assert cli.main(["dualcomplex", "--input", triangle_file]) == cli.EXIT_OK
+    assert seen == [False] and gc.isenabled() is collecting
+
+
+def _cyclic_garbage(argv, code) -> int:
+    """The objects that ``gc.collect`` frees after one ``main`` call run
+    with the collector off: what a held-off collector lets pile up."""
+    collecting = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        assert cli.main(argv) == code
+        return gc.collect()
+    finally:
+        (gc.enable if collecting else gc.disable)()
+
+
+def test_holding_the_collector_off_leaves_garbage_that_does_not_grow_with_the_run(tmp_path,
+                                                                                   capsys):
+    germ = sm.coordinate_germ(5)
+    coranks = {s.id: min(3, len(s.indices) - 1) for s in germ.strata if len(s.indices) >= 2}
+    seed = tmp_path / "germ5.json"
+    seed.write_text(json.dumps({"snc": sm.to_json_obj(germ), "coranks": coranks}))
+    variety = tmp_path / "germ10.json"
+    variety.write_text(json.dumps(sm.to_json_obj(sm.coordinate_germ(10))))
+    stopped = ["resolve", "--input", str(seed), "--exponent-policy", "paper", "--ceiling"]
+    _cyclic_garbage(stopped + ["100"], cli.EXIT_SCALE)  # the first call builds the parser
+    assert (_cyclic_garbage(stopped + ["100"], cli.EXIT_SCALE)
+            == _cyclic_garbage(stopped + ["300"], cli.EXIT_SCALE))
+    assert _cyclic_garbage(["dualcomplex", "--input", str(variety)], cli.EXIT_OK) == 0
+    # Writing a trace leaves a fixed few (the json module's encoder closures).
+    traces = []
+    for corank in (20, 40):  # 110 and 420 events
+        snc = sm.from_index_sets(["E1", "E2"], [{"E1", "E2"}])
+        path = tmp_path / f"dp{corank}.json"
+        path.write_text(json.dumps({"snc": sm.to_json_obj(snc), "coranks": {"E1+E2": corank}}))
+        argv = ["resolve", "--input", str(path), "--trace", str(tmp_path / "trace.json")]
+        traces.append(_cyclic_garbage(argv, cli.EXIT_OK))
+    assert traces[0] == traces[1]
+    capsys.readouterr()
 
 
 def _boundary_texts():

@@ -2,6 +2,7 @@
 
 import json
 import os
+from collections import OrderedDict
 import random
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sncresolve import cli
 from sncresolve import dual_complex as dc
 from sncresolve import snc_model as sm
 from sncresolve.dual_complex import Cell, DualComplex
@@ -18,7 +20,7 @@ from sncresolve.snc_model import CenterDescriptor, SncVariety, Stratum
 
 from oracles import (cell_of_dual_complex, closure_rule_blowup, per_map_homology,
                      per_pair_validate_snc, random_variety, rational_betti,
-                     shared_map_validate_snc)
+                     reference_variety_from_json_obj, shared_map_validate_snc)
 
 
 def triangle():
@@ -176,6 +178,17 @@ MALFORMED = {
         Stratum.of("BC", ["B", "C"], {"B": "C", "C": "B"}),
         Stratum.of("BC", ["B", "C"], {"B": "C#2", "C": "B"}),
         Stratum.of("ABC", ["A", "B", "C"], {"A": "BC", "B": "AC", "C": "AB"})]),
+    # AB's second pair drops C, which AB does not hold, for the stratum over
+    # {A, B, C}: every mask of a pair is right, but the stratum is above.
+    "parent over a foreign index, one level up": (["A", "B", "C"], _singletons("A", "B", "C") + [
+        Stratum.of("AB", ["A", "B"], {"A": "B", "C": "ABC"}),
+        Stratum.of("AC", ["A", "C"], {"A": "C", "C": "A"}),
+        Stratum.of("BC", ["B", "C"], {"B": "C", "C": "B"}),
+        Stratum.of("ABC", ["A", "B", "C"], {"A": "BC", "B": "AC", "C": "AB"})]),
+    # Two strata that no stratum lies in share an id, over different sets.
+    "duplicate id of two top strata": (["A", "B", "C"], _singletons("A", "B", "C") + [
+        Stratum.of("AB", ["A", "B"], {"A": "B", "B": "A"}),
+        Stratum.of("AB", ["A", "C"], {"A": "C", "C": "A"})]),
     "deep stratum with a ghost parent": (["A", "B", "C", "D"],
                                          _singletons("A", "B", "C", "D") + [
         Stratum.of("ABCD", ["A", "B", "C", "D"],
@@ -473,6 +486,39 @@ def test_mutated_varieties_cover_every_kind_of_violation():
                 "no singleton", "designated", "does not exist", "expected",
                 "incoherent") if kind in v)
     assert len(seen) == 8, seen
+
+
+def test_the_validity_proof_passes_germs_and_fails_every_malformed_family():
+    assert all(sm._proved_valid(sm.coordinate_germ(n)) for n in range(1, 9))
+    assert sm._proved_valid(SncVariety.of([], []))
+    # The duplicate deep strata are valid, but a repeated index set is left
+    # to the checks behind the proof.
+    assert not any(sm._proved_valid(SncVariety.of(*family)) for family in MALFORMED.values())
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_the_validity_proof_holds_exactly_on_valid_varieties(seed):
+    # A proof that failed a valid variety would only cost time; one that
+    # passed an invalid variety would let its violations go unnamed.
+    rng = random.Random(seed)
+    snc = random_variety(rng)
+    assert sm._proved_valid(snc)
+    bad = _mutated(rng, snc)
+    want = per_pair_validate_snc(bad)
+    assert sm._find_violations(bad) == want
+    assert sm._proved_valid(bad) == (not want)
+    parallel = _with_parallel_strata(rng, snc)
+    assert sm._find_violations(parallel) == per_pair_validate_snc(parallel)
+    assert not sm._proved_valid(parallel)
+
+
+def test_a_variety_past_the_mask_width_gets_the_named_checks():
+    comps = [f"E{i}" for i in range(sm._MASK_WIDTH + 1)]
+    wide = sm.from_index_sets(comps, [comps[:2]])
+    assert not sm._proved_valid(wide)
+    assert sm.validate_snc(wide) == per_pair_validate_snc(wide) == []
+    assert sm.dual_complex_of(wide).cell_counts() == [len(comps), 1]
 
 
 def test_validate_snc_builds_each_parent_map_once(monkeypatch):
@@ -946,3 +992,102 @@ def test_a_malformed_stratum_entry_keeps_its_message(name):
         sm.from_json_obj({"components": ["A", "B"], "strata": [entry]})
     assert type(err.value) is ValueError
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("name", MALFORMED_STRATA)
+def test_a_malformed_stratum_entry_after_valid_ones_keeps_its_message(name):
+    # The document is checked a part at a time; here the entry lies in the
+    # second part.  The entry-by-entry reader then names it, not the valid
+    # entries before or after it.
+    entry, message = MALFORMED_STRATA[name]
+    valid = [{"id": "A", "indices": ["A"]}, {"id": "B", "indices": ["B"]}, _AB]
+    before = valid * (sm._PART // len(valid) + 1)
+    with pytest.raises(ValueError) as err:
+        sm.from_json_obj({"components": ["A", "B"], "strata": [*before, entry, *valid]})
+    assert type(err.value) is ValueError
+    assert str(err.value) == message
+
+
+_REPEATED_COMPONENT = "'components' repeats a component, got ['E1', 'E2', 'E1']"
+
+
+def test_a_repeated_component_is_refused(tmp_path, capsys):
+    doc = sm.to_json_obj(sm.coordinate_germ(2))
+    doc["components"].append("E1")
+    # Parent maps that are not plain dicts take the entry-by-entry reader.
+    by_entry = {**doc, "strata": [{**e, "parents": OrderedDict(e["parents"])}
+                                  for e in doc["strata"]]}
+    for parse, document in ((sm.from_json_obj, doc), (sm.from_json_obj, by_entry),
+                            (reference_variety_from_json_obj, doc)):
+        with pytest.raises(ValueError) as err:
+            parse(document)
+        assert type(err.value) is ValueError
+        assert str(err.value) == _REPEATED_COMPONENT
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["dualcomplex", "--input", str(path)]) == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"invalid input: {_REPEATED_COMPONENT}\n"
+
+
+def test_a_document_of_several_parts_reads_as_the_reference_does():
+    germ = sm.coordinate_germ(11)
+    doc = sm.to_json_obj(germ)
+    assert len(doc["strata"]) > sm._PART
+    assert sm.from_json_obj(doc) == reference_variety_from_json_obj(doc) == germ
+
+
+# Values that are not str, and keys that are not str but can key a dict.
+_NOT_STR = [7, True, None, 2.5, ["E1"], {"E1": "E2"}]
+_NOT_STR_KEYS = [7, True, None, 2.5, ("E1",)]
+_DOC_CHANGES = ("id", "index", "parent key", "parent value", "entry as array",
+                "indices as object", "parents as array", "no id", "no indices",
+                "no parents", "repeated index", "repeated component")
+
+
+@st.composite
+def _changed_documents(draw):
+    """A random variety's document with one drawn change.  Only "no parents"
+    leaves a document that both readers parse (the variety may be invalid)."""
+    doc = sm.to_json_obj(random_variety(random.Random(draw(st.integers(0, 10_000)))))
+    entry = draw(st.sampled_from(doc["strata"]))
+    indices, parents = entry["indices"], entry["parents"]
+    change = draw(st.sampled_from(_DOC_CHANGES))
+    if change == "id":
+        entry["id"] = draw(st.sampled_from(_NOT_STR))
+    elif change == "index":
+        indices[draw(st.integers(0, len(indices) - 1))] = draw(st.sampled_from(_NOT_STR))
+    elif change == "parent key":
+        key = draw(st.sampled_from(sorted(parents) or [entry["id"]]))
+        parents[draw(st.sampled_from(_NOT_STR_KEYS))] = parents.pop(key, key)
+    elif change == "parent value":
+        key = draw(st.sampled_from(sorted(parents) or indices))
+        parents[key] = draw(st.sampled_from(_NOT_STR))
+    elif change == "entry as array":
+        doc["strata"][doc["strata"].index(entry)] = list(entry.values())
+    elif change == "indices as object":
+        entry["indices"] = dict.fromkeys(indices, entry["id"])
+    elif change == "parents as array":
+        entry["parents"] = [list(pair) for pair in parents.items()]
+    elif change in ("no id", "no indices", "no parents"):
+        del entry[change[3:]]
+    elif change == "repeated index":
+        indices.insert(draw(st.integers(0, len(indices))), draw(st.sampled_from(indices)))
+    else:
+        doc["components"].append(draw(st.sampled_from(doc["components"])))
+    return doc
+
+
+def _outcome(parse, doc):
+    """The variety, or the type and text of the error."""
+    try:
+        return parse(doc)
+    except Exception as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_changed_documents())
+def test_the_document_reader_agrees_with_the_entry_by_entry_reference(doc):
+    assert _outcome(sm.from_json_obj, doc) == _outcome(reference_variety_from_json_obj, doc)
